@@ -8,6 +8,7 @@ Usage: python scripts/generator_tables.py [q]
 import sys
 
 from dqmf import DerivationEngine, FieldConfig
+from dqmf.suite import generator_table_orders
 
 
 def main():
@@ -15,15 +16,9 @@ def main():
     cfg = FieldConfig.from_q(q)
     engine = DerivationEngine(cfg)
     print(f"# field F_{q} (p={cfg.p}, e={cfg.e}), computable orders 0..{engine.limit}")
-    orders = list(range(q))
-    v = cfg.p
-    while v <= q * q:
-        if v not in orders:
-            orders.append(v)
-        v *= cfg.p
     for gen in ("E", "g", "h"):
         print(f"\n## D_n {gen}")
-        for n in orders:
+        for n in generator_table_orders(cfg):
             print(f"D_{n} {gen} = {engine.d_generator(gen, n)}")
 
 

@@ -13,6 +13,7 @@ import sys
 import time
 
 from dqmf import DerivationEngine, FieldConfig, QmPoly
+from dqmf.suite import series_check_orders
 from dqmf.tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive
 
 
@@ -23,12 +24,7 @@ def main():
     engine = DerivationEngine(cfg)
     gens = {"E": QmPoly.gen_E(cfg), "g": QmPoly.gen_g(cfg), "h": QmPoly.gen_h(cfg)}
     series = {"E": expand_E(cfg, N), "g": expand_g(cfg, N), "h": expand_h(cfg, N)}
-    orders = set(range(1, q + 1))
-    v = 1
-    while v <= q * q:
-        orders.update({v, v - 1, v - q})
-        v *= cfg.p
-    orders = sorted(n for n in orders if 1 <= n <= engine.limit)
+    orders = series_check_orders(cfg)
     t0 = time.time()
     bad = 0
     for name in ("E", "g", "h"):

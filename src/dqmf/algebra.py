@@ -9,6 +9,7 @@ denominator) at all times, which makes equality syntactic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,7 +114,8 @@ class FieldConfig:
 
     Elements are encoded as ints in [0, q): the base-p digits of the code are
     the coordinates in the power basis of ``modulus``.  Instances are
-    interned by (p, e, modulus), so table construction happens once.
+    interned by (p, e, modulus), so table construction happens once and
+    identity is equality: the per-field caches key on the instance itself.
     """
 
     _instances: dict = {}
@@ -147,12 +149,6 @@ class FieldConfig:
         self.q = p**e
         self.modulus = modulus
         self._build_tables()
-        self._bracket_cache = {}
-        self._d_cache = {}
-        self._d_pow_cache = {}
-        self._alpha_cache = {}
-        self._monic_cache = {}
-        self._gcd_cache = {}
         # canonical constants, filled after PolyT exists
         self.poly_zero = PolyT(self, ())
         self.poly_one = PolyT(self, (1,))
@@ -189,18 +185,8 @@ class FieldConfig:
                 prod = _fp_mulmod(ca, cb, mod, p)
                 prod += [0] * (e - len(prod))
                 self.mul[a][b] = encode(prod)
-        self.inv = [0] * q
-        for a in range(1, q):
-            x = a
-            # a^(q-2) = a^{-1}
-            acc = 1
-            n = q - 2
-            while n:
-                if n & 1:
-                    acc = self.mul[acc][x]
-                x = self.mul[x][x]
-                n >>= 1
-            self.inv[a] = acc
+        # a^(q-2) = a^{-1}
+        self.inv = [0] + [self._pow_int(a, q - 2) for a in range(1, q)]
         self.frob = [self._pow_int(a, p) for a in range(q)]
         # Frobenius is a bijection; its inverse extracts p-th roots.
         self.pth_root = [0] * q
@@ -271,12 +257,6 @@ class FieldConfig:
 
     def elements(self):
         return [FqElem(self, i) for i in range(self.q)]
-
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
 
     def __repr__(self):
         return f"FieldConfig(p={self.p}, e={self.e}, modulus={list(self.modulus)})"
@@ -426,8 +406,9 @@ class PolyT:
         while n:
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return acc
 
     def divmod(self, other):
@@ -461,13 +442,7 @@ class PolyT:
             return cfg.poly_one
         if a == b:
             return self.monic()
-        key = (a, b) if len(a) >= len(b) else (b, a)
-        cached = cfg._gcd_cache.get(key)
-        if cached is None:
-            cached = PolyT(cfg, _gcd_lists(list(key[0]), list(key[1]), cfg)).monic()
-            if len(cfg._gcd_cache) < 1 << 18:
-                cfg._gcd_cache[key] = cached
-        return cached
+        return _monic_gcd(cfg, a, b) if len(a) >= len(b) else _monic_gcd(cfg, b, a)
 
     def monic(self):
         if self.is_zero() or self.lead() == 1:
@@ -548,12 +523,18 @@ def _divmod_lists(rem, bc, cfg):
     return quot, rem
 
 
-def _gcd_lists(a, b, cfg):
-    """Euclid on raw coefficient lists (nonzero inputs), result unnormalized."""
+@functools.lru_cache(maxsize=1 << 18)
+def _monic_gcd(cfg, a, b):
+    """Monic gcd of two nonconstant coefficient tuples, the longer one first.
+
+    Euclid on raw lists; the LRU bound keeps a long-running process from
+    holding every denominator pair it has ever reduced.
+    """
+    a, b = list(a), list(b)
     while b:
         _, r = _divmod_lists(a, b, cfg)
         a, b = b, r
-    return a
+    return PolyT(cfg, a).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -739,43 +720,31 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
     return r
 
 
+@functools.cache
 def bracket(i: int, cfg: FieldConfig) -> PolyT:
     """[i] = T^(q^i) - T."""
     if i < 1:
         raise ValueError("bracket index must be >= 1")
-    cached = cfg._bracket_cache.get(i)
-    if cached is None:
-        coeffs = [0] * (cfg.q**i + 1)
-        coeffs[1] = cfg.neg[1]
-        coeffs[-1] = 1
-        cached = PolyT(cfg, coeffs)
-        cfg._bracket_cache[i] = cached
-    return cached
+    coeffs = [0] * (cfg.q**i + 1)
+    coeffs[1] = cfg.neg[1]
+    coeffs[-1] = 1
+    return PolyT(cfg, coeffs)
 
 
+@functools.cache
 def d_coeff(i: int, cfg: FieldConfig) -> PolyT:
     """d_0 = 1 and d_i = [i] * d_{i-1}^q."""
     if i < 0:
         raise ValueError("d index must be >= 0")
-    cached = cfg._d_cache.get(i)
-    if cached is None:
-        if i == 0:
-            cached = cfg.poly_one
-        else:
-            cached = bracket(i, cfg) * d_coeff(i - 1, cfg).frobenius_pow(cfg.e)
-        cfg._d_cache[i] = cached
-    return cached
+    if i == 0:
+        return cfg.poly_one
+    return bracket(i, cfg) * d_coeff(i - 1, cfg).frobenius_pow(cfg.e)
 
 
+@functools.cache
 def d_power(i: int, k: int, cfg: FieldConfig) -> PolyT:
     """d_i^k, cached (denominators of this shape appear everywhere)."""
-    if k == 0:
-        return cfg.poly_one
-    cached = cfg._d_pow_cache.get((i, k))
-    if cached is None:
-        cached = d_coeff(i, cfg) ** k
-        cfg._d_pow_cache[(i, k)] = cached
-    return cached
+    return d_coeff(i, cfg) ** k
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ tables), digit composition for everything else, and Leibniz convolution
 over monomial factors.  Powers of a generator are peeled off one p-power
 atom at a time so that Frobenius sparsity (D_m of a p^k-th power vanishes
 unless p^k | m) keeps the convolutions short.  A single engine instance
-memoizes per (generator, order) and per (monomial, order); instances are
-independent and safe to use in parallel with one engine per thread.
+memoizes per (generator, order) and per (monomial, order); one engine per
+thread is safe, since engines share only the per-field functools caches of
+``algebra`` (brackets, d_i powers, gcds), which are thread-safe.
 """
 
 from __future__ import annotations

@@ -199,8 +199,9 @@ class QmPoly:
         while n:
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return acc
 
     def frobenius_pow(self, k: int):

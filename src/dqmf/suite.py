@@ -17,7 +17,7 @@ from .verify import (
     IdealId,
     check_hyperstable,
     diagram_inclusions,
-    h_power_quotient,
+    h_power_quotients,
     munu_congruence,
     random_isobaric,
 )
@@ -96,6 +96,11 @@ def p_powers_upto(cfg, bound):
     return out
 
 
+def generator_table_orders(cfg):
+    """The orders generator_table covers: n < q and the p-powers <= q^2."""
+    return sorted(set(range(cfg.q)).union(p_powers_upto(cfg, cfg.q**2)))
+
+
 def series_check_orders(cfg):
     q = cfg.q
     ns = set(range(1, q + 1))
@@ -111,7 +116,7 @@ def series_check_orders(cfg):
 def _check_generator_tables(cfg, engine, rng, n_max, order):
     bad = []
     for gen in ("E", "g", "h"):
-        for n in list(range(cfg.q)) + p_powers_upto(cfg, cfg.q**2):
+        for n in generator_table_orders(cfg):
             if engine.d_generator(gen, n) != generator_table(cfg, gen, n):
                 bad.append((gen, n))
     return {"check": "generator_tables", "params": f"q={cfg.q}", "pass": not bad,
@@ -200,9 +205,8 @@ def _check_h_quotients(cfg, engine, rng, n_max, order):
     r_max = min(n_max, engine.limit)
     bad = []
     for n in range(-3, 4):
-        for r in range(0, r_max + 1):
-            if h_power_quotient(engine, n, r) is None:
-                bad.append((n, r))
+        quotients = h_power_quotients(engine, n, r_max)
+        bad.extend((n, r) for r, quo in enumerate(quotients) if quo is None)
     return {"check": "h_power_quotients", "params": f"q={cfg.q} r<={r_max}",
             "pass": not bad, **({"witness": str(bad)} if bad else {})}
 

@@ -10,6 +10,7 @@ checked against the engine are genuinely two-route.
 
 from __future__ import annotations
 
+import functools
 from itertools import product
 
 from .algebra import FieldConfig, PolyT, RatT, binom_mod_p, d_power
@@ -141,8 +142,9 @@ class TSeries:
         while n:
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return acc
 
     def __str__(self):
@@ -226,17 +228,9 @@ def t_sub(a: PolyT, N: int) -> TSeries:
     For monic a of degree d this is t^(q^d) times the inverse of the unit
     1 + sum_{j<d} c_j t^(q^d - q^j), so nu_infinity(t_a) = q^d.
     """
-    cfg = a.cfg
     if a.is_zero() or a.lead() != 1:
         raise ValueError("t_sub needs a monic polynomial")
-    rho = carlitz(a)
-    d = rho.degree
-    base = cfg.q**d
-    if base >= N:
-        return TSeries.zero(cfg, N)
-    unit = {base - cfg.q**j: rho.coeffs[j] for j in range(d) if not rho.coeffs[j].is_zero()}
-    inv = _invert_unit(cfg, unit, N - base)
-    return TSeries(cfg, N, {base + n: v for n, v in inv.items()})
+    return _t_sub_pow(a, N, 1)
 
 
 def _invert_unit(cfg, unit: dict, M: int) -> dict:
@@ -297,47 +291,31 @@ def _t_sub_pow(a: PolyT, N: int, k: int) -> TSeries:
     return TSeries(cfg, N, {base + n: v for n, v in inv_k.items() if n < M})
 
 
+@functools.cache
 def _monic_polys(cfg, d: int):
     """All monic elements of F_q[T] of degree exactly d."""
-    cached = cfg._monic_cache.get(d)
-    if cached is None:
-        cached = [
-            PolyT(cfg, tail + (1,))
-            for tail in product(range(cfg.q), repeat=d)
-        ]
-        cfg._monic_cache[d] = cached
-    return cached
+    return tuple(PolyT(cfg, tail + (1,)) for tail in product(range(cfg.q), repeat=d))
 
 
-_EXPANSION_CACHE: dict = {}
-
-
+@functools.cache
 def expand_E(cfg: FieldConfig, N: int) -> TSeries:
     """E as the lattice sum over monic a of a * t_a, truncated below N."""
-    key = (cfg, N, "E")
-    out = _EXPANSION_CACHE.get(key)
-    if out is not None:
-        return out
     total = TSeries.zero(cfg, N)
     d = 0
     while cfg.q**d < N:
         for a in _monic_polys(cfg, d):
             total = total + t_sub(a, N).scale(RatT(cfg, a))
         d += 1
-    _EXPANSION_CACHE[key] = total
     return total
 
 
+@functools.cache
 def expand_g(cfg: FieldConfig, N: int) -> TSeries:
     """g = 1 - [1] * sum over monic a of t_a^(q-1), truncated below N.
 
     The degree-zero lattice layer is normalized to the constant 1, which
     pins the leading coefficient; the monic layers are summed honestly.
     """
-    key = (cfg, N, "g")
-    out = _EXPANSION_CACHE.get(key)
-    if out is not None:
-        return out
     q = cfg.q
     total = TSeries.zero(cfg, N)
     d = 0
@@ -346,28 +324,22 @@ def expand_g(cfg: FieldConfig, N: int) -> TSeries:
             total = total + _t_sub_pow(a, N, q - 1)
         d += 1
     bracket1 = RatT(cfg, d_power(1, 1, cfg))
-    out = TSeries.one(cfg, N) - total.scale(bracket1)
-    _EXPANSION_CACHE[key] = out
-    return out
+    return TSeries.one(cfg, N) - total.scale(bracket1)
 
 
+@functools.cache
 def expand_h(cfg: FieldConfig, N: int) -> TSeries:
     """h = -(D_1 g + E g): the one definitional equation on the series side."""
-    key = (cfg, N, "h")
-    out = _EXPANSION_CACHE.get(key)
-    if out is not None:
-        return out
     g = expand_g(cfg, N)
     E = expand_E(cfg, N)
-    out = -(hyper_derive(g, 1) + E * g)
-    _EXPANSION_CACHE[key] = out
-    return out
+    return -(hyper_derive(g, 1) + E * g)
 
 
 # ---------------------------------------------------------------------------
 # The series-level divided derivative.
 
 
+@functools.cache
 def alpha(r: int, i: int, cfg: FieldConfig) -> RatT:
     """Sum of 1/(d_{i_1} ... d_{i_r}) over q^{i_1} + ... + q^{i_r} = i.
 
@@ -379,10 +351,6 @@ def alpha(r: int, i: int, cfg: FieldConfig) -> RatT:
         return cfg.rat_one if i == 0 else cfg.rat_zero
     if i < r or (i - r) % (cfg.q - 1) != 0:
         return cfg.rat_zero
-    key = (r, i)
-    out = cfg._alpha_cache.get(key)
-    if out is not None:
-        return out
     q, p = cfg.q, cfg.p
     J = 0
     while q ** (J + 1) <= i:
@@ -412,7 +380,6 @@ def alpha(r: int, i: int, cfg: FieldConfig) -> RatT:
         step = q**j
         for a_j in range(min(r_rem, i_rem // step) + 1):
             stack.append((j - 1, r_rem - a_j, i_rem - a_j * step, [a_j] + mults))
-    cfg._alpha_cache[key] = total
     return total
 
 

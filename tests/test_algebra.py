@@ -333,3 +333,34 @@ def test_linear_solve_random_roundtrip():
                 for j in range(n):
                     acc = acc + mat[i][j] * vec[j]
                 assert acc.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Square-and-multiply powers
+
+
+def _pow_samples(cfg):
+    from dqmf.qmring import QmPoly
+    from dqmf.tseries import TSeries
+
+    T = RatT(cfg, cfg.poly_T)
+    u = RatT(cfg, cfg.poly_one, PolyT.from_ints(cfg, [1, 1, 1]))
+    return {
+        "PolyT": (PolyT.from_ints(cfg, [1, 2, 0, 1]), cfg.poly_one),
+        "RatT": (T * T + u, cfg.rat_one),
+        "QmPoly": (
+            QmPoly.gen_E(cfg) + QmPoly.monomial(cfg, 0, 1, 1, u) - QmPoly.gen_h(cfg),
+            QmPoly.one(cfg),
+        ),
+        "TSeries": (TSeries(cfg, 12, {0: u, 1: T, 3: cfg.rat_one, 7: u * T}),
+                    TSeries.one(cfg, 12)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["PolyT", "RatT", "QmPoly", "TSeries"])
+def test_pow_matches_repeated_product(cfg, kind):
+    x, one = _pow_samples(cfg)[kind]
+    acc = one
+    for n in range(7):
+        assert x**n == acc
+        acc = acc * x
