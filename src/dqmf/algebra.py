@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 __all__ = [
@@ -109,6 +110,9 @@ def _fp_irreducible(mod, p):
     return True
 
 
+_INTERN_LOCK = threading.Lock()
+
+
 class FieldConfig:
     """The field F_q = F_{p^e} together with its arithmetic tables.
 
@@ -128,11 +132,13 @@ class FieldConfig:
                 raise ValueError(f"no default modulus shipped for q = {p}^{e}; pass one")
         modulus = tuple(int(c) % p for c in modulus)
         key = (p, e, modulus)
-        inst = cls._instances.get(key)
-        if inst is None:
-            inst = super().__new__(cls)
-            inst._init(p, e, modulus)
-            cls._instances[key] = inst
+        # check, build and insert as one step, so racing threads share one field
+        with _INTERN_LOCK:
+            inst = cls._instances.get(key)
+            if inst is None:
+                inst = super().__new__(cls)
+                inst._init(p, e, modulus)
+                cls._instances[key] = inst
         return inst
 
     def _init(self, p, e, modulus):

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .algebra import FieldConfig, PolyT, RatT
-from .hyperd import DerivationEngine, OrderOutOfRange
+from .hyperd import DerivationEngine
 from .qmring import NotIsobaric, QmPoly, grading, qm_basis
 from .tseries import expand_E, expand_g, expand_h, hyper_derive, evaluate
 from .verify import IdealId, check_hyperstable
@@ -292,13 +292,7 @@ def _field_from_args(args) -> FieldConfig:
 
 def _cmd_derive(args):
     cfg = _field_from_args(args)
-    engine = DerivationEngine(cfg)
-    try:
-        f = parse_qmpoly(cfg, args.expr)
-        out = engine.derive(f, args.n)
-    except (ParseError, OrderOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    out = DerivationEngine(cfg).derive(parse_qmpoly(cfg, args.expr), args.n)
     if args.json:
         print(json.dumps({"field": _field_json(cfg), "n": args.n, "result": out.to_json()}))
     else:
@@ -317,19 +311,11 @@ def _cmd_derive(args):
 
 def _cmd_expand(args):
     cfg = _field_from_args(args)
-    if args.order < 1:
-        print("error: truncation order must be >= 1", file=sys.stderr)
-        return 2
     builders = {"E": expand_E, "g": expand_g, "h": expand_h}
     if args.gen in builders:
         s = builders[args.gen](cfg, args.order)
     else:
-        try:
-            f = parse_qmpoly(cfg, args.gen)
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        s = evaluate(f, args.order)
+        s = evaluate(parse_qmpoly(cfg, args.gen), args.order)
     if args.n:
         s = hyper_derive(s, args.n)
     if args.json:
@@ -464,7 +450,14 @@ def main(argv=None):
     p_field.set_defaults(func=_cmd_field)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    # the one error boundary: malformed input (ParseError, NotIsobaric,
+    # OrderOutOfRange, ... are ValueErrors) and impossible arithmetic such as
+    # a zero denominator become an error line, never a traceback
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

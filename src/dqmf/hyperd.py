@@ -57,6 +57,8 @@ class DerivationEngine:
         self.limit = cfg.p * cfg.q**2 - 1
         self._gen_memo: dict = {}
         self._mono_memo: dict = {}
+        # D_r(h^{-1}) as (numerator, power of h), grown by verify
+        self._h_inv_seq = None
         self._E = QmPoly.gen_E(cfg)
         self._g = QmPoly.gen_g(cfg)
         self._h = QmPoly.gen_h(cfg)
@@ -246,8 +248,10 @@ class DerivationEngine:
         if n >= cfg.q:
             rh = rh - mono(cfg, cfg.q, 0, 0) * self.d_generator("h", n - cfg.q)
         for r in (rE, rg, rh):
-            assert r.deg_E() <= 0, "residue is not modular"
-            assert all(k[2] >= 1 for k in r.terms), "residue is not divisible by h"
+            if r.deg_E() > 0:
+                raise AssertionError("residue is not modular")
+            if any(k[2] < 1 for k in r.terms):
+                raise AssertionError("residue is not divisible by h")
         return rE, rg, rh
 
     # -- kernels on modular forms ----------------------------------------------
@@ -308,7 +312,10 @@ class DerivationEngine:
             s = grading(val)
             base = monomial_signature(self.cfg, *gens[gen])
             q = self.cfg.q
-            assert s.w == base.w + 2 * n
-            assert q == 2 or s.m == (base.m + n) % (q - 1)
-            assert s.l <= base.l + n
+            if s.w != base.w + 2 * n:
+                raise AssertionError(f"D_{n} {gen} has weight {s.w}")
+            if q != 2 and s.m != (base.m + n) % (q - 1):
+                raise AssertionError(f"D_{n} {gen} has type {s.m}")
+            if s.l > base.l + n:
+                raise AssertionError(f"D_{n} {gen} has depth {s.l}")
         return True

@@ -504,5 +504,6 @@ def serre_derivative(f: QmPoly) -> QmPoly:
     via_partial = -(QmPoly.gen_h(f.cfg) * f.partial("g"))
     w = s.w if s is not None else 0
     via_d1 = d1(f) - (QmPoly.gen_E(f.cfg) * f).scale_int(w)
-    assert via_partial == via_d1, "the two defining expressions disagree"
+    if via_partial != via_d1:
+        raise AssertionError("the two defining expressions disagree")
     return via_partial

@@ -5,7 +5,9 @@ identity imported from the polynomial side is the definitional equation
 h = -(D_1 g + E g).  The series-level divided derivative follows the
 convolution formula with the alpha coefficients (sums of 1/(d_{i_1}...d_{i_r})
 over ways of writing the order as r q-powers), so derivative identities
-checked against the engine are genuinely two-route.
+checked against the engine are genuinely two-route.  The series product
+accumulates each t-coefficient once, over the common denominator of the
+operands, walking only the nonzero terms of their numerators.
 """
 
 from __future__ import annotations
@@ -102,24 +104,36 @@ class TSeries:
     def __mul__(self, other):
         if isinstance(other, RatT):
             return self.scale(other)
+        cfg = self.cfg
         order = min(self.order, other.order)
-        out = {}
-        for n1, v1 in self.terms.items():
-            if n1 >= order:
-                continue
-            for n2, v2 in other.terms.items():
+        dx, xs = _cleared(self, order)
+        dy, ys = _cleared(other, order)
+        add, mul = cfg.add, cfg.mul
+        # one raw F_q[T] coefficient list per t-exponent, over dx * dy
+        acc = {}
+        for n1, deg1, t1 in xs:
+            for n2, deg2, t2 in ys:
                 n = n1 + n2
                 if n >= order:
-                    continue
-                p = v1 * v2
-                cur = out.get(n)
-                s = p if cur is None else cur + p
-                if s.is_zero():
-                    out.pop(n, None)
-                else:
-                    out[n] = s
-        res = TSeries(self.cfg, order)
-        res.terms = out
+                    break
+                out = acc.get(n)
+                if out is None:
+                    out = acc[n] = [0] * (deg1 + deg2 + 1)
+                elif len(out) <= deg1 + deg2:
+                    out.extend([0] * (deg1 + deg2 + 1 - len(out)))
+                for i, x in t1:
+                    row = mul[x]
+                    for j, y in t2:
+                        k = i + j
+                        out[k] = add[out[k]][row[y]]
+        den = dx * dy
+        terms = {}
+        for n, c in acc.items():
+            num = PolyT(cfg, c)
+            if num.c:
+                terms[n] = RatT._raw(cfg, num, den) if den.is_one() else RatT(cfg, num, den)
+        res = TSeries(cfg, order)
+        res.terms = terms
         return res
 
     def scale(self, coeff: RatT):
@@ -169,6 +183,26 @@ class TSeries:
                 {"n": n, "num": str(v.num), "den": str(v.den)} for n, v in self.items()
             ],
         }
+
+
+def _cleared(s: TSeries, order: int):
+    """(D, terms) for the coefficients of s below order, over their lcm D.
+
+    ``terms`` holds (n, deg N_n, [(exponent, code), ...]) sorted by n, where
+    N_n = a_n * D and only the nonzero coefficients of N_n are listed.
+    """
+    cfg = s.cfg
+    live = sorted((n, v) for n, v in s.terms.items() if n < order)
+    common = cfg.poly_one
+    for _, v in live:
+        if not v.den.is_one():
+            g = common.gcd(v.den)
+            common = common * v.den.exact_div(g)
+    out = []
+    for n, v in live:
+        num = v.num if v.den.c == common.c else v.num * common.exact_div(v.den)
+        out.append((n, num.degree, [(i, x) for i, x in enumerate(num.c) if x]))
+    return common, out
 
 
 def nu_infinity(s: TSeries):

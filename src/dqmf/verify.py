@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .algebra import RatT, binom_mod_p
 from .hyperd import DerivationEngine
-from .qmring import QmPoly, grading, rankin_bracket
+from .qmring import NotIsobaric, QmPoly, grading, rankin_bracket
 
 __all__ = [
     "IdealId",
@@ -195,7 +195,7 @@ def _is_isobaric(f):
     try:
         grading(f)
         return True
-    except Exception:
+    except NotIsobaric:
         return False
 
 
@@ -269,10 +269,9 @@ def _h_inverse_sequence(engine: DerivationEngine, r_max: int):
     """Pairs (num, k) with D_r(h^{-1}) = num / h^k, from the product rule
     applied to h * h^{-1} = 1.  Cached on the engine."""
     cfg = engine.cfg
-    seq = getattr(engine, "_h_inv_seq", None)
+    seq = engine._h_inv_seq
     if seq is None:
-        seq = [(QmPoly.one(cfg), 1)]
-        engine._h_inv_seq = seq
+        seq = engine._h_inv_seq = [(QmPoly.one(cfg), 1)]
     if len(seq) > r_max:
         return seq[: r_max + 1]
     h = QmPoly.gen_h(cfg)

@@ -1,6 +1,9 @@
 """Per-field memoisation: process-wide functools caches keyed by the
 interned FieldConfig."""
 
+import sys
+import threading
+
 from dqmf.algebra import FieldConfig, PolyT, _monic_gcd, bracket, d_power
 from dqmf.tseries import alpha, expand_E
 
@@ -40,3 +43,29 @@ def test_gcd_cache_is_a_bounded_lru():
     b = PolyT.from_ints(cfg, [1, 3])
     assert a.gcd(b) is b.gcd(a)
     assert a.gcd(b) == PolyT.from_ints(cfg, [2, 1])
+
+
+def test_field_interning_is_thread_safe():
+    """Threads racing on a key nobody has built yet all get one object."""
+    key = (7, 2, (3, 1, 1))
+    assert key not in FieldConfig._instances
+    barrier = threading.Barrier(8)
+    got = []
+
+    def build():
+        barrier.wait(timeout=30)
+        got.append(FieldConfig(*key))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(f is got[0] for f in got)
+    assert got[0].q == 49

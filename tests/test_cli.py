@@ -156,3 +156,24 @@ def test_cmd_verify_json_determinism(capsys):
     rc2 = main(argv)
     out2 = capsys.readouterr().out
     assert rc1 == rc2 == 0 and out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# the error boundary: malformed input gives an error line and exit 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["derive", "--q", "5", "(1/0)", "1"], "inverting zero"),
+        (["derive", "--q", "6", "E", "1"], "not a prime power"),
+        (["ideal", "--q", "5", "Pd", "--d", "0"], "nonzero parameter"),
+    ],
+    ids=["zero-denominator", "not-prime-power", "Pd-zero"],
+)
+def test_malformed_input_is_an_error_line(capsys, argv, message):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dqmf.algebra import PolyT, RatT, d_power
+from dqmf.algebra import FieldConfig, PolyT, RatT, d_power
 from dqmf.qmring import QmPoly
 from dqmf.tseries import (
     TSeries,
@@ -302,6 +302,71 @@ def test_commutation_on_random_polynomials(cfg, q):
         f = random_isobaric(cfg, rng, 12)
         n = rng.randint(1, min(2 * q, engine.limit))
         assert evaluate(engine.derive(f, n), N) == hyper_derive(evaluate(f, N), n)
+
+
+# ---------------------------------------------------------------------------
+# The series product against the pairwise RatT formula
+
+
+ALL_FIELDS = [2, 3, 4, 5, 7, 8, 9]
+
+
+def _pairwise_product(x, y):
+    """Reference: one RatT product and one RatT sum per pair of terms."""
+    cfg = x.cfg
+    order = min(x.order, y.order)
+    out = {}
+    for n1, v1 in x.terms.items():
+        for n2, v2 in y.terms.items():
+            n = n1 + n2
+            if n < order:
+                out[n] = out.get(n, cfg.rat_zero) + v1 * v2
+    return {n: v for n, v in out.items() if not v.is_zero()}
+
+
+def _random_series(cfg, rng, order, kind):
+    """Coefficients with lacunary numerators; ``kind`` picks the denominators."""
+    terms = {}
+    for n in range(order + 2):
+        if rng.random() < 0.4:
+            continue
+        num = PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, 5))])
+        rational = kind == "rational" or (kind == "mixed" and rng.random() < 0.5)
+        den = cfg.poly_one
+        if rational:
+            den = PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, 2))] + [1])
+        terms[n] = RatT(cfg, num, den)
+    return TSeries(cfg, order, terms)
+
+
+@pytest.mark.parametrize("kind", ["integral", "rational", "mixed"])
+@pytest.mark.parametrize("q", ALL_FIELDS, ids=lambda q: f"q{q}")
+def test_series_product_matches_pairwise(q, kind):
+    cfg = FieldConfig.from_q(q)
+    rng = random.Random(q * 101 + len(kind))
+    for _ in range(12):
+        x = _random_series(cfg, rng, rng.randint(1, 12), kind)
+        y = _random_series(cfg, rng, rng.randint(1, 12), kind)
+        prod = x * y
+        assert prod.order == min(x.order, y.order)
+        assert prod.terms == _pairwise_product(x, y)
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS, ids=lambda q: f"q{q}")
+def test_series_product_zero_and_cancellation(q):
+    cfg = FieldConfig.from_q(q)
+    rng = random.Random(q)
+    x = _random_series(cfg, rng, 9, "mixed")
+    zero = TSeries.zero(cfg, 7)
+    assert (x * zero).terms == {} and (zero * x).terms == {}
+    assert (x * zero).order == 7
+    # (1 + u t)(1 - u t) = 1 - u^2 t^2: the t coefficient cancels and is dropped
+    u = RatT(cfg, PolyT(cfg, (1, 0, 1)), PolyT(cfg, (1, 1)))
+    a = TSeries(cfg, 6, {0: cfg.rat_one, 1: u})
+    b = TSeries(cfg, 8, {0: cfg.rat_one, 1: -u})
+    prod = a * b
+    assert prod.terms == {0: cfg.rat_one, 2: -(u * u)}
+    assert prod.terms == _pairwise_product(a, b)
 
 
 def test_nu_infinity_basics(cfg):
