@@ -22,8 +22,10 @@ __all__ = [
     "InconsistentSystem",
     "binom_mod_p",
     "bracket",
+    "common_denominator",
     "d_coeff",
     "linear_solve",
+    "power",
     "DEFAULT_MODULI",
 ]
 
@@ -110,6 +112,18 @@ def _fp_irreducible(mod, p):
     return True
 
 
+def power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply; ``one`` is the unit of base's ring."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = acc * base
+        n >>= 1
+        if n:
+            base = base * base
+    return acc
+
+
 _INTERN_LOCK = threading.Lock()
 
 
@@ -165,48 +179,38 @@ class FieldConfig:
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
         mod = list(self.modulus)
-
-        def decode(i):
-            c = []
-            for _ in range(e):
-                c.append(i % p)
-                i //= p
-            return c
-
-        def encode(c):
-            i = 0
-            for d in reversed(c[:e]):
-                i = i * p + (d % p)
-            return i
-
+        decode, encode = self._decode, self._encode
         self.add = [[0] * q for _ in range(q)]
         self.mul = [[0] * q for _ in range(q)]
         self.neg = [0] * q
         for a in range(q):
             ca = decode(a)
-            self.neg[a] = encode([(-x) % p for x in ca])
+            self.neg[a] = encode([-x for x in ca])
             for b in range(q):
                 cb = decode(b)
-                self.add[a][b] = encode([(x + y) % p for x, y in zip(ca, cb)])
-                prod = _fp_mulmod(ca, cb, mod, p)
-                prod += [0] * (e - len(prod))
-                self.mul[a][b] = encode(prod)
-        # a^(q-2) = a^{-1}
-        self.inv = [0] + [self._pow_int(a, q - 2) for a in range(1, q)]
-        self.frob = [self._pow_int(a, p) for a in range(q)]
+                self.add[a][b] = encode([x + y for x, y in zip(ca, cb)])
+                self.mul[a][b] = encode(_fp_mulmod(ca, cb, mod, p))
+        self.inv = [0] + [self.mul[a].index(1) for a in range(1, q)]
+        self.frob = [(FqElem(self, a) ** p).code for a in range(q)]
         # Frobenius is a bijection; its inverse extracts p-th roots.
         self.pth_root = [0] * q
         for a in range(q):
             self.pth_root[self.frob[a]] = a
 
-    def _pow_int(self, a, n):
-        acc, x = 1, a
-        while n:
-            if n & 1:
-                acc = self.mul[acc][x]
-            x = self.mul[x][x]
-            n >>= 1
-        return acc
+    def _decode(self, code: int) -> list:
+        """The e base-p digits of a packed code, low to high."""
+        c = []
+        for _ in range(self.e):
+            c.append(code % self.p)
+            code //= self.p
+        return c
+
+    def _encode(self, coords) -> int:
+        """Pack integer coordinates (reduced mod p, missing ones zero) into a code."""
+        code = 0
+        for d in reversed(coords):
+            code = code * self.p + d % self.p
+        return code
 
     @classmethod
     def from_q(cls, q: int) -> "FieldConfig":
@@ -234,6 +238,8 @@ class FieldConfig:
                     continue
                 key, _, rhs = line.partition("=")
                 vals[key.strip()] = rhs.strip()
+        if "p" not in vals:
+            raise ValueError(f"field file {path} has no 'p =' line")
         p = int(vals["p"])
         e = int(vals.get("e", "1"))
         modulus = None
@@ -256,10 +262,7 @@ class FieldConfig:
         c = list(coords)
         if len(c) != self.e:
             raise ValueError(f"need exactly {self.e} coordinates")
-        code = 0
-        for d in reversed(c):
-            code = code * self.p + (d % self.p)
-        return FqElem(self, code)
+        return FqElem(self, self._encode(c))
 
     def elements(self):
         return [FqElem(self, i) for i in range(self.q)]
@@ -277,11 +280,7 @@ class FqElem:
 
     @property
     def coords(self):
-        c, i = [], self.code
-        for _ in range(self.cfg.e):
-            c.append(i % self.cfg.p)
-            i //= self.cfg.p
-        return tuple(c)
+        return tuple(self.cfg._decode(self.code))
 
     def __add__(self, other):
         return FqElem(self.cfg, self.cfg.add[self.code][other.code])
@@ -301,11 +300,12 @@ class FqElem:
         return FqElem(self.cfg, self.cfg.mul[self.code][self.cfg.inv[other.code]])
 
     def __pow__(self, n):
+        base = self
         if n < 0:
             if self.code == 0:
                 raise ZeroDivisionError("inverting zero in F_q")
-            return FqElem(self.cfg, self.cfg._pow_int(self.cfg.inv[self.code], -n))
-        return FqElem(self.cfg, self.cfg._pow_int(self.code, n))
+            base, n = FqElem(self.cfg, self.cfg.inv[self.code]), -n
+        return power(base, n, FqElem(self.cfg, 1))
 
     def __bool__(self):
         return self.code != 0
@@ -407,15 +407,7 @@ class PolyT:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        acc = self.cfg.poly_one
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
+        return power(self, n, self.cfg.poly_one)
 
     def divmod(self, other):
         if other.is_zero():
@@ -757,6 +749,16 @@ def d_power(i: int, k: int, cfg: FieldConfig) -> PolyT:
 # Exact linear algebra.
 
 
+def common_denominator(cfg: FieldConfig, values) -> PolyT:
+    """The monic lcm of the denominators of some RatT values (1 for none)."""
+    common = cfg.poly_one
+    for x in values:
+        if not x.den.is_one():
+            g = common.gcd(x.den)
+            common = common * x.den.exact_div(g)
+    return common
+
+
 def linear_solve(matrix, rhs=None):
     """Fraction-free Gaussian elimination over F_q(T).
 
@@ -784,11 +786,7 @@ def linear_solve(matrix, rhs=None):
     rows = []
     for i in range(nrows):
         entries = list(matrix[i]) + [rhs[i] if rhs is not None else cfg.rat_zero]
-        common = cfg.poly_one
-        for x in entries:
-            if not x.den.is_one():
-                g = common.gcd(x.den)
-                common = common * x.den.exact_div(g)
+        common = common_denominator(cfg, entries)
         rows.append([x.num * common.exact_div(x.den) for x in entries])
 
     piv_cols = []

@@ -147,7 +147,9 @@ class _Parser:
             elif isinstance(t, int):
                 self.take()
                 expo = self._maybe_exponent()
-                out = out * QmPoly.from_scalar(self.cfg, RatT.from_int(self.cfg, t**expo))
+                # reduce mod p first: the bare integer power can be astronomically large
+                coeff = RatT.from_int(self.cfg, pow(t, expo, self.cfg.p))
+                out = out * QmPoly.from_scalar(self.cfg, coeff)
                 saw = True
             else:
                 break
@@ -283,7 +285,7 @@ def _field_from_args(args) -> FieldConfig:
         if args.modulus:
             modulus = tuple(int(x) for x in args.modulus.replace(",", " ").split())
         return FieldConfig(args.p, args.e or 1, modulus)
-    raise SystemExit("specify a field with --q, --p/--e/--modulus, or --field-file")
+    raise ValueError("specify a field with --q, --p/--e/--modulus, or --field-file")
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +346,7 @@ def _parse_ideal(args, cfg):
     param = None
     if tag == "Pd":
         if not args.d:
-            raise SystemExit("Pd requires --d")
+            raise ValueError("Pd requires --d")
         param = parse_ratt(cfg, args.d)
     elif tag == "max":
         param = parse_ratt(cfg, args.c) if args.c else cfg.rat_zero
@@ -451,11 +453,12 @@ def main(argv=None):
 
     args = ap.parse_args(argv)
     # the one error boundary: malformed input (ParseError, NotIsobaric,
-    # OrderOutOfRange, ... are ValueErrors) and impossible arithmetic such as
-    # a zero denominator become an error line, never a traceback
+    # OrderOutOfRange, ... are ValueErrors), impossible arithmetic such as a
+    # zero denominator and an unreadable field file become an error line,
+    # never a traceback
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

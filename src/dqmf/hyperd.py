@@ -1,10 +1,10 @@
 """The divided-derivative engine on K[E,g,h].
 
-D_n is assembled from the generator values at p-power orders (direct
-tables), digit composition for everything else, and Leibniz convolution
-over monomial factors.  Powers of a generator are peeled off one p-power
-atom at a time so that Frobenius sparsity (D_m of a p^k-th power vanishes
-unless p^k | m) keeps the convolutions short.  A single engine instance
+D_n is assembled from the generator values at p-power orders (the paper's
+tables in ``generator_table``), digit composition for everything else, and
+Leibniz convolution over monomial factors.  Powers of a generator are peeled
+off one p-power atom at a time so that Frobenius sparsity (D_m of a p^k-th
+power vanishes unless p^k | m) keeps the convolutions short.  A single engine instance
 memoizes per (generator, order) and per (monomial, order); one engine per
 thread is safe, since engines share only the per-field functools caches of
 ``algebra`` (brackets, d_i powers, gcds), which are thread-safe.
@@ -15,7 +15,7 @@ from __future__ import annotations
 from .algebra import FieldConfig, RatT, binom_mod_p, d_power, linear_solve
 from .qmring import DepthPoly, QmPoly, grading, modular_basis
 
-__all__ = ["DerivationEngine", "OrderOutOfRange", "depth_drop"]
+__all__ = ["DerivationEngine", "OrderOutOfRange", "depth_drop", "generator_table"]
 
 
 class OrderOutOfRange(ValueError):
@@ -49,6 +49,62 @@ def _lowest_digit_split(n: int, p: int):
     return low, n - low, digit, pos
 
 
+def _inv_d(cfg: FieldConfig, i: int, k: int) -> RatT:
+    """1/d_i^k as a canonical rational function (d_i is monic)."""
+    return RatT._raw(cfg, cfg.poly_one, d_power(i, k, cfg))
+
+
+def generator_table(cfg: FieldConfig, gen: str, n: int) -> QmPoly:
+    """The paper's explicit D_n of a generator, for n < q and p-powers n <= q^2."""
+    p, q, e = cfg.p, cfg.q, cfg.e
+    mono = QmPoly.monomial
+    if 0 <= n < q:
+        if gen == "E":
+            return mono(cfg, n + 1, 0, 0)
+        if gen == "g":
+            if n == 0:
+                return mono(cfg, 0, 1, 0)
+            if n == 1:
+                return -(mono(cfg, 1, 1, 0) + mono(cfg, 0, 0, 1))
+            return QmPoly.zero(cfg)
+        return mono(cfg, n, 0, 1)
+    _, rest, digit, i = _lowest_digit_split(n, p)
+    if rest or digit != 1 or n > q * q:
+        raise ValueError("table covers n < q and p-powers up to q^2 only")
+    if n < q * q:
+        s = p ** (i - e)
+        if gen == "E":
+            return mono(cfg, n + 1, 0, 0) + mono(cfg, 0, s - 1, s + 1, _inv_d(cfg, 1, s))
+        if gen == "g":
+            return mono(cfg, n, 1, 0)
+        return (
+            mono(cfg, n, 0, 1)
+            + mono(cfg, q, s - 1, s, _inv_d(cfg, 1, s - 1))
+            - mono(cfg, 0, s, s + 1, _inv_d(cfg, 1, s))
+        )
+    # n == q^2
+    d1 = RatT._raw(cfg, d_power(1, 1, cfg), cfg.poly_one)
+    inv_d2 = _inv_d(cfg, 2, 1)
+    if gen == "E":
+        return (
+            mono(cfg, n + 1, 0, 0)
+            + mono(cfg, 0, q - 1, q + 1, _inv_d(cfg, 1, q))
+            + mono(cfg, 0, 2 * q, 2, inv_d2)
+        )
+    if gen == "g":
+        return (
+            mono(cfg, n, 1, 0)
+            - mono(cfg, 0, q + 1, q, d1 * inv_d2)
+            + mono(cfg, 0, 0, 2 * q - 1, _inv_d(cfg, 1, q - 1) - d1 * d1 * inv_d2)
+        )
+    return (
+        mono(cfg, n, 0, 1)
+        + mono(cfg, q, q - 1, q, _inv_d(cfg, 1, q - 1))
+        - mono(cfg, 0, 2 * q + 1, 2, inv_d2)
+        - mono(cfg, 0, q, q + 1, d1 * inv_d2 + _inv_d(cfg, 1, q))
+    )
+
+
 class DerivationEngine:
     """Divided derivatives D_n on K[E,g,h] for 0 <= n <= p*q^2 - 1."""
 
@@ -65,59 +121,6 @@ class DerivationEngine:
 
     # -- generator values ----------------------------------------------------
 
-    def _inv_d(self, i: int, k: int) -> RatT:
-        """1/d_i^k as a canonical rational function (d_i is monic)."""
-        return RatT._raw(self.cfg, self.cfg.poly_one, d_power(i, k, self.cfg))
-
-    def _table_p_power(self, gen: str, i: int) -> QmPoly:
-        """Direct generator tables for D_{p^i}, valid for p^i <= q^2."""
-        cfg = self.cfg
-        p, q, e = cfg.p, cfg.q, cfg.e
-        n = p**i
-        mono = QmPoly.monomial
-        if n < q:
-            if gen == "E":
-                return mono(cfg, n + 1, 0, 0)
-            if gen == "g":
-                if n == 1:
-                    return -(mono(cfg, 1, 1, 0) + mono(cfg, 0, 0, 1))
-                return QmPoly.zero(cfg)
-            return mono(cfg, n, 0, 1)
-        if n < q * q:
-            s = p ** (i - e)
-            if gen == "E":
-                return mono(cfg, n + 1, 0, 0) + mono(cfg, 0, s - 1, s + 1, self._inv_d(1, s))
-            if gen == "g":
-                return mono(cfg, n, 1, 0)
-            return (
-                mono(cfg, n, 0, 1)
-                + mono(cfg, q, s - 1, s, self._inv_d(1, s - 1))
-                - mono(cfg, 0, s, s + 1, self._inv_d(1, s))
-            )
-        # n == q^2
-        d1 = RatT._raw(cfg, d_power(1, 1, cfg), cfg.poly_one)
-        inv_d2 = self._inv_d(2, 1)
-        if gen == "E":
-            return (
-                mono(cfg, n + 1, 0, 0)
-                + mono(cfg, 0, q - 1, q + 1, self._inv_d(1, q))
-                + mono(cfg, 0, 2 * q, 2, inv_d2)
-            )
-        if gen == "g":
-            c_last = self._inv_d(1, q - 1) - d1 * d1 * inv_d2
-            return (
-                mono(cfg, n, 1, 0)
-                - mono(cfg, 0, q + 1, q, d1 * inv_d2)
-                + mono(cfg, 0, 0, 2 * q - 1, c_last)
-            )
-        c_last = d1 * inv_d2 + self._inv_d(1, q)
-        return (
-            mono(cfg, n, 0, 1)
-            + mono(cfg, q, q - 1, q, self._inv_d(1, q - 1))
-            - mono(cfg, 0, 2 * q + 1, 2, inv_d2)
-            - mono(cfg, 0, q, q + 1, c_last)
-        )
-
     def d_generator(self, gen: str, n: int) -> QmPoly:
         """D_n of a single generator, any 0 <= n <= limit."""
         if gen not in ("E", "g", "h"):
@@ -133,7 +136,7 @@ class DerivationEngine:
         p = self.cfg.p
         low, rest, digit, pos = _lowest_digit_split(n, p)
         if rest == 0 and digit == 1:
-            out = self._table_p_power(gen, pos)
+            out = generator_table(self.cfg, gen, n)
         elif rest == 0:
             # single digit >= 2: D_n = digit^{-1} * D_{p^pos} o D_{n - p^pos}
             prev = self.d_generator(gen, n - p**pos)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FieldConfig, RatT, binom_mod_p
+from .algebra import FieldConfig, RatT, binom_mod_p, power
 
 __all__ = [
     "QmPoly",
@@ -115,11 +115,6 @@ class QmPoly:
     def __hash__(self):
         return hash(tuple(self.items()))
 
-    def copy(self):
-        out = QmPoly(self.cfg)
-        out.terms = dict(self.terms)
-        return out
-
     def deg_E(self):
         """Depth as a polynomial: max exponent of E (-1 for the zero element)."""
         if not self.terms:
@@ -194,15 +189,7 @@ class QmPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power in K[E,g,h]")
-        acc = QmPoly.one(self.cfg)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
+        return power(self, n, QmPoly.one(self.cfg))
 
     def frobenius_pow(self, k: int):
         """The p^k-th power, computed termwise (char p)."""

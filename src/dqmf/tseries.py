@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from itertools import product
 
-from .algebra import FieldConfig, PolyT, RatT, binom_mod_p, d_power
+from .algebra import FieldConfig, PolyT, RatT, binom_mod_p, common_denominator, d_power, power
 from .qmring import QmPoly
 
 __all__ = [
@@ -71,11 +71,6 @@ class TSeries:
             and self.order == other.order
             and self.terms == other.terms
         )
-
-    def truncate(self, order: int):
-        if order >= self.order:
-            return self
-        return TSeries(self.cfg, order, self.terms)
 
     def __add__(self, other):
         order = min(self.order, other.order)
@@ -151,15 +146,7 @@ class TSeries:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative series power")
-        acc = TSeries.one(self.cfg, self.order)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
+        return power(self, n, TSeries.one(self.cfg, self.order))
 
     def __str__(self):
         parts = []
@@ -193,11 +180,7 @@ def _cleared(s: TSeries, order: int):
     """
     cfg = s.cfg
     live = sorted((n, v) for n, v in s.terms.items() if n < order)
-    common = cfg.poly_one
-    for _, v in live:
-        if not v.den.is_one():
-            g = common.gcd(v.den)
-            common = common * v.den.exact_div(g)
+    common = common_denominator(cfg, (v for _, v in live))
     out = []
     for n, v in live:
         num = v.num if v.den.c == common.c else v.num * common.exact_div(v.den)

@@ -265,6 +265,17 @@ def _strip_h(num: QmPoly, k: int):
     return out, k - t
 
 
+def _add_over_h(a: QmPoly, ka: int, b: QmPoly, kb: int):
+    """a / h^ka + b / h^kb as (num, k), over the larger power of h."""
+    if a.is_zero():
+        return b, kb
+    if ka < kb:
+        a = a * QmPoly.monomial(a.cfg, 0, 0, kb - ka)
+    elif kb < ka:
+        b = b * QmPoly.monomial(b.cfg, 0, 0, ka - kb)
+    return a + b, max(ka, kb)
+
+
 def _h_inverse_sequence(engine: DerivationEngine, r_max: int):
     """Pairs (num, k) with D_r(h^{-1}) = num / h^k, from the product rule
     applied to h * h^{-1} = 1.  Cached on the engine."""
@@ -282,16 +293,7 @@ def _h_inverse_sequence(engine: DerivationEngine, r_max: int):
             if dh.is_zero():
                 continue
             num, k = seq[r - j]
-            term = dh * num
-            if acc.is_zero():
-                acc, acc_k = term, k
-            elif k == acc_k:
-                acc = acc + term
-            elif k > acc_k:
-                acc = acc * QmPoly.monomial(cfg, 0, 0, k - acc_k) + term
-                acc_k = k
-            else:
-                acc = acc + term * QmPoly.monomial(cfg, 0, 0, acc_k - k)
+            acc, acc_k = _add_over_h(acc, acc_k, dh * num, k)
         acc, acc_k = _strip_h(-acc, acc_k + 1)
         seq.append((acc, acc_k))
     return seq
@@ -335,15 +337,7 @@ def h_power_quotients(engine: DerivationEngine, n: int, r_max: int):
                     continue
                 key = r1 + r2
                 if key in nxt:
-                    cnum, ck = nxt[key]
-                    if ck == k1 + k2:
-                        cnum = cnum + prod
-                    elif ck > k1 + k2:
-                        cnum = cnum + prod * QmPoly.monomial(cfg, 0, 0, ck - k1 - k2)
-                    else:
-                        cnum = cnum * QmPoly.monomial(cfg, 0, 0, k1 + k2 - ck) + prod
-                        ck = k1 + k2
-                    nxt[key] = _strip_h(cnum, ck)
+                    nxt[key] = _strip_h(*_add_over_h(*nxt[key], prod, k1 + k2))
                 else:
                     nxt[key] = (prod, k1 + k2)
         cur = nxt

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
-from dqmf.algebra import FieldConfig
+from dqmf.algebra import FieldConfig, RatT, d_power
 from dqmf.hyperd import DerivationEngine
+from dqmf.qmring import QmPoly
 
 MAIN_FIELDS = [4, 5, 7, 8, 9]
 SMALL_FIELDS = [2, 3]
@@ -31,3 +34,60 @@ def cfg(q):
 @pytest.fixture
 def engine(q):
     return engine_for(q)
+
+
+def _inv_d(cfg, i, k):
+    return RatT(cfg, cfg.poly_one, d_power(i, k, cfg))
+
+
+def _d(cfg, i):
+    return RatT(cfg, d_power(i, 1, cfg))
+
+
+def expected_generator_value(cfg, gen, n):
+    """The explicit generator tables (n < q and p-powers <= q^2), transcribed
+    here independently of the package, which reads its own copy."""
+    q, p, e = cfg.q, cfg.p, cfg.e
+    mono = QmPoly.monomial
+    if n < q:
+        if gen == "E":
+            return mono(cfg, n + 1, 0, 0)
+        if gen == "h":
+            return mono(cfg, n, 0, 1)
+        if n == 0:
+            return mono(cfg, 0, 1, 0)
+        if n == 1:
+            return -(mono(cfg, 1, 1, 0) + mono(cfg, 0, 0, 1))
+        return QmPoly.zero(cfg)
+    i = round(math.log(n, p))
+    assert p**i == n, "expected table order must be a p-power"
+    s = p ** (i - e)
+    if n < q * q:
+        if gen == "E":
+            return mono(cfg, n + 1, 0, 0) + mono(cfg, 0, s - 1, s + 1, _inv_d(cfg, 1, s))
+        if gen == "g":
+            return mono(cfg, n, 1, 0)
+        return (
+            mono(cfg, n, 0, 1)
+            + mono(cfg, q, s - 1, s, _inv_d(cfg, 1, s - 1))
+            - mono(cfg, 0, s, s + 1, _inv_d(cfg, 1, s))
+        )
+    d1, inv_d2 = _d(cfg, 1), _inv_d(cfg, 2, 1)
+    if gen == "E":
+        return (
+            mono(cfg, n + 1, 0, 0)
+            + mono(cfg, 0, q - 1, q + 1, _inv_d(cfg, 1, q))
+            + mono(cfg, 0, 2 * q, 2, inv_d2)
+        )
+    if gen == "g":
+        return (
+            mono(cfg, n, 1, 0)
+            - mono(cfg, 0, q + 1, q, d1 * inv_d2)
+            + mono(cfg, 0, 0, 2 * q - 1, _inv_d(cfg, 1, q - 1) - d1 * d1 * inv_d2)
+        )
+    return (
+        mono(cfg, n, 0, 1)
+        + mono(cfg, q, q - 1, q, _inv_d(cfg, 1, q - 1))
+        - mono(cfg, 0, 2 * q + 1, 2, inv_d2)
+        - mono(cfg, 0, q, q + 1, d1 * inv_d2 + _inv_d(cfg, 1, q))
+    )

@@ -10,7 +10,6 @@ Where a stated horizon exceeds the engine's computable range
 min(64, limit) convention used by the invariants.
 """
 
-import math
 import random
 import time
 from contextlib import contextmanager
@@ -43,7 +42,7 @@ from dqmf.verify import (
     random_ratt,
 )
 
-from conftest import engine_for
+from conftest import engine_for, expected_generator_value
 
 SEED = 20260808
 CASES_PER_FIELD = 200  # x 5 fields = 1000 randomized cases per property suite
@@ -84,54 +83,6 @@ def _rng(q, salt):
 # ---------------------------------------------------------------------------
 
 
-def _expected_generator_value(cfg, gen, n):
-    """Transcription of the explicit p-power formulas, owned by this test."""
-    q, p, e = cfg.q, cfg.p, cfg.e
-    mono = QmPoly.monomial
-    if n < q:
-        if gen == "E":
-            return mono(cfg, n + 1, 0, 0)
-        if gen == "h":
-            return mono(cfg, n, 0, 1)
-        if n == 0:
-            return mono(cfg, 0, 1, 0)
-        if n == 1:
-            return -(mono(cfg, 1, 1, 0) + mono(cfg, 0, 0, 1))
-        return QmPoly.zero(cfg)
-    i = round(math.log(n, p))
-    assert p**i == n, "expected table order must be a p-power"
-    s = p ** (i - e)
-    if n < q * q:
-        if gen == "E":
-            return mono(cfg, n + 1, 0, 0) + mono(cfg, 0, s - 1, s + 1, _inv_d(cfg, 1, s))
-        if gen == "g":
-            return mono(cfg, n, 1, 0)
-        return (
-            mono(cfg, n, 0, 1)
-            + mono(cfg, q, s - 1, s, _inv_d(cfg, 1, s - 1))
-            - mono(cfg, 0, s, s + 1, _inv_d(cfg, 1, s))
-        )
-    d1, inv_d2 = _d(cfg, 1), _inv_d(cfg, 2, 1)
-    if gen == "E":
-        return (
-            mono(cfg, n + 1, 0, 0)
-            + mono(cfg, 0, q - 1, q + 1, _inv_d(cfg, 1, q))
-            + mono(cfg, 0, 2 * q, 2, inv_d2)
-        )
-    if gen == "g":
-        return (
-            mono(cfg, n, 1, 0)
-            - mono(cfg, 0, q + 1, q, d1 * inv_d2)
-            + mono(cfg, 0, 0, 2 * q - 1, _inv_d(cfg, 1, q - 1) - d1 * d1 * inv_d2)
-        )
-    return (
-        mono(cfg, n, 0, 1)
-        + mono(cfg, q, q - 1, q, _inv_d(cfg, 1, q - 1))
-        - mono(cfg, 0, 2 * q + 1, 2, inv_d2)
-        - mono(cfg, 0, q, q + 1, d1 * inv_d2 + _inv_d(cfg, 1, q))
-    )
-
-
 def test_criterion_1_generator_tables(q):
     with criterion(f"1 generator tables [q={q}]"):
         start = time.monotonic()
@@ -141,9 +92,9 @@ def test_criterion_1_generator_tables(q):
         cfg = engine.cfg
         for gen in ("E", "g", "h"):
             for n in range(q):
-                assert engine.d_generator(gen, n) == _expected_generator_value(cfg, gen, n)
+                assert engine.d_generator(gen, n) == expected_generator_value(cfg, gen, n)
             for n in _p_powers(cfg, q * q):
-                assert engine.d_generator(gen, n) == _expected_generator_value(cfg, gen, n)
+                assert engine.d_generator(gen, n) == expected_generator_value(cfg, gen, n)
         if q == cfg.p and q in (5, 7):
             # prime-field systems, verbatim (both displayed layers)
             p = q

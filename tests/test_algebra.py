@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dqmf.algebra import (
     DEFAULT_MODULI,
     FieldConfig,
+    FqElem,
     InconsistentSystem,
     PolyT,
     RatT,
@@ -354,10 +355,11 @@ def _pow_samples(cfg):
         ),
         "TSeries": (TSeries(cfg, 12, {0: u, 1: T, 3: cfg.rat_one, 7: u * T}),
                     TSeries.one(cfg, 12)),
+        "FqElem": (FqElem(cfg, cfg.q - 1), FqElem(cfg, 1)),
     }
 
 
-@pytest.mark.parametrize("kind", ["PolyT", "RatT", "QmPoly", "TSeries"])
+@pytest.mark.parametrize("kind", ["PolyT", "RatT", "QmPoly", "TSeries", "FqElem"])
 def test_pow_matches_repeated_product(cfg, kind):
     x, one = _pow_samples(cfg)[kind]
     acc = one

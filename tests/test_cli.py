@@ -168,12 +168,25 @@ def test_cmd_verify_json_determinism(capsys):
         (["derive", "--q", "5", "(1/0)", "1"], "inverting zero"),
         (["derive", "--q", "6", "E", "1"], "not a prime power"),
         (["ideal", "--q", "5", "Pd", "--d", "0"], "nonzero parameter"),
+        (["derive", "E", "1"], "specify a field"),
+        (["ideal", "--q", "5", "Pd"], "Pd requires --d"),
+        (["field", "--field-file", "{tmp}/missing.cfg"], "No such file"),
+        (["field", "--field-file", "{tmp}/no-p.cfg"], "no 'p =' line"),
     ],
-    ids=["zero-denominator", "not-prime-power", "Pd-zero"],
+    ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
+         "missing-field-file", "field-file-without-p"],
 )
-def test_malformed_input_is_an_error_line(capsys, argv, message):
-    rc = main(argv)
+def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
+    (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")
+    rc = main([a.format(tmp=tmp_path) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_large_integer_exponent_reduces_mod_p(capsys):
+    # 3^99999999 = 3^(99999999 mod 4) = 3^3 = 2 in F_5, without the full integer
+    rc = main(["derive", "--q", "5", "3^99999999 E", "0"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[0] == "2 E"

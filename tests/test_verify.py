@@ -5,7 +5,10 @@ import random
 
 import pytest
 
+from dqmf.algebra import FieldConfig
+from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly
+from dqmf.suite import CHECKS
 from dqmf.verify import (
     IdealId,
     check_hyperstable,
@@ -265,3 +268,14 @@ def test_stability_report_json(engine):
     rep = check_hyperstable(engine, IdealId("h"), 4)
     data = rep.to_json()
     assert data["pass"] and data["ideal"] == "h" and data["failures"] == []
+
+
+def test_generator_tables_check_catches_a_wrong_composed_value():
+    # D_2 E at q = 5 is composed from digits, not read from the table, so a
+    # corrupted memo entry there must fail the battery check
+    cfg = FieldConfig.from_q(5)
+    engine = DerivationEngine(cfg)
+    assert CHECKS["generator_tables"](cfg, engine, random.Random(0), 8, None)["pass"]
+    engine._gen_memo[("E", 2)] = QmPoly.zero(cfg)
+    out = CHECKS["generator_tables"](cfg, engine, random.Random(0), 8, None)
+    assert out["pass"] is False and "('E', 2)" in out["witness"]
