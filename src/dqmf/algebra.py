@@ -96,22 +96,6 @@ def _fp_rem(a, mod, p):
     return _fp_trim(a, p)
 
 
-def _fp_irreducible(mod, p):
-    """Trial division by every monic polynomial of degree <= deg(mod)/2."""
-    e = len(mod) - 1
-    for d in range(1, e // 2 + 1):
-        for idx in range(p**d):
-            div = []
-            t = idx
-            for _ in range(d):
-                div.append(t % p)
-                t //= p
-            div.append(1)
-            if not _fp_rem(mod, div, p):
-                return False
-    return True
-
-
 def power(base, n: int, one):
     """base^n for n >= 0 by square-and-multiply; ``one`` is the unit of base's ring."""
     acc = one
@@ -162,8 +146,6 @@ class FieldConfig:
             raise ValueError("e must be positive")
         if len(modulus) != e + 1 or modulus[-1] == 0:
             raise ValueError("modulus must have degree exactly e")
-        if not _fp_irreducible(list(modulus), p):
-            raise ValueError("modulus is reducible over F_p")
         self.p = p
         self.e = e
         self.q = p**e
@@ -190,6 +172,9 @@ class FieldConfig:
                 cb = decode(b)
                 self.add[a][b] = encode([x + y for x, y in zip(ca, cb)])
                 self.mul[a][b] = encode(_fp_mulmod(ca, cb, mod, p))
+        # F_p[x]/(m) is a field iff it has no zero divisors
+        if any(0 in row[1:] for row in self.mul[1:]):
+            raise ValueError("modulus is reducible over F_p")
         self.inv = [0] + [self.mul[a].index(1) for a in range(1, q)]
         self.frob = [(FqElem(self, a) ** p).code for a in range(q)]
         # Frobenius is a bijection; its inverse extracts p-th roots.

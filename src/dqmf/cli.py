@@ -1,9 +1,11 @@
 """Command-line surface: field setup, derivation, expansion, bases, ideals,
 and the built-in verification battery.
 
-Expression grammar: generators E, g, h with integer exponents via ^,
-products by juxtaposition or *, sums with + and -, and coefficients given
-as rational functions of T in parentheses, e.g. "(1/(T^5 - T)) h^2 + E g".
+Expression grammar (see ``_Parser``): generators E, g, h and constants T,
+integers and coordinate tuples [c0,...], with integer exponents via ^,
+products by juxtaposition or *, division by a nonzero constant with /, and
+sums with + and -, e.g. "E^6 + (1/(T^5 - T)) h^2".  Every element that
+``dqmf derive`` prints parses back to itself.
 """
 
 from __future__ import annotations
@@ -62,10 +64,25 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, cfg, toks):
+    """One recursive descent over QmPoly for the whole expression grammar:
+
+        sum     := product (("+" | "-") product)*
+        product := signed (("*" | "/" | juxtaposition) signed)*
+        signed  := ("+" | "-")* power
+        power   := atom ("^" int)?
+        atom    := E | g | h | T | int | [c0,...] | "(" sum ")"
+
+    T, integers and coordinate tuples are constants and may stand wherever a
+    generator can; "/" divides by a nonzero constant.  While ``constant`` is
+    set (a divisor, or a whole coefficient for ``parse_ratt``) a generator is
+    a ParseError.
+    """
+
+    def __init__(self, cfg, toks, constant):
         self.cfg = cfg
         self.toks = toks
         self.pos = 0
+        self.constant = constant
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -75,163 +92,94 @@ class _Parser:
         self.pos += 1
         return t
 
-    def expect(self, tok):
-        t = self.take()
-        if t != tok:
-            raise ParseError(f"expected {tok!r}, found {t!r}")
-
-    # outer grammar: polynomials in E, g, h
-
-    def parse_poly(self):
-        out = self.parse_poly_sum()
+    def parse(self):
+        try:
+            out = self.sum()
+        except RecursionError:
+            raise ParseError("expression nested too deeply") from None
         if self.peek() is not None:
             raise ParseError(f"trailing input at {self.peek()!r}")
         return out
 
-    def parse_poly_sum(self):
-        out = self.parse_poly_term()
+    def sum(self):
+        out = self.product()
         while self.peek() in ("+", "-"):
             op = self.take()
-            rhs = self.parse_poly_term()
+            rhs = self.product()
             out = out + rhs if op == "+" else out - rhs
         return out
 
-    def _group_holds_generators(self):
-        """Look ahead from an opening paren for E/g/h before the matching close."""
-        depth = 0
-        for t in self.toks[self.pos :]:
-            if t == "(":
-                depth += 1
-            elif t == ")":
-                depth -= 1
-                if depth == 0:
-                    return False
-            elif t in ("E", "g", "h"):
-                return True
-        raise ParseError("unbalanced parentheses")
+    def product(self):
+        out = self.signed()
+        # any token but these is "*", "/" or the start of a juxtaposed factor
+        while self.peek() not in ("+", "-", "^", ")", None):
+            op = self.take() if self.peek() in ("*", "/") else "*"
+            if op == "*":
+                out = out * self.signed()
+            else:
+                outer, self.constant = self.constant, True
+                div = _scalar(self.cfg, self.signed())
+                self.constant = outer
+                out = out.scale(div.inverse())
+        return out
 
-    def parse_poly_term(self):
+    def signed(self):
         neg = False
         while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                neg = not neg
-        out = QmPoly.one(self.cfg)
-        saw = False
-        while True:
-            t = self.peek()
-            if t == "*":
-                self.take()
-                continue
-            if t in ("E", "g", "h"):
-                self.take()
-                expo = self._maybe_exponent()
-                idx = {"E": 0, "g": 1, "h": 2}[t]
-                key = [0, 0, 0]
-                key[idx] = expo
-                out = out * QmPoly.monomial(self.cfg, *key)
-                saw = True
-            elif t == "(":
-                if self._group_holds_generators():
-                    self.take()
-                    sub = self.parse_poly_sum()
-                    self.expect(")")
-                    expo = self._maybe_exponent()
-                    out = out * sub**expo
-                else:
-                    self.take()
-                    coeff = self.parse_rat_expr()
-                    self.expect(")")
-                    expo = self._maybe_exponent()
-                    out = out * QmPoly.from_scalar(self.cfg, coeff**expo)
-                saw = True
-            elif isinstance(t, int):
-                self.take()
-                expo = self._maybe_exponent()
-                # reduce mod p first: the bare integer power can be astronomically large
-                coeff = RatT.from_int(self.cfg, pow(t, expo, self.cfg.p))
-                out = out * QmPoly.from_scalar(self.cfg, coeff)
-                saw = True
-            else:
-                break
-        if not saw:
-            raise ParseError("empty term")
+            neg ^= self.take() == "-"
+        out = self.power()
         return -out if neg else out
 
-    def _maybe_exponent(self):
-        if self.peek() == "^":
-            self.take()
-            t = self.take()
-            if not isinstance(t, int):
-                raise ParseError("exponent must be an integer")
-            return t
-        return 1
+    def power(self):
+        t = self.peek()
+        base = self.atom()
+        if self.peek() != "^":
+            return base
+        self.take()
+        expo = self.take()
+        if not isinstance(expo, int):
+            raise ParseError("exponent must be an integer")
+        if isinstance(t, int):
+            # reduce mod p first: the bare integer power can be astronomically large
+            return QmPoly.from_scalar(self.cfg, pow(t, expo, self.cfg.p))
+        return base**expo
 
-    # inner grammar: rational functions of T
-
-    def parse_rat_expr(self):
-        out = self.parse_rat_term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.parse_rat_term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
-
-    def parse_rat_term(self):
-        out = self.parse_rat_factor()
-        while (
-            self.peek() in ("*", "/", "T", "(")
-            or isinstance(self.peek(), int)
-            or (isinstance(self.peek(), tuple))
-        ):
-            t = self.peek()
-            if t == "*":
-                self.take()
-                out = out * self.parse_rat_factor()
-            elif t == "/":
-                self.take()
-                out = out / self.parse_rat_factor()
-            else:
-                out = out * self.parse_rat_factor()
-        return out
-
-    def parse_rat_factor(self):
+    def atom(self):
+        cfg = self.cfg
         t = self.take()
-        neg = False
-        while t in ("+", "-"):
-            if t == "-":
-                neg = not neg
-            t = self.take()
+        if t in _GENERATORS:
+            if self.constant:
+                raise ParseError(f"generator {t} where a constant is expected")
+            return QmPoly.monomial(cfg, *_GENERATORS[t])
         if t == "T":
-            base = RatT(self.cfg, self.cfg.poly_T)
-        elif isinstance(t, int):
-            base = RatT.from_int(self.cfg, t)
-        elif isinstance(t, tuple) and t[0] == "coords":
-            elem = self.cfg.element(list(t[1]))
-            base = RatT(self.cfg, PolyT(self.cfg, (elem.code,)))
-        elif t == "(":
-            base = self.parse_rat_expr()
-            self.expect(")")
-        else:
-            raise ParseError(f"unexpected token {t!r} in coefficient")
-        if self.peek() == "^":
-            self.take()
-            e = self.take()
-            if not isinstance(e, int):
-                raise ParseError("exponent must be an integer")
-            base = base**e
-        return -base if neg else base
+            return QmPoly.from_scalar(cfg, RatT(cfg, cfg.poly_T))
+        if isinstance(t, int):
+            return QmPoly.from_scalar(cfg, t)
+        if isinstance(t, tuple):
+            code = cfg.element(list(t[1])).code
+            return QmPoly.from_scalar(cfg, RatT(cfg, PolyT(cfg, (code,))))
+        if t == "(":
+            out = self.sum()
+            if self.take() != ")":
+                raise ParseError("expected ')'")
+            return out
+        raise ParseError("unexpected end of input" if t is None else f"unexpected token {t!r}")
+
+
+_GENERATORS = {"E": (1, 0, 0), "g": (0, 1, 0), "h": (0, 0, 1)}
+
+
+def _scalar(cfg, f: QmPoly) -> RatT:
+    """The coefficient of a constant element (one parsed with ``constant`` set)."""
+    return f.terms.get((0, 0, 0), cfg.rat_zero)
 
 
 def parse_qmpoly(cfg, text: str) -> QmPoly:
-    return _Parser(cfg, _tokenize(text)).parse_poly()
+    return _Parser(cfg, _tokenize(text), False).parse()
 
 
 def parse_ratt(cfg, text: str) -> RatT:
-    p = _Parser(cfg, _tokenize(text))
-    out = p.parse_rat_expr()
-    if p.peek() is not None:
-        raise ParseError(f"trailing input at {p.peek()!r}")
-    return out
+    return _scalar(cfg, _Parser(cfg, _tokenize(text), True).parse())
 
 
 def parse_polyt(cfg, text: str) -> PolyT:

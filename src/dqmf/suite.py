@@ -223,13 +223,10 @@ CHECKS = {
 
 
 def run_suite(cfg, n_max=32, order=None, seed=20260808, names=None):
-    engine = DerivationEngine(cfg)
-    rng = random.Random(seed)
     selected = names or list(CHECKS)
-    results = []
     for name in selected:
         if name not in CHECKS:
-            results.append({"check": name, "pass": False, "witness": "unknown check"})
-            continue
-        results.append(CHECKS[name](cfg, engine, rng, n_max, order))
-    return results
+            raise ValueError(f"unknown check {name!r}")
+    engine = DerivationEngine(cfg)
+    rng = random.Random(seed)
+    return [CHECKS[name](cfg, engine, rng, n_max, order) for name in selected]

@@ -1,6 +1,7 @@
 """Foundation tests: F_q arithmetic, polynomials, rational functions,
 Lucas binomials, brackets, and the exact linear solver."""
 
+import itertools
 import math
 import random
 
@@ -43,6 +44,18 @@ def test_reducible_modulus_rejected():
     # x^2 - 1 factors over F_3
     with pytest.raises(ValueError):
         FieldConfig(3, 2, (2, 0, 1))
+
+
+@pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+def test_reducibility_verdict_matches_root_test(p, e):
+    # in degree 2 and 3 a monic polynomial is reducible iff it has a root in F_p
+    for low in itertools.product(range(p), repeat=e):
+        modulus = low + (1,)
+        if any(sum(c * x**i for i, c in enumerate(modulus)) % p == 0 for x in range(p)):
+            with pytest.raises(ValueError, match="modulus is reducible over F_p"):
+                FieldConfig(p, e, modulus)
+        else:
+            assert FieldConfig(p, e, modulus).q == p**e
 
 
 def test_from_q_rejects_non_prime_powers():

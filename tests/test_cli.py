@@ -2,12 +2,15 @@
 and exit codes."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqmf.algebra import FieldConfig, PolyT, RatT, bracket
 from dqmf.cli import ParseError, main, parse_qmpoly, parse_ratt
 from dqmf.qmring import QmPoly
+from dqmf.verify import random_isobaric
 
 
 @pytest.fixture
@@ -55,6 +58,50 @@ def test_parse_errors(cfg5):
         parse_qmpoly(cfg5, "x")
     with pytest.raises(ParseError):
         parse_qmpoly(cfg5, "E^h")
+    # a stray "*" (leading, trailing, doubled) and a generator in a divisor
+    for text in ("* E", "E *", "E * * g", "E/g"):
+        with pytest.raises(ParseError):
+            parse_qmpoly(cfg5, text)
+
+
+def test_parse_signed_factor(cfg5):
+    # a sign after "*" belongs to the factor, not to a new summand
+    assert parse_qmpoly(cfg5, "E*-g") == -QmPoly.monomial(cfg5, 1, 1, 0)
+    assert parse_qmpoly(cfg5, "2*-E") == QmPoly.monomial(cfg5, 1, 0, 0, -2)
+
+
+def test_parse_constants_anywhere(cfg5):
+    T = RatT(cfg5, cfg5.poly_T)
+    assert parse_qmpoly(cfg5, "T E") == QmPoly.monomial(cfg5, 1, 0, 0, T)
+    assert parse_qmpoly(cfg5, "[1] E") == QmPoly.gen_E(cfg5)
+    assert parse_qmpoly(cfg5, "E/2") == QmPoly.monomial(cfg5, 1, 0, 0, 3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_printed_elements_parse_back(q):
+    cfg = FieldConfig.from_q(q)
+    rng = random.Random(q)
+    for _ in range(40):
+        f = random_isobaric(cfg, rng)
+        assert parse_qmpoly(cfg, str(f)) == f
+        for _, c in f.items():
+            assert parse_ratt(cfg, str(c)) == c
+
+
+# single-digit integers (the tokens are joined with spaces) bound every exponent
+_FUZZ_TOKENS = "E g h T 0 1 2 3 ^ + - * / ( ) [1,0] [2]".split()
+
+
+@pytest.mark.parametrize("q", [5, 9])
+@settings(deadline=None)
+@given(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=12))
+def test_parser_fuzz(q, toks):
+    # any string parses or fails with one of the two families cli.main reports
+    try:
+        out = parse_qmpoly(FieldConfig.from_q(q), " ".join(toks))
+    except (ValueError, ArithmeticError):
+        return
+    assert isinstance(out, QmPoly)
 
 
 def test_textbook_formula_pastes(cfg5):
@@ -172,9 +219,11 @@ def test_cmd_verify_json_determinism(capsys):
         (["ideal", "--q", "5", "Pd"], "Pd requires --d"),
         (["field", "--field-file", "{tmp}/missing.cfg"], "No such file"),
         (["field", "--field-file", "{tmp}/no-p.cfg"], "no 'p =' line"),
+        (["derive", "--q", "5", "(" * 1000 + "E" + ")" * 1000, "0"], "nested too deeply"),
+        (["verify", "--q", "5", "--suite", "bogus"], "unknown check 'bogus'"),
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
-         "missing-field-file", "field-file-without-p"],
+         "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check"],
 )
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")
