@@ -18,7 +18,7 @@ from .algebra import FieldConfig, PolyT, RatT
 from .hyperd import DerivationEngine
 from .qmring import NotIsobaric, QmPoly, grading, qm_basis
 from .tseries import expand_E, expand_g, expand_h, hyper_derive, evaluate
-from .verify import IdealId, check_hyperstable
+from .verify import IDEAL_TAGS, IdealId, check_hyperstable
 
 __all__ = ["main", "parse_qmpoly", "parse_ratt", "ParseError", "qmpoly_from_json", "tseries_from_json"]
 
@@ -380,7 +380,7 @@ def main(argv=None):
 
     p_ideal = sub.add_parser("ideal", help="hyperdifferential stability of a classified ideal")
     _add_field_args(p_ideal)
-    p_ideal.add_argument("ideal", choices=["h", "P0", "Pinf", "Pd", "max", "E", "g"])
+    p_ideal.add_argument("ideal", choices=IDEAL_TAGS)
     p_ideal.add_argument("--d", type=str, default=None, help="parameter for Pd")
     p_ideal.add_argument("--c", type=str, default=None, help="parameter for the maximal ideal")
     p_ideal.add_argument("--n-max", type=int, default=64)

@@ -113,8 +113,6 @@ class DerivationEngine:
         self.limit = cfg.p * cfg.q**2 - 1
         self._gen_memo: dict = {}
         self._mono_memo: dict = {}
-        # D_r(h^{-1}) as (numerator, power of h), grown by verify
-        self._h_inv_seq = None
         self._E = QmPoly.gen_E(cfg)
         self._g = QmPoly.gen_g(cfg)
         self._h = QmPoly.gen_h(cfg)

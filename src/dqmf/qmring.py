@@ -214,8 +214,9 @@ class QmPoly:
 
     # -- substitutions used by the ideal machinery ---------------------------
 
-    def kill(self, kill_E=False, kill_g=False, kill_h=False):
-        """Drop every monomial containing a killed generator (substitute 0)."""
+    def kill(self, gens: str):
+        """Substitute 0 for the generators named in gens, e.g. "Eh"."""
+        kill_E, kill_g, kill_h = "E" in gens, "g" in gens, "h" in gens
         out = QmPoly(self.cfg)
         out.terms = {
             (a, b, c): v

@@ -6,7 +6,8 @@ is the kernel of an evaluation map), stability is certified on generators
 checks are the computable directions of the classification results:
 the mod-h congruence for monomials in E and g, Rankin-bracket derivation
 probes, kernel weight divisibility, and membership of every derivative
-quotient of powers of h in the ring.
+quotient of powers of h in the ring (for negative powers computed in the
+ring, by inverting the quotient sequence of h, never over powers of h).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .hyperd import DerivationEngine
 from .qmring import NotIsobaric, QmPoly, grading, rankin_bracket
 
 __all__ = [
+    "IDEAL_TAGS",
     "IdealId",
     "StabilityReport",
     "member",
@@ -30,6 +32,12 @@ __all__ = [
     "h_power_quotient",
     "h_power_quotients",
 ]
+
+
+IDEAL_TAGS = ("h", "P0", "Pinf", "Pd", "max", "E", "g")
+
+# the ideals generated by some of E, g, h: which ones (member substitutes 0)
+_KILLED = {"h": "h", "P0": "Eh", "Pinf": "gh", "E": "E", "g": "g"}
 
 
 @dataclass(frozen=True)
@@ -45,7 +53,7 @@ class IdealId:
     param: RatT | None = None
 
     def __post_init__(self):
-        if self.tag not in ("h", "P0", "Pinf", "Pd", "max", "E", "g"):
+        if self.tag not in IDEAL_TAGS:
             raise ValueError(f"unknown ideal tag {self.tag!r}")
         if self.tag == "Pd" and (self.param is None or self.param.is_zero()):
             raise ValueError("Pd requires a nonzero parameter d")
@@ -54,19 +62,11 @@ class IdealId:
 
     def generators(self, cfg):
         E, g, h = QmPoly.gen_E(cfg), QmPoly.gen_g(cfg), QmPoly.gen_h(cfg)
-        if self.tag == "h":
-            return [h]
-        if self.tag == "P0":
-            return [E, h]
-        if self.tag == "Pinf":
-            return [g, h]
         if self.tag == "Pd":
             return [h, QmPoly.monomial(cfg, cfg.q - 1, 0, 0) - g.scale(self.param)]
         if self.tag == "max":
             return [E, g - QmPoly.from_scalar(cfg, self.param), h]
-        if self.tag == "E":
-            return [E]
-        return [g]
+        return [{"E": E, "g": g, "h": h}[x] for x in _KILLED[self.tag]]
 
     def describe(self):
         if self.param is not None:
@@ -81,24 +81,14 @@ def member(ideal: IdealId, f: QmPoly):
     the ideal; it is zero exactly on members.
     """
     cfg = f.cfg
-    tag = ideal.tag
-    if tag == "h":
-        res = f.kill(kill_h=True)
-    elif tag == "P0":
-        res = f.kill(kill_E=True, kill_h=True)
-    elif tag == "Pinf":
-        res = f.kill(kill_g=True, kill_h=True)
-    elif tag == "E":
-        res = f.kill(kill_E=True)
-    elif tag == "g":
-        res = f.kill(kill_g=True)
-    elif tag == "max":
+    if ideal.tag in _KILLED:
+        res = f.kill(_KILLED[ideal.tag])
+    elif ideal.tag == "max":
         val = f.eval_point(cfg.rat_zero, ideal.param, cfg.rat_zero)
         res = QmPoly.from_scalar(cfg, val)
     else:  # Pd: reduce mod h, then g -> E^{q-1}/d
-        nohc = f.kill(kill_h=True)
         repl = QmPoly.monomial(cfg, cfg.q - 1, 0, 0, ideal.param.inverse())
-        res = nohc.subs_g(repl)
+        res = f.kill("h").subs_g(repl)
     return res.is_zero(), res
 
 
@@ -148,7 +138,7 @@ def check_hyperstable(engine: DerivationEngine, ideal: IdealId, n_max: int) -> S
 def munu_congruence(engine: DerivationEngine, mu: int, nu: int, n: int) -> bool:
     """D_n(E^mu g^nu) = C(mu + nu(q-1) + n - 1, n) E^(mu+n) g^nu mod h."""
     cfg = engine.cfg
-    lhs = engine.derive(QmPoly.monomial(cfg, mu, nu, 0), n).kill(kill_h=True)
+    lhs = engine.derive(QmPoly.monomial(cfg, mu, nu, 0), n).kill("h")
     bm = binom_mod_p(mu + nu * (cfg.q - 1) + n - 1, n, cfg.p)
     rhs = QmPoly.monomial(cfg, mu + n, nu, 0).scale_int(bm)
     return lhs == rhs
@@ -252,59 +242,30 @@ def diagram_inclusions(engine: DerivationEngine, d_values, c_values):
 # classification of elements with all quotients in the ring).
 
 
-def _strip_h(num: QmPoly, k: int):
-    """Normalize num / h^k by cancelling common powers of h."""
-    if num.is_zero():
-        return num, 0
-    s = min(key[2] for key in num.terms)
-    t = min(s, k)
-    if t == 0:
-        return num, k
-    out = QmPoly(num.cfg)
-    out.terms = {(a, b, c - t): v for (a, b, c), v in num.terms.items()}
-    return out, k - t
+def _dot(cfg, pairs):
+    """Sum of the products x * y over pairs, skipping zero factors."""
+    return sum((x * y for x, y in pairs if not (x.is_zero() or y.is_zero())), QmPoly.zero(cfg))
 
 
-def _add_over_h(a: QmPoly, ka: int, b: QmPoly, kb: int):
-    """a / h^ka + b / h^kb as (num, k), over the larger power of h."""
-    if a.is_zero():
-        return b, kb
-    if ka < kb:
-        a = a * QmPoly.monomial(a.cfg, 0, 0, kb - ka)
-    elif kb < ka:
-        b = b * QmPoly.monomial(b.cfg, 0, 0, ka - kb)
-    return a + b, max(ka, kb)
+def _convolve(a, b):
+    """Leibniz rule on quotient sequences: D_r(xy)/xy = sum_i (D_i x/x)(D_{r-i} y/y).
 
-
-def _h_inverse_sequence(engine: DerivationEngine, r_max: int):
-    """Pairs (num, k) with D_r(h^{-1}) = num / h^k, from the product rule
-    applied to h * h^{-1} = 1.  Cached on the engine."""
-    cfg = engine.cfg
-    seq = engine._h_inv_seq
-    if seq is None:
-        seq = engine._h_inv_seq = [(QmPoly.one(cfg), 1)]
-    if len(seq) > r_max:
-        return seq[: r_max + 1]
-    h = QmPoly.gen_h(cfg)
-    for r in range(len(seq), r_max + 1):
-        acc, acc_k = QmPoly.zero(cfg), 0
-        for j in range(1, r + 1):
-            dh = engine.derive(h, j)
-            if dh.is_zero():
-                continue
-            num, k = seq[r - j]
-            acc, acc_k = _add_over_h(acc, acc_k, dh * num, k)
-        acc, acc_k = _strip_h(-acc, acc_k + 1)
-        seq.append((acc, acc_k))
-    return seq
+    None from the first r at which an operand is None."""
+    out = []
+    for r in range(len(a)):
+        if a[r] is None or b[r] is None:
+            return out + [None] * (len(a) - r)
+        out.append(_dot(a[0].cfg, ((a[i], b[r - i]) for i in range(r + 1))))
+    return out
 
 
 def h_power_quotients(engine: DerivationEngine, n: int, r_max: int):
     """D_r(h^n) / h^n for r = 0..r_max, as ring elements (None where outside).
 
-    Negative n is handled in the localization at h: the sequence for h^{-1}
-    comes from the product rule on h * h^{-1} = 1, and h^{-m} is its m-fold
-    derivative convolution.
+    Negative n stays in the ring: (h) is hyperdifferential, so the quotients
+    Q_j of h are ring elements; the product rule on h * h^{-1} = 1 inverts
+    them into the quotients u_r = -sum_{j=1..r} Q_j u_{r-j} of h^{-1}, and
+    h^{-m} takes the m-fold Leibniz convolution of u.
     """
     cfg = engine.cfg
     if n >= 0:
@@ -321,35 +282,16 @@ def h_power_quotients(engine: DerivationEngine, n: int, r_max: int):
             quo.terms = {(a, b, c - n): v for (a, b, c), v in d.terms.items()}
             out.append(quo)
         return out
-    m = -n
-    seq = _h_inverse_sequence(engine, r_max)
-    # convolution power: D_r(h^{-m}) for all r at once
-    cur = {0: (QmPoly.one(cfg), 0)}
-    for _ in range(m):
-        nxt = {}
-        for r1, (num1, k1) in cur.items():
-            for r2 in range(0, r_max - r1 + 1):
-                num2, k2 = seq[r2]
-                if num2.is_zero():
-                    continue
-                prod = num1 * num2
-                if prod.is_zero():
-                    continue
-                key = r1 + r2
-                if key in nxt:
-                    nxt[key] = _strip_h(*_add_over_h(*nxt[key], prod, k1 + k2))
-                else:
-                    nxt[key] = (prod, k1 + k2)
-        cur = nxt
-    out = []
-    for r in range(r_max + 1):
-        num, k = _strip_h(*cur.get(r, (QmPoly.zero(cfg), 0)))
-        if num.is_zero():
-            out.append(QmPoly.zero(cfg))
-        elif k > m:
-            out.append(None)
-        else:
-            out.append(num * QmPoly.monomial(cfg, 0, 0, m - k))
+    quo_h = h_power_quotients(engine, 1, r_max)
+    u = [QmPoly.one(cfg)]
+    for r in range(1, r_max + 1):
+        if quo_h[r] is None:
+            u += [None] * (r_max + 1 - r)
+            break
+        u.append(-_dot(cfg, ((quo_h[j], u[r - j]) for j in range(1, r + 1))))
+    out = u
+    for _ in range(-n - 1):
+        out = _convolve(out, u)
     return out
 
 

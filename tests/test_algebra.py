@@ -46,7 +46,7 @@ def test_reducible_modulus_rejected():
         FieldConfig(3, 2, (2, 0, 1))
 
 
-@pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p, e", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)])
 def test_reducibility_verdict_matches_root_test(p, e):
     # in degree 2 and 3 a monic polynomial is reducible iff it has a root in F_p
     for low in itertools.product(range(p), repeat=e):

@@ -1,10 +1,11 @@
 """Per-field memoisation: process-wide functools caches keyed by the
 interned FieldConfig."""
 
+import itertools
 import sys
 import threading
 
-from dqmf.algebra import FieldConfig, PolyT, _monic_gcd, bracket, d_power
+from dqmf.algebra import DEFAULT_MODULI, FieldConfig, PolyT, _monic_gcd, bracket, d_power
 from dqmf.tseries import alpha, expand_E
 
 
@@ -45,9 +46,23 @@ def test_gcd_cache_is_a_bounded_lru():
     assert a.gcd(b) == PolyT.from_ints(cfg, [2, 1])
 
 
+def _unbuilt_field_key():
+    """The first irreducible monic quadratic modulus, over a prime whose
+    F_{p^2} has no shipped default, whose field is not interned yet."""
+    for p in (7, 11, 13):
+        assert (p, 2) not in DEFAULT_MODULI
+        for c0, c1 in itertools.product(range(p), repeat=2):
+            key = (p, 2, (c0, c1, 1))
+            if key not in FieldConfig._instances and all(
+                (x * x + c1 * x + c0) % p for x in range(p)
+            ):
+                return key
+    raise AssertionError("every candidate field is already interned")
+
+
 def test_field_interning_is_thread_safe():
     """Threads racing on a key nobody has built yet all get one object."""
-    key = (7, 2, (3, 1, 1))
+    key = _unbuilt_field_key()
     assert key not in FieldConfig._instances
     barrier = threading.Barrier(8)
     got = []
@@ -68,4 +83,4 @@ def test_field_interning_is_thread_safe():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert len(got) == 8 and all(f is got[0] for f in got)
-    assert got[0].q == 49
+    assert got[0].q == key[0] ** 2

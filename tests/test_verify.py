@@ -14,6 +14,7 @@ from dqmf.verify import (
     check_hyperstable,
     diagram_inclusions,
     h_power_quotient,
+    h_power_quotients,
     member,
     munu_congruence,
     rankin_stability_probe,
@@ -84,7 +85,7 @@ def _pd_witness_decomposition(cfg, f, d):
     h_part.terms = {
         (a, b, c - 1): val for (a, b, c), val in f.terms.items() if c >= 1
     }
-    flat = f.kill(kill_h=True)
+    flat = f.kill("h")
     # view flat as a polynomial in g with coefficients in K[E]
     by_g = {}
     for (a, b, _), val in flat.terms.items():
@@ -247,12 +248,9 @@ def test_h_power_quotient_negative(engine, q):
     """D_r(h^-m) h^m stays polynomial; verified against h^m * h^-m = 1."""
     cfg = engine.cfg
     r_max = min(12, engine.limit)
-    for m in (1, 2):
-        quotients = {}
-        for r in range(r_max + 1):
-            out = h_power_quotient(engine, -m, r)
-            assert out is not None
-            quotients[r] = out
+    for m in (1, 2, 3):
+        quotients = h_power_quotients(engine, -m, r_max)
+        assert None not in quotients
         # Leibniz on h^m * h^(-m) = 1: sum_j D_j(h^m) D_(r-j)(h^(-m)) = 0
         hm = QmPoly.monomial(cfg, 0, 0, m)
         for r in range(1, r_max + 1):
@@ -279,3 +277,17 @@ def test_generator_tables_check_catches_a_wrong_composed_value():
     engine._gen_memo[("E", 2)] = QmPoly.zero(cfg)
     out = CHECKS["generator_tables"](cfg, engine, random.Random(0), 8, None)
     assert out["pass"] is False and "('E', 2)" in out["witness"]
+
+
+def test_h_power_quotients_check_catches_a_wrong_generator_value():
+    # with D_1 h replaced by g, h no longer divides D_1 h, so n = 1 fails
+    # and, through the inverted quotient sequence, so does every negative n
+    cfg = FieldConfig.from_q(5)
+    check = CHECKS["h_power_quotients"]
+    assert check(cfg, DerivationEngine(cfg), random.Random(0), 8, None)["pass"]
+    engine = DerivationEngine(cfg)
+    engine._gen_memo[("h", 1)] = QmPoly.gen_g(cfg)
+    out = check(cfg, engine, random.Random(0), 8, None)
+    assert out["pass"] is False
+    for n in (1, -1, -2, -3):
+        assert f"({n}, 1)" in out["witness"]
