@@ -45,7 +45,6 @@ from .verify import (
     StabilityReport,
     check_hyperstable,
     diagram_inclusions,
-    h_power_quotient,
     h_power_quotients,
     member,
     munu_congruence,

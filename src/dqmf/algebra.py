@@ -401,12 +401,6 @@ class PolyT:
         quot, rem = _divmod_lists(list(self.c), other.c, cfg)
         return PolyT(cfg, quot), PolyT(cfg, rem)
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
     def exact_div(self, other):
         q, r = self.divmod(other)
         if r:

@@ -1,19 +1,22 @@
 """The divided-derivative engine on K[E,g,h].
 
-D_n is assembled from the generator values at p-power orders (the paper's
-tables in ``generator_table``), digit composition for everything else, and
-Leibniz convolution over monomial factors.  Powers of a generator are peeled
-off one p-power atom at a time so that Frobenius sparsity (D_m of a p^k-th
-power vanishes unless p^k | m) keeps the convolutions short.  A single engine instance
-memoizes per (generator, order) and per (monomial, order); one engine per
-thread is safe, since engines share only the per-field functools caches of
-``algebra`` (brackets, d_i powers, gcds), which are thread-safe.
+One recursion derives every monomial.  A generator at a p-power order reads
+the paper's tables (``generator_table``).  A generator at any other order n
+takes one digit step: with c the lowest nonzero base-p digit of n, at place
+p^k, iterativity D_i o D_j = C(i+j, i) D_{i+j} and Lucas' C(n, p^k) = c give
+D_n = c^{-1} D_{p^k}(D_{n-p^k} gen).  Any other monomial is a Leibniz
+convolution over its factors: powers of a generator are peeled off one
+p-power atom at a time so that Frobenius sparsity (D_m of a p^k-th power
+vanishes unless p^k | m) keeps the convolutions short.  A single engine
+instance keeps one memo keyed by (monomial, order); one engine per thread is
+safe, since engines share only the per-field functools caches of ``algebra``
+(brackets, d_i powers, gcds), which are thread-safe.
 """
 
 from __future__ import annotations
 
 from .algebra import FieldConfig, RatT, binom_mod_p, d_power, linear_solve
-from .qmring import DepthPoly, QmPoly, grading, modular_basis
+from .qmring import DepthPoly, QmPoly, grading, modular_basis, monomial_signature
 
 __all__ = ["DerivationEngine", "OrderOutOfRange", "depth_drop", "generator_table"]
 
@@ -33,20 +36,16 @@ def depth_drop(w: int, l: int, n: int, p: int) -> bool:
     return binom_mod_p(w - l + n - 1, n, p) == 0
 
 
-def _lowest_digit_split(n: int, p: int):
-    """Split n at its lowest nonzero base-p digit: n = low + rest.
+_GENERATORS = {"E": (1, 0, 0), "g": (0, 1, 0), "h": (0, 0, 1)}
 
-    ``low`` is digit * p^pos for the lowest nonzero digit, so C(n, rest) = 1
-    and D_n = D_rest o D_low.
-    """
-    pos = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        pos += 1
-    digit = m % p
-    low = digit * p**pos
-    return low, n - low, digit, pos
+
+def _lowest_digit(n: int, p: int):
+    """(c, k) for the lowest nonzero base-p digit c of n >= 1, at place p^k."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return n % p, k
 
 
 def _inv_d(cfg: FieldConfig, i: int, k: int) -> RatT:
@@ -56,7 +55,7 @@ def _inv_d(cfg: FieldConfig, i: int, k: int) -> RatT:
 
 def generator_table(cfg: FieldConfig, gen: str, n: int) -> QmPoly:
     """The paper's explicit D_n of a generator, for n < q and p-powers n <= q^2."""
-    p, q, e = cfg.p, cfg.q, cfg.e
+    p, q = cfg.p, cfg.q
     mono = QmPoly.monomial
     if 0 <= n < q:
         if gen == "E":
@@ -68,11 +67,10 @@ def generator_table(cfg: FieldConfig, gen: str, n: int) -> QmPoly:
                 return -(mono(cfg, 1, 1, 0) + mono(cfg, 0, 0, 1))
             return QmPoly.zero(cfg)
         return mono(cfg, n, 0, 1)
-    _, rest, digit, i = _lowest_digit_split(n, p)
-    if rest or digit != 1 or n > q * q:
+    if p ** _lowest_digit(n, p)[1] != n or n > q * q:
         raise ValueError("table covers n < q and p-powers up to q^2 only")
     if n < q * q:
-        s = p ** (i - e)
+        s = n // q
         if gen == "E":
             return mono(cfg, n + 1, 0, 0) + mono(cfg, 0, s - 1, s + 1, _inv_d(cfg, 1, s))
         if gen == "g":
@@ -111,82 +109,62 @@ class DerivationEngine:
     def __init__(self, cfg: FieldConfig):
         self.cfg = cfg
         self.limit = cfg.p * cfg.q**2 - 1
-        self._gen_memo: dict = {}
-        self._mono_memo: dict = {}
-        self._E = QmPoly.gen_E(cfg)
-        self._g = QmPoly.gen_g(cfg)
-        self._h = QmPoly.gen_h(cfg)
+        self._memo: dict = {}  # (monomial, order) -> D_order of that monomial
 
-    # -- generator values ----------------------------------------------------
+    def _check_order(self, n: int):
+        if n < 0 or n > self.limit:
+            raise OrderOutOfRange(f"order {n} outside [0, {self.limit}]")
 
     def d_generator(self, gen: str, n: int) -> QmPoly:
         """D_n of a single generator, any 0 <= n <= limit."""
-        if gen not in ("E", "g", "h"):
+        if gen not in _GENERATORS:
             raise ValueError(f"unknown generator {gen!r}")
-        if n < 0 or n > self.limit:
-            raise OrderOutOfRange(f"order {n} outside [0, {self.limit}]")
-        if n == 0:
-            return {"E": self._E, "g": self._g, "h": self._h}[gen]
-        key = (gen, n)
-        out = self._gen_memo.get(key)
-        if out is not None:
-            return out
-        p = self.cfg.p
-        low, rest, digit, pos = _lowest_digit_split(n, p)
-        if rest == 0 and digit == 1:
-            out = generator_table(self.cfg, gen, n)
-        elif rest == 0:
-            # single digit >= 2: D_n = digit^{-1} * D_{p^pos} o D_{n - p^pos}
-            prev = self.d_generator(gen, n - p**pos)
-            out = self.derive(prev, p**pos).scale_int(pow(digit, p - 2, p))
-        else:
-            # C(n, rest) = 1, so D_n = D_rest o D_low
-            out = self.derive(self.d_generator(gen, low), rest)
-        self._gen_memo[key] = out
-        return out
-
-    # -- derivatives of monomials and polynomials -----------------------------
+        self._check_order(n)
+        return self._derive_monomial(_GENERATORS[gen], n)
 
     def _derive_monomial(self, mono: tuple, n: int) -> QmPoly:
-        """D_n(E^a g^b h^c) by atom peeling plus Leibniz convolution."""
-        if mono == (0, 0, 0):
-            return QmPoly.one(self.cfg) if n == 0 else QmPoly.zero(self.cfg)
+        """D_n(E^a g^b h^c): table or digit step on a generator, else Leibniz."""
         if n == 0:
             return QmPoly.monomial(self.cfg, *mono)
+        if mono == (0, 0, 0):
+            return QmPoly.zero(self.cfg)
         key = (mono, n)
-        out = self._mono_memo.get(key)
+        out = self._memo.get(key)
         if out is not None:
             return out
         p = self.cfg.p
-        a, b, c = mono
-        if a:
-            gen, exp, rest_of = "E", a, lambda x: (x, b, c)
-        elif b:
-            gen, exp, rest_of = "g", b, lambda x: (a, x, c)
+        i = 0 if mono[0] else 1 if mono[1] else 2  # the first generator present
+        gen = _GENERATORS["Egh"[i]]
+        if mono == gen:
+            digit, k = _lowest_digit(n, p)
+            if p**k == n:
+                out = generator_table(self.cfg, "Egh"[i], n)
+            else:
+                # C(n, p^k) = digit, so D_n = digit^{-1} D_{p^k} o D_{n - p^k}
+                prev = self._derive_monomial(mono, n - p**k)
+                out = self.derive(prev, p**k).scale_int(pow(digit, p - 2, p))
         else:
-            gen, exp, rest_of = "h", c, lambda x: (a, b, x)
-        _, _, _, pos = _lowest_digit_split(exp, p)
-        pk = p**pos
-        rest = rest_of(exp - pk)
-        # D_r(gen^{p^pos}) = (D_{r/p^pos} gen)^{p^pos}, zero unless p^pos | r
-        total = QmPoly.zero(self.cfg)
-        for r in range(0, n + 1, pk):
-            right = self._derive_monomial(rest, n - r)
-            if right.is_zero():
-                continue
-            left = self.d_generator(gen, r // pk)
-            if left.is_zero():
-                continue
-            if pos:
-                left = left.frobenius_pow(pos)
-            total = total + left * right
-        self._mono_memo[key] = total
-        return total
+            _, pos = _lowest_digit(mono[i], p)
+            pk = p**pos
+            rest = mono[:i] + (mono[i] - pk,) + mono[i + 1:]
+            # D_r(gen^{p^pos}) = (D_{r/p^pos} gen)^{p^pos}, zero unless p^pos | r
+            out = QmPoly.zero(self.cfg)
+            for r in range(0, n + 1, pk):
+                right = self._derive_monomial(rest, n - r)
+                if right.is_zero():
+                    continue
+                left = self._derive_monomial(gen, r // pk)
+                if left.is_zero():
+                    continue
+                if pos:
+                    left = left.frobenius_pow(pos)
+                out = out + left * right
+        self._memo[key] = out
+        return out
 
     def derive(self, f: QmPoly, n: int) -> QmPoly:
         """D_n f for any f in K[E,g,h], 0 <= n <= limit."""
-        if n < 0 or n > self.limit:
-            raise OrderOutOfRange(f"order {n} outside [0, {self.limit}]")
+        self._check_order(n)
         if n == 0:
             return f
         out = QmPoly.zero(self.cfg)
@@ -207,8 +185,7 @@ class DerivationEngine:
         Coefficient of Y^j is sum_r C(n + w + r - j - 1, r) D_{n-r} P_{j-r};
         equals associated_polynomial(derive(f, n)).
         """
-        if n < 0 or n > self.limit:
-            raise OrderOutOfRange(f"order {n} outside [0, {self.limit}]")
+        self._check_order(n)
         cfg = self.cfg
         l = P.degree if not P.is_zero() else 0
         out = []
@@ -239,8 +216,7 @@ class DerivationEngine:
         """
         cfg = self.cfg
         n = cfg.p**i
-        if n > self.limit:
-            raise OrderOutOfRange(f"p^{i} exceeds limit {self.limit}")
+        self._check_order(n)
         mono = QmPoly.monomial
         rE = self.d_generator("E", n) - mono(cfg, n + 1, 0, 0)
         cg = binom_mod_p(cfg.q - 2 + n, n, cfg.p)
@@ -265,8 +241,7 @@ class DerivationEngine:
         1 <= n < p^{k+1}.
         """
         cfg = self.cfg
-        if cfg.p**k > self.limit:
-            raise OrderOutOfRange(f"p^{k} exceeds limit {self.limit}")
+        self._check_order(cfg.p**k)
         basis = modular_basis(w, m, cfg)
         if not basis:
             return []
@@ -303,20 +278,17 @@ class DerivationEngine:
     # -- bookkeeping -------------------------------------------------------------
 
     def check_memo_isobaric(self):
-        """Every memoized generator derivative is isobaric with the expected grading."""
-        from .qmring import monomial_signature
-
-        gens = {"E": (1, 0, 0), "g": (0, 1, 0), "h": (0, 0, 1)}
-        for (gen, n), val in self._gen_memo.items():
+        """Every memo entry D_n(mono) is isobaric with the grading n shifts mono's to."""
+        q = self.cfg.q
+        for (mono, n), val in self._memo.items():
             if val.is_zero():
                 continue
             s = grading(val)
-            base = monomial_signature(self.cfg, *gens[gen])
-            q = self.cfg.q
+            base = monomial_signature(self.cfg, *mono)
             if s.w != base.w + 2 * n:
-                raise AssertionError(f"D_{n} {gen} has weight {s.w}")
+                raise AssertionError(f"D_{n} of {mono} has weight {s.w}")
             if q != 2 and s.m != (base.m + n) % (q - 1):
-                raise AssertionError(f"D_{n} {gen} has type {s.m}")
+                raise AssertionError(f"D_{n} of {mono} has type {s.m}")
             if s.l > base.l + n:
-                raise AssertionError(f"D_{n} {gen} has depth {s.l}")
+                raise AssertionError(f"D_{n} of {mono} has depth {s.l}")
         return True

@@ -459,19 +459,16 @@ def depth_coefficient_transform(P: DepthPoly, i: int) -> DepthPoly:
 
 
 def d1(f: QmPoly) -> QmPoly:
-    """The derivation with E -> E^2, g -> -(Eg+h), h -> Eh, extended by Leibniz."""
+    """The derivation with E -> E^2, g -> -(Eg+h), h -> Eh: sum of f.partial(x) D_1 x."""
     cfg = f.cfg
+    images = {
+        "E": QmPoly.monomial(cfg, 2, 0, 0),
+        "g": -(QmPoly.monomial(cfg, 1, 1, 0) + QmPoly.gen_h(cfg)),
+        "h": QmPoly.monomial(cfg, 1, 0, 1),
+    }
     out = QmPoly.zero(cfg)
-    dE = QmPoly.monomial(cfg, 2, 0, 0)
-    dg = -(QmPoly.monomial(cfg, 1, 1, 0) + QmPoly.gen_h(cfg))
-    dh = QmPoly.monomial(cfg, 1, 0, 1)
-    for (a, b, c), v in f.terms.items():
-        if a % cfg.p:
-            out = out + QmPoly.monomial(cfg, a - 1, b, c, v.scale_int(a)) * dE
-        if b % cfg.p:
-            out = out + QmPoly.monomial(cfg, a, b - 1, c, v.scale_int(b)) * dg
-        if c % cfg.p:
-            out = out + QmPoly.monomial(cfg, a, b, c - 1, v.scale_int(c)) * dh
+    for gen, image in images.items():
+        out = out + f.partial(gen) * image
     return out
 
 

@@ -20,6 +20,8 @@ from .verify import (
     h_power_quotients,
     munu_congruence,
     random_isobaric,
+    random_ratt,
+    weight_divisibility_check,
 )
 
 __all__ = ["run_suite", "CHECKS"]
@@ -114,8 +116,6 @@ def _check_leading_terms(cfg, engine, rng, n_max, order):
 
 
 def _check_ideals(cfg, engine, rng, n_max, order):
-    from .verify import random_ratt
-
     n_max = min(n_max, engine.limit)
     ideals = [IdealId("h"), IdealId("P0"), IdealId("Pinf")]
     for _ in range(2):
@@ -173,8 +173,6 @@ def _check_dual_route(cfg, engine, rng, n_max, order):
 
 
 def _check_weight_divisibility(cfg, engine, rng, n_max, order):
-    from .verify import weight_divisibility_check
-
     samples = [
         QmPoly.gen_E(cfg),
         QmPoly.gen_g(cfg),
@@ -227,6 +225,10 @@ def run_suite(cfg, n_max=32, order=None, seed=20260808, names=None):
     for name in selected:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")
+    # series_leading_terms reads the t-coefficient q^2 - 2q + 2
+    least = cfg.q**2 - 2 * cfg.q + 3
+    if order and order < least and "series_leading_terms" in selected:
+        raise ValueError(f"series_leading_terms needs order >= {least}, got {order}")
     engine = DerivationEngine(cfg)
     rng = random.Random(seed)
     return [CHECKS[name](cfg, engine, rng, n_max, order) for name in selected]

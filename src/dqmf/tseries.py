@@ -243,7 +243,8 @@ def t_sub(a: PolyT, N: int) -> TSeries:
     """t_a = t(az) = 1/rho_a(1/t) as a series, exact below order N.
 
     For monic a of degree d this is t^(q^d) times the inverse of the unit
-    1 + sum_{j<d} c_j t^(q^d - q^j), so nu_infinity(t_a) = q^d.
+    1 + sum_{j<d} c_j t^(q^d - q^j), so nu_infinity(t_a) = q^d; it is the
+    k = 1 case of the one path ``_t_sub_pow``.
     """
     if a.is_zero() or a.lead() != 1:
         raise ValueError("t_sub needs a monic polynomial")
@@ -271,41 +272,22 @@ def _invert_unit(cfg, unit: dict, M: int) -> dict:
     return out
 
 
-def _unit_pow_neg(cfg, coeff: RatT, s: int, k: int, M: int) -> dict:
-    """(1 + coeff t^s)^(-k) up to order M: sum_j (-1)^j C(k-1+j, j) coeff^j t^(sj)."""
-    out = {}
-    cur = cfg.rat_one
-    j = 0
-    while j * s < M:
-        bm = binom_mod_p(k - 1 + j, j, cfg.p)
-        if bm:
-            v = cur.scale_int(bm if j % 2 == 0 else -bm)
-            if not v.is_zero():
-                out[j * s] = v
-        j += 1
-        cur = cur * coeff
-    return out
-
-
 def _t_sub_pow(a: PolyT, N: int, k: int) -> TSeries:
-    """t_a^k exact below N, with a closed form for single-term units."""
+    """t_a^k exact below N: t^(k q^d) over the k-th power of the unit.
+
+    The unit 1 + sum_{j<d} c_j t^(q^d - q^j) has at most d + 1 terms; its
+    k-th power is taken as a series truncated at N - k q^d and inverted once.
+    """
     cfg = a.cfg
     rho = carlitz(a)
     d = rho.degree
     base = k * cfg.q**d
     if base >= N:
         return TSeries.zero(cfg, N)
-    unit = {cfg.q**d - cfg.q**j: rho.coeffs[j] for j in range(d) if not rho.coeffs[j].is_zero()}
     M = N - base
-    if not unit:
-        inv_k = {0: cfg.rat_one}
-    elif len(unit) == 1:
-        ((s, c),) = unit.items()
-        inv_k = _unit_pow_neg(cfg, c, s, k, M)
-    else:
-        inv = TSeries(cfg, M, _invert_unit(cfg, unit, M))
-        inv_k = (inv**k).terms
-    return TSeries(cfg, N, {base + n: v for n, v in inv_k.items() if n < M})
+    unit = TSeries(cfg, M, {cfg.q**d - cfg.q**j: c for j, c in enumerate(rho.coeffs)})
+    inv = _invert_unit(cfg, {s: v for s, v in (unit**k).terms.items() if s}, M)
+    return TSeries(cfg, N, {base + n: v for n, v in inv.items()})
 
 
 @functools.cache

@@ -15,9 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .algebra import RatT, binom_mod_p
+from .algebra import PolyT, RatT, binom_mod_p
 from .hyperd import DerivationEngine
-from .qmring import NotIsobaric, QmPoly, grading, rankin_bracket
+from .qmring import NotIsobaric, QmPoly, grading, monomial_signature, qm_basis, rankin_bracket
 
 __all__ = [
     "IDEAL_TAGS",
@@ -29,7 +29,6 @@ __all__ = [
     "rankin_stability_probe",
     "weight_divisibility_check",
     "diagram_inclusions",
-    "h_power_quotient",
     "h_power_quotients",
 ]
 
@@ -295,18 +294,11 @@ def h_power_quotients(engine: DerivationEngine, n: int, r_max: int):
     return out
 
 
-def h_power_quotient(engine: DerivationEngine, n: int, r: int):
-    """Single-order form of h_power_quotients."""
-    return h_power_quotients(engine, n, r)[r]
-
-
 # ---------------------------------------------------------------------------
 # Sample generators for the randomized probes (seeded, reproducible).
 
 
 def random_ratt(cfg, rng: random.Random, max_deg=2):
-    from .algebra import PolyT
-
     num = PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, max_deg + 1))])
     den = PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, max_deg + 1))])
     if den.is_zero():
@@ -318,8 +310,6 @@ def random_isobaric(cfg, rng: random.Random, w_max=20):
     """A random nonzero isobaric element of small weight.
 
     Anchored on a random monomial so the grading slice is never empty."""
-    from .qmring import monomial_signature, qm_basis
-
     for _ in range(200):
         a, b, c = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
         if a + b + c == 0:

@@ -221,9 +221,11 @@ def test_cmd_verify_json_determinism(capsys):
         (["field", "--field-file", "{tmp}/no-p.cfg"], "no 'p =' line"),
         (["derive", "--q", "5", "(" * 1000 + "E" + ")" * 1000, "0"], "nested too deeply"),
         (["verify", "--q", "5", "--suite", "bogus"], "unknown check 'bogus'"),
+        (["verify", "--q", "5", "--order", "5"], "series_leading_terms needs order >= 18"),
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
-         "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check"],
+         "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check",
+         "order-below-leading-terms"],
 )
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from dqmf.algebra import FieldConfig, RatT, binom_mod_p, d_power
-from dqmf.hyperd import OrderOutOfRange, depth_drop
+from dqmf.hyperd import DerivationEngine, OrderOutOfRange, depth_drop, generator_table
 from dqmf.qmring import (
     QmPoly,
     associated_polynomial,
@@ -377,3 +377,66 @@ def test_kernel_of_everything_is_constants(engine, q):
 
 def test_memo_entries_isobaric(engine):
     engine.check_memo_isobaric()
+
+
+def _composed_generator(engine, gen, n, memo):
+    """D_n gen by the older three-way rule, kept as a second route: the table
+    for n < q and at p-powers, digit^{-1} D_{p^k} o D_{n - p^k} when n has one
+    nonzero base-p digit, and D_rest o D_low (C(n, rest) = 1, low the lowest
+    nonzero digit times its place) otherwise."""
+    key = (gen, n)
+    if key in memo:
+        return memo[key]
+    cfg, p = engine.cfg, engine.cfg.p
+    pos, m = 0, n
+    while n and m % p == 0:
+        m //= p
+        pos += 1
+    digit = m % p
+    low = digit * p**pos
+    if n < cfg.q or (low == n and digit == 1):
+        out = generator_table(cfg, gen, n)
+    elif low == n:
+        prev = _composed_generator(engine, gen, n - p**pos, memo)
+        out = engine.derive(prev, p**pos).scale_int(pow(digit, p - 2, p))
+    else:
+        out = engine.derive(_composed_generator(engine, gen, low, memo), n - low)
+    memo[key] = out
+    return out
+
+
+# D_rest o D_low costs minutes over the whole range at q = 5 and 7 (it is the
+# cost the one digit step removes), so those two fields stop at n = 48
+_COMPOSED_HORIZON = {2: 128, 3: 128, 4: 128, 5: 48, 7: 48, 8: 128, 9: 128}
+
+
+@pytest.mark.parametrize("q", sorted(_COMPOSED_HORIZON), ids=lambda q: f"q{q}")
+def test_digit_step_matches_the_older_composition(q):
+    cfg = FieldConfig.from_q(q)
+    composer, engine = DerivationEngine(cfg), DerivationEngine(cfg)
+    memo = {}
+    for n in range(min(engine.limit, _COMPOSED_HORIZON[q]) + 1):
+        for gen in "Egh":
+            assert engine.d_generator(gen, n) == _composed_generator(composer, gen, n, memo), (gen, n)
+
+
+@pytest.mark.parametrize("q", [5, 9], ids=lambda q: f"q{q}")
+def test_every_generator_order_up_to_the_limit(q):
+    engine = DerivationEngine(FieldConfig.from_q(q))
+    for n in range(engine.limit + 1):
+        for gen in "Egh":
+            engine.d_generator(gen, n)
+    assert len(engine._memo) > 3 * engine.limit
+    assert engine.check_memo_isobaric()
+
+
+def test_memo_check_covers_product_monomials():
+    # the walk checks every entry against its own monomial's grading, not
+    # only the generators': a wrong weight on D_3(E g) is caught
+    cfg = FieldConfig.from_q(5)
+    engine = DerivationEngine(cfg)
+    engine.derive(QmPoly.monomial(cfg, 1, 1, 0), 3)
+    assert engine.check_memo_isobaric()
+    engine._memo[((1, 1, 0), 3)] = QmPoly.gen_E(cfg)
+    with pytest.raises(AssertionError, match=r"D_3 of \(1, 1, 0\) has weight"):
+        engine.check_memo_isobaric()

@@ -23,6 +23,8 @@ from dqmf.qmring import (
 )
 from dqmf.verify import random_isobaric
 
+from conftest import engine_for
+
 
 def test_grading_of_generators(cfg, q):
     assert grading(QmPoly.gen_E(cfg)) .w == 2
@@ -212,6 +214,17 @@ def test_d1_is_a_derivation(cfg):
         f = random_isobaric(cfg, rng, 12)
         g = random_isobaric(cfg, rng, 12)
         assert d1(f * g) == d1(f) * g + f * d1(g)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_d1_matches_the_engine(q):
+    # d1 sums formal partials; the engine derives through its tables and Leibniz
+    cfg = FieldConfig.from_q(q)
+    engine = engine_for(q)
+    rng = random.Random(q)
+    for _ in range(10):
+        f = random_isobaric(cfg, rng, 14)
+        assert d1(f) == engine.derive(f, 1), str(f)
 
 
 def test_rankin_bracket_golden(cfg):

@@ -19,6 +19,7 @@ from dqmf.tseries import (
     nu_infinity,
     t_sub,
 )
+from dqmf.tseries import _monic_polys, _t_sub_pow
 from dqmf.verify import random_ratt
 
 
@@ -76,6 +77,19 @@ def test_t_sub_T_geometric(cfg, q):
     for k in range(3):
         expect = T**k if k % 2 == 0 else -(T**k)
         assert s.coeff(q + k * (q - 1)) == expect
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_t_sub_pow_is_the_power_of_t_sub(q):
+    # _t_sub_pow inverts the k-th power of the unit; the k-th power of the
+    # series t_a is the other route
+    cfg = FieldConfig.from_q(q)
+    d_max = 2 if q < 7 else 1
+    N = (q + 1) * q**d_max
+    for d in range(d_max + 1):
+        for a in _monic_polys(cfg, d):
+            for k in sorted({1, 2, q - 1}):
+                assert _t_sub_pow(a, N, k) == t_sub(a, N) ** k, (str(a), k)
 
 
 def test_t_sub_requires_monic(cfg):

@@ -13,7 +13,6 @@ from dqmf.verify import (
     IdealId,
     check_hyperstable,
     diagram_inclusions,
-    h_power_quotient,
     h_power_quotients,
     member,
     munu_congruence,
@@ -236,8 +235,7 @@ def test_weight_divisibility(engine, q):
 def test_h_power_quotient_nonnegative(engine, q):
     cfg = engine.cfg
     for n in (0, 1, 3):
-        for r in range(0, min(20, engine.limit) + 1):
-            out = h_power_quotient(engine, n, r)
+        for r, out in enumerate(h_power_quotients(engine, n, min(20, engine.limit))):
             assert out is not None
             # cross-check: out * h^n = D_r(h^n)
             lhs = out * QmPoly.monomial(cfg, 0, 0, n)
@@ -274,7 +272,7 @@ def test_generator_tables_check_catches_a_wrong_composed_value():
     cfg = FieldConfig.from_q(5)
     engine = DerivationEngine(cfg)
     assert CHECKS["generator_tables"](cfg, engine, random.Random(0), 8, None)["pass"]
-    engine._gen_memo[("E", 2)] = QmPoly.zero(cfg)
+    engine._memo[((1, 0, 0), 2)] = QmPoly.zero(cfg)
     out = CHECKS["generator_tables"](cfg, engine, random.Random(0), 8, None)
     assert out["pass"] is False and "('E', 2)" in out["witness"]
 
@@ -286,7 +284,7 @@ def test_h_power_quotients_check_catches_a_wrong_generator_value():
     check = CHECKS["h_power_quotients"]
     assert check(cfg, DerivationEngine(cfg), random.Random(0), 8, None)["pass"]
     engine = DerivationEngine(cfg)
-    engine._gen_memo[("h", 1)] = QmPoly.gen_g(cfg)
+    engine._memo[((0, 0, 1), 1)] = QmPoly.gen_g(cfg)
     out = check(cfg, engine, random.Random(0), 8, None)
     assert out["pass"] is False
     for n in (1, -1, -2, -3):
