@@ -5,6 +5,13 @@ into small ints (base-p digit vectors) and multiplied through precomputed
 tables, so the polynomial kernels never allocate element objects in hot
 loops.  Rational functions are kept in canonical form (coprime, monic
 denominator) at all times, which makes equality syntactic.
+
+RatT products and sums, and ``common_denominator``, take the gcd, cofactors,
+lcm and product of two denominators from ``_den_pair``, an LRU of 2^12
+entries keyed by the two PolyT denominators (and so by their field).  The
+engine's denominators are products of a few brackets, so a battery forms a
+few hundred distinct pairs and reuses each thousands of times;
+``_den_pair.cache_info()`` reports the traffic.
 """
 
 from __future__ import annotations
@@ -514,6 +521,23 @@ def _monic_gcd(cfg, a, b):
     return PolyT(cfg, a).monic()
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _den_pair(d1, d2):
+    """(gcd, d1/gcd, d2/gcd, lcm, d1*d2) of two monic nonconstant denominators.
+
+    The arguments are the PolyT values themselves, so the key carries the
+    field: PolyT equality compares ``cfg`` as well as the coefficients.
+    Engine denominators are products of a few brackets, so a few hundred
+    pairs cover all the RatT products and sums of a whole battery.
+    """
+    g = d1.gcd(d2)
+    if g.is_one():
+        prod = d1 * d2
+        return g, d1, d2, prod, prod
+    d1r, d2r = d1.exact_div(g), d2.exact_div(g)
+    return g, d1r, d2r, d1r * d2, d1 * d2
+
+
 # ---------------------------------------------------------------------------
 # Rational functions over F_q in T, always canonical.
 
@@ -564,6 +588,7 @@ class RatT:
     def __eq__(self, other):
         return (
             isinstance(other, RatT)
+            and self.cfg is other.cfg
             and self.num.c == other.num.c
             and self.den.c == other.den.c
         )
@@ -595,17 +620,17 @@ class RatT:
             return RatT._raw(cfg, self.num * d2 + other.num, d2)
         if d2.is_one():
             return RatT._raw(cfg, self.num + other.num * d1, d1)
-        g = d1.gcd(d2)
+        g, d1r, d2r, lcm, _ = _den_pair(d1, d2)
+        t = self.num * d2r + other.num * d1r
         if g.is_one():
-            return RatT._raw(cfg, self.num * d2 + other.num * d1, d1 * d2)
-        d1r = d1.exact_div(g)
-        t = self.num * d2.exact_div(g) + other.num * d1r
+            return RatT._raw(cfg, t, lcm)
         if t.is_zero():
             return cfg.rat_zero
+        # t is prime to d1r and d2r, so only g can share a factor with it
         g2 = t.gcd(g)
         if g2.is_one():
-            return RatT._raw(cfg, t, d1r * d2)
-        return RatT._raw(cfg, t.exact_div(g2), d1r * d2.exact_div(g2))
+            return RatT._raw(cfg, t, lcm)
+        return RatT._raw(cfg, t.exact_div(g2), lcm.exact_div(g2))
 
     def __neg__(self):
         if self.num.is_zero():
@@ -630,7 +655,13 @@ class RatT:
             g = n2.gcd(d1)
             if not g.is_one():
                 n2, d1 = n2.exact_div(g), d1.exact_div(g)
-        return RatT._raw(cfg, n1 * n2, d1 * d2)
+        if d1.is_one():
+            den = d2
+        elif d2.is_one():
+            den = d1
+        else:
+            den = _den_pair(d1, d2)[4]
+        return RatT._raw(cfg, n1 * n2, den)
 
     def scale_int(self, n: int):
         code = n % self.cfg.p
@@ -732,9 +763,9 @@ def common_denominator(cfg: FieldConfig, values) -> PolyT:
     """The monic lcm of the denominators of some RatT values (1 for none)."""
     common = cfg.poly_one
     for x in values:
-        if not x.den.is_one():
-            g = common.gcd(x.den)
-            common = common * x.den.exact_div(g)
+        if x.den.is_one():
+            continue
+        common = x.den if common.is_one() else _den_pair(common, x.den)[3]
     return common
 
 

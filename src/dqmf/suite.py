@@ -57,6 +57,11 @@ def series_check_orders(cfg):
     return sorted(ns)
 
 
+def _series_order(cfg, order):
+    """The truncation order of the series checks: ``order``, or q^2 + q + 2."""
+    return cfg.q**2 + cfg.q + 2 if order is None else order
+
+
 def _result(check, params, bad):
     """One battery record; a nonempty ``bad`` fails it and becomes the witness."""
     out = {"check": check, "params": params, "pass": not bad}
@@ -79,7 +84,7 @@ def _check_generator_tables(cfg, engine, rng, n_max, order):
 
 
 def _check_series_commutation(cfg, engine, rng, n_max, order):
-    N = order or (cfg.q**2 + cfg.q + 2)
+    N = _series_order(cfg, order)
     gens = {"E": QmPoly.gen_E(cfg), "g": QmPoly.gen_g(cfg), "h": QmPoly.gen_h(cfg)}
     series = {"E": expand_E(cfg, N), "g": expand_g(cfg, N), "h": expand_h(cfg, N)}
     bad = []
@@ -91,7 +96,7 @@ def _check_series_commutation(cfg, engine, rng, n_max, order):
 
 
 def _check_leading_terms(cfg, engine, rng, n_max, order):
-    N = order or (cfg.q**2 + cfg.q + 2)
+    N = _series_order(cfg, order)
     q = cfg.q
     E, g, h = expand_E(cfg, N), expand_g(cfg, N), expand_h(cfg, N)
     one = cfg.rat_one
@@ -225,9 +230,13 @@ def run_suite(cfg, n_max=32, order=None, seed=20260808, names=None):
     for name in selected:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if order is not None and order < 1:
+        raise ValueError(f"truncation order must be >= 1, got {order}")
     # series_leading_terms reads the t-coefficient q^2 - 2q + 2
     least = cfg.q**2 - 2 * cfg.q + 3
-    if order and order < least and "series_leading_terms" in selected:
+    if order is not None and order < least and "series_leading_terms" in selected:
         raise ValueError(f"series_leading_terms needs order >= {least}, got {order}")
     engine = DerivationEngine(cfg)
     rng = random.Random(seed)

@@ -122,6 +122,8 @@ def check_hyperstable(engine: DerivationEngine, ideal: IdealId, n_max: int) -> S
     Generator stability suffices: D_n(u G) = sum (D_r u)(D_{n-r} G) stays in
     the ideal once every D_{n-r} G does.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     report = StabilityReport(ideal, n_max)
     for gen in ideal.generators(engine.cfg):
         fail_n, witness = None, None

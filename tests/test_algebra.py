@@ -15,9 +15,12 @@ from dqmf.algebra import (
     InconsistentSystem,
     PolyT,
     RatT,
+    _den_pair,
     binom_mod_p,
     bracket,
+    common_denominator,
     d_coeff,
+    d_power,
     linear_solve,
 )
 
@@ -277,6 +280,78 @@ def test_ratt_field_axioms_hypothesis(which, xs, ys, zs):
     assert a * (b + c) == a * b + a * c
     assert a + b == b + a
     assert a * b == b * a
+
+
+def test_ratt_equality_compares_the_field():
+    f3, f5 = FieldConfig.from_q(3), FieldConfig.from_q(5)
+    assert f3.rat_one != f5.rat_one
+    assert f3.rat_one == RatT.from_int(f3, 1)
+    from dqmf.qmring import QmPoly
+
+    assert QmPoly.gen_E(f3) != QmPoly.gen_E(f5)
+    assert QmPoly.gen_E(f3) == QmPoly.gen_E(FieldConfig.from_q(3))
+
+
+# RatT products and sums take denominators from the _den_pair cache; these
+# references canonicalise through the constructor (gcd and exact division)
+
+
+def _reference_mul(a, b):
+    return RatT(a.cfg, a.num * b.num, a.den * b.den)
+
+
+def _reference_add(a, b):
+    return RatT(a.cfg, a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def _differential_samples(cfg, rng):
+    """RatT values over engine-shaped denominators (products of d_i^k) and
+    random monic ones, with numerators that sometimes share a factor."""
+    d1, d2 = d_power(1, 1, cfg), d_power(2, 1, cfg)
+    dens = [cfg.poly_one, d1, d_power(1, 2, cfg), d2, d1 * d2]
+    for _ in range(3):
+        dens.append(PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, 3))] + [1]))
+    out = [cfg.rat_zero]
+    for den in dens:
+        for shared in (cfg.poly_one, bracket(1, cfg)):
+            num = PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, 3))])
+            if num:
+                out.append(RatT(cfg, num * shared, den))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_ratt_mul_and_add_match_the_constructor_route(q):
+    cfg = FieldConfig.from_q(q)
+    rng = random.Random(q)
+    samples = _differential_samples(cfg, rng)
+    for a in samples:
+        for b in samples:
+            prod, ref = a * b, _reference_mul(a, b)
+            assert prod == ref and prod.den == ref.den
+            total, ref = a + b, _reference_add(a, b)
+            assert total == ref and total.den == ref.den
+        assert (a + -a).is_zero()
+    lcm = cfg.poly_one
+    for x in samples:
+        lcm = (lcm * x.den).exact_div(lcm.gcd(x.den))
+    assert common_denominator(cfg, samples) == lcm
+
+
+def test_den_pair_results_stay_in_their_field():
+    """Same coefficient tuples in F_2 and F_3: T^2 + 1 = (T + 1)^2 only in F_2."""
+    _den_pair.cache_clear()
+    got = {}
+    for q in (2, 3):
+        cfg = FieldConfig.from_q(q)
+        lin, quad = PolyT(cfg, (1, 1)), PolyT(cfg, (1, 0, 1))
+        a, b = RatT(cfg, cfg.poly_one, lin), RatT(cfg, cfg.poly_T, quad)
+        for op, ref in ((a * a, _reference_mul(a, a)), (a + b, _reference_add(a, b)),
+                        (a * b, _reference_mul(a, b))):
+            assert op == ref and op.den == ref.den and op.den.cfg is cfg
+        got[q] = ((a * a).den.c, (a + b).den.c)
+    assert got[2] == ((1, 0, 1), (1, 0, 1))
+    assert got[3] == ((1, 2, 1), (1, 1, 1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,16 @@ import itertools
 import sys
 import threading
 
-from dqmf.algebra import DEFAULT_MODULI, FieldConfig, PolyT, _monic_gcd, bracket, d_power
+from dqmf.algebra import (
+    DEFAULT_MODULI,
+    FieldConfig,
+    PolyT,
+    _den_pair,
+    _monic_gcd,
+    bracket,
+    d_power,
+)
+from dqmf.suite import run_suite
 from dqmf.tseries import alpha, expand_E
 
 
@@ -44,6 +53,25 @@ def test_gcd_cache_is_a_bounded_lru():
     b = PolyT.from_ints(cfg, [1, 3])
     assert a.gcd(b) is b.gcd(a)
     assert a.gcd(b) == PolyT.from_ints(cfg, [2, 1])
+
+
+def test_den_pair_cache_is_a_bounded_lru():
+    assert _den_pair.cache_info().maxsize == 1 << 12
+    cfg = FieldConfig.from_q(5)
+    d1, d2 = d_power(1, 1, cfg), d_power(2, 1, cfg)
+    g, d1r, d2r, lcm, prod = _den_pair(d1, d2)
+    assert _den_pair(d1, d2)[4] is prod
+    assert g == d1 and d1r == cfg.poly_one and lcm == d2 and prod == d1 * d2
+    assert g * d2r == d2
+
+
+def test_den_pair_traffic_is_mostly_hits():
+    """A battery forms few distinct denominator pairs and reuses them."""
+    _den_pair.cache_clear()
+    results = run_suite(FieldConfig.from_q(5), n_max=16)
+    assert all(r["pass"] for r in results)
+    info = _den_pair.cache_info()
+    assert info.misses and info.hits >= 10 * info.misses
 
 
 def _unbuilt_field_key():
