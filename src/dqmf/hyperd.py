@@ -4,9 +4,18 @@ One recursion derives every monomial.  A generator at a p-power order reads
 the paper's tables (``generator_table``).  A generator at any other order n
 takes one digit step: with c the lowest nonzero base-p digit of n, at place
 p^k, iterativity D_i o D_j = C(i+j, i) D_{i+j} and Lucas' C(n, p^k) = c give
-D_n = c^{-1} D_{p^k}(D_{n-p^k} gen).  Any other monomial is a Leibniz
-convolution over its factors: powers of a generator are peeled off one
-p-power atom at a time so that Frobenius sparsity (D_m of a p^k-th power
+D_n = c^{-1} D_{p^k}(D_{n-p^k} gen).  For odd p, a pure even power
+x^{2k} of one generator is squared:
+
+    D_n(x^{2k}) = 2 sum_{0 <= r < n/2} D_r(x^k) D_{n-r}(x^k)
+                  + [n even] D_{n/2}(x^k)^2.
+
+This is the Leibniz rule on y*y, y = x^k, with the equal products of the
+pairs (r, n-r) and (n-r, r) merged, so it holds in every characteristic; it
+halves the products behind E^{q-1}, h^2 and h^3.  At p = 2 the sum vanishes
+and only the Frobenius term is left.  Any other monomial, and every power at
+p = 2, is a Leibniz convolution that peels off one p-power atom of its first
+generator at a time, so that Frobenius sparsity (D_m of a p^k-th power
 vanishes unless p^k | m) keeps the convolutions short.  A single engine
 instance keeps one memo keyed by (monomial, order); one engine per thread is
 safe, since engines share only the per-field functools caches of ``algebra``
@@ -123,7 +132,7 @@ class DerivationEngine:
         return self._derive_monomial(_GENERATORS[gen], n)
 
     def _derive_monomial(self, mono: tuple, n: int) -> QmPoly:
-        """D_n(E^a g^b h^c): table or digit step on a generator, else Leibniz."""
+        """D_n(E^a g^b h^c): table or digit step, squaring, else Leibniz peel."""
         if n == 0:
             return QmPoly.monomial(self.cfg, *mono)
         if mono == (0, 0, 0):
@@ -143,6 +152,24 @@ class DerivationEngine:
                 # C(n, p^k) = digit, so D_n = digit^{-1} D_{p^k} o D_{n - p^k}
                 prev = self._derive_monomial(mono, n - p**k)
                 out = self.derive(prev, p**k).scale_int(pow(digit, p - 2, p))
+        elif p != 2 and mono[i] % 2 == 0 and mono.count(0) == 2:
+            # the squaring rule of the module docstring on x^{2k} = y*y, y = x^k;
+            # D_r y vanishes unless pk | r, pk the p-part of k (Frobenius)
+            half = tuple(e // 2 for e in mono)
+            pk = p ** _lowest_digit(half[i], p)[1]
+            out = QmPoly.zero(self.cfg)
+            for r in range(0, (n + 1) // 2, pk):
+                left = self._derive_monomial(half, r)
+                if left.is_zero():
+                    continue
+                right = self._derive_monomial(half, n - r)
+                if not right.is_zero():
+                    out = out + left * right
+            out = out.scale_int(2)
+            if n % 2 == 0:
+                mid = self._derive_monomial(half, n // 2)
+                if not mid.is_zero():
+                    out = out + mid * mid
         else:
             _, pos = _lowest_digit(mono[i], p)
             pk = p**pos

@@ -234,10 +234,12 @@ def run_suite(cfg, n_max=32, order=None, seed=20260808, names=None):
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if order is not None and order < 1:
         raise ValueError(f"truncation order must be >= 1, got {order}")
-    # series_leading_terms reads the t-coefficient q^2 - 2q + 2
+    # series_leading_terms reads the t-coefficient q^2 - 2q + 2, and below
+    # that series_commutation compares too few (at order 1 only t^0)
     least = cfg.q**2 - 2 * cfg.q + 3
-    if order is not None and order < least and "series_leading_terms" in selected:
-        raise ValueError(f"series_leading_terms needs order >= {least}, got {order}")
+    series = [c for c in ("series_leading_terms", "series_commutation") if c in selected]
+    if order is not None and order < least and series:
+        raise ValueError(f"{series[0]} needs order >= {least}, got {order}")
     engine = DerivationEngine(cfg)
     rng = random.Random(seed)
     return [CHECKS[name](cfg, engine, rng, n_max, order) for name in selected]

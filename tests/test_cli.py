@@ -228,11 +228,13 @@ def test_cmd_verify_json_determinism(capsys):
         (["verify", "--q", "4", "--n-max", "0"], "n_max must be >= 1"),
         (["verify", "--q", "4", "--n-max", "-3"], "n_max must be >= 1"),
         (["ideal", "--q", "5", "h", "--n-max", "0"], "n_max must be >= 1"),
+        (["verify", "--q", "4", "--order", "1", "--suite", "series_commutation"],
+         "series_commutation needs order >= 11"),
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
          "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check",
          "order-below-leading-terms", "order-zero", "order-zero-one-check", "n-max-zero",
-         "n-max-negative", "ideal-n-max-zero"],
+         "n-max-negative", "ideal-n-max-zero", "order-below-series-commutation"],
 )
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")

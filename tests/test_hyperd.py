@@ -420,6 +420,42 @@ def test_digit_step_matches_the_older_composition(q):
             assert engine.d_generator(gen, n) == _composed_generator(composer, gen, n, memo), (gen, n)
 
 
+def _peeled_power(engine, x, m, n, memo):
+    """D_n(x^m) by the Leibniz rule on x^{p^k} * x^{m - p^k}, p^k the lowest
+    base-p place of m, peeling one p-power atom at a time with
+    D_r(x^{p^k}) = (D_{r/p^k} x)^{p^k}, zero unless p^k | r."""
+    cfg = engine.cfg
+    if m == 0:
+        return QmPoly.one(cfg) if n == 0 else QmPoly.zero(cfg)
+    key = (m, n)
+    if key in memo:
+        return memo[key]
+    p, k = cfg.p, 0
+    while m % p**(k + 1) == 0:
+        k += 1
+    out = QmPoly.zero(cfg)
+    for r in range(0, n + 1, p**k):
+        rest = _peeled_power(engine, x, m - p**k, n - r, memo)
+        if not rest.is_zero():
+            out = out + engine.d_generator(x, r // p**k).frobenius_pow(k) * rest
+    memo[key] = out
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9], ids=lambda q: f"q{q}")
+def test_squared_powers_match_the_peeled_convolution(q):
+    # every pure power x^m, 2 <= m <= 2(q - 1), the squaring rule's domain
+    # (even m) and the odd powers built on it
+    cfg = FieldConfig.from_q(q)
+    peeler, engine = DerivationEngine(cfg), DerivationEngine(cfg)
+    for x, mono in (("E", (1, 0, 0)), ("g", (0, 1, 0)), ("h", (0, 0, 1))):
+        memo = {}
+        for m in range(2, 2 * (q - 1) + 1):
+            f = QmPoly.monomial(cfg, *(m * e for e in mono))
+            for n in range(min(engine.limit, 48) + 1):
+                assert engine.derive(f, n) == _peeled_power(peeler, x, m, n, memo), (x, m, n)
+
+
 @pytest.mark.parametrize("q", [5, 9], ids=lambda q: f"q{q}")
 def test_every_generator_order_up_to_the_limit(q):
     engine = DerivationEngine(FieldConfig.from_q(q))
