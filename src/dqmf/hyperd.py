@@ -16,7 +16,12 @@ halves the products behind E^{q-1}, h^2 and h^3.  At p = 2 the sum vanishes
 and only the Frobenius term is left.  Any other monomial, and every power at
 p = 2, is a Leibniz convolution that peels off one p-power atom of its first
 generator at a time, so that Frobenius sparsity (D_m of a p^k-th power
-vanishes unless p^k | m) keeps the convolutions short.  A single engine
+vanishes unless p^k | m) keeps the convolutions short.  Each convolution
+collects its (left, right) pairs and makes one ``qmring.sum_of_products``
+call per (monomial, order), which canonicalises each output coefficient
+once rather than once per product; the squaring rule folds its middle
+square in as the pair (D_{n/2}(x^k)/2, D_{n/2}(x^k)) before the factor 2,
+2 being invertible for odd p.  A single engine
 instance keeps one memo keyed by (monomial, order); one engine per thread is
 safe, since engines share only the per-field functools caches of ``algebra``
 (brackets, d_i powers, gcds), which are thread-safe.
@@ -25,7 +30,9 @@ safe, since engines share only the per-field functools caches of ``algebra``
 from __future__ import annotations
 
 from .algebra import FieldConfig, RatT, binom_mod_p, d_power, linear_solve
-from .qmring import DepthPoly, QmPoly, grading, modular_basis, monomial_signature
+from .qmring import (
+    DepthPoly, QmPoly, grading, modular_basis, monomial_signature, sum_of_products,
+)
 
 __all__ = ["DerivationEngine", "OrderOutOfRange", "depth_drop", "generator_table"]
 
@@ -157,35 +164,31 @@ class DerivationEngine:
             # D_r y vanishes unless pk | r, pk the p-part of k (Frobenius)
             half = tuple(e // 2 for e in mono)
             pk = p ** _lowest_digit(half[i], p)[1]
-            out = QmPoly.zero(self.cfg)
+            pairs = []
             for r in range(0, (n + 1) // 2, pk):
                 left = self._derive_monomial(half, r)
-                if left.is_zero():
-                    continue
-                right = self._derive_monomial(half, n - r)
-                if not right.is_zero():
-                    out = out + left * right
-            out = out.scale_int(2)
+                if not left.is_zero():
+                    pairs.append((left, self._derive_monomial(half, n - r)))
             if n % 2 == 0:
+                # 2 * (sum + mid^2 / 2): one kernel call, (p + 1) / 2 = 1/2 mod p
                 mid = self._derive_monomial(half, n // 2)
-                if not mid.is_zero():
-                    out = out + mid * mid
+                pairs.append((mid.scale_int((p + 1) // 2), mid))
+            out = sum_of_products(self.cfg, pairs).scale_int(2)
         else:
             _, pos = _lowest_digit(mono[i], p)
             pk = p**pos
             rest = mono[:i] + (mono[i] - pk,) + mono[i + 1:]
             # D_r(gen^{p^pos}) = (D_{r/p^pos} gen)^{p^pos}, zero unless p^pos | r
-            out = QmPoly.zero(self.cfg)
+            pairs = []
             for r in range(0, n + 1, pk):
                 right = self._derive_monomial(rest, n - r)
                 if right.is_zero():
                     continue
                 left = self._derive_monomial(gen, r // pk)
-                if left.is_zero():
-                    continue
                 if pos:
                     left = left.frobenius_pow(pos)
-                out = out + left * right
+                pairs.append((left, right))
+            out = sum_of_products(self.cfg, pairs)
         self._memo[key] = out
         return out
 

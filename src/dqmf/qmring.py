@@ -5,13 +5,25 @@ and depth a.  The module provides the grading bookkeeping, monomial bases
 of the modular and depth-filtered slices, depth polynomials (the ring
 substitution E -> E + Y), the first-order derivation, Rankin brackets and
 the Serre-style derivative on modular elements.
+
+Every sum of products in the ring goes through one kernel,
+``sum_of_products``: ``QmPoly * QmPoly`` is the kernel on one pair, and
+the engine's Leibniz convolutions, the quotient sequences of ``verify``,
+depth-polynomial products and D_1 pass it all their pairs at once.  It
+convolves the F_q[T] numerators of every term pair into one raw code list
+per (output monomial, denominator d1*d2) and canonicalises each list once,
+through the RatT constructor, instead of canonicalising every product and
+every partial sum.  The output is canonical all the same: a sum of
+numerators over one unreduced denominator is exact, the constructor
+reduces it to the unique coprime form with a monic denominator, and the
+groups of one monomial are then merged by canonical RatT addition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FieldConfig, RatT, binom_mod_p, power
+from .algebra import FieldConfig, PolyT, RatT, _den_pair, binom_mod_p, power
 
 __all__ = [
     "QmPoly",
@@ -28,6 +40,7 @@ __all__ = [
     "d1",
     "rankin_bracket",
     "serre_derivative",
+    "sum_of_products",
 ]
 
 
@@ -110,7 +123,7 @@ class QmPoly:
         return sorted(self.terms.items())
 
     def __eq__(self, other):
-        return isinstance(other, QmPoly) and self.terms == other.terms
+        return isinstance(other, QmPoly) and self.cfg is other.cfg and self.terms == other.terms
 
     def __hash__(self):
         return hash(tuple(self.items()))
@@ -152,23 +165,7 @@ class QmPoly:
             return self.scale(other)
         if isinstance(other, int):
             return self.scale_int(other)
-        out = {}
-        for (a1, b1, c1), v1 in self.terms.items():
-            for (a2, b2, c2), v2 in other.terms.items():
-                k = (a1 + a2, b1 + b2, c1 + c2)
-                p = v1 * v2
-                cur = out.get(k)
-                if cur is None:
-                    out[k] = p
-                else:
-                    s = cur + p
-                    if s.is_zero():
-                        del out[k]
-                    else:
-                        out[k] = s
-        res = QmPoly(self.cfg)
-        res.terms = out
-        return res
+        return sum_of_products(self.cfg, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -234,10 +231,9 @@ class QmPoly:
 
     def subs_g(self, repl: "QmPoly"):
         """Substitute g -> repl, leaving E and h alone."""
-        out = QmPoly(self.cfg)
-        for (a, b, c), v in self.terms.items():
-            out = out + QmPoly.monomial(self.cfg, a, 0, c, v) * repl**b
-        return out
+        return sum_of_products(self.cfg, (
+            (QmPoly.monomial(self.cfg, a, 0, c, v), repl**b) for (a, b, c), v in self.terms.items()
+        ))
 
     def partial(self, gen: str):
         """Formal partial derivative with respect to one generator."""
@@ -285,6 +281,66 @@ class QmPoly:
             {"alpha": a, "beta": b, "gamma": c, "num": str(v.num), "den": str(v.den)}
             for (a, b, c), v in self.items()
         ]
+
+
+def sum_of_products(cfg: FieldConfig, pairs) -> QmPoly:
+    """The sum of x * y over an iterable of QmPoly pairs (x, y).
+
+    Every term pair's numerator product is convolved straight into one raw
+    F_q code list per (output monomial, denominator d1*d2), so no product
+    is canonicalised on its own.  Each list then becomes one RatT through
+    the constructor, and the groups of a monomial are merged by RatT +.
+    The result is canonical: a sum of numerators over one unreduced
+    denominator is exact, and the constructor reduces it to the unique
+    coprime form with a monic denominator.
+    """
+    add, mul = cfg.add, cfg.mul
+    groups = {}  # denominator coefficients -> (denominator, {monomial: raw numerator})
+    for x, y in pairs:
+        right = {}  # y's terms by denominator: one _den_pair lookup per group
+        for k, v in y.terms.items():
+            right.setdefault(v.den.c, (v.den, []))[1].append((k, v.num.c, len(v.num.c)))
+        for (a1, b1, c1), v1 in x.terms.items():
+            n1, d1 = v1.num.c, v1.den
+            l1, unit = len(n1) - 1, d1.is_one()
+            for d2, terms in right.values():
+                if unit:
+                    den = d2
+                elif d2.is_one():
+                    den = d1
+                else:
+                    den = _den_pair(d1, d2)[4]
+                group = groups.get(den.c)
+                if group is None:
+                    group = groups[den.c] = (den, {})
+                accs = group[1]
+                for (a2, b2, c2), n2, l2 in terms:
+                    k = (a1 + a2, b1 + b2, c1 + c2)
+                    acc = accs.get(k)
+                    if acc is None:
+                        acc = accs[k] = [0] * (l1 + l2)
+                    elif len(acc) < l1 + l2:
+                        acc.extend([0] * (l1 + l2 - len(acc)))
+                    for i, u in enumerate(n1):
+                        if u:
+                            row = mul[u]
+                            for j, w in enumerate(n2):
+                                if w:
+                                    acc[i + j] = add[acc[i + j]][row[w]]
+    out = {}
+    for den, accs in groups.values():
+        for k, acc in accs.items():
+            v = RatT(cfg, PolyT(cfg, acc), den)
+            cur = out.get(k)
+            if cur is not None:
+                v = cur + v
+            if v.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = v
+    res = QmPoly(cfg)
+    res.terms = out
+    return res
 
 
 def monomial_signature(cfg, a, b, c) -> GradingSignature:
@@ -388,7 +444,7 @@ class DepthPoly:
         return not self.coeffs
 
     def __eq__(self, other):
-        return isinstance(other, DepthPoly) and self.coeffs == other.coeffs
+        return isinstance(other, DepthPoly) and self.cfg is other.cfg and self.coeffs == other.coeffs
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
@@ -397,11 +453,11 @@ class DepthPoly:
     def __mul__(self, other):
         if self.is_zero() or other.is_zero():
             return DepthPoly(self.cfg, [])
-        out = [QmPoly.zero(self.cfg) for _ in range(self.degree + other.degree + 1)]
+        pairs = [[] for _ in range(self.degree + other.degree + 1)]
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return DepthPoly(self.cfg, out)
+                pairs[i + j].append((a, b))
+        return DepthPoly(self.cfg, [sum_of_products(self.cfg, ps) for ps in pairs])
 
     def __str__(self):
         if not self.coeffs:
@@ -466,10 +522,7 @@ def d1(f: QmPoly) -> QmPoly:
         "g": -(QmPoly.monomial(cfg, 1, 1, 0) + QmPoly.gen_h(cfg)),
         "h": QmPoly.monomial(cfg, 1, 0, 1),
     }
-    out = QmPoly.zero(cfg)
-    for gen, image in images.items():
-        out = out + f.partial(gen) * image
-    return out
+    return sum_of_products(cfg, ((f.partial(gen), image) for gen, image in images.items()))
 
 
 def rankin_bracket(U: QmPoly, V: QmPoly) -> QmPoly:

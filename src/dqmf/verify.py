@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 from .algebra import PolyT, RatT, binom_mod_p
 from .hyperd import DerivationEngine
-from .qmring import NotIsobaric, QmPoly, grading, monomial_signature, qm_basis, rankin_bracket
+from .qmring import (
+    NotIsobaric, QmPoly, grading, monomial_signature, qm_basis, rankin_bracket, sum_of_products,
+)
 
 __all__ = [
     "IDEAL_TAGS",
@@ -164,9 +166,7 @@ def rankin_stability_probe(engine: DerivationEngine, M: QmPoly, ideal: IdealId) 
     ]
     for X in samples:
         direct = rankin_bracket(X, M)
-        via_partials = QmPoly.zero(cfg)
-        for gen in ("E", "g", "h"):
-            via_partials = via_partials + d_of[gen] * X.partial(gen)
+        via_partials = sum_of_products(cfg, ((d_of[gen], X.partial(gen)) for gen in d_of))
         if direct != via_partials:
             return False
     # stable-ideal direction: isobaric members stay in the ideal
@@ -243,11 +243,6 @@ def diagram_inclusions(engine: DerivationEngine, d_values, c_values):
 # classification of elements with all quotients in the ring).
 
 
-def _dot(cfg, pairs):
-    """Sum of the products x * y over pairs, skipping zero factors."""
-    return sum((x * y for x, y in pairs if not (x.is_zero() or y.is_zero())), QmPoly.zero(cfg))
-
-
 def _convolve(a, b):
     """Leibniz rule on quotient sequences: D_r(xy)/xy = sum_i (D_i x/x)(D_{r-i} y/y).
 
@@ -256,7 +251,7 @@ def _convolve(a, b):
     for r in range(len(a)):
         if a[r] is None or b[r] is None:
             return out + [None] * (len(a) - r)
-        out.append(_dot(a[0].cfg, ((a[i], b[r - i]) for i in range(r + 1))))
+        out.append(sum_of_products(a[0].cfg, ((a[i], b[r - i]) for i in range(r + 1))))
     return out
 
 
@@ -289,7 +284,7 @@ def h_power_quotients(engine: DerivationEngine, n: int, r_max: int):
         if quo_h[r] is None:
             u += [None] * (r_max + 1 - r)
             break
-        u.append(-_dot(cfg, ((quo_h[j], u[r - j]) for j in range(1, r + 1))))
+        u.append(-sum_of_products(cfg, ((quo_h[j], u[r - j]) for j in range(1, r + 1))))
     out = u
     for _ in range(-n - 1):
         out = _convolve(out, u)

@@ -6,8 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dqmf.algebra import FieldConfig, RatT
+from dqmf.algebra import FieldConfig, PolyT, RatT, bracket, d_power
 from dqmf.qmring import (
+    DepthPoly,
     NotIsobaric,
     NotModular,
     QmPoly,
@@ -20,6 +21,7 @@ from dqmf.qmring import (
     qm_basis,
     rankin_bracket,
     serre_derivative,
+    sum_of_products,
 )
 from dqmf.verify import random_isobaric
 
@@ -268,3 +270,77 @@ def test_monomial_products_grade_additively(a1, b1, c1, a2, b2, c2):
     assert sp.w == s1.w + s2.w
     assert sp.m == (s1.m + s2.m) % (cfg.q - 1)
     assert sp.l == s1.l + s2.l
+
+
+def test_equality_compares_the_field():
+    f3, f5 = FieldConfig.from_q(3), FieldConfig.from_q(5)
+    assert QmPoly.zero(f3) != QmPoly.zero(f5)
+    assert QmPoly.zero(f3) == QmPoly.zero(FieldConfig.from_q(3))
+    assert DepthPoly(f3, []) != DepthPoly(f5, [])
+    assert DepthPoly(f3, []) == DepthPoly(f3, [QmPoly.zero(f3)])
+    assert associated_polynomial(QmPoly.gen_E(f3)) != associated_polynomial(QmPoly.gen_E(f5))
+
+
+# sum_of_products against a pairwise reference that canonicalises every
+# term product and every partial sum through RatT * and +
+
+
+def _pairwise_sum_of_products(pairs):
+    out = {}
+    for x, y in pairs:
+        for (a1, b1, c1), v1 in x.terms.items():
+            for (a2, b2, c2), v2 in y.terms.items():
+                k = (a1 + a2, b1 + b2, c1 + c2)
+                out[k] = out[k] + v1 * v2 if k in out else v1 * v2
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _kernel_samples(cfg, rng):
+    """QmPolys on a few overlapping monomials whose coefficients sit over
+    engine-shaped denominators (products of d_i^k) and random monic ones,
+    with numerators that are units, constants or share a bracket factor."""
+    d1, d2 = d_power(1, 1, cfg), d_power(2, 1, cfg)
+    dens = [cfg.poly_one, d1, d_power(1, 2, cfg), d2, d1 * d2]
+    for _ in range(2):
+        dens.append(PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, 3))] + [1]))
+    monos = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
+
+    def coeff():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return cfg.rat_one
+        if kind == 1:
+            return RatT(cfg, PolyT(cfg, (rng.randrange(1, cfg.q),)), rng.choice(dens))
+        num = PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, 3))])
+        return RatT(cfg, num * rng.choice((cfg.poly_one, bracket(1, cfg))), rng.choice(dens))
+
+    out = []
+    for _ in range(8):
+        f = QmPoly(cfg, {m: coeff() for m in rng.sample(monos, rng.randint(1, 4))})
+        out.append(f)
+    return out
+
+
+def _assert_syntactically_equal(got, ref, cfg):
+    assert got.cfg is cfg
+    assert sorted(got.terms) == sorted(ref)
+    for k, v in ref.items():
+        assert got.terms[k].num.c == v.num.c and got.terms[k].den.c == v.den.c, k
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_sum_of_products_matches_the_pairwise_route(q):
+    cfg = FieldConfig.from_q(q)
+    rng = random.Random(1000 + q)
+    samples = _kernel_samples(cfg, rng)
+    for _ in range(40):
+        pairs = [(rng.choice(samples), rng.choice(samples)) for _ in range(rng.randint(1, 5))]
+        _assert_syntactically_equal(sum_of_products(cfg, pairs), _pairwise_sum_of_products(pairs), cfg)
+    # sums that cancel, wholly and in part
+    x, y, z = samples[:3]
+    assert sum_of_products(cfg, [(x, y), (-x, y)]).is_zero()
+    assert sum_of_products(cfg, [(x, y), (y, -x)]).is_zero()
+    pairs = [(x, y), (x, z), (-x, y)]
+    _assert_syntactically_equal(sum_of_products(cfg, pairs), _pairwise_sum_of_products(pairs), cfg)
+    assert sum_of_products(cfg, []) == QmPoly.zero(cfg)
+    assert sum_of_products(cfg, [(x, QmPoly.zero(cfg))]).is_zero()
