@@ -41,12 +41,9 @@ class InconsistentSystem(ValueError):
     """Raised by linear_solve when the right-hand side is not in the column span."""
 
 
-# Default irreducible moduli over F_p, coefficients low-to-high, monic.
+# Default irreducible moduli of the shipped extension fields, coefficients
+# low-to-high, monic; every prime field F_p takes the modulus x, (0, 1).
 DEFAULT_MODULI = {
-    (2, 1): (0, 1),
-    (3, 1): (0, 1),
-    (5, 1): (0, 1),
-    (7, 1): (0, 1),
     (2, 2): (1, 1, 1),      # x^2 + x + 1
     (2, 3): (1, 1, 0, 1),   # x^3 + x + 1
     (3, 2): (1, 0, 1),      # x^2 + 1
@@ -123,36 +120,41 @@ class FieldConfig:
 
     Elements are encoded as ints in [0, q): the base-p digits of the code are
     the coordinates in the power basis of ``modulus``.  Instances are
-    interned by (p, e, modulus), so table construction happens once and
-    identity is equality: the per-field caches key on the instance itself.
+    interned by (p, e, monic modulus), so table construction happens once
+    and identity is equality: the per-field caches key on the instance
+    itself.
     """
 
     _instances: dict = {}
 
     def __new__(cls, p: int, e: int = 1, modulus=None):
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if e < 1:
+            raise ValueError("e must be positive")
         if modulus is None:
-            try:
+            if e == 1:
+                modulus = (0, 1)
+            elif (p, e) in DEFAULT_MODULI:
                 modulus = DEFAULT_MODULI[(p, e)]
-            except KeyError:
+            else:
                 raise ValueError(f"no default modulus shipped for q = {p}^{e}; pass one")
-        modulus = tuple(int(c) % p for c in modulus)
-        key = (p, e, modulus)
+        modulus = [int(c) % p for c in modulus]
+        if len(modulus) != e + 1 or modulus[-1] == 0:
+            raise ValueError("modulus must have degree exactly e")
+        # a scalar multiple of the modulus is the same field: key on the monic one
+        inv_lead = pow(modulus[-1], p - 2, p)
+        key = (p, e, tuple(c * inv_lead % p for c in modulus))
         # check, build and insert as one step, so racing threads share one field
         with _INTERN_LOCK:
             inst = cls._instances.get(key)
             if inst is None:
                 inst = super().__new__(cls)
-                inst._init(p, e, modulus)
+                inst._init(*key)
                 cls._instances[key] = inst
         return inst
 
     def _init(self, p, e, modulus):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if e < 1:
-            raise ValueError("e must be positive")
-        if len(modulus) != e + 1 or modulus[-1] == 0:
-            raise ValueError("modulus must have degree exactly e")
         self.p = p
         self.e = e
         self.q = p**e
@@ -770,100 +772,49 @@ def common_denominator(cfg: FieldConfig, values) -> PolyT:
 
 
 def linear_solve(matrix, rhs=None):
-    """Fraction-free Gaussian elimination over F_q(T).
+    """Gauss-Jordan elimination over canonical F_q(T).
 
-    Rows are cleared of denominators, then reduced by Bareiss' one-step
-    scheme (all divisions exact in F_q[T]).  Returns (particular, kernel):
-    ``particular`` solves matrix @ x = rhs with free variables set to zero
-    (the zero vector when rhs is None), ``kernel`` is a basis of the null
-    space.  Raises InconsistentSystem when rhs is not attainable.
+    Column by column, the first nonzero entry at or below the current row is
+    the pivot: its row is scaled to make it 1, and the column is cleared in
+    every other row.  The result is the reduced row echelon form, whose pivot
+    columns are unique.  Returns (particular, kernel): ``particular`` solves
+    matrix @ x = rhs with every free variable zero (the zero vector when rhs
+    is None); ``kernel`` has one vector per free column, 1 there and 0 at the
+    other free columns.  Raises InconsistentSystem when rhs is not attainable.
     """
-    nrows = len(matrix)
-    if nrows == 0:
+    if not matrix:
         return [], []
-    ncols = len(matrix[0])
-    cfg = None
-    for row in matrix:
-        for x in row:
-            cfg = x.cfg
-            break
-        if cfg:
-            break
+    cfg = next((x.cfg for row in matrix for x in row), None)
     if cfg is None:
         raise ValueError("empty matrix")
-
-    aug = ncols + 1
-    rows = []
-    for i in range(nrows):
-        entries = list(matrix[i]) + [rhs[i] if rhs is not None else cfg.rat_zero]
-        common = common_denominator(cfg, entries)
-        rows.append([x.num * common.exact_div(x.den) for x in entries])
-
+    ncols = len(matrix[0])
+    zero = cfg.rat_zero
+    rows = [list(row) + [rhs[i] if rhs is not None else zero] for i, row in enumerate(matrix)]
     piv_cols = []
-    free_cols = []
-    prev_piv = cfg.poly_one
-    r = 0
     for col in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if not rows[i][col].is_zero():
-                sel = i
-                break
+        r = len(piv_cols)
+        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if sel is None:
-            free_cols.append(col)
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][col]
-        for i in range(r + 1, nrows):
-            head = rows[i][col]
-            if head.is_zero():
-                if not prev_piv.is_one():
-                    rows[i] = [
-                        (x * piv).exact_div(prev_piv) if not x.is_zero() else x
-                        for x in rows[i]
-                    ]
-                else:
-                    rows[i] = [x * piv for x in rows[i]]
-                continue
-            new = []
-            for j in range(aug):
-                t = rows[i][j] * piv - head * rows[r][j]
-                if not t.is_zero() and not prev_piv.is_one():
-                    t = t.exact_div(prev_piv)
-                new.append(t)
-            rows[i] = new
+        inv = rows[r][col].inverse()
+        pivot = rows[r] = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            head = row[col]
+            if i != r and head:
+                rows[i] = [x - head * y if y else x for x, y in zip(row, pivot)]
         piv_cols.append(col)
-        prev_piv = piv
-        r += 1
-        if r == nrows:
-            free_cols.extend(range(col + 1, ncols))
-            break
-
-    rank = len(piv_cols)
-    for i in range(rank, nrows):
-        if all(rows[i][j].is_zero() for j in range(ncols)) and not rows[i][ncols].is_zero():
-            raise InconsistentSystem("right-hand side is not in the column span")
-
-    def back_substitute(vec_tail, target_col=None):
-        # vec_tail holds the chosen values of the free variables
-        x = list(vec_tail)
-        for rr in range(rank - 1, -1, -1):
-            pc = piv_cols[rr]
-            acc = RatT._raw(cfg, rows[rr][ncols], cfg.poly_one) if target_col is None else cfg.rat_zero
-            for j in range(pc + 1, ncols):
-                if not rows[rr][j].is_zero() and not x[j].is_zero():
-                    acc = acc - RatT(cfg, rows[rr][j]) * x[j]
-            if target_col is not None and not rows[rr][target_col].is_zero():
-                acc = acc - RatT(cfg, rows[rr][target_col])
-            x[pc] = acc / RatT(cfg, rows[rr][pc])
-        return x
-
-    zero_vec = [cfg.rat_zero] * ncols
-    particular = back_substitute(zero_vec)
-
+    # rows past the rank are zero on the matrix part
+    if any(row[ncols] for row in rows[len(piv_cols):]):
+        raise InconsistentSystem("right-hand side is not in the column span")
+    particular = [zero] * ncols
+    for row, pc in zip(rows, piv_cols):
+        particular[pc] = row[ncols]
     kernel = []
-    for fc in free_cols:
-        vec = back_substitute(list(zero_vec), target_col=fc)
+    for fc in (c for c in range(ncols) if c not in piv_cols):
+        vec = [zero] * ncols
         vec[fc] = cfg.rat_one
+        for row, pc in zip(rows, piv_cols):
+            vec[pc] = -row[fc]
         kernel.append(vec)
     return particular, kernel

@@ -215,7 +215,7 @@ def tseries_from_json(cfg, data):
 
 def _add_field_args(ap):
     ap.add_argument("--p", type=int, help="field characteristic")
-    ap.add_argument("--e", type=int, default=None, help="extension degree (default 1)")
+    ap.add_argument("--e", type=int, default=1, help="extension degree (default 1)")
     ap.add_argument("--modulus", type=str, default=None,
                     help="comma/space separated modulus coefficients, low to high")
     ap.add_argument("--q", type=int, help="shorthand for a default field of size q")
@@ -232,7 +232,7 @@ def _field_from_args(args) -> FieldConfig:
         modulus = None
         if args.modulus:
             modulus = tuple(int(x) for x in args.modulus.replace(",", " ").split())
-        return FieldConfig(args.p, args.e or 1, modulus)
+        return FieldConfig(args.p, args.e, modulus)
     raise ValueError("specify a field with --q, --p/--e/--modulus, or --field-file")
 
 

@@ -275,35 +275,14 @@ class DerivationEngine:
         basis = modular_basis(w, m, cfg)
         if not basis:
             return []
-        images = {}
-        row_keys = set()
-        for j in range(k + 1):
-            n = cfg.p**j
-            for bc in basis:
-                img = self._derive_monomial((0, bc[0], bc[1]), n)
-                images[(n, bc)] = img
-                row_keys.update((n, mono) for mono in img.terms)
-        if not row_keys:
-            sols = [
-                [cfg.rat_one if i == jdx else cfg.rat_zero for i in range(len(basis))]
-                for jdx in range(len(basis))
-            ]
-        else:
-            rows = []
-            for key in sorted(row_keys):
-                n, mono = key
-                rows.append(
-                    [images[(n, bc)].terms.get(mono, cfg.rat_zero) for bc in basis]
-                )
-            _, sols = linear_solve(rows)
-        out = []
-        for vec in sols:
-            f = QmPoly.zero(cfg)
-            for coeff, (b, c) in zip(vec, basis):
-                if not coeff.is_zero():
-                    f.terms[(0, b, c)] = coeff
-            out.append(f)
-        return out
+        images = [[self._derive_monomial((0, b, c), cfg.p**j) for b, c in basis]
+                  for j in range(k + 1)]
+        keys = sorted({(j, mono) for j, imgs in enumerate(images) for img in imgs
+                       for mono in img.terms})
+        # no image term at all: one zero row, so every basis element is free
+        rows = [[img.terms.get(mono, cfg.rat_zero) for img in images[j]] for j, mono in keys]
+        _, sols = linear_solve(rows or [[cfg.rat_zero] * len(basis)])
+        return [QmPoly(cfg, {(0, b, c): x for x, (b, c) in zip(vec, basis)}) for vec in sols]
 
     # -- bookkeeping -------------------------------------------------------------
 

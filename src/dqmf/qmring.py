@@ -222,13 +222,6 @@ class QmPoly:
         }
         return out
 
-    def eval_point(self, ev, gv, hv):
-        """Evaluate at scalars (ev, gv, hv) in K."""
-        total = self.cfg.rat_zero
-        for (a, b, c), v in self.terms.items():
-            total = total + v * ev**a * gv**b * hv**c
-        return total
-
     def subs_g(self, repl: "QmPoly"):
         """Substitute g -> repl, leaving E and h alone."""
         return sum_of_products(self.cfg, (

@@ -84,9 +84,8 @@ def member(ideal: IdealId, f: QmPoly):
     cfg = f.cfg
     if ideal.tag in _KILLED:
         res = f.kill(_KILLED[ideal.tag])
-    elif ideal.tag == "max":
-        val = f.eval_point(cfg.rat_zero, ideal.param, cfg.rat_zero)
-        res = QmPoly.from_scalar(cfg, val)
+    elif ideal.tag == "max":  # E, h -> 0, then g -> c
+        res = f.kill("Eh").subs_g(QmPoly.from_scalar(cfg, ideal.param))
     else:  # Pd: reduce mod h, then g -> E^{q-1}/d
         repl = QmPoly.monomial(cfg, cfg.q - 1, 0, 0, ideal.param.inverse())
         res = f.kill("h").subs_g(repl)

@@ -25,8 +25,11 @@ from dqmf.algebra import (
 )
 
 
+SHIPPED_Q = (2, 3, 4, 5, 7, 8, 9)
+
+
 def all_default_fields():
-    return [FieldConfig(p, e) for (p, e) in DEFAULT_MODULI]
+    return [FieldConfig.from_q(q) for q in SHIPPED_Q]
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +41,20 @@ def test_prime_check():
         FieldConfig(4, 1, (0, 1))
     with pytest.raises(ValueError):
         FieldConfig(1, 1, (0, 1))
+
+
+def test_prime_fields_default_to_the_modulus_x():
+    assert not any(e == 1 for _, e in DEFAULT_MODULI)
+    for p in (2, 3, 5, 7, 11, 13):
+        cfg = FieldConfig(p)
+        assert cfg.modulus == (0, 1) and cfg is FieldConfig.from_q(p)
+
+
+def test_scalar_multiples_of_a_modulus_intern_one_field():
+    monic = FieldConfig(3, 2, (1, 0, 1))
+    assert FieldConfig(3, 2, (2, 0, 2)) is monic
+    assert monic.modulus == (1, 0, 1)
+    assert FieldConfig(5, 1, (0, 3)) is FieldConfig(5)
 
 
 def test_reducible_modulus_rejected():
@@ -393,6 +410,54 @@ def test_linear_solve_rank_deficient_kernel_dimension():
                 for j in range(3):
                     acc = acc + mat[i][j] * vec[j]
                 assert acc.is_zero()
+
+
+def _free_columns(mat):
+    """Columns lying in the span of the columns before them, by solvability."""
+    free = []
+    for j in range(len(mat[0])):
+        col = [row[j] for row in mat]
+        if j == 0:
+            if not any(col):
+                free.append(j)
+            continue
+        try:
+            linear_solve([row[:j] for row in mat], col)
+        except InconsistentSystem:
+            continue
+        free.append(j)
+    return free
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_linear_solve_reduced_echelon_contract(q):
+    """Kernel vector i is 1 at free column i and 0 at the other free columns;
+    the particular solution is 0 at every free column."""
+    cfg = FieldConfig.from_q(q)
+    rng = random.Random(23 + q)
+    for _ in range(20):
+        m, n = rng.randint(1, 4), rng.randint(2, 5)
+        mat = [[_random_ratt(cfg, rng, 1) for _ in range(n)] for _ in range(m)]
+        for j in range(1, n):
+            if rng.random() < 0.4:  # a multiple of an earlier column, or zero
+                src = rng.randrange(j)
+                a = _random_ratt(cfg, rng, 1) if rng.random() < 0.7 else cfg.rat_zero
+                for row in mat:
+                    row[j] = row[src] * a
+        x = [_random_ratt(cfg, rng, 1) for _ in range(n)]
+        rhs = []
+        for row in mat:
+            acc = cfg.rat_zero
+            for a, b in zip(row, x):
+                acc = acc + a * b
+            rhs.append(acc)
+        sol, kernel = linear_solve(mat, rhs)
+        free = _free_columns(mat)
+        assert len(kernel) == len(free)
+        for fc, vec in zip(free, kernel):
+            assert all(vec[c] == (cfg.rat_one if c == fc else cfg.rat_zero) for c in free)
+            assert all(v.is_zero() for v in vec[fc + 1:])
+        assert all(sol[c].is_zero() for c in free)
 
 
 def test_linear_solve_random_roundtrip():

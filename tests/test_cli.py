@@ -195,6 +195,15 @@ def test_cmd_verify_small_field(capsys):
     assert out.count("[PASS]") == 2
 
 
+def test_prime_field_without_a_shipped_modulus(capsys):
+    rc = main(["field", "--p", "11"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "modulus = 0 1" in out
+    rc = main(["verify", "--p", "11", "--n-max", "8"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "[FAIL]" not in out and out.count("[PASS]") >= 9
+
+
 def test_cmd_verify_json_determinism(capsys):
     argv = ["verify", "--q", "4", "--json", "--n-max", "6", "--seed", "99",
             "--suite", "generator_tables"]
@@ -230,11 +239,15 @@ def test_cmd_verify_json_determinism(capsys):
         (["ideal", "--q", "5", "h", "--n-max", "0"], "n_max must be >= 1"),
         (["verify", "--q", "4", "--order", "1", "--suite", "series_commutation"],
          "series_commutation needs order >= 11"),
+        (["field", "--p", "2", "--e", "0"], "e must be positive"),
+        (["field", "--p", "2", "--e", "-1"], "e must be positive"),
+        (["field", "--p", "4"], "not prime"),
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
          "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check",
          "order-below-leading-terms", "order-zero", "order-zero-one-check", "n-max-zero",
-         "n-max-negative", "ideal-n-max-zero", "order-below-series-commutation"],
+         "n-max-negative", "ideal-n-max-zero", "order-below-series-commutation",
+         "e-zero", "e-negative", "p-not-prime"],
 )
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")

@@ -7,6 +7,13 @@ engine.  The digests were computed with pairwise RatT products and sums,
 before the sum-of-products kernel of ``qmring`` took over the Leibniz
 convolutions.  Canonical forms are unique, so any arithmetic route that
 is exact reproduces them byte for byte.
+
+A second digest covers ``kernel_on_modular(w, m, k)`` for every field
+q = 2..9, every weight w <= 10(q-1), every type m and every k <= 2 with
+p^k <= limit.  It was computed with the fraction-free Bareiss solver,
+before Gauss-Jordan elimination over canonical F_q(T) replaced it; the
+pivot columns of a reduced row echelon form are unique, so the normalised
+kernel vectors are too.
 """
 
 import hashlib
@@ -20,10 +27,12 @@ from dqmf.verify import h_power_quotients
 
 # q -> (weight bound W, order bound N, sha256)
 GOLDEN = {
+    2: (12, 7, "115ec2bf4a801440ac80a108199be7a3348ada9710cc09ff71cc0d0c45b0be7d"),
     3: (12, 26, "df4d33c0fd4317042885458b4af6b10eba542b8eab0ef215bbef3c4061fe80a2"),
     4: (20, 31, "bd2486d7d5fac14bc8f29ba8bdc3694367e153e084b156b35d751a576bc99166"),
     5: (24, 32, "63fc39a18ceeacb2263a3b00a3b74f2dde0ae2fbb00e8d0db8dd1be0e027dc0e"),
     7: (24, 32, "735e49a8624fc4b61736f52985900d076bec985e6142c8d89bff27d306041bfb"),
+    8: (24, 48, "14a95adb732ab80894b7317c38f243092127ab8374b77ad916616f4dc384609e"),
     9: (30, 48, "05fb650e08003705b4a7032ec13b0a8c11c28cd6b95196fcc6c6eef56cef8ff1"),
 }
 
@@ -51,3 +60,26 @@ def _digest(q, W, N):
 def test_engine_outputs_match_the_pinned_digests(q):
     W, N, expected = GOLDEN[q]
     assert _digest(q, W, N) == expected
+
+
+KERNEL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
+KERNEL_GOLDEN = "4dc8da36615fab8f0d30abf36d990356464fe924c209e1d54bebaca5248b02c6"
+
+
+def _kernel_digest():
+    h = hashlib.sha256()
+    for q in KERNEL_FIELDS:
+        cfg = FieldConfig.from_q(q)
+        engine = DerivationEngine(cfg)
+        for k in range(3):
+            if cfg.p**k > engine.limit:
+                break
+            for w in range(10 * (q - 1) + 1):
+                for m in range(max(q - 1, 1)):
+                    vecs = engine.kernel_on_modular(w, m, k)
+                    h.update(f"{q} {k} {w} {m} {' | '.join(map(str, vecs))}\n".encode())
+    return h.hexdigest()
+
+
+def test_kernel_on_modular_matches_the_pinned_digest():
+    assert _kernel_digest() == KERNEL_GOLDEN
