@@ -3,8 +3,11 @@
 Everything downstream computes with these types.  Field elements are packed
 into small ints (base-p digit vectors) and multiplied through precomputed
 tables, so the polynomial kernels never allocate element objects in hot
-loops.  Rational functions are kept in canonical form (coprime, monic
-denominator) at all times, which makes equality syntactic.
+loops.  The tables are filled from the monic modulus m alone: multiplying
+by x shifts the digits up and subtracts the top digit times m, and
+a*b = sum_i b_i (x^i a); Frobenius is p lookups in the product table.
+Rational functions are kept in canonical form (coprime, monic denominator)
+at all times, which makes equality syntactic.
 
 RatT products and sums, and ``common_denominator``, take the gcd, cofactors,
 lcm and product of two denominators from ``_den_pair``, an LRU of 2^12
@@ -63,41 +66,6 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-# ---------------------------------------------------------------------------
-# F_p[x] helpers used only at FieldConfig construction time.
-
-
-def _fp_trim(c, p):
-    while c and c[-1] % p == 0:
-        c.pop()
-    return [x % p for x in c]
-
-
-def _fp_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_rem(out, mod, p)
-
-
-def _fp_rem(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] % p == 0:
-            a.pop()
-            continue
-        q = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        for k in range(len(mod)):
-            a[shift + k] = (a[shift + k] - q * mod[k]) % p
-        a.pop()
-    return _fp_trim(a, p)
 
 
 def power(base, n: int, one):
@@ -168,24 +136,30 @@ class FieldConfig:
         self.rat_one = RatT._raw(self, self.poly_one, self.poly_one)
 
     def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-        mod = list(self.modulus)
-        decode, encode = self._decode, self._encode
-        self.add = [[0] * q for _ in range(q)]
-        self.mul = [[0] * q for _ in range(q)]
-        self.neg = [0] * q
-        for a in range(q):
-            ca = decode(a)
-            self.neg[a] = encode([-x for x in ca])
-            for b in range(q):
-                cb = decode(b)
-                self.add[a][b] = encode([x + y for x, y in zip(ca, cb)])
-                self.mul[a][b] = encode(_fp_mulmod(ca, cb, mod, p))
+        p, e, q, m = self.p, self.e, self.q, self.modulus
+        encode = self._encode
+        digits = [self._decode(a) for a in range(q)]
+        self.add = [[encode([x + y for x, y in zip(ca, cb)]) for cb in digits] for ca in digits]
+        self.neg = [encode([-x for x in ca]) for ca in digits]
+        # a*b = sum_i b_i (x^i a), with x (c_0..c_{e-1}) = (0, c_0..c_{e-2}) - c_{e-1} m
+        self.mul = []
+        for ca in digits:
+            shifts = [ca]
+            for _ in range(e - 1):
+                c = shifts[-1]
+                shifts.append([(lo - c[-1] * mi) % p for lo, mi in zip([0] + c[:-1], m)])
+            self.mul.append([encode([sum(b * s[k] for b, s in zip(cb, shifts)) for k in range(e)])
+                             for cb in digits])
         # F_p[x]/(m) is a field iff it has no zero divisors
         if any(0 in row[1:] for row in self.mul[1:]):
             raise ValueError("modulus is reducible over F_p")
         self.inv = [0] + [self.mul[a].index(1) for a in range(1, q)]
-        self.frob = [(FqElem(self, a) ** p).code for a in range(q)]
+        self.frob = []
+        for a in range(q):
+            y = 1
+            for _ in range(p):
+                y = self.mul[y][a]
+            self.frob.append(y)
         # Frobenius is a bijection; its inverse extracts p-th roots.
         self.pth_root = [0] * q
         for a in range(q):
@@ -245,10 +219,6 @@ class FieldConfig:
         with open(path, "w") as fh:
             fh.write(f"p = {self.p}\ne = {self.e}\n")
             fh.write("modulus = " + " ".join(str(c) for c in self.modulus) + "\n")
-
-    def scalar(self, n: int) -> int:
-        """Image of the integer n in F_q (packed code of the prime-field element)."""
-        return n % self.p
 
     def element(self, coords) -> "FqElem":
         if isinstance(coords, int):

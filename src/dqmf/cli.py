@@ -15,9 +15,9 @@ import json
 import sys
 
 from .algebra import FieldConfig, PolyT, RatT
-from .hyperd import DerivationEngine
+from .hyperd import _GENERATORS, DerivationEngine
 from .qmring import NotIsobaric, QmPoly, grading, qm_basis
-from .tseries import expand_E, expand_g, expand_h, hyper_derive, evaluate
+from .tseries import TSeries, evaluate, expand_E, expand_g, expand_h, hyper_derive
 from .verify import IDEAL_TAGS, IdealId, check_hyperstable
 
 __all__ = ["main", "parse_qmpoly", "parse_ratt", "ParseError", "qmpoly_from_json", "tseries_from_json"]
@@ -166,9 +166,6 @@ class _Parser:
         raise ParseError("unexpected end of input" if t is None else f"unexpected token {t!r}")
 
 
-_GENERATORS = {"E": (1, 0, 0), "g": (0, 1, 0), "h": (0, 0, 1)}
-
-
 def _scalar(cfg, f: QmPoly) -> RatT:
     """The coefficient of a constant element (one parsed with ``constant`` set)."""
     return f.terms.get((0, 0, 0), cfg.rat_zero)
@@ -199,8 +196,6 @@ def qmpoly_from_json(cfg, data) -> QmPoly:
 
 
 def tseries_from_json(cfg, data):
-    from .tseries import TSeries
-
     terms = {}
     for t in data["terms"]:
         num = parse_polyt(cfg, t["num"])
@@ -215,7 +210,7 @@ def tseries_from_json(cfg, data):
 
 def _add_field_args(ap):
     ap.add_argument("--p", type=int, help="field characteristic")
-    ap.add_argument("--e", type=int, default=1, help="extension degree (default 1)")
+    ap.add_argument("--e", type=int, default=None, help="extension degree, with --p (default 1)")
     ap.add_argument("--modulus", type=str, default=None,
                     help="comma/space separated modulus coefficients, low to high")
     ap.add_argument("--q", type=int, help="shorthand for a default field of size q")
@@ -224,7 +219,13 @@ def _add_field_args(ap):
 
 
 def _field_from_args(args) -> FieldConfig:
-    if args.field_file:
+    given = [flag for flag, v in (("--q", args.q), ("--p", args.p), ("--field-file", args.field_file))
+             if v is not None]
+    if len(given) > 1:
+        raise ValueError(f"conflicting field flags {', '.join(given)}: give one")
+    if args.p is None and (args.e is not None or args.modulus is not None):
+        raise ValueError("--e and --modulus need --p")
+    if args.field_file is not None:
         return FieldConfig.from_file(args.field_file)
     if args.q is not None:
         return FieldConfig.from_q(args.q)
@@ -232,7 +233,7 @@ def _field_from_args(args) -> FieldConfig:
         modulus = None
         if args.modulus:
             modulus = tuple(int(x) for x in args.modulus.replace(",", " ").split())
-        return FieldConfig(args.p, args.e, modulus)
+        return FieldConfig(args.p, 1 if args.e is None else args.e, modulus)
     raise ValueError("specify a field with --q, --p/--e/--modulus, or --field-file")
 
 

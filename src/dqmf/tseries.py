@@ -2,12 +2,15 @@
 
 Expansions of E, g, h are built from Carlitz-module lattice sums; the only
 identity imported from the polynomial side is the definitional equation
-h = -(D_1 g + E g).  The series-level divided derivative follows the
-convolution formula with the alpha coefficients (sums of 1/(d_{i_1}...d_{i_r})
-over ways of writing the order as r q-powers), so derivative identities
-checked against the engine are genuinely two-route.  The series product
-accumulates each t-coefficient once, over the common denominator of the
-operands, walking only the nonzero terms of their numerators.
+h = -(D_1 g + E g).  ``carlitz(a)`` gives the coefficients of rho_a by one
+Horner recurrence in T, and ``t_sub(a, N, k)`` gives t_a^k for the E
+(k = 1) and g (k = q - 1) lattice sums.  The series-level divided
+derivative follows the convolution formula with the alpha coefficients
+(sums of 1/(d_{i_1}...d_{i_r}) over ways of writing the order as r
+q-powers), so derivative identities checked against the engine are
+genuinely two-route.  The series product accumulates each t-coefficient
+once, over the common denominator of the operands, walking only the
+nonzero terms of their numerators.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .qmring import QmPoly
 
 __all__ = [
     "TSeries",
-    "CarlitzPoly",
     "carlitz",
     "t_sub",
     "expand_E",
@@ -199,56 +201,19 @@ def nu_infinity(s: TSeries):
 # Carlitz module.
 
 
-class CarlitzPoly:
-    """The F_q-linear polynomial rho_a(X) = sum_j c_j X^(q^j) for a in F_q[T]."""
+def carlitz(a: PolyT) -> tuple:
+    """The coefficients (c_0, ..., c_d) in F_q[T] of rho_a(X) = sum_j c_j X^(q^j).
 
-    __slots__ = ("cfg", "coeffs")
-
-    def __init__(self, cfg, coeffs):
-        self.cfg = cfg
-        self.coeffs = list(coeffs)
-        while self.coeffs and self.coeffs[-1].is_zero():
-            self.coeffs.pop()
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-
-def carlitz(a: PolyT) -> CarlitzPoly:
-    """rho_a, built additively from rho_{T^i} with rho_T(X) = T X + X^q."""
-    cfg = a.cfg
-    rat = lambda poly: RatT(cfg, poly)
-    # rho_{T^i}: start from rho_1 = X and compose with rho_T
-    powers = [[cfg.rat_one]]
-    for _ in range(a.degree):
-        prev = powers[-1]
-        nxt = [cfg.rat_zero] * (len(prev) + 1)
-        T = rat(cfg.poly_T)
-        for j, c in enumerate(prev):
-            nxt[j] = nxt[j] + T * c
-            nxt[j + 1] = nxt[j + 1] + c.frobenius_pow(cfg.e)
-        powers.append(nxt)
-    out = [cfg.rat_zero] * (a.degree + 1)
-    for i, code in enumerate(a.c):
-        if code == 0:
-            continue
-        scal = RatT(cfg, PolyT(cfg, (code,)))
-        for j, c in enumerate(powers[i]):
-            out[j] = out[j] + scal * c
-    return CarlitzPoly(cfg, out)
-
-
-def t_sub(a: PolyT, N: int) -> TSeries:
-    """t_a = t(az) = 1/rho_a(1/t) as a series, exact below order N.
-
-    For monic a of degree d this is t^(q^d) times the inverse of the unit
-    1 + sum_{j<d} c_j t^(q^d - q^j), so nu_infinity(t_a) = q^d; it is the
-    k = 1 case of the one path ``_t_sub_pow``.
+    a -> rho_a is a ring homomorphism with rho_T(X) = T X + X^q, so Horner in
+    T from the top coefficient of a gives rho_{Tb+c} = T rho_b + rho_b^q + c X,
+    that is c_j <- T c_j + c_{j-1}^q with c_{-1} = c.
     """
-    if a.is_zero() or a.lead() != 1:
-        raise ValueError("t_sub needs a monic polynomial")
-    return _t_sub_pow(a, N, 1)
+    cfg = a.cfg
+    rho = ()
+    for code in reversed(a.c):
+        low = (PolyT(cfg, (code,)),) + tuple(c.frobenius_pow(cfg.e) for c in rho)
+        rho = tuple(x + cfg.poly_T * y for x, y in zip(low, rho + (cfg.poly_zero,)))
+    return rho
 
 
 def _invert_unit(cfg, unit: dict, M: int) -> dict:
@@ -272,20 +237,24 @@ def _invert_unit(cfg, unit: dict, M: int) -> dict:
     return out
 
 
-def _t_sub_pow(a: PolyT, N: int, k: int) -> TSeries:
-    """t_a^k exact below N: t^(k q^d) over the k-th power of the unit.
+def t_sub(a: PolyT, N: int, k: int = 1) -> TSeries:
+    """t_a^k, with t_a = t(az) = 1/rho_a(1/t), as a series exact below order N.
 
-    The unit 1 + sum_{j<d} c_j t^(q^d - q^j) has at most d + 1 terms; its
+    For monic a of degree d, t_a is t^(q^d) over the unit
+    1 + sum_{j<d} c_j t^(q^d - q^j), so nu_infinity(t_a) = q^d.  The unit's
     k-th power is taken as a series truncated at N - k q^d and inverted once.
+    E sums t_a (k = 1) and g sums t_a^(q-1).
     """
+    if a.is_zero() or a.lead() != 1:
+        raise ValueError("t_sub needs a monic polynomial")
     cfg = a.cfg
-    rho = carlitz(a)
-    d = rho.degree
+    d = a.degree
     base = k * cfg.q**d
     if base >= N:
         return TSeries.zero(cfg, N)
     M = N - base
-    unit = TSeries(cfg, M, {cfg.q**d - cfg.q**j: c for j, c in enumerate(rho.coeffs)})
+    rho = carlitz(a)
+    unit = TSeries(cfg, M, {cfg.q**d - cfg.q**j: RatT(cfg, c) for j, c in enumerate(rho)})
     inv = _invert_unit(cfg, {s: v for s, v in (unit**k).terms.items() if s}, M)
     return TSeries(cfg, N, {base + n: v for n, v in inv.items()})
 
@@ -320,7 +289,7 @@ def expand_g(cfg: FieldConfig, N: int) -> TSeries:
     d = 0
     while cfg.q**d * (q - 1) < N:
         for a in _monic_polys(cfg, d):
-            total = total + _t_sub_pow(a, N, q - 1)
+            total = total + t_sub(a, N, q - 1)
         d += 1
     bracket1 = RatT(cfg, d_power(1, 1, cfg))
     return TSeries.one(cfg, N) - total.scale(bracket1)
@@ -428,23 +397,16 @@ def evaluate(f: QmPoly, N: int) -> TSeries:
     cfg = f.cfg
     E, g, h = expand_E(cfg, N), expand_g(cfg, N), expand_h(cfg, N)
     pows = {}
-
-    def power(base_name, base, n):
-        if n == 0:
-            return None
-        key = (base_name, n)
-        v = pows.get(key)
-        if v is None:
-            v = base**n
-            pows[key] = v
-        return v
-
     total = TSeries.zero(cfg, N)
-    for (a, b, c), v in f.terms.items():
+    for mono, v in f.terms.items():
         term = None
-        for part in (power("E", E, a), power("g", g, b), power("h", h, c)):
-            if part is not None:
-                term = part if term is None else term * part
+        for i, (base, n) in enumerate(zip((E, g, h), mono)):
+            if n == 0:
+                continue
+            part = pows.get((i, n))
+            if part is None:
+                part = pows[i, n] = base**n
+            term = part if term is None else term * part
         if term is None:
             term = TSeries.one(cfg, N)
         total = total + term.scale(v)

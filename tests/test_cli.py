@@ -242,12 +242,22 @@ def test_cmd_verify_json_determinism(capsys):
         (["field", "--p", "2", "--e", "0"], "e must be positive"),
         (["field", "--p", "2", "--e", "-1"], "e must be positive"),
         (["field", "--p", "4"], "not prime"),
+        (["field", "--q", "4", "--p", "3", "--e", "5", "--modulus", "1,0,1"],
+         "conflicting field flags --q, --p"),
+        (["field", "--q", "4", "--field-file", "{tmp}/no-p.cfg"],
+         "conflicting field flags --q, --field-file"),
+        (["field", "--p", "3", "--field-file", "{tmp}/no-p.cfg"],
+         "conflicting field flags --p, --field-file"),
+        (["field", "--q", "4", "--e", "2"], "--e and --modulus need --p"),
+        (["field", "--q", "4", "--modulus", "1,1,1"], "--e and --modulus need --p"),
+        (["field", "--e", "2"], "--e and --modulus need --p"),
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
          "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check",
          "order-below-leading-terms", "order-zero", "order-zero-one-check", "n-max-zero",
          "n-max-negative", "ideal-n-max-zero", "order-below-series-commutation",
-         "e-zero", "e-negative", "p-not-prime"],
+         "e-zero", "e-negative", "p-not-prime", "q-and-p", "q-and-field-file",
+         "p-and-field-file", "e-without-p", "modulus-without-p", "e-alone"],
 )
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")

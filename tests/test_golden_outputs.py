@@ -13,16 +13,25 @@ q = 2..9, every weight w <= 10(q-1), every type m and every k <= 2 with
 p^k <= limit.  It was computed with the fraction-free Bareiss solver,
 before Gauss-Jordan elimination over canonical F_q(T) replaced it; the
 pivot columns of a reduced row echelon form are unique, so the normalised
-kernel vectors are too.
+kernel vectors are too.  A third digest covers the ``linear_solve`` kernels
+of D_1 on the depth-filtered slices ``qm_basis(w, m, l)``, l = 1, 2, where
+most multi-term solutions live.
+
+The last two digests pin the foundations the rest is built on: the add,
+mul, neg, inv and frob tables of F_q, and ``str`` of the lattice-sum
+expansions of E, g and h.  Both were computed while F_q's tables were
+filled through a separate F_p[x] arithmetic and the Carlitz coefficients
+through a table of rho_{T^i}.
 """
 
 import hashlib
 
 import pytest
 
-from dqmf.algebra import FieldConfig
+from dqmf.algebra import FieldConfig, linear_solve
 from dqmf.hyperd import DerivationEngine
-from dqmf.qmring import QmPoly
+from dqmf.qmring import QmPoly, qm_basis
+from dqmf.tseries import expand_E, expand_g, expand_h
 from dqmf.verify import h_power_quotients
 
 # q -> (weight bound W, order bound N, sha256)
@@ -83,3 +92,66 @@ def _kernel_digest():
 
 def test_kernel_on_modular_matches_the_pinned_digest():
     assert _kernel_digest() == KERNEL_GOLDEN
+
+
+DEPTH_KERNEL_GOLDEN = "3e1688c9932e3d761f7e440f13865d082419ed17aeb9253cb4248cac8f147336"
+
+
+def test_depth_slice_kernels_match_the_pinned_digest():
+    """Kernels of D_1 on qm_basis(w, m, l), l = 1, 2, w <= 4(q+1), q = 2..9.
+
+    Each vector is checked to be killed by D_1 through the engine, and the
+    count of multi-term vectors is pinned so the digest keeps covering them.
+    """
+    h = hashlib.sha256()
+    count = multi = 0
+    for q in KERNEL_FIELDS:
+        cfg = FieldConfig.from_q(q)
+        engine = DerivationEngine(cfg)
+        for w in range(1, 4 * (q + 1) + 1):
+            for m in range(max(q - 1, 1)):
+                for l in (1, 2):
+                    basis = qm_basis(w, m, l, cfg)
+                    if not basis:
+                        continue
+                    images = [engine.derive(QmPoly.monomial(cfg, *b), 1) for b in basis]
+                    keys = sorted({mono for img in images for mono in img.terms})
+                    rows = [[img.terms.get(k, cfg.rat_zero) for img in images] for k in keys]
+                    _, kernel = linear_solve(rows or [[cfg.rat_zero] * len(basis)])
+                    for vec in kernel:
+                        f = QmPoly(cfg, {b: x for x, b in zip(vec, basis)})
+                        assert engine.derive(f, 1).is_zero(), (q, w, m, l, str(f))
+                        count += 1
+                        multi += len(f.terms) > 1
+                        h.update(f"{q} {w} {m} {l} {f}\n".encode())
+    assert (count, multi) == (168, 60)
+    assert h.hexdigest() == DEPTH_KERNEL_GOLDEN
+
+
+# (p, e, modulus): the shipped fields, then three with explicit moduli
+TABLE_FIELDS = [(2, 1, None), (3, 1, None), (2, 2, None), (5, 1, None), (7, 1, None),
+                (2, 3, None), (3, 2, None),
+                (2, 4, (1, 1, 0, 0, 1)), (5, 2, (2, 1, 1)), (3, 3, (1, 2, 0, 1))]
+TABLE_GOLDEN = "a2a3a7cbbcae67e45823bd875b572372857048e02e55585d18bf1e9ff56e2f2e"
+
+
+def test_field_tables_match_the_pinned_digest():
+    h = hashlib.sha256()
+    for p, e, modulus in TABLE_FIELDS:
+        cfg = FieldConfig(p, e, modulus)
+        for name in ("add", "mul", "neg", "inv", "frob"):
+            h.update(f"{p} {e} {cfg.modulus} {name} {getattr(cfg, name)}\n".encode())
+    assert h.hexdigest() == TABLE_GOLDEN
+
+
+SERIES_POINTS = [(2, 60), (3, 60), (4, 100), (5, 100), (7, 60), (8, 80), (9, 90)]
+SERIES_GOLDEN = "234ccf1aac59c28087d4da289f6329f06918e8d3beb217769149f2bcb218fb19"
+
+
+def test_lattice_expansions_match_the_pinned_digest():
+    h = hashlib.sha256()
+    for q, N in SERIES_POINTS:
+        cfg = FieldConfig.from_q(q)
+        for name, expand in (("E", expand_E), ("g", expand_g), ("h", expand_h)):
+            h.update(f"{q} {N} {name} {expand(cfg, N)}\n".encode())
+    assert h.hexdigest() == SERIES_GOLDEN
