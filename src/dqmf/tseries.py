@@ -8,9 +8,9 @@ Horner recurrence in T, and ``t_sub(a, N, k)`` gives t_a^k for the E
 derivative follows the convolution formula with the alpha coefficients
 (sums of 1/(d_{i_1}...d_{i_r}) over ways of writing the order as r
 q-powers), so derivative identities checked against the engine are
-genuinely two-route.  The series product accumulates each t-coefficient
-once, over the common denominator of the operands, walking only the
-nonzero terms of their numerators.
+genuinely two-route.  Every series product is a call of one kernel,
+``_sum_of_products``, which canonicalises each t-coefficient of a sum of
+products once; ``TSeries *``, ``evaluate`` and ``hyper_derive`` call it.
 """
 
 from __future__ import annotations
@@ -70,80 +70,34 @@ class TSeries:
     def __eq__(self, other):
         return (
             isinstance(other, TSeries)
+            and self.cfg is other.cfg
             and self.order == other.order
             and self.terms == other.terms
         )
 
     def __add__(self, other):
+        if other.cfg is not self.cfg:
+            raise ValueError("series over different fields")
         order = min(self.order, other.order)
-        out = TSeries(self.cfg, order)
         t = {n: v for n, v in self.terms.items() if n < order}
         for n, v in other.terms.items():
-            if n >= order:
-                continue
-            cur = t.get(n)
-            s = v if cur is None else cur + v
-            if s.is_zero():
-                t.pop(n, None)
-            else:
-                t[n] = s
-        out.terms = t
-        return out
+            if n < order:
+                t[n] = t[n] + v if n in t else v
+        return TSeries(self.cfg, order, t)
 
     def __neg__(self):
-        out = TSeries(self.cfg, self.order)
-        out.terms = {n: -v for n, v in self.terms.items()}
-        return out
+        return TSeries(self.cfg, self.order, {n: -v for n, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, RatT):
-            return self.scale(other)
-        cfg = self.cfg
-        order = min(self.order, other.order)
-        dx, xs = _cleared(self, order)
-        dy, ys = _cleared(other, order)
-        add, mul = cfg.add, cfg.mul
-        # one raw F_q[T] coefficient list per t-exponent, over dx * dy
-        acc = {}
-        for n1, deg1, t1 in xs:
-            for n2, deg2, t2 in ys:
-                n = n1 + n2
-                if n >= order:
-                    break
-                out = acc.get(n)
-                if out is None:
-                    out = acc[n] = [0] * (deg1 + deg2 + 1)
-                elif len(out) <= deg1 + deg2:
-                    out.extend([0] * (deg1 + deg2 + 1 - len(out)))
-                for i, x in t1:
-                    row = mul[x]
-                    for j, y in t2:
-                        k = i + j
-                        out[k] = add[out[k]][row[y]]
-        den = dx * dy
-        terms = {}
-        for n, c in acc.items():
-            num = PolyT(cfg, c)
-            if num.c:
-                terms[n] = RatT._raw(cfg, num, den) if den.is_one() else RatT(cfg, num, den)
-        res = TSeries(cfg, order)
-        res.terms = terms
-        return res
-
-    def scale(self, coeff: RatT):
-        out = TSeries(self.cfg, self.order)
-        if not coeff.is_zero():
-            out.terms = {n: v * coeff for n, v in self.terms.items()}
-        return out
+            other = TSeries(self.cfg, self.order, {0: other})
+        return _sum_of_products(self.cfg, min(self.order, other.order), [(self, other)])
 
     def scale_int(self, k: int):
-        out = TSeries(self.cfg, self.order)
-        if k % self.cfg.p:
-            out.terms = {n: v.scale_int(k) for n, v in self.terms.items()}
-        return out
+        return TSeries(self.cfg, self.order, {n: v.scale_int(k) for n, v in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -174,20 +128,57 @@ class TSeries:
         }
 
 
-def _cleared(s: TSeries, order: int):
-    """(D, terms) for the coefficients of s below order, over their lcm D.
+def _cleared(s: TSeries, order: int, common: PolyT):
+    """The coefficients of s below order as numerators over ``common``.
 
-    ``terms`` holds (n, deg N_n, [(exponent, code), ...]) sorted by n, where
-    N_n = a_n * D and only the nonzero coefficients of N_n are listed.
+    Returns (n, deg N_n, [(exponent, code), ...]) sorted by n, where
+    N_n = a_n * common and only the nonzero coefficients of N_n are listed;
+    ``common`` must be a multiple of every denominator of s below order.
     """
-    cfg = s.cfg
-    live = sorted((n, v) for n, v in s.terms.items() if n < order)
-    common = common_denominator(cfg, (v for _, v in live))
     out = []
-    for n, v in live:
+    for n, v in sorted(s.terms.items()):
+        if n >= order:
+            break
         num = v.num if v.den.c == common.c else v.num * common.exact_div(v.den)
         out.append((n, num.degree, [(i, x) for i, x in enumerate(num.c) if x]))
-    return common, out
+    return out
+
+
+def _sum_of_products(cfg: FieldConfig, order: int, pairs) -> TSeries:
+    """The sum of x * y over TSeries pairs (x, y) of exact operands, below order.
+
+    All left operands are cleared over one common denominator Dx, all right
+    ones over another, Dy, and every numerator product is convolved into one
+    raw F_q[T] code list per t-exponent over Dx * Dy; the constructor then
+    reduces each list to a canonical RatT once.
+    """
+    pairs = list(pairs)
+    for x, y in pairs:
+        if x.cfg is not cfg or y.cfg is not cfg:
+            raise ValueError("series over different fields")
+    dx = common_denominator(cfg, (v for x, _ in pairs for n, v in x.terms.items() if n < order))
+    dy = common_denominator(cfg, (v for _, y in pairs for n, v in y.terms.items() if n < order))
+    add, mul = cfg.add, cfg.mul
+    acc = {}
+    for x, y in pairs:
+        ys = _cleared(y, order, dy)
+        for n1, deg1, t1 in _cleared(x, order, dx):
+            for n2, deg2, t2 in ys:
+                n = n1 + n2
+                if n >= order:
+                    break
+                out = acc.get(n)
+                if out is None:
+                    out = acc[n] = [0] * (deg1 + deg2 + 1)
+                elif len(out) <= deg1 + deg2:
+                    out.extend([0] * (deg1 + deg2 + 1 - len(out)))
+                for i, u in t1:
+                    row = mul[u]
+                    for j, w in t2:
+                        out[i + j] = add[out[i + j]][row[w]]
+    den = dx * dy
+    make = RatT._raw if den.is_one() else RatT
+    return TSeries(cfg, order, {n: make(cfg, PolyT(cfg, c), den) for n, c in acc.items()})
 
 
 def nu_infinity(s: TSeries):
@@ -272,7 +263,7 @@ def expand_E(cfg: FieldConfig, N: int) -> TSeries:
     d = 0
     while cfg.q**d < N:
         for a in _monic_polys(cfg, d):
-            total = total + t_sub(a, N).scale(RatT(cfg, a))
+            total = total + t_sub(a, N) * RatT(cfg, a)
         d += 1
     return total
 
@@ -292,7 +283,7 @@ def expand_g(cfg: FieldConfig, N: int) -> TSeries:
             total = total + t_sub(a, N, q - 1)
         d += 1
     bracket1 = RatT(cfg, d_power(1, 1, cfg))
-    return TSeries.one(cfg, N) - total.scale(bracket1)
+    return TSeries.one(cfg, N) - total * bracket1
 
 
 @functools.cache
@@ -356,58 +347,52 @@ def hyper_derive(s: TSeries, i: int) -> TSeries:
     sum_{r=1}^{n-1} (-1)^(i+r) C(n-1, r) alpha(r, i) a_{n-r}.
 
     The output keeps the input truncation order (the formula only consumes
-    coefficients below n).  D_1 specializes to t^m -> m t^(m+1).
+    coefficients below n).  D_1 specializes to t^m -> m t^(m+1).  The kernel
+    sums (-1)^(i+r) alpha(r, i) times sum_m C(m+r-1, r) a_m t^(m+r) over r.
     """
     if i < 0:
         raise ValueError("derivative order must be >= 0")
     if i == 0:
         return s
-    cfg = s.cfg
-    out = {}
-    p = cfg.p
-    r = 1
-    while r < s.order - 1:
+    cfg, order, p = s.cfg, s.order, s.cfg.p
+    pairs = []
+    for r in range(1, order - 1):
         al = alpha(r, i, cfg)
-        if not al.is_zero():
-            sign_al = al if (i + r) % 2 == 0 else -al
-            for m, a in s.terms.items():
-                if m == 0:
-                    continue
-                n = m + r
-                if n >= s.order:
-                    continue
-                bm = binom_mod_p(n - 1, r, p)
-                if bm == 0:
-                    continue
-                term = (sign_al * a).scale_int(bm)
-                cur = out.get(n)
-                v = term if cur is None else cur + term
-                if v.is_zero():
-                    out.pop(n, None)
-                else:
-                    out[n] = v
-        r += 1
-    res = TSeries(cfg, s.order)
-    res.terms = out
-    return res
+        if al.is_zero():
+            continue
+        sign_al = al if (i + r) % 2 == 0 else -al
+        shifted = {m + r: a.scale_int(binom_mod_p(m + r - 1, r, p)) for m, a in s.terms.items()}
+        pairs.append((TSeries(cfg, order, {0: sign_al}), TSeries(cfg, order, shifted)))
+    return _sum_of_products(cfg, order, pairs)
+
+
+_EXPANSIONS = {"E": expand_E, "g": expand_g, "h": expand_h}
+
+
+@functools.cache
+def _gen_power(cfg: FieldConfig, N: int, gen: str, n: int) -> TSeries:
+    """gen^n below N for gen in "Egh", as gen^(n-1) * gen (the expansion is sparse).
+
+    Powers at multiples of 128 below n are built first, bottom-up, so a miss
+    recurses at most 128 levels before it reaches a cached power.
+    """
+    if n == 0:
+        return TSeries.one(cfg, N)
+    for k in range(128, n - 1, 128):
+        _gen_power(cfg, N, gen, k)
+    return _gen_power(cfg, N, gen, n - 1) * _EXPANSIONS[gen](cfg, N)
 
 
 def evaluate(f: QmPoly, N: int) -> TSeries:
-    """The substitution homomorphism sending E, g, h to their expansions."""
+    """The substitution homomorphism sending E, g, h to their expansions:
+    the kernel sums each coefficient times its product of generator powers."""
     cfg = f.cfg
-    E, g, h = expand_E(cfg, N), expand_g(cfg, N), expand_h(cfg, N)
-    pows = {}
-    total = TSeries.zero(cfg, N)
+    pairs = []
     for mono, v in f.terms.items():
         term = None
-        for i, (base, n) in enumerate(zip((E, g, h), mono)):
-            if n == 0:
-                continue
-            part = pows.get((i, n))
-            if part is None:
-                part = pows[i, n] = base**n
-            term = part if term is None else term * part
-        if term is None:
-            term = TSeries.one(cfg, N)
-        total = total + term.scale(v)
-    return total
+        for gen, n in zip("Egh", mono):
+            if n:
+                part = _gen_power(cfg, N, gen, n)
+                term = part if term is None else term * part
+        pairs.append((TSeries(cfg, N, {0: v}), TSeries.one(cfg, N) if term is None else term))
+    return _sum_of_products(cfg, N, pairs)

@@ -25,14 +25,16 @@ through a table of rho_{T^i}.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from dqmf.algebra import FieldConfig, linear_solve
 from dqmf.hyperd import DerivationEngine
-from dqmf.qmring import QmPoly, qm_basis
-from dqmf.tseries import expand_E, expand_g, expand_h
-from dqmf.verify import h_power_quotients
+from dqmf.qmring import QmPoly, monomial_signature, qm_basis
+from dqmf.suite import series_check_orders
+from dqmf.tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive
+from dqmf.verify import h_power_quotients, random_ratt
 
 # q -> (weight bound W, order bound N, sha256)
 GOLDEN = {
@@ -155,3 +157,47 @@ def test_lattice_expansions_match_the_pinned_digest():
         for name, expand in (("E", expand_E), ("g", expand_g), ("h", expand_h)):
             h.update(f"{q} {N} {name} {expand(cfg, N)}\n".encode())
     assert h.hexdigest() == SERIES_GOLDEN
+
+
+EVAL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
+EVAL_GOLDEN = "3f8a4ea31b7ef6dead37c175d870817be3a387e6d2af9287444aab9e82acd796"
+
+
+def _mixed_isobaric(cfg, rng):
+    """Up to six monomials of one random weight slice, every coefficient a
+    random nonzero fraction, so the denominators differ from term to term."""
+    a, b, c = rng.randint(0, 2), rng.randint(0, 2), rng.randint(1, 2)
+    sig = monomial_signature(cfg, a, b, c)
+    basis = qm_basis(sig.w, sig.m, sig.w // 2, cfg)
+    terms = {}
+    for mono in rng.sample(basis, min(6, len(basis))):
+        v = cfg.rat_zero
+        while v.is_zero():
+            v = random_ratt(cfg, rng, 2)
+        terms[mono] = v
+    return QmPoly(cfg, terms)
+
+
+def test_series_evaluation_and_derivative_match_the_pinned_digest():
+    """``evaluate`` of seeded random isobaric f and of ``engine.derive(f, n)``, and
+    ``hyper_derive`` of the expansions of E, g and h, at N = q^2 + q + 2 and
+    every order of ``series_check_orders``.  Computed while ``evaluate``
+    scaled and added one monomial at a time and ``hyper_derive`` took one
+    RatT product and sum per (r, m) term."""
+    h = hashlib.sha256()
+    for q in EVAL_FIELDS:
+        cfg = FieldConfig.from_q(q)
+        engine = DerivationEngine(cfg)
+        N = q * q + q + 2
+        orders = [n for n in series_check_orders(cfg) if n <= engine.limit]
+        rng = random.Random(q)
+        for k in range(3):
+            f = _mixed_isobaric(cfg, rng)
+            h.update(f"{q} f{k} {evaluate(f, N)}\n".encode())
+            for n in orders:
+                h.update(f"{q} f{k} {n} {evaluate(engine.derive(f, n), N)}\n".encode())
+        for name, expand in (("E", expand_E), ("g", expand_g), ("h", expand_h)):
+            s = expand(cfg, N)
+            for n in orders:
+                h.update(f"{q} {name} {n} {hyper_derive(s, n)}\n".encode())
+    assert h.hexdigest() == EVAL_GOLDEN

@@ -1,11 +1,14 @@
 """Series oracle tests: Carlitz action, lattice expansions, the alpha
-coefficients, the series divided derivative and the evaluation map."""
+coefficients, the series divided derivative, the evaluation map and the
+sum-of-products kernel behind all series products."""
 
+import ast
 import random
 
 import pytest
 
-from dqmf.algebra import FieldConfig, PolyT, RatT, d_power
+from dqmf import tseries
+from dqmf.algebra import FieldConfig, PolyT, RatT, binom_mod_p, d_power
 from dqmf.qmring import QmPoly
 from dqmf.tseries import (
     TSeries,
@@ -19,7 +22,7 @@ from dqmf.tseries import (
     nu_infinity,
     t_sub,
 )
-from dqmf.tseries import _monic_polys
+from dqmf.tseries import _gen_power, _monic_polys, _sum_of_products
 from dqmf.verify import random_ratt
 
 
@@ -363,6 +366,39 @@ def test_series_product_matches_pairwise(q, kind):
         assert prod.terms == _pairwise_product(x, y)
 
 
+def _pairwise_sum_of_products(cfg, order, pairs):
+    """Reference: pairwise RatT products, summed term by term below order."""
+    out = {}
+    for x, y in pairs:
+        for n, v in _pairwise_product(x, y).items():
+            if n < order:
+                out[n] = out.get(n, cfg.rat_zero) + v
+    return {n: v for n, v in out.items() if not v.is_zero()}
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS, ids=lambda q: f"q{q}")
+def test_kernel_matches_pairwise_on_several_pairs(q):
+    """Mixed denominators on both sides, operands of unequal orders at or
+    above the kernel's order, whole cancellation and the empty sum."""
+    cfg = FieldConfig.from_q(q)
+    rng = random.Random(q * 7 + 3)
+    for _ in range(8):
+        order = rng.randint(1, 10)
+        pairs = [
+            (_random_series(cfg, rng, order + rng.randint(0, 4), "mixed"),
+             _random_series(cfg, rng, order + rng.randint(0, 4), "mixed"))
+            for _ in range(rng.randint(1, 4))
+        ]
+        got = _sum_of_products(cfg, order, iter(pairs))
+        assert got.cfg is cfg and got.order == order
+        assert got.terms == _pairwise_sum_of_products(cfg, order, pairs)
+        x, y = pairs[0]
+        gone = _sum_of_products(cfg, order, pairs + [(-x, y) for x, y in pairs])
+        assert gone.terms == {} and gone.order == order
+    empty = _sum_of_products(cfg, 5, [])
+    assert empty == TSeries.zero(cfg, 5)
+
+
 @pytest.mark.parametrize("q", ALL_FIELDS, ids=lambda q: f"q{q}")
 def test_series_product_zero_and_cancellation(q):
     cfg = FieldConfig.from_q(q)
@@ -378,6 +414,156 @@ def test_series_product_zero_and_cancellation(q):
     prod = a * b
     assert prod.terms == {0: cfg.rat_one, 2: -(u * u)}
     assert prod.terms == _pairwise_product(a, b)
+
+
+# ---------------------------------------------------------------------------
+# evaluate and hyper_derive against pairwise routes
+
+
+def _pairwise_evaluate(f, N):
+    """Reference: TSeries powers and products, one scaling and one sum per monomial."""
+    cfg = f.cfg
+    gens = (expand_E(cfg, N), expand_g(cfg, N), expand_h(cfg, N))
+    total = TSeries.zero(cfg, N)
+    for mono, v in f.terms.items():
+        term = TSeries.one(cfg, N)
+        for base, n in zip(gens, mono):
+            term = term * base**n
+        total = total + term * v
+    return total
+
+
+def _per_term_hyper_derive(s, i):
+    """Reference: one RatT product and one RatT sum per (r, m) term."""
+    cfg, p = s.cfg, s.cfg.p
+    if i == 0:
+        return s
+    out = {}
+    for r in range(1, s.order - 1):
+        al = alpha(r, i, cfg)
+        if al.is_zero():
+            continue
+        sign_al = al if (i + r) % 2 == 0 else -al
+        for m, a in s.terms.items():
+            n = m + r
+            if m == 0 or n >= s.order:
+                continue
+            bm = binom_mod_p(n - 1, r, p)
+            if bm:
+                out[n] = out.get(n, cfg.rat_zero) + (sign_al * a).scale_int(bm)
+    return TSeries(cfg, s.order, out)
+
+
+def _mixed_element(cfg, rng, terms=5):
+    """Random monomials of degree <= 3 with random fractions as coefficients."""
+    f = QmPoly.zero(cfg)
+    for _ in range(terms):
+        mono = tuple(rng.randint(0, 3) for _ in range(3))
+        v = random_ratt(cfg, rng, 2)
+        if not v.is_zero():
+            f.terms[mono] = v
+    return f
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS, ids=lambda q: f"q{q}")
+def test_evaluate_matches_the_pairwise_route(q):
+    cfg = FieldConfig.from_q(q)
+    rng = random.Random(q + 41)
+    for N in (1, 7, q * q + 2):
+        for _ in range(3):
+            f = _mixed_element(cfg, rng)
+            assert evaluate(f, N) == _pairwise_evaluate(f, N)
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS, ids=lambda q: f"q{q}")
+def test_hyper_derive_matches_the_per_term_loop(q):
+    cfg = FieldConfig.from_q(q)
+    rng = random.Random(q + 43)
+    N = q * q + q + 2
+    series = [expand_E(cfg, N), expand_g(cfg, N), expand_h(cfg, N),
+              _random_series(cfg, rng, N, "mixed"), _random_series(cfg, rng, 3, "rational")]
+    for s in series:
+        for i in sorted({0, 1, 2, q - 1, q, q + 1, 2 * q, q * q, rng.randint(1, 3 * q)}):
+            assert hyper_derive(s, i) == _per_term_hyper_derive(s, i), (str(s), i)
+
+
+def test_power_cache_separates_fields_and_orders():
+    """Two moduli of F_9 and two truncation orders at one field each get
+    their own generator powers."""
+    fields = [FieldConfig(3, 2, (1, 0, 1)), FieldConfig(3, 2, (2, 1, 1))]
+    assert fields[0] is not fields[1]
+    for cfg in fields:
+        for N in (12, 30):
+            for mono, base in (((3, 0, 0), expand_E), ((0, 2, 0), expand_g), ((0, 0, 2), expand_h)):
+                n = max(mono)
+                got = evaluate(QmPoly.monomial(cfg, *mono), N)
+                assert got.cfg is cfg and got.order == N
+                assert got == base(cfg, N) ** n
+                assert _gen_power(cfg, N, "Egh"[mono.index(n)], n) == got
+
+
+def test_mutating_a_result_does_not_reach_the_caches(cfg):
+    N = 15
+    for mono in ((1, 0, 0), (0, 1, 0), (2, 0, 1), (0, 0, 0)):
+        f = QmPoly.monomial(cfg, *mono)
+        first = evaluate(f, N)
+        expected = str(first)
+        first.terms.clear()
+        first.terms[3] = cfg.rat_one
+        assert str(evaluate(f, N)) == expected
+        assert str(evaluate(f + f, N)) == str(_pairwise_evaluate(f + f, N))
+
+
+@pytest.mark.parametrize("q", [2, 4, 9], ids=lambda q: f"q{q}")
+def test_huge_generator_powers_do_not_recurse(q):
+    cfg = FieldConfig.from_q(q)
+    N = 10
+    for mono, base in (((0, 5000, 0), expand_g), ((5000, 0, 0), expand_E)):
+        assert evaluate(QmPoly.monomial(cfg, *mono), N) == base(cfg, N) ** 5000
+
+
+# ---------------------------------------------------------------------------
+# series over different fields
+
+
+def test_series_of_different_fields_never_mix():
+    F3, F4, F5 = (FieldConfig.from_q(q) for q in (3, 4, 5))
+    assert TSeries.zero(F3, 5) != TSeries.zero(F5, 5)
+    assert TSeries.one(F3, 5) != TSeries.one(F5, 5)
+    a, b = expand_E(F4, 10), expand_E(F5, 10)
+    with pytest.raises(ValueError):
+        a * b
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        a - b
+    with pytest.raises(ValueError):
+        _sum_of_products(F4, 10, [(a, a), (a, b)])
+    with pytest.raises(ValueError):
+        _sum_of_products(F5, 10, [(b, b), (a, b)])
+
+
+# ---------------------------------------------------------------------------
+# independence of the oracle
+
+
+def test_tseries_borrows_nothing_from_the_engine():
+    """The series oracle may import the arithmetic and the ring's element
+    type, never the engine, its kernel or the checks built on it."""
+    tree = ast.parse(open(tseries.__file__, encoding="utf-8").read())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            imported.setdefault(module, set()).update(a.name for a in node.names)
+            if module in ("", "dqmf"):  # from . import hyperd
+                for a in node.names:
+                    imported.setdefault(a.name, set())
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                imported.setdefault(a.name.rsplit(".", 1)[-1], set())
+    assert not {"hyperd", "verify", "suite", "dqmf"} & set(imported), imported
+    assert imported["qmring"] == {"QmPoly"}
 
 
 def test_nu_infinity_basics(cfg):
