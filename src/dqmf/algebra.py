@@ -14,7 +14,9 @@ lcm and product of two denominators from ``_den_pair``, an LRU of 2^12
 entries keyed by the two PolyT denominators (and so by their field).  The
 engine's denominators are products of a few brackets, so a battery forms a
 few hundred distinct pairs and reuses each thousands of times;
-``_den_pair.cache_info()`` reports the traffic.
+``_den_pair.cache_info()`` reports the traffic.  A sum over one
+denominator is reduced by the constructor; ``+`` and ``*`` raise
+ValueError on values of two fields.
 """
 
 from __future__ import annotations
@@ -210,15 +212,21 @@ class FieldConfig:
             raise ValueError(f"field file {path} has no 'p =' line")
         p = int(vals["p"])
         e = int(vals.get("e", "1"))
-        modulus = None
-        if "modulus" in vals:
-            modulus = tuple(int(t) for t in vals["modulus"].replace(",", " ").split())
+        modulus = cls.parse_coefficients(vals["modulus"]) if "modulus" in vals else None
         return cls(p, e, modulus)
+
+    @staticmethod
+    def parse_coefficients(text: str) -> tuple:
+        """Integer coefficients separated by commas and/or spaces, e.g. "1, 0 1"."""
+        return tuple(int(t) for t in text.replace(",", " ").split())
+
+    def to_text(self) -> str:
+        """The three lines of a field file: p, e and the modulus low to high."""
+        return f"p = {self.p}\ne = {self.e}\nmodulus = " + " ".join(str(c) for c in self.modulus)
 
     def to_file(self, path):
         with open(path, "w") as fh:
-            fh.write(f"p = {self.p}\ne = {self.e}\n")
-            fh.write("modulus = " + " ".join(str(c) for c in self.modulus) + "\n")
+            fh.write(self.to_text() + "\n")
 
     def element(self, coords) -> "FqElem":
         if isinstance(coords, int):
@@ -572,22 +580,16 @@ class RatT:
         return not self.is_zero()
 
     def __add__(self, other):
+        cfg = self.cfg
+        if other.cfg is not cfg:
+            raise ValueError("rational functions over different fields")
         if self.num.is_zero():
             return other
         if other.num.is_zero():
             return self
-        cfg = self.cfg
         d1, d2 = self.den, other.den
         if d1.c == d2.c:
-            num = self.num + other.num
-            if num.is_zero():
-                return cfg.rat_zero
-            if d1.is_one():
-                return RatT._raw(cfg, num, d1)
-            g = num.gcd(d1)
-            if g.is_one():
-                return RatT._raw(cfg, num, d1)
-            return RatT._raw(cfg, num.exact_div(g), d1.exact_div(g))
+            return RatT(cfg, self.num + other.num, d1)
         if d1.is_one():
             return RatT._raw(cfg, self.num * d2 + other.num, d2)
         if d2.is_one():
@@ -598,7 +600,7 @@ class RatT:
             return RatT._raw(cfg, t, lcm)
         if t.is_zero():
             return cfg.rat_zero
-        # t is prime to d1r and d2r, so only g can share a factor with it
+        # t is prime to d1r and d2r, so a gcd with g alone, not the whole lcm, reduces it
         g2 = t.gcd(g)
         if g2.is_one():
             return RatT._raw(cfg, t, lcm)
@@ -614,11 +616,13 @@ class RatT:
 
     def __mul__(self, other):
         cfg = self.cfg
+        if other.cfg is not cfg:
+            raise ValueError("rational functions over different fields")
         if self.num.is_zero() or other.num.is_zero():
             return cfg.rat_zero
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        # cross-cancel so the product is canonical without a final gcd;
-        # skip when either side is a unit (constants cancel into nothing)
+        # cross-cancel: two gcds of small factors beat the constructor's gcd of the
+        # product; skip when either side is a unit (constants cancel into nothing)
         if len(n1.c) > 1 and len(d2.c) > 1:
             g = n1.gcd(d2)
             if not g.is_one():

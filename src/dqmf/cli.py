@@ -17,7 +17,7 @@ import sys
 from .algebra import FieldConfig, PolyT, RatT
 from .hyperd import _GENERATORS, DerivationEngine
 from .qmring import NotIsobaric, QmPoly, grading, qm_basis
-from .tseries import TSeries, evaluate, expand_E, expand_g, expand_h, hyper_derive
+from .tseries import _EXPANSIONS, TSeries, evaluate, hyper_derive
 from .verify import IDEAL_TAGS, IdealId, check_hyperstable
 
 __all__ = ["main", "parse_qmpoly", "parse_ratt", "ParseError", "qmpoly_from_json", "tseries_from_json"]
@@ -230,9 +230,7 @@ def _field_from_args(args) -> FieldConfig:
     if args.q is not None:
         return FieldConfig.from_q(args.q)
     if args.p is not None:
-        modulus = None
-        if args.modulus:
-            modulus = tuple(int(x) for x in args.modulus.replace(",", " ").split())
+        modulus = FieldConfig.parse_coefficients(args.modulus) if args.modulus else None
         return FieldConfig(args.p, 1 if args.e is None else args.e, modulus)
     raise ValueError("specify a field with --q, --p/--e/--modulus, or --field-file")
 
@@ -262,9 +260,8 @@ def _cmd_derive(args):
 
 def _cmd_expand(args):
     cfg = _field_from_args(args)
-    builders = {"E": expand_E, "g": expand_g, "h": expand_h}
-    if args.gen in builders:
-        s = builders[args.gen](cfg, args.order)
+    if args.gen in _EXPANSIONS:
+        s = _EXPANSIONS[args.gen](cfg, args.order)
     else:
         s = evaluate(parse_qmpoly(cfg, args.gen), args.order)
     if args.n:
@@ -342,9 +339,7 @@ def _cmd_field(args):
     if args.json:
         print(json.dumps(_field_json(cfg)))
     else:
-        print(f"p = {cfg.p}")
-        print(f"e = {cfg.e}")
-        print("modulus = " + " ".join(str(c) for c in cfg.modulus))
+        print(cfg.to_text())
     return 0
 
 

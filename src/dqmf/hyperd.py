@@ -132,11 +132,11 @@ class DerivationEngine:
             raise OrderOutOfRange(f"order {n} outside [0, {self.limit}]")
 
     def d_generator(self, gen: str, n: int) -> QmPoly:
-        """D_n of a single generator, any 0 <= n <= limit."""
+        """D_n of a single generator, any 0 <= n <= limit, as a copy of the memo entry."""
         if gen not in _GENERATORS:
             raise ValueError(f"unknown generator {gen!r}")
         self._check_order(n)
-        return self._derive_monomial(_GENERATORS[gen], n)
+        return QmPoly(self.cfg, self._derive_monomial(_GENERATORS[gen], n).terms)
 
     def _derive_monomial(self, mono: tuple, n: int) -> QmPoly:
         """D_n(E^a g^b h^c): table or digit step, squaring, else Leibniz peel."""
@@ -193,10 +193,8 @@ class DerivationEngine:
         return out
 
     def derive(self, f: QmPoly, n: int) -> QmPoly:
-        """D_n f for any f in K[E,g,h], 0 <= n <= limit."""
+        """D_n f for any f in K[E,g,h], 0 <= n <= limit, as a fresh element."""
         self._check_order(n)
-        if n == 0:
-            return f
         out = QmPoly.zero(self.cfg)
         for mono, v in f.terms.items():
             part = self._derive_monomial(mono, n)

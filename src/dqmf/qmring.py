@@ -16,7 +16,9 @@ through the RatT constructor, instead of canonicalising every product and
 every partial sum.  The output is canonical all the same: a sum of
 numerators over one unreduced denominator is exact, the constructor
 reduces it to the unique coprime form with a monic denominator, and the
-groups of one monomial are then merged by canonical RatT addition.
+groups of one monomial are then merged by canonical RatT addition; the
+QmPoly constructor drops the zeros.  ``+`` and the kernel (so ``*``) raise
+ValueError on elements of two fields.
 """
 
 from __future__ import annotations
@@ -137,6 +139,8 @@ class QmPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
+        if other.cfg is not self.cfg:
+            raise ValueError("elements of K[E,g,h] over different fields")
         out = QmPoly(self.cfg)
         t = dict(self.terms)
         for k, v in other.terms.items():
@@ -282,14 +286,16 @@ def sum_of_products(cfg: FieldConfig, pairs) -> QmPoly:
     Every term pair's numerator product is convolved straight into one raw
     F_q code list per (output monomial, denominator d1*d2), so no product
     is canonicalised on its own.  Each list then becomes one RatT through
-    the constructor, and the groups of a monomial are merged by RatT +.
-    The result is canonical: a sum of numerators over one unreduced
-    denominator is exact, and the constructor reduces it to the unique
-    coprime form with a monic denominator.
+    the constructor, the groups of a monomial are merged by RatT +, and the
+    QmPoly constructor drops the zeros.  The result is canonical: a sum of
+    numerators over one unreduced denominator is exact, and the constructor
+    reduces it to the unique coprime form with a monic denominator.
     """
     add, mul = cfg.add, cfg.mul
     groups = {}  # denominator coefficients -> (denominator, {monomial: raw numerator})
     for x, y in pairs:
+        if x.cfg is not cfg or y.cfg is not cfg:
+            raise ValueError("elements of K[E,g,h] over different fields")
         right = {}  # y's terms by denominator: one _den_pair lookup per group
         for k, v in y.terms.items():
             right.setdefault(v.den.c, (v.den, []))[1].append((k, v.num.c, len(v.num.c)))
@@ -324,16 +330,8 @@ def sum_of_products(cfg: FieldConfig, pairs) -> QmPoly:
     for den, accs in groups.values():
         for k, acc in accs.items():
             v = RatT(cfg, PolyT(cfg, acc), den)
-            cur = out.get(k)
-            if cur is not None:
-                v = cur + v
-            if v.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = v
-    res = QmPoly(cfg)
-    res.terms = out
-    return res
+            out[k] = out[k] + v if k in out else v
+    return QmPoly(cfg, out)
 
 
 def monomial_signature(cfg, a, b, c) -> GradingSignature:
@@ -472,23 +470,12 @@ def associated_polynomial(f: QmPoly) -> DepthPoly:
     p = cfg.p
     l = max((k[0] for k in f.terms), default=0)
     coeffs = [QmPoly.zero(cfg) for _ in range(l + 1)]
+    # distinct terms of f land on distinct monomials (a - j, b, c) of each Y^j
     for (a, b, c), v in f.terms.items():
         for j in range(a + 1):
             bm = binom_mod_p(a, j, p)
-            if bm == 0:
-                continue
-            cur = coeffs[j]
-            k = (a - j, b, c)
-            add = v.scale_int(bm)
-            old = cur.terms.get(k)
-            if old is None:
-                cur.terms[k] = add
-            else:
-                s = old + add
-                if s.is_zero():
-                    del cur.terms[k]
-                else:
-                    cur.terms[k] = s
+            if bm:
+                coeffs[j].terms[(a - j, b, c)] = v.scale_int(bm)
     return DepthPoly(cfg, coeffs)
 
 

@@ -226,7 +226,9 @@ CHECKS = {
 
 
 def run_suite(cfg, n_max=32, order=None, seed=20260808, names=None):
-    selected = names or list(CHECKS)
+    selected = list(CHECKS) if names is None else list(names)
+    if not selected:
+        raise ValueError("empty check selection: name at least one check")
     for name in selected:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")

@@ -8,9 +8,11 @@ Horner recurrence in T, and ``t_sub(a, N, k)`` gives t_a^k for the E
 derivative follows the convolution formula with the alpha coefficients
 (sums of 1/(d_{i_1}...d_{i_r}) over ways of writing the order as r
 q-powers), so derivative identities checked against the engine are
-genuinely two-route.  Every series product is a call of one kernel,
-``_sum_of_products``, which canonicalises each t-coefficient of a sum of
-products once; ``TSeries *``, ``evaluate`` and ``hyper_derive`` call it.
+genuinely two-route.  Every series sum and product is a call of one
+kernel, ``_sum_of_products``, which canonicalises each t-coefficient of a
+sum of products once: ``TSeries +`` and ``*``, the E and g lattice sums,
+``evaluate`` and ``hyper_derive`` call it.  No result shares a dict with a
+cache: ``expand_E/g/h`` and ``hyper_derive(s, 0)`` return copies.
 """
 
 from __future__ import annotations
@@ -76,14 +78,9 @@ class TSeries:
         )
 
     def __add__(self, other):
-        if other.cfg is not self.cfg:
-            raise ValueError("series over different fields")
         order = min(self.order, other.order)
-        t = {n: v for n, v in self.terms.items() if n < order}
-        for n, v in other.terms.items():
-            if n < order:
-                t[n] = t[n] + v if n in t else v
-        return TSeries(self.cfg, order, t)
+        one = TSeries.one(self.cfg, order)
+        return _sum_of_products(self.cfg, order, [(self, one), (other, one)])
 
     def __neg__(self):
         return TSeries(self.cfg, self.order, {n: -v for n, v in self.terms.items()})
@@ -256,42 +253,50 @@ def _monic_polys(cfg, d: int):
     return tuple(PolyT(cfg, tail + (1,)) for tail in product(range(cfg.q), repeat=d))
 
 
+def _lattice_sum(cfg: FieldConfig, N: int, k: int, weight) -> TSeries:
+    """Sum over monic a of weight(a) * t_a^k below N, every pair in one kernel
+    call (t_a^k is O(t^N) once k q^deg(a) >= N)."""
+    pairs = []
+    d = 0
+    while k * cfg.q**d < N:
+        pairs += [(t_sub(a, N, k), TSeries(cfg, N, {0: weight(a)})) for a in _monic_polys(cfg, d)]
+        d += 1
+    return _sum_of_products(cfg, N, pairs)
+
+
 @functools.cache
+def _expansion(cfg: FieldConfig, N: int, gen: str) -> TSeries:
+    """The expansion of gen in "Egh" below N, cached and read by the generator
+    powers; the public builders below hand out copies of it."""
+    if gen == "E":
+        return _lattice_sum(cfg, N, 1, lambda a: RatT(cfg, a))
+    if gen == "g":
+        total = _lattice_sum(cfg, N, cfg.q - 1, lambda a: cfg.rat_one)
+        return TSeries.one(cfg, N) - total * RatT(cfg, d_power(1, 1, cfg))
+    g, E = _expansion(cfg, N, "g"), _expansion(cfg, N, "E")
+    return -(hyper_derive(g, 1) + E * g)
+
+
 def expand_E(cfg: FieldConfig, N: int) -> TSeries:
     """E as the lattice sum over monic a of a * t_a, truncated below N."""
-    total = TSeries.zero(cfg, N)
-    d = 0
-    while cfg.q**d < N:
-        for a in _monic_polys(cfg, d):
-            total = total + t_sub(a, N) * RatT(cfg, a)
-        d += 1
-    return total
+    return TSeries(cfg, N, _expansion(cfg, N, "E").terms)
 
 
-@functools.cache
 def expand_g(cfg: FieldConfig, N: int) -> TSeries:
     """g = 1 - [1] * sum over monic a of t_a^(q-1), truncated below N.
 
     The degree-zero lattice layer is normalized to the constant 1, which
     pins the leading coefficient; the monic layers are summed honestly.
     """
-    q = cfg.q
-    total = TSeries.zero(cfg, N)
-    d = 0
-    while cfg.q**d * (q - 1) < N:
-        for a in _monic_polys(cfg, d):
-            total = total + t_sub(a, N, q - 1)
-        d += 1
-    bracket1 = RatT(cfg, d_power(1, 1, cfg))
-    return TSeries.one(cfg, N) - total * bracket1
+    return TSeries(cfg, N, _expansion(cfg, N, "g").terms)
 
 
-@functools.cache
 def expand_h(cfg: FieldConfig, N: int) -> TSeries:
     """h = -(D_1 g + E g): the one definitional equation on the series side."""
-    g = expand_g(cfg, N)
-    E = expand_E(cfg, N)
-    return -(hyper_derive(g, 1) + E * g)
+    return TSeries(cfg, N, _expansion(cfg, N, "h").terms)
+
+
+_EXPANSIONS = {"E": expand_E, "g": expand_g, "h": expand_h}
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +358,7 @@ def hyper_derive(s: TSeries, i: int) -> TSeries:
     if i < 0:
         raise ValueError("derivative order must be >= 0")
     if i == 0:
-        return s
+        return TSeries(s.cfg, s.order, s.terms)
     cfg, order, p = s.cfg, s.order, s.cfg.p
     pairs = []
     for r in range(1, order - 1):
@@ -364,9 +369,6 @@ def hyper_derive(s: TSeries, i: int) -> TSeries:
         shifted = {m + r: a.scale_int(binom_mod_p(m + r - 1, r, p)) for m, a in s.terms.items()}
         pairs.append((TSeries(cfg, order, {0: sign_al}), TSeries(cfg, order, shifted)))
     return _sum_of_products(cfg, order, pairs)
-
-
-_EXPANSIONS = {"E": expand_E, "g": expand_g, "h": expand_h}
 
 
 @functools.cache
@@ -380,7 +382,7 @@ def _gen_power(cfg: FieldConfig, N: int, gen: str, n: int) -> TSeries:
         return TSeries.one(cfg, N)
     for k in range(128, n - 1, 128):
         _gen_power(cfg, N, gen, k)
-    return _gen_power(cfg, N, gen, n - 1) * _EXPANSIONS[gen](cfg, N)
+    return _gen_power(cfg, N, gen, n - 1) * _expansion(cfg, N, gen)
 
 
 def evaluate(f: QmPoly, N: int) -> TSeries:

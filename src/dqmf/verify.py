@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from .algebra import PolyT, RatT, binom_mod_p
-from .hyperd import DerivationEngine
+from .hyperd import _GENERATORS, DerivationEngine
 from .qmring import (
     NotIsobaric, QmPoly, grading, monomial_signature, qm_basis, rankin_bracket, sum_of_products,
 )
@@ -156,7 +156,7 @@ def rankin_stability_probe(engine: DerivationEngine, M: QmPoly, ideal: IdealId) 
     cfg = engine.cfg
     grading(M)  # raises NotIsobaric on mixed input, per the contract
     d_of = {gen: rankin_bracket(QmPoly.monomial(cfg, *expo), M)
-            for gen, expo in (("E", (1, 0, 0)), ("g", (0, 1, 0)), ("h", (0, 0, 1)))}
+            for gen, expo in _GENERATORS.items()}
     samples = [
         QmPoly.monomial(cfg, 1, 1, 1),
         QmPoly.monomial(cfg, 2, 0, 1),

@@ -3,6 +3,7 @@ Lucas binomials, brackets, and the exact linear solver."""
 
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -307,6 +308,16 @@ def test_ratt_equality_compares_the_field():
 
     assert QmPoly.gen_E(f3) != QmPoly.gen_E(f5)
     assert QmPoly.gen_E(f3) == QmPoly.gen_E(FieldConfig.from_q(3))
+    # arithmetic across fields is an error, never a value in the first field
+    # (F_4.rat_one + F_5.rat_one used to come out 0); zero takes no shortcut
+    f4 = FieldConfig.from_q(4)
+    for a, b in ((f4.rat_one, f5.rat_one), (f5.rat_one, f4.rat_one), (f4.rat_zero, f5.rat_one),
+                 (f4.rat_one, f5.rat_zero)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError):
+                op(a, b)
+    with pytest.raises(ValueError):
+        f4.rat_one / f5.rat_one
 
 
 # RatT products and sums take denominators from the _den_pair cache; these

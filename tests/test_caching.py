@@ -15,12 +15,15 @@ from dqmf.algebra import (
     d_power,
 )
 from dqmf.suite import run_suite
-from dqmf.tseries import alpha, expand_E
+from dqmf.tseries import _expansion, alpha, expand_E
 
 
 def test_repeated_calls_return_the_cached_object(cfg):
     q = cfg.q
-    assert expand_E(cfg, q + 3) is expand_E(cfg, q + 3)
+    # the expansion cache sits behind expand_E, which hands out copies
+    assert _expansion(cfg, q + 3, "E") is _expansion(cfg, q + 3, "E")
+    assert expand_E(cfg, q + 3) == _expansion(cfg, q + 3, "E")
+    assert expand_E(cfg, q + 3) is not _expansion(cfg, q + 3, "E")
     assert d_power(2, 3, cfg) is d_power(2, 3, cfg)
     assert not alpha(1, q, cfg).is_zero()
     assert alpha(1, q, cfg) is alpha(1, q, cfg)

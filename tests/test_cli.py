@@ -187,6 +187,16 @@ def test_cmd_field_file(tmp_path, capsys):
     assert rc == 0 and "p = 3" in out and "modulus = 1 0 1" in out
 
 
+def test_cmd_field_prints_the_field_file(tmp_path, capsys):
+    """`dqmf field` and FieldConfig.to_file write the same three lines, and
+    --modulus splits its coefficients as a field file does."""
+    FieldConfig(3, 2, (2, 1, 1)).to_file(tmp_path / "f.cfg")
+    assert main(["field", "--p", "3", "--e", "2", "--modulus", "2, 1 1"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "f.cfg").read_text()
+    assert main(["field", "--field-file", str(tmp_path / "f.cfg")]) == 0
+    assert capsys.readouterr().out == (tmp_path / "f.cfg").read_text()
+
+
 def test_cmd_verify_small_field(capsys):
     rc = main(["verify", "--q", "4", "--n-max", "8",
                "--suite", "generator_tables", "munu_congruence"])
@@ -251,13 +261,14 @@ def test_cmd_verify_json_determinism(capsys):
         (["field", "--q", "4", "--e", "2"], "--e and --modulus need --p"),
         (["field", "--q", "4", "--modulus", "1,1,1"], "--e and --modulus need --p"),
         (["field", "--e", "2"], "--e and --modulus need --p"),
+        (["verify", "--q", "4", "--suite"], "empty check selection"),
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
          "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check",
          "order-below-leading-terms", "order-zero", "order-zero-one-check", "n-max-zero",
          "n-max-negative", "ideal-n-max-zero", "order-below-series-commutation",
          "e-zero", "e-negative", "p-not-prime", "q-and-p", "q-and-field-file",
-         "p-and-field-file", "e-without-p", "modulus-without-p", "e-alone"],
+         "p-and-field-file", "e-without-p", "modulus-without-p", "e-alone", "empty-suite"],
 )
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")

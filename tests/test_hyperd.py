@@ -7,7 +7,9 @@ import random
 import pytest
 
 from dqmf.algebra import FieldConfig, RatT, binom_mod_p, d_power
-from dqmf.hyperd import DerivationEngine, OrderOutOfRange, depth_drop, generator_table
+from dqmf.hyperd import (
+    _GENERATORS, DerivationEngine, OrderOutOfRange, depth_drop, generator_table,
+)
 from dqmf.qmring import (
     QmPoly,
     associated_polynomial,
@@ -85,6 +87,27 @@ def test_derive_is_identity_at_zero(engine):
     rng = random.Random(1)
     f = random_isobaric(engine.cfg, rng, 12)
     assert engine.derive(f, 0) == f
+
+
+@pytest.mark.parametrize("q", [4, 5], ids=lambda q: f"q{q}")
+def test_mutating_a_result_does_not_reach_the_memo(q):
+    """d_generator and derive return fresh elements, never a memo entry or
+    the input (D_0 f included).  A private engine keeps a failure local."""
+    cfg = FieldConfig.from_q(q)
+    engine = DerivationEngine(cfg)
+    for gen, mono in _GENERATORS.items():
+        f = QmPoly.monomial(cfg, *mono)
+        for n in (0, 1, q, q + 1, 5):
+            expected = str(engine.d_generator(gen, n))
+            engine.d_generator(gen, n).terms.clear()
+            engine.derive(f, n).terms.clear()
+            assert str(engine.d_generator(gen, n)) == expected
+            assert str(engine.derive(f, n)) == expected
+        assert str(f) == gen
+    g = random_isobaric(cfg, random.Random(q), 12)
+    expected = str(g)
+    engine.derive(g, 0).terms.clear()
+    assert str(g) == expected and engine.derive(g, 0) == g
 
 
 def test_E_power_rule(engine, q):

@@ -1,6 +1,7 @@
 """Grading, bases, depth polynomials, Rankin brackets and the Serre-style
 derivative on K[E,g,h]."""
 
+import operator
 import random
 
 import pytest
@@ -279,6 +280,18 @@ def test_equality_compares_the_field():
     assert DepthPoly(f3, []) != DepthPoly(f5, [])
     assert DepthPoly(f3, []) == DepthPoly(f3, [QmPoly.zero(f3)])
     assert associated_polynomial(QmPoly.gen_E(f3)) != associated_polynomial(QmPoly.gen_E(f5))
+    # arithmetic across fields is an error: E over F_4 plus E over F_5 used
+    # to print 0, and products ran on the first field's tables
+    f4 = FieldConfig.from_q(4)
+    e4, e5 = QmPoly.gen_E(f4), QmPoly.gen_E(f5)
+    for a, b in ((e4, e5), (e5, e4), (QmPoly.zero(f4), e5), (e4, QmPoly.zero(f5))):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError):
+                op(a, b)
+    for cfg, pairs in ((f4, [(e4, e4), (e4, e5)]), (f4, [(e5, e4)]), (f5, [(e4, e4)]),
+                       (f4, [(e4, QmPoly.zero(f5))])):
+        with pytest.raises(ValueError):
+            sum_of_products(cfg, pairs)
 
 
 # sum_of_products against a pairwise reference that canonicalises every

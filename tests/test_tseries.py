@@ -512,6 +512,16 @@ def test_mutating_a_result_does_not_reach_the_caches(cfg):
         first.terms[3] = cfg.rat_one
         assert str(evaluate(f, N)) == expected
         assert str(evaluate(f + f, N)) == str(_pairwise_evaluate(f + f, N))
+    # the expansions and D_0 hand out copies, never the cached series
+    for mono, build in (((1, 0, 0), expand_E), ((0, 1, 0), expand_g), ((0, 0, 1), expand_h)):
+        first = build(cfg, N)
+        expected = str(first)
+        hyper_derive(first, 0).terms.clear()
+        assert str(first) == expected
+        first.terms.clear()
+        assert str(build(cfg, N)) == expected
+        assert str(hyper_derive(build(cfg, N), 0)) == expected
+        assert str(evaluate(QmPoly.monomial(cfg, *mono), N)) == expected
 
 
 @pytest.mark.parametrize("q", [2, 4, 9], ids=lambda q: f"q{q}")
