@@ -2,7 +2,6 @@
 
 from .algebra import (
     FieldConfig,
-    FqElem,
     InconsistentSystem,
     PolyT,
     RatT,

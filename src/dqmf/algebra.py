@@ -1,11 +1,12 @@
 """Exact arithmetic foundation: F_p, F_q = F_{p^e}, F_q[T], F_q(T).
 
-Everything downstream computes with these types.  Field elements are packed
-into small ints (base-p digit vectors) and multiplied through precomputed
-tables, so the polynomial kernels never allocate element objects in hot
-loops.  The tables are filled from the monic modulus m alone: multiplying
-by x shifts the digits up and subtracts the top digit times m, and
-a*b = sum_i b_i (x^i a); Frobenius is p lookups in the product table.
+Everything downstream computes with these types.  An element of F_q is an
+int code (its base-p digits are its coordinates) into the precomputed
+``add``/``mul``/``neg``/``inv``/``frob`` tables; there is no element type.
+``FieldConfig.code`` packs coordinates and ``code_str`` prints a code.  The
+tables are filled from the monic modulus m alone: multiplying by x shifts
+the digits up and subtracts the top digit times m, and a*b = sum_i b_i
+(x^i a); Frobenius is p lookups in the product table.
 Rational functions are kept in canonical form (coprime, monic denominator)
 at all times, which makes equality syntactic.
 
@@ -24,11 +25,9 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 
 __all__ = [
     "FieldConfig",
-    "FqElem",
     "PolyT",
     "RatT",
     "InconsistentSystem",
@@ -228,67 +227,20 @@ class FieldConfig:
         with open(path, "w") as fh:
             fh.write(self.to_text() + "\n")
 
-    def element(self, coords) -> "FqElem":
-        if isinstance(coords, int):
-            return FqElem(self, coords % self.q)
-        c = list(coords)
-        if len(c) != self.e:
+    def code(self, coords) -> int:
+        """The code of the element with these e coordinates in the power basis."""
+        if len(coords) != self.e:
             raise ValueError(f"need exactly {self.e} coordinates")
-        return FqElem(self, self._encode(c))
+        return self._encode(coords)
 
-    def elements(self):
-        return [FqElem(self, i) for i in range(self.q)]
+    def code_str(self, code: int) -> str:
+        """Prime-subfield codes print bare, the others as their coordinates [c0,...]."""
+        if code < self.p:
+            return str(code)
+        return "[" + ",".join(str(c) for c in self._decode(code)) + "]"
 
     def __repr__(self):
         return f"FieldConfig(p={self.p}, e={self.e}, modulus={list(self.modulus)})"
-
-
-@dataclass(frozen=True)
-class FqElem:
-    """An element of F_q: a length-e coordinate vector packed into ``code``."""
-
-    cfg: FieldConfig
-    code: int
-
-    @property
-    def coords(self):
-        return tuple(self.cfg._decode(self.code))
-
-    def __add__(self, other):
-        return FqElem(self.cfg, self.cfg.add[self.code][other.code])
-
-    def __sub__(self, other):
-        return FqElem(self.cfg, self.cfg.add[self.code][self.cfg.neg[other.code]])
-
-    def __neg__(self):
-        return FqElem(self.cfg, self.cfg.neg[self.code])
-
-    def __mul__(self, other):
-        return FqElem(self.cfg, self.cfg.mul[self.code][other.code])
-
-    def __truediv__(self, other):
-        if other.code == 0:
-            raise ZeroDivisionError("division by zero in F_q")
-        return FqElem(self.cfg, self.cfg.mul[self.code][self.cfg.inv[other.code]])
-
-    def __pow__(self, n):
-        base = self
-        if n < 0:
-            if self.code == 0:
-                raise ZeroDivisionError("inverting zero in F_q")
-            base, n = FqElem(self.cfg, self.cfg.inv[self.code]), -n
-        return power(base, n, FqElem(self.cfg, 1))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __str__(self):
-        # prime-subfield elements print bare; proper extension elements as tuples
-        if self.code < self.cfg.p:
-            return str(self.code)
-        return "[" + ",".join(str(c) for c in self.coords) + "]"
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +400,7 @@ class PolyT:
         for i, x in enumerate(self.c):
             if not x:
                 continue
-            cs = str(FqElem(cfg, x))
+            cs = cfg.code_str(x)
             if i == 0:
                 parts.append(cs)
             else:

@@ -17,7 +17,7 @@ import sys
 from .algebra import FieldConfig, PolyT, RatT
 from .hyperd import _GENERATORS, DerivationEngine
 from .qmring import NotIsobaric, QmPoly, grading, qm_basis
-from .tseries import _EXPANSIONS, TSeries, evaluate, hyper_derive
+from .tseries import TSeries, evaluate, hyper_derive
 from .verify import IDEAL_TAGS, IdealId, check_hyperstable
 
 __all__ = ["main", "parse_qmpoly", "parse_ratt", "ParseError", "qmpoly_from_json", "tseries_from_json"]
@@ -156,8 +156,7 @@ class _Parser:
         if isinstance(t, int):
             return QmPoly.from_scalar(cfg, t)
         if isinstance(t, tuple):
-            code = cfg.element(list(t[1])).code
-            return QmPoly.from_scalar(cfg, RatT(cfg, PolyT(cfg, (code,))))
+            return QmPoly.from_scalar(cfg, RatT(cfg, PolyT(cfg, (cfg.code(t[1]),))))
         if t == "(":
             out = self.sum()
             if self.take() != ")":
@@ -260,10 +259,7 @@ def _cmd_derive(args):
 
 def _cmd_expand(args):
     cfg = _field_from_args(args)
-    if args.gen in _EXPANSIONS:
-        s = _EXPANSIONS[args.gen](cfg, args.order)
-    else:
-        s = evaluate(parse_qmpoly(cfg, args.gen), args.order)
+    s = evaluate(parse_qmpoly(cfg, args.gen), args.order)
     if args.n:
         s = hyper_derive(s, args.n)
     if args.json:

@@ -24,7 +24,8 @@ square in as the pair (D_{n/2}(x^k)/2, D_{n/2}(x^k)) before the factor 2,
 2 being invertible for odd p.  A single engine
 instance keeps one memo keyed by (monomial, order); one engine per thread is
 safe, since engines share only the per-field functools caches of ``algebra``
-(brackets, d_i powers, gcds), which are thread-safe.
+(brackets, d_i powers, gcds and the ``_den_pair`` LRU of denominator pairs),
+which are thread-safe.
 """
 
 from __future__ import annotations
@@ -294,7 +295,7 @@ class DerivationEngine:
             base = monomial_signature(self.cfg, *mono)
             if s.w != base.w + 2 * n:
                 raise AssertionError(f"D_{n} of {mono} has weight {s.w}")
-            if q != 2 and s.m != (base.m + n) % (q - 1):
+            if s.m != (base.m + n) % (q - 1):
                 raise AssertionError(f"D_{n} of {mono} has type {s.m}")
             if s.l > base.l + n:
                 raise AssertionError(f"D_{n} of {mono} has depth {s.l}")

@@ -338,7 +338,7 @@ def monomial_signature(cfg, a, b, c) -> GradingSignature:
     q = cfg.q
     return GradingSignature(
         w=2 * a + (q - 1) * b + (q + 1) * c,
-        m=(a + c) % (q - 1) if q > 2 else 0,
+        m=(a + c) % (q - 1),
         l=a,
     )
 
@@ -378,10 +378,10 @@ def isobaric_decompose(f: QmPoly):
 def modular_basis(w: int, m: int, cfg: FieldConfig):
     """Monomials g^b h^c with (q-1)b + (q+1)c = w and c = m mod q-1, sorted by b."""
     q = cfg.q
-    mm = m % (q - 1) if q > 2 else 0
+    mm = m % (q - 1)
     sols = []
     for c in range(0, w // (q + 1) + 1):
-        if q > 2 and c % (q - 1) != mm:
+        if c % (q - 1) != mm:
             continue
         rest = w - c * (q + 1)
         if rest % (q - 1) == 0:

@@ -296,9 +296,6 @@ def expand_h(cfg: FieldConfig, N: int) -> TSeries:
     return TSeries(cfg, N, _expansion(cfg, N, "h").terms)
 
 
-_EXPANSIONS = {"E": expand_E, "g": expand_g, "h": expand_h}
-
-
 # ---------------------------------------------------------------------------
 # The series-level divided derivative.
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from dqmf.algebra import (
     DEFAULT_MODULI,
     FieldConfig,
-    FqElem,
     InconsistentSystem,
     PolyT,
     RatT,
@@ -34,7 +33,7 @@ def all_default_fields():
 
 
 # ---------------------------------------------------------------------------
-# FieldConfig / FqElem
+# FieldConfig and its element tables
 
 
 def test_prime_check():
@@ -88,29 +87,55 @@ def test_from_q_rejects_non_prime_powers():
 
 @pytest.mark.parametrize("field", all_default_fields(), ids=lambda c: f"q{c.q}")
 def test_field_axioms_exhaustive(field):
-    """Full associativity/distributivity sweep; feasible since q <= 9."""
-    els = field.elements()
-    zero, one = els[0], field.element(1)
+    """Full associativity/distributivity sweep of the tables; feasible since q <= 9."""
+    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
+    els = range(field.q)
     for a in els:
-        assert a + zero == a
-        assert a * one == a
-        assert a + (-a) == zero
+        assert add[a][0] == a
+        assert mul[a][1] == a
+        assert add[a][neg[a]] == 0
         if a:
-            assert a * (one / a) == one
+            assert mul[a][inv[a]] == 1
     for a in els:
         for b in els:
-            assert a + b == b + a
-            assert a * b == b * a
+            assert add[a][b] == add[b][a]
+            assert mul[a][b] == mul[b][a]
             for c in els:
-                assert (a + b) + c == a + (b + c)
-                assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
+                assert add[add[a][b]][c] == add[a][add[b][c]]
+                assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
 @pytest.mark.parametrize("field", all_default_fields(), ids=lambda c: f"q{c.q}")
 def test_frobenius_fixed_points(field):
-    for a in field.elements():
-        assert a ** field.q == a
+    # frob is x -> x^p, so its e-th iterate is x -> x^q, the identity on F_q
+    for a in range(field.q):
+        y = a
+        for _ in range(field.e):
+            y = field.frob[y]
+        assert y == a
+        acc = 1
+        for _ in range(field.q):
+            acc = field.mul[acc][a]
+        assert acc == a
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_code_packs_coordinates(q):
+    cfg = FieldConfig.from_q(q)
+    assert [cfg.code(divmod(n, cfg.p)[::-1]) for n in range(q)] == list(range(q))
+    assert cfg.code([cfg.p + 1, -1]) == cfg.code([1, cfg.p - 1])
+    for coords in ([], [1], [1, 0, 0]):
+        with pytest.raises(ValueError, match="need exactly 2 coordinates"):
+            cfg.code(coords)
+
+
+def test_code_str_prints_prime_subfield_bare():
+    f4, f9 = FieldConfig.from_q(4), FieldConfig.from_q(9)
+    assert [f4.code_str(c) for c in range(4)] == ["0", "1", "[0,1]", "[1,1]"]
+    assert [f9.code_str(c) for c in (0, 1, 2)] == ["0", "1", "2"]
+    assert [f9.code_str(c) for c in (3, 5, 8)] == ["[0,1]", "[2,1]", "[2,2]"]
+    assert str(PolyT(f9, (5, 1, 3))) == "[2,1] + T + [0,1]*T^2"
 
 
 def test_field_config_file_roundtrip(tmp_path):
@@ -519,11 +544,10 @@ def _pow_samples(cfg):
         ),
         "TSeries": (TSeries(cfg, 12, {0: u, 1: T, 3: cfg.rat_one, 7: u * T}),
                     TSeries.one(cfg, 12)),
-        "FqElem": (FqElem(cfg, cfg.q - 1), FqElem(cfg, 1)),
     }
 
 
-@pytest.mark.parametrize("kind", ["PolyT", "RatT", "QmPoly", "TSeries", "FqElem"])
+@pytest.mark.parametrize("kind", ["PolyT", "RatT", "QmPoly", "TSeries"])
 def test_pow_matches_repeated_product(cfg, kind):
     x, one = _pow_samples(cfg)[kind]
     acc = one

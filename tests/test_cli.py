@@ -3,6 +3,8 @@ and exit codes."""
 
 import json
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,3 +286,18 @@ def test_large_integer_exponent_reduces_mod_p(capsys):
     rc = main(["derive", "--q", "5", "3^99999999 E", "0"])
     assert rc == 0
     assert capsys.readouterr().out.splitlines()[0] == "2 E"
+
+
+# ---------------------------------------------------------------------------
+# the README's command examples
+
+
+def test_readme_command_examples_run(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert lines and all(line.startswith("dqmf ") for line in lines)
+    for line in lines:
+        expected = 1 if line.startswith("dqmf ideal --q 5 g --n-max 4") else 0
+        assert main(shlex.split(line, comments=True)[1:]) == expected, line
+        assert capsys.readouterr().out, line

@@ -7,7 +7,7 @@ import pytest
 
 from dqmf.algebra import FieldConfig
 from dqmf.hyperd import DerivationEngine
-from dqmf.qmring import QmPoly
+from dqmf.qmring import QmPoly, sum_of_products
 from dqmf.suite import CHECKS
 from dqmf.verify import (
     IdealId,
@@ -21,6 +21,8 @@ from dqmf.verify import (
     random_ratt,
     weight_divisibility_check,
 )
+
+from conftest import engine_for
 
 
 def _rand_d(cfg, rng):
@@ -258,6 +260,23 @@ def test_h_power_quotient_negative(engine, q):
                 acc = acc + engine.derive(hm, j) * quotients[r - j]
             # acc = h^m * sum ... / h^m must vanish
             assert acc.is_zero()
+
+
+@pytest.mark.parametrize(
+    "q", [pytest.param(3, marks=pytest.mark.experimental), 4, 5, 7, 9], ids=lambda q: f"q{q}"
+)
+def test_negative_h_powers_match_the_convolution_of_h_inverse(q):
+    """The quotient sequence of h^-m, the inverse of h^m's, equals the m-fold
+    Leibniz convolution D_r(xy)/xy = sum_i (D_i x/x)(D_(r-i) y/y) of h^-1's."""
+    engine = engine_for(q)
+    cfg = engine.cfg
+    r_max = min(24, engine.limit)
+    u = h_power_quotients(engine, -1, r_max)
+    conv = u
+    for m in (2, 3):
+        conv = [sum_of_products(cfg, ((conv[i], u[r - i]) for i in range(r + 1)))
+                for r in range(r_max + 1)]
+        assert h_power_quotients(engine, -m, r_max) == conv, m
 
 
 def test_stability_report_json(engine):
