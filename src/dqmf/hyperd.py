@@ -14,14 +14,23 @@ This is the Leibniz rule on y*y, y = x^k, with the equal products of the
 pairs (r, n-r) and (n-r, r) merged, so it holds in every characteristic; it
 halves the products behind E^{q-1}, h^2 and h^3.  At p = 2 the sum vanishes
 and only the Frobenius term is left.  Any other monomial, and every power at
-p = 2, is a Leibniz convolution that peels off one p-power atom of its first
-generator at a time, so that Frobenius sparsity (D_m of a p^k-th power
-vanishes unless p^k | m) keeps the convolutions short.  Each convolution
-collects its (left, right) pairs and makes one ``qmring.sum_of_products``
-call per (monomial, order), which canonicalises each output coefficient
-once rather than once per product; the squaring rule folds its middle
-square in as the pair (D_{n/2}(x^k)/2, D_{n/2}(x^k)) before the factor 2,
-2 being invertible for odd p.  A single engine
+p = 2, is a Leibniz convolution that peels off one p-power atom x^{p^k} of
+one generator at a time, so that Frobenius sparsity (D_m of a p^k-th power
+vanishes unless p^k | m) keeps the convolutions short.  The atom is E's
+lowest one, or h's when E and g are absent.  When E and g are both present,
+g's lowest atom is peeled instead if fewer of its left factors can be
+nonzero: D_j g vanishes unless j = 0 or 1 mod q, while D_j E never does, so
+g's atom counts the j <= n/p^k with j = 0 or 1 mod q against n/p^k + 1 for
+E's (ties go to E).  The count is only a cost estimate: every left factor
+D_{r/p^k}(x) is read first, and an order r whose left factor is zero is
+skipped without deriving the rest, so a wrong estimate costs time, never
+correctness.
+
+Each convolution collects its (left, right) pairs and makes one
+``qmring.sum_of_products`` call per (monomial, order), which canonicalises
+each output coefficient once rather than once per product; the squaring
+rule folds its middle square in as the pair (D_{n/2}(x^k)/2, D_{n/2}(x^k))
+before the factor 2, 2 being invertible for odd p.  A single engine
 instance keeps one memo keyed by (monomial, order); one engine per thread is
 safe, since engines share only the per-field functools caches of ``algebra``
 (brackets, d_i powers, gcds and the ``_den_pair`` LRU of denominator pairs),
@@ -132,6 +141,10 @@ class DerivationEngine:
         if n < 0 or n > self.limit:
             raise OrderOutOfRange(f"order {n} outside [0, {self.limit}]")
 
+    def _check_field(self, f):
+        if f.cfg is not self.cfg:
+            raise ValueError("element and engine over different fields")
+
     def d_generator(self, gen: str, n: int) -> QmPoly:
         """D_n of a single generator, any 0 <= n <= limit, as a copy of the memo entry."""
         if gen not in _GENERATORS:
@@ -177,24 +190,31 @@ class DerivationEngine:
             out = sum_of_products(self.cfg, pairs).scale_int(2)
         else:
             _, pos = _lowest_digit(mono[i], p)
+            if i == 0 and mono[1]:
+                # D_j g vanishes unless j = 0 or 1 mod q: of its j <= m = n/p^k,
+                # m//q + 1 + ceil(m/q) remain, against n/p^k + 1 for E's atom
+                _, pos_g = _lowest_digit(mono[1], p)
+                m, q = n // p**pos_g, self.cfg.q
+                if m // q + 1 + (m + q - 1) // q < n // p**pos + 1:
+                    i, pos, gen = 1, pos_g, _GENERATORS["g"]
             pk = p**pos
             rest = mono[:i] + (mono[i] - pk,) + mono[i + 1:]
             # D_r(gen^{p^pos}) = (D_{r/p^pos} gen)^{p^pos}, zero unless p^pos | r
             pairs = []
             for r in range(0, n + 1, pk):
-                right = self._derive_monomial(rest, n - r)
-                if right.is_zero():
-                    continue
                 left = self._derive_monomial(gen, r // pk)
-                if pos:
-                    left = left.frobenius_pow(pos)
-                pairs.append((left, right))
+                if left.is_zero():
+                    continue
+                right = self._derive_monomial(rest, n - r)
+                if not right.is_zero():
+                    pairs.append((left.frobenius_pow(pos) if pos else left, right))
             out = sum_of_products(self.cfg, pairs)
         self._memo[key] = out
         return out
 
     def derive(self, f: QmPoly, n: int) -> QmPoly:
         """D_n f for any f in K[E,g,h], 0 <= n <= limit, as a fresh element."""
+        self._check_field(f)
         self._check_order(n)
         out = QmPoly.zero(self.cfg)
         for mono, v in f.terms.items():
@@ -214,6 +234,7 @@ class DerivationEngine:
         Coefficient of Y^j is sum_r C(n + w + r - j - 1, r) D_{n-r} P_{j-r};
         equals associated_polynomial(derive(f, n)).
         """
+        self._check_field(P)
         self._check_order(n)
         cfg = self.cfg
         l = P.degree if not P.is_zero() else 0

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from dqmf import hyperd
 from dqmf.algebra import FieldConfig, RatT, binom_mod_p, d_power
 from dqmf.hyperd import (
     _GENERATORS, DerivationEngine, OrderOutOfRange, depth_drop, generator_table,
@@ -15,6 +16,7 @@ from dqmf.qmring import (
     associated_polynomial,
     grading,
     qm_basis,
+    sum_of_products,
 )
 from dqmf.suite import p_powers_upto
 from dqmf.verify import random_isobaric
@@ -108,6 +110,17 @@ def test_mutating_a_result_does_not_reach_the_memo(q):
     expected = str(g)
     engine.derive(g, 0).terms.clear()
     assert str(g) == expected and engine.derive(g, 0) == g
+
+
+def test_derive_rejects_an_element_of_another_field():
+    # constants and zero too: they carry their field but no generator
+    engine, cfg5 = engine_for(4), FieldConfig.from_q(5)
+    for f in (QmPoly.one(cfg5), QmPoly.zero(cfg5), QmPoly.gen_E(cfg5) + QmPoly.gen_g(cfg5)):
+        for n in (0, 1, 5):
+            with pytest.raises(ValueError, match="different fields"):
+                engine.derive(f, n)
+            with pytest.raises(ValueError, match="different fields"):
+                engine.transform_depth_poly(associated_polynomial(f), 2, n)
 
 
 def test_E_power_rule(engine, q):
@@ -499,3 +512,66 @@ def test_memo_check_covers_product_monomials():
     engine._memo[((1, 1, 0), 3)] = QmPoly.gen_E(cfg)
     with pytest.raises(AssertionError, match=r"D_3 of \(1, 1, 0\) has weight"):
         engine.check_memo_isobaric()
+
+
+def _E_peeled(engine, mono, n):
+    """D_n(E^a g^b h^c), a >= 1, by the Leibniz rule on E^{p^k} * rest, p^k
+    the lowest base-p place of a: the sum over p^k | r of
+    (D_{r/p^k} E)^{p^k} D_{n-r}(rest), each factor read from `engine`."""
+    cfg, p = engine.cfg, engine.cfg.p
+    a, b, c = mono
+    k = 0
+    while a % p**(k + 1) == 0:
+        k += 1
+    rest = QmPoly.monomial(cfg, a - p**k, b, c)
+    out = QmPoly.zero(cfg)
+    for r in range(0, n + 1, p**k):
+        out = out + engine.d_generator("E", r // p**k).frobenius_pow(k) * engine.derive(rest, n - r)
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_peeling_g_matches_peeling_E(q):
+    # every E^a g^b h^c with a, b >= 1 up to the weight of E g^p, whose g
+    # atom is a p-th power, so a peeled g atom's Frobenius twist is covered;
+    # the cap at weight 26 leaves E g^7 out at q = 7 only
+    cfg = FieldConfig.from_q(q)
+    engine, reference = DerivationEngine(cfg), DerivationEngine(cfg)
+    w_max = min(2 + cfg.p * (q - 1), 26)
+    monos = [(a, b, c) for a in range(1, w_max) for b in range(1, w_max) for c in range(w_max)
+             if 2 * a + (q - 1) * b + (q + 1) * c <= w_max]
+    for mono in monos:
+        f = QmPoly.monomial(cfg, *mono)
+        for n in range(min(engine.limit, 40) + 1):
+            assert engine.derive(f, n) == _E_peeled(reference, mono, n), (mono, n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_g_derivatives_vanish_unless_the_order_is_0_or_1_mod_q(q):
+    # the premise of peeling g: its atom has fewer nonzero left factors
+    engine = engine_for(q)
+    for n in range(min(engine.limit, 130) + 1):
+        if n % q not in (0, 1):
+            assert engine.d_generator("g", n).is_zero(), n
+
+
+def test_warm_up_term_pairs_stay_at_the_g_peel_count(monkeypatch):
+    """A q = 5 warm-up, every monomial of weight <= 20 at every order
+    1 <= n <= 32 (orders outermost), multiplies at most 111,251 term pairs
+    in the engine's kernel calls; an E-first peel makes 222,241."""
+    cfg = FieldConfig.from_q(5)
+    engine = DerivationEngine(cfg)
+    counted = []
+
+    def counting(cfg, pairs):
+        pairs = list(pairs)
+        counted.append(sum(len(x.terms) * len(y.terms) for x, y in pairs))
+        return sum_of_products(cfg, pairs)
+
+    monkeypatch.setattr(hyperd, "sum_of_products", counting)
+    monos = [(a, b, c) for a in range(11) for b in range(6) for c in range(4)
+             if 0 < 2 * a + 4 * b + 6 * c <= 20]
+    for n in range(1, 33):
+        for mono in monos:
+            engine.derive(QmPoly.monomial(cfg, *mono), n)
+    assert sum(counted) <= 111_251
