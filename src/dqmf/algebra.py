@@ -15,8 +15,14 @@ lcm and product of two denominators from ``_den_pair``, an LRU of 2^12
 entries keyed by the two PolyT denominators (and so by their field).  The
 engine's denominators are products of a few brackets, so a battery forms a
 few hundred distinct pairs and reuses each thousands of times;
-``_den_pair.cache_info()`` reports the traffic.  A sum over one
-denominator is reduced by the constructor; ``+`` and ``*`` raise
+``_den_pair.cache_info()`` reports the traffic.  A product first
+cross-cancels each numerator against the other factor's denominator through
+``_coprime_parts``, a third LRU of 2^12 entries, keyed the same way.  A warm
+``derive`` scales memo entries by request coefficients, so the same pairs
+come back: 20,000 warm requests cancel about 1,100 distinct (numerator,
+denominator) pairs 39,000 times.  Both LRUs take their gcds from
+``_monic_gcd``, the LRU of 2^18 entries behind ``PolyT.gcd``.  A sum over
+one denominator is reduced by the constructor; ``+`` and ``*`` raise
 ValueError on values of two fields.
 """
 
@@ -470,6 +476,19 @@ def _den_pair(d1, d2):
     return g, d1r, d2r, d1r * d2, d1 * d2
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _coprime_parts(n, d):
+    """(n/g, d/g) for g = gcd(n, d) of two nonconstant PolyT.
+
+    The cross-cancellation of a RatT product.  Like ``_den_pair`` it is keyed
+    by the PolyT values themselves, and so by their field.
+    """
+    g = n.gcd(d)
+    if g.is_one():
+        return n, d
+    return n.exact_div(g), d.exact_div(g)
+
+
 # ---------------------------------------------------------------------------
 # Rational functions over F_q in T, always canonical.
 
@@ -576,13 +595,9 @@ class RatT:
         # cross-cancel: two gcds of small factors beat the constructor's gcd of the
         # product; skip when either side is a unit (constants cancel into nothing)
         if len(n1.c) > 1 and len(d2.c) > 1:
-            g = n1.gcd(d2)
-            if not g.is_one():
-                n1, d2 = n1.exact_div(g), d2.exact_div(g)
+            n1, d2 = _coprime_parts(n1, d2)
         if len(n2.c) > 1 and len(d1.c) > 1:
-            g = n2.gcd(d1)
-            if not g.is_one():
-                n2, d1 = n2.exact_div(g), d1.exact_div(g)
+            n2, d1 = _coprime_parts(n2, d1)
         if d1.is_one():
             den = d2
         elif d2.is_one():

@@ -31,10 +31,11 @@ Each convolution collects its (left, right) pairs and makes one
 each output coefficient once rather than once per product; the squaring
 rule folds its middle square in as the pair (D_{n/2}(x^k)/2, D_{n/2}(x^k))
 before the factor 2, 2 being invertible for odd p.  A single engine
-instance keeps one memo keyed by (monomial, order); one engine per thread is
+instance keeps one memo keyed by (monomial, order), and ``stats()`` counts
+its entries and the hits and misses of its lookups; one engine per thread is
 safe, since engines share only the per-field functools caches of ``algebra``
-(brackets, d_i powers, gcds and the ``_den_pair`` LRU of denominator pairs),
-which are thread-safe.
+(brackets, d_i powers, gcds and the ``_den_pair`` and ``_coprime_parts``
+LRUs), which are thread-safe.
 """
 
 from __future__ import annotations
@@ -136,6 +137,7 @@ class DerivationEngine:
         self.cfg = cfg
         self.limit = cfg.p * cfg.q**2 - 1
         self._memo: dict = {}  # (monomial, order) -> D_order of that monomial
+        self._hits = self._misses = 0  # lookups of _memo in _derive_monomial
 
     def _check_order(self, n: int):
         if n < 0 or n > self.limit:
@@ -161,7 +163,9 @@ class DerivationEngine:
         key = (mono, n)
         out = self._memo.get(key)
         if out is not None:
+            self._hits += 1
             return out
+        self._misses += 1
         p = self.cfg.p
         i = 0 if mono[0] else 1 if mono[1] else 2  # the first generator present
         gen = _GENERATORS["Egh"[i]]
@@ -305,6 +309,10 @@ class DerivationEngine:
         return [QmPoly(cfg, {(0, b, c): x for x, (b, c) in zip(vec, basis)}) for vec in sols]
 
     # -- bookkeeping -------------------------------------------------------------
+
+    def stats(self) -> dict:
+        """Memo entries, and the hits and misses of the memo lookups so far."""
+        return {"entries": len(self._memo), "hits": self._hits, "misses": self._misses}
 
     def check_memo_isobaric(self):
         """Every memo entry D_n(mono) is isobaric with the grading n shifts mono's to."""

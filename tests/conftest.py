@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dqmf.algebra import FieldConfig, RatT, d_power
+from dqmf.algebra import FieldConfig, PolyT, RatT, d_power
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly
 
@@ -91,3 +91,25 @@ def expected_generator_value(cfg, gen, n):
         - mono(cfg, 0, 2 * q + 1, 2, inv_d2)
         - mono(cfg, 0, q, q + 1, d1 * inv_d2 + _inv_d(cfg, 1, q))
     )
+
+
+# RatT products and sums take denominators from the _den_pair cache and
+# cross-cancel through _coprime_parts; these references canonicalise through
+# the constructor (gcd and exact division)
+
+
+def _reference_mul(a, b):
+    return RatT(a.cfg, a.num * b.num, a.den * b.den)
+
+
+def _reference_add(a, b):
+    return RatT(a.cfg, a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def _ratio_of_linears(cfg, rng):
+    """A nonzero (a + bT)/(c + dT), the coefficient shape of warm requests."""
+    while True:
+        num = PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, 2))])
+        den = PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, 2))])
+        if num and den:
+            return RatT(cfg, num, den)

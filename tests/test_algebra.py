@@ -15,6 +15,7 @@ from dqmf.algebra import (
     InconsistentSystem,
     PolyT,
     RatT,
+    _coprime_parts,
     _den_pair,
     binom_mod_p,
     bracket,
@@ -23,6 +24,8 @@ from dqmf.algebra import (
     d_power,
     linear_solve,
 )
+
+from conftest import _reference_add, _reference_mul
 
 
 SHIPPED_Q = (2, 3, 4, 5, 7, 8, 9)
@@ -345,18 +348,6 @@ def test_ratt_equality_compares_the_field():
         f4.rat_one / f5.rat_one
 
 
-# RatT products and sums take denominators from the _den_pair cache; these
-# references canonicalise through the constructor (gcd and exact division)
-
-
-def _reference_mul(a, b):
-    return RatT(a.cfg, a.num * b.num, a.den * b.den)
-
-
-def _reference_add(a, b):
-    return RatT(a.cfg, a.num * b.den + b.num * a.den, a.den * b.den)
-
-
 def _differential_samples(cfg, rng):
     """RatT values over engine-shaped denominators (products of d_i^k) and
     random monic ones, with numerators that sometimes share a factor."""
@@ -405,6 +396,24 @@ def test_den_pair_results_stay_in_their_field():
         got[q] = ((a * a).den.c, (a + b).den.c)
     assert got[2] == ((1, 0, 1), (1, 0, 1))
     assert got[3] == ((1, 2, 1), (1, 1, 1, 1))
+
+
+def test_coprime_parts_results_stay_in_their_field():
+    """n = T + 1 and d = T^2 + 1 share codes in F_2 and F_3, but gcd(n, d) is
+    T + 1 only in F_2: a cancellation cached for one field must not serve the other."""
+    for order in ((2, 3), (3, 2)):
+        _coprime_parts.cache_clear()
+        got = {}
+        for q in order:
+            cfg = FieldConfig.from_q(q)
+            n, d = PolyT(cfg, (1, 1)), PolyT(cfg, (1, 0, 1))
+            a, b = RatT(cfg, n, cfg.poly_T), RatT(cfg, cfg.poly_T, d)
+            for x, y in ((a, b), (b, a)):
+                prod, ref = x * y, _reference_mul(x, y)
+                assert prod == ref and prod.num.cfg is cfg and prod.den.cfg is cfg
+            got[q] = ((a * b).num.c, (a * b).den.c)
+        assert got[2] == ((1,), (1, 1))
+        assert got[3] == ((1, 1), (1, 0, 1))
 
 
 # ---------------------------------------------------------------------------

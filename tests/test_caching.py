@@ -2,6 +2,7 @@
 interned FieldConfig."""
 
 import itertools
+import random
 import sys
 import threading
 
@@ -9,13 +10,18 @@ from dqmf.algebra import (
     DEFAULT_MODULI,
     FieldConfig,
     PolyT,
+    _coprime_parts,
     _den_pair,
     _monic_gcd,
     bracket,
     d_power,
 )
+from dqmf.hyperd import DerivationEngine
+from dqmf.qmring import QmPoly
 from dqmf.suite import run_suite
 from dqmf.tseries import _expansion, alpha, expand_E
+
+from conftest import _ratio_of_linears
 
 
 def test_repeated_calls_return_the_cached_object(cfg):
@@ -74,6 +80,36 @@ def test_den_pair_traffic_is_mostly_hits():
     results = run_suite(FieldConfig.from_q(5), n_max=16)
     assert all(r["pass"] for r in results)
     info = _den_pair.cache_info()
+    assert info.misses and info.hits >= 10 * info.misses
+
+
+def test_coprime_parts_cache_is_a_bounded_lru():
+    assert _coprime_parts.cache_info().maxsize == 1 << 12
+    cfg = FieldConfig.from_q(5)
+    n = PolyT.from_ints(cfg, [1, 1]) * PolyT.from_ints(cfg, [2, 1])
+    d = PolyT.from_ints(cfg, [1, 1]) * PolyT.from_ints(cfg, [3, 0, 1])
+    nr, dr = _coprime_parts(n, d)
+    assert _coprime_parts(n, d)[0] is nr
+    assert nr == PolyT.from_ints(cfg, [2, 1]) and dr == PolyT.from_ints(cfg, [3, 0, 1])
+
+
+def test_coprime_parts_traffic_is_mostly_hits():
+    """Scaling memo entries by request coefficients cancels few distinct pairs."""
+    cfg = FieldConfig.from_q(5)
+    engine = DerivationEngine(cfg)
+    monos = [(a, b, c) for a in range(7) for b in range(4) for c in range(3)
+             if 0 < 2 * a + 4 * b + 6 * c <= 12]
+    for n in range(1, 17):
+        for t in monos:
+            engine.derive(QmPoly.monomial(cfg, *t), n)
+    entries = list(engine._memo.values())
+    assert len(entries) == 436
+    rng = random.Random(5)
+    _coprime_parts.cache_clear()
+    for value in entries:
+        for _ in range(4):
+            value.scale(_ratio_of_linears(cfg, rng))
+    info = _coprime_parts.cache_info()
     assert info.misses and info.hits >= 10 * info.misses
 
 

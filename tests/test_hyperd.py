@@ -1,6 +1,7 @@
 """Engine tests: generator tables, Leibniz/iterativity/Frobenius laws,
 depth drop, the depth-polynomial transport, residues and kernels."""
 
+import hashlib
 import math
 import random
 
@@ -21,7 +22,9 @@ from dqmf.qmring import (
 from dqmf.suite import p_powers_upto
 from dqmf.verify import random_isobaric
 
-from conftest import engine_for, expected_generator_value
+from conftest import (
+    _ratio_of_linears, _reference_add, _reference_mul, engine_for, expected_generator_value,
+)
 
 
 def _inv_d(cfg, i, k):
@@ -89,6 +92,69 @@ def test_derive_is_identity_at_zero(engine):
     rng = random.Random(1)
     f = random_isobaric(engine.cfg, rng, 12)
     assert engine.derive(f, 0) == f
+
+
+def test_stats_count_memo_entries_hits_and_misses():
+    cfg = FieldConfig.from_q(5)
+    engine = DerivationEngine(cfg)
+    assert engine.stats() == {"entries": 0, "hits": 0, "misses": 0}
+    f = QmPoly.monomial(cfg, 1, 1, 0) + QmPoly.gen_h(cfg)
+    engine.derive(f, 7)
+    first = engine.stats()
+    assert first["entries"] == first["misses"] > 0
+    engine.derive(f, 7)
+    second = engine.stats()
+    # a repeat misses nothing and hits once per term of f
+    assert second == {**first, "hits": first["hits"] + 2}
+    assert all(type(v) is int for v in second.values())
+
+
+def _isobaric_requests(cfg, rng, count, w_max=20, n_max=24):
+    """Seeded multi-term isobaric elements with (a + bT)/(c + dT) coefficients,
+    each with an order, built from the grading formula."""
+    q = cfg.q
+
+    def sig(t):
+        return 2 * t[0] + (q - 1) * t[1] + (q + 1) * t[2], (t[0] + t[2]) % (q - 1)
+
+    monos = [(a, b, c) for a in range(w_max // 2 + 1) for b in range(w_max // (q - 1) + 1)
+             for c in range(w_max // (q + 1) + 1) if 0 < sig((a, b, c))[0] <= w_max]
+    slices = {}
+    for t in monos:
+        slices.setdefault(sig(t), []).append(t)
+    anchors = [t for t in monos if any(u != t and u[0] <= t[0] for u in slices[sig(t)])]
+    out = []
+    for _ in range(count):
+        anchor = rng.choice(anchors)
+        mates = [u for u in slices[sig(anchor)] if u != anchor and u[0] <= anchor[0]]
+        support = [anchor] + rng.sample(mates, rng.randint(1, min(3, len(mates))))
+        terms = [(t, _ratio_of_linears(cfg, rng)) for t in support]
+        out.append((terms, rng.randint(1, min(n_max, cfg.p * q * q - 1))))
+    return out
+
+
+def test_derive_matches_a_constructor_route_sum():
+    """derive(f, n) equals sum_i v_i D_n(m_i) with every product and sum
+    canonicalised by the RatT constructor; the outputs are pinned by sha256."""
+    digest = hashlib.sha256()
+    for q in (4, 5, 7, 8, 9):
+        engine = engine_for(q)
+        cfg = engine.cfg
+        for terms, n in _isobaric_requests(cfg, random.Random(f"derive-sum:{q}"), 12):
+            f = QmPoly.zero(cfg)
+            ref = {}
+            for mono, v in terms:
+                f = f + QmPoly.monomial(cfg, *mono, v)
+                for key, c in engine.derive(QmPoly.monomial(cfg, *mono), n).terms.items():
+                    prod = _reference_mul(v, c)
+                    ref[key] = _reference_add(ref[key], prod) if key in ref else prod
+            out = engine.derive(f, n)
+            ref = {k: c for k, c in ref.items() if c}
+            assert out.terms.keys() == ref.keys()
+            for k, c in out.terms.items():
+                assert (c.num.c, c.den.c) == (ref[k].num.c, ref[k].den.c), (q, n, k)
+            digest.update(f"{q} {n} {out}\n".encode())
+    assert digest.hexdigest() == "ebc7f2c489568bfe2d78c9e5d61332d0f5cc6d3544a0d99b3473a0eee6992be1"
 
 
 @pytest.mark.parametrize("q", [4, 5], ids=lambda q: f"q{q}")
