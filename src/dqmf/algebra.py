@@ -10,20 +10,19 @@ the digits up and subtracts the top digit times m, and a*b = sum_i b_i
 Rational functions are kept in canonical form (coprime, monic denominator)
 at all times, which makes equality syntactic.
 
-RatT products and sums, and ``common_denominator``, take the gcd, cofactors,
-lcm and product of two denominators from ``_den_pair``, an LRU of 2^12
-entries keyed by the two PolyT denominators (and so by their field).  The
-engine's denominators are products of a few brackets, so a battery forms a
-few hundred distinct pairs and reuses each thousands of times;
-``_den_pair.cache_info()`` reports the traffic.  A product first
+Two denominators d1, d2 meet in LRUs of 2^12 entries keyed by the two PolyT
+values (and so by their field), each building only what its callers read:
+RatT sums and ``common_denominator`` take the gcd, cofactors and lcm from
+``_den_pair``, RatT products and the ring kernel take d1*d2 from
+``_den_product``.  Engine denominators are products of a few brackets, so
+the pairs recur; ``cache_info()`` reports the traffic.  A product first
 cross-cancels each numerator against the other factor's denominator through
-``_coprime_parts``, a third LRU of 2^12 entries, keyed the same way.  A warm
-``derive`` scales memo entries by request coefficients, so the same pairs
-come back: 20,000 warm requests cancel about 1,100 distinct (numerator,
-denominator) pairs 39,000 times.  Both LRUs take their gcds from
-``_monic_gcd``, the LRU of 2^18 entries behind ``PolyT.gcd``.  A sum over
-one denominator is reduced by the constructor; ``+`` and ``*`` raise
-ValueError on values of two fields.
+``_coprime_parts``, a third such LRU.  A warm ``derive`` scales memo entries
+by request coefficients, so the same pairs come back: 20,000 warm requests
+cancel about 1,100 distinct (numerator, denominator) pairs 39,000 times.
+The gcds come from ``_monic_gcd``, the LRU of 2^18 entries behind
+``PolyT.gcd``.  A sum over one denominator is reduced by the constructor;
+``+`` and ``*`` raise ValueError on values of two fields.
 """
 
 from __future__ import annotations
@@ -461,28 +460,28 @@ def _monic_gcd(cfg, a, b):
 
 @functools.lru_cache(maxsize=1 << 12)
 def _den_pair(d1, d2):
-    """(gcd, d1/gcd, d2/gcd, lcm, d1*d2) of two monic nonconstant denominators.
+    """(gcd, d1/gcd, d2/gcd, lcm) of two monic nonconstant denominators.
 
     The arguments are the PolyT values themselves, so the key carries the
     field: PolyT equality compares ``cfg`` as well as the coefficients.
-    Engine denominators are products of a few brackets, so a few hundred
-    pairs cover all the RatT products and sums of a whole battery.
     """
     g = d1.gcd(d2)
     if g.is_one():
-        prod = d1 * d2
-        return g, d1, d2, prod, prod
+        return g, d1, d2, d1 * d2
     d1r, d2r = d1.exact_div(g), d2.exact_div(g)
-    return g, d1r, d2r, d1r * d2, d1 * d2
+    return g, d1r, d2r, d1r * d2
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _den_product(d1, d2):
+    """d1*d2 of two denominators, for RatT products and the ring kernel."""
+    return d1 * d2
 
 
 @functools.lru_cache(maxsize=1 << 12)
 def _coprime_parts(n, d):
-    """(n/g, d/g) for g = gcd(n, d) of two nonconstant PolyT.
-
-    The cross-cancellation of a RatT product.  Like ``_den_pair`` it is keyed
-    by the PolyT values themselves, and so by their field.
-    """
+    """(n/g, d/g) for g = gcd(n, d) of two nonconstant PolyT: the
+    cross-cancellation of a RatT product, keyed like ``_den_pair``."""
     g = n.gcd(d)
     if g.is_one():
         return n, d
@@ -565,7 +564,7 @@ class RatT:
             return RatT._raw(cfg, self.num * d2 + other.num, d2)
         if d2.is_one():
             return RatT._raw(cfg, self.num + other.num * d1, d1)
-        g, d1r, d2r, lcm, _ = _den_pair(d1, d2)
+        g, d1r, d2r, lcm = _den_pair(d1, d2)
         t = self.num * d2r + other.num * d1r
         if g.is_one():
             return RatT._raw(cfg, t, lcm)
@@ -603,7 +602,7 @@ class RatT:
         elif d2.is_one():
             den = d1
         else:
-            den = _den_pair(d1, d2)[4]
+            den = _den_product(d1, d2)
         return RatT._raw(cfg, n1 * n2, den)
 
     def scale_int(self, n: int):

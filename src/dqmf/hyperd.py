@@ -34,8 +34,8 @@ before the factor 2, 2 being invertible for odd p.  A single engine
 instance keeps one memo keyed by (monomial, order), and ``stats()`` counts
 its entries and the hits and misses of its lookups; one engine per thread is
 safe, since engines share only the per-field functools caches of ``algebra``
-(brackets, d_i powers, gcds and the ``_den_pair`` and ``_coprime_parts``
-LRUs), which are thread-safe.
+(brackets, d_i powers, gcds and the ``_den_pair``, ``_den_product`` and
+``_coprime_parts`` LRUs), which are thread-safe and hold immutable values.
 """
 
 from __future__ import annotations

@@ -11,21 +11,21 @@ Every sum of products in the ring goes through one kernel,
 the engine's Leibniz convolutions, the quotient sequences of ``verify``,
 depth-polynomial products and D_1 pass it all their pairs at once.  It
 convolves the F_q[T] numerators of every term pair into one raw code list
-per (output monomial, denominator d1*d2) and canonicalises each list once,
-through the RatT constructor, instead of canonicalising every product and
-every partial sum.  The output is canonical all the same: a sum of
-numerators over one unreduced denominator is exact, the constructor
-reduces it to the unique coprime form with a monic denominator, and the
-groups of one monomial are then merged by canonical RatT addition; the
-QmPoly constructor drops the zeros.  ``+`` and the kernel (so ``*``) raise
-ValueError on elements of two fields.
+per (output monomial, denominator d1*d2, from ``algebra._den_product``) and
+canonicalises each list once, through the RatT constructor, instead of
+canonicalising every product and every partial sum.  The output is
+canonical all the same: a sum of numerators over one unreduced denominator
+is exact, the constructor reduces it to the unique coprime form with a
+monic denominator, and the groups of one monomial are then merged by
+canonical RatT addition; the QmPoly constructor drops the zeros.  ``+``
+and the kernel (so ``*``) raise ValueError on elements of two fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FieldConfig, PolyT, RatT, _den_pair, binom_mod_p, power
+from .algebra import FieldConfig, PolyT, RatT, _den_product, binom_mod_p, power
 
 __all__ = [
     "QmPoly",
@@ -296,7 +296,7 @@ def sum_of_products(cfg: FieldConfig, pairs) -> QmPoly:
     for x, y in pairs:
         if x.cfg is not cfg or y.cfg is not cfg:
             raise ValueError("elements of K[E,g,h] over different fields")
-        right = {}  # y's terms by denominator: one _den_pair lookup per group
+        right = {}  # y's terms by denominator: one _den_product lookup per group
         for k, v in y.terms.items():
             right.setdefault(v.den.c, (v.den, []))[1].append((k, v.num.c, len(v.num.c)))
         for (a1, b1, c1), v1 in x.terms.items():
@@ -308,7 +308,7 @@ def sum_of_products(cfg: FieldConfig, pairs) -> QmPoly:
                 elif d2.is_one():
                     den = d1
                 else:
-                    den = _den_pair(d1, d2)[4]
+                    den = _den_product(d1, d2)
                 group = groups.get(den.c)
                 if group is None:
                     group = groups[den.c] = (den, {})

@@ -93,9 +93,9 @@ def expected_generator_value(cfg, gen, n):
     )
 
 
-# RatT products and sums take denominators from the _den_pair cache and
-# cross-cancel through _coprime_parts; these references canonicalise through
-# the constructor (gcd and exact division)
+# RatT products and sums take denominators from the _den_product and
+# _den_pair caches and cross-cancel through _coprime_parts; these references
+# canonicalise through the constructor (gcd and exact division)
 
 
 def _reference_mul(a, b):

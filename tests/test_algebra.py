@@ -17,6 +17,7 @@ from dqmf.algebra import (
     RatT,
     _coprime_parts,
     _den_pair,
+    _den_product,
     binom_mod_p,
     bracket,
     common_denominator,
@@ -383,19 +384,24 @@ def test_ratt_mul_and_add_match_the_constructor_route(q):
 
 
 def test_den_pair_results_stay_in_their_field():
-    """Same coefficient tuples in F_2 and F_3: T^2 + 1 = (T + 1)^2 only in F_2."""
-    _den_pair.cache_clear()
-    got = {}
-    for q in (2, 3):
-        cfg = FieldConfig.from_q(q)
-        lin, quad = PolyT(cfg, (1, 1)), PolyT(cfg, (1, 0, 1))
-        a, b = RatT(cfg, cfg.poly_one, lin), RatT(cfg, cfg.poly_T, quad)
-        for op, ref in ((a * a, _reference_mul(a, a)), (a + b, _reference_add(a, b)),
-                        (a * b, _reference_mul(a, b))):
-            assert op == ref and op.den == ref.den and op.den.cfg is cfg
-        got[q] = ((a * a).den.c, (a + b).den.c)
-    assert got[2] == ((1, 0, 1), (1, 0, 1))
-    assert got[3] == ((1, 2, 1), (1, 1, 1, 1))
+    """Same coefficient tuples in F_2 and F_3: T^2 + 1 = (T + 1)^2 only in F_2,
+    so a denominator pair cached for one field must not serve the other."""
+    for order in ((2, 3), (3, 2)):
+        _den_pair.cache_clear()
+        _den_product.cache_clear()
+        got = {}
+        for q in order:
+            cfg = FieldConfig.from_q(q)
+            lin, quad = PolyT(cfg, (1, 1)), PolyT(cfg, (1, 0, 1))
+            a, b = RatT(cfg, cfg.poly_one, lin), RatT(cfg, cfg.poly_T, quad)
+            for x, y in ((a, a), (a, b), (b, a)):
+                for op, ref in ((x * y, _reference_mul(x, y)), (x + y, _reference_add(x, y))):
+                    assert op == ref and op.num.cfg is cfg and op.den.cfg is cfg
+            common = common_denominator(cfg, [a, b])
+            assert common == (a + b).den and common.cfg is cfg
+            got[q] = ((a * a).den.c, (a + b).den.c, (a * b).den.c)
+        assert got[2] == ((1, 0, 1), (1, 0, 1), (1, 1, 1, 1))
+        assert got[3] == ((1, 2, 1), (1, 1, 1, 1), (1, 1, 1, 1))
 
 
 def test_coprime_parts_results_stay_in_their_field():

@@ -12,6 +12,7 @@ from dqmf.algebra import (
     PolyT,
     _coprime_parts,
     _den_pair,
+    _den_product,
     _monic_gcd,
     bracket,
     d_power,
@@ -68,19 +69,65 @@ def test_den_pair_cache_is_a_bounded_lru():
     assert _den_pair.cache_info().maxsize == 1 << 12
     cfg = FieldConfig.from_q(5)
     d1, d2 = d_power(1, 1, cfg), d_power(2, 1, cfg)
-    g, d1r, d2r, lcm, prod = _den_pair(d1, d2)
-    assert _den_pair(d1, d2)[4] is prod
-    assert g == d1 and d1r == cfg.poly_one and lcm == d2 and prod == d1 * d2
+    g, d1r, d2r, lcm = _den_pair(d1, d2)
+    assert _den_pair(d1, d2)[3] is lcm
+    assert g == d1 and d1r == cfg.poly_one and lcm == d2
     assert g * d2r == d2
+    quad = PolyT.from_ints(cfg, [2, 0, 1])  # irreducible over F_5, prime to [1]
+    assert _den_pair(d1, quad) == (cfg.poly_one, d1, quad, d1 * quad)
+
+
+def test_den_product_cache_is_a_bounded_lru():
+    assert _den_product.cache_info().maxsize == 1 << 12
+    cfg = FieldConfig.from_q(5)
+    d1, d2 = d_power(1, 1, cfg), d_power(2, 1, cfg)
+    prod = _den_product(d1, d2)
+    assert _den_product(d1, d2) is prod
+    assert prod == d1 * d2 and prod.cfg is cfg
+
+
+def _poly_mul_calls(fn, *args):
+    """The number of PolyT.__mul__ calls that fn(*args) makes in this thread."""
+    code = PolyT.__mul__.__code__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_miss_of_each_denominator_cache_multiplies_once():
+    """A sum's miss builds the lcm and a product's miss d1*d2, never both."""
+    cfg = FieldConfig.from_q(5)
+    d1, d2 = d_power(1, 1, cfg), d_power(2, 1, cfg)
+    quad = PolyT.from_ints(cfg, [2, 0, 1])
+    for pair in ((d1, d2), (d2, d1), (d1, quad)):  # with a common factor, and coprime
+        for cache in (_den_pair, _den_product):
+            cache.cache_clear()
+            assert _poly_mul_calls(cache, *pair) == 1
+            assert _poly_mul_calls(cache, *pair) == 0
+            assert cache.cache_info()[:2] == (1, 1)
 
 
 def test_den_pair_traffic_is_mostly_hits():
-    """A battery forms few distinct denominator pairs and reuses them."""
+    """A battery forms few distinct denominator pairs.  The ring kernel's
+    products reuse theirs more than ten times each; the sums' traffic is
+    pinned exactly (q = 5, n_max 16)."""
     _den_pair.cache_clear()
+    _den_product.cache_clear()
     results = run_suite(FieldConfig.from_q(5), n_max=16)
     assert all(r["pass"] for r in results)
-    info = _den_pair.cache_info()
+    info = _den_product.cache_info()
     assert info.misses and info.hits >= 10 * info.misses
+    assert _den_pair.cache_info()[:2] == (44, 24)
 
 
 def test_coprime_parts_cache_is_a_bounded_lru():

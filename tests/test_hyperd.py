@@ -4,11 +4,15 @@ depth drop, the depth-polynomial transport, residues and kernels."""
 import hashlib
 import math
 import random
+import sys
+import threading
 
 import pytest
 
 from dqmf import hyperd
-from dqmf.algebra import FieldConfig, RatT, binom_mod_p, d_power
+from dqmf.algebra import (
+    FieldConfig, RatT, _coprime_parts, _den_pair, _den_product, binom_mod_p, d_power,
+)
 from dqmf.hyperd import (
     _GENERATORS, DerivationEngine, OrderOutOfRange, depth_drop, generator_table,
 )
@@ -155,6 +159,48 @@ def test_derive_matches_a_constructor_route_sum():
                 assert (c.num.c, c.den.c) == (ref[k].num.c, ref[k].den.c), (q, n, k)
             digest.update(f"{q} {n} {out}\n".encode())
     assert digest.hexdigest() == "ebc7f2c489568bfe2d78c9e5d61332d0f5cc6d3544a0d99b3473a0eee6992be1"
+
+
+def test_one_engine_per_thread_matches_a_single_thread():
+    """Four threads, each with its own q = 5 engine, derive one seeded list of
+    requests while racing on the shared per-field LRUs; every output equals
+    the single-threaded one."""
+    cfg = FieldConfig.from_q(5)
+    requests = _isobaric_requests(cfg, random.Random("threads:5"), 16)
+
+    def run():
+        engine = DerivationEngine(cfg)
+        outs = []
+        for terms, n in requests:
+            f = QmPoly.zero(cfg)
+            for mono, v in terms:
+                f = f + QmPoly.monomial(cfg, *mono, v)
+            outs.append([(k, c.num.c, c.den.c) for k, c in engine.derive(f, n).terms.items()])
+        return outs
+
+    expected = run()
+    assert sum(len(out) > 1 for out in expected) >= 8
+    for cache in (_coprime_parts, _den_pair, _den_product):
+        cache.cache_clear()
+    barrier = threading.Barrier(4)
+    got = [None] * 4
+
+    def worker(i):
+        barrier.wait(timeout=30)
+        got[i] = run()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(outs == expected for outs in got)
 
 
 @pytest.mark.parametrize("q", [4, 5], ids=lambda q: f"q{q}")
