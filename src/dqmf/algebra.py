@@ -8,7 +8,8 @@ tables are filled from the monic modulus m alone: multiplying by x shifts
 the digits up and subtracts the top digit times m, and a*b = sum_i b_i
 (x^i a); Frobenius is p lookups in the product table.
 Rational functions are kept in canonical form (coprime, monic denominator)
-at all times, which makes equality syntactic.
+at all times, which makes equality syntactic; ``RatT._raw``, which trusts
+its caller to pass that form, is called only in this module.
 
 Two denominators d1, d2 meet in LRUs of 2^12 entries keyed by the two PolyT
 values (and so by their field), each building only what its callers read:
@@ -17,12 +18,10 @@ RatT sums and ``common_denominator`` take the gcd, cofactors and lcm from
 ``_den_product``.  Engine denominators are products of a few brackets, so
 the pairs recur; ``cache_info()`` reports the traffic.  A product first
 cross-cancels each numerator against the other factor's denominator through
-``_coprime_parts``, a third such LRU.  A warm ``derive`` scales memo entries
-by request coefficients, so the same pairs come back: 20,000 warm requests
-cancel about 1,100 distinct (numerator, denominator) pairs 39,000 times.
-The gcds come from ``_monic_gcd``, the LRU of 2^18 entries behind
-``PolyT.gcd``.  A sum over one denominator is reduced by the constructor;
-``+`` and ``*`` raise ValueError on values of two fields.
+``_coprime_parts``, a third such LRU.  The gcds come from ``_monic_gcd``,
+the LRU of 2^18 entries behind ``PolyT.gcd``.  The d_i have one cache,
+``d_power``; ``d_rat`` gives d_i^k for any integer k as a RatT.  ``+`` and
+``*`` raise ValueError on values of two fields.
 """
 
 from __future__ import annotations
@@ -40,9 +39,11 @@ __all__ = [
     "bracket",
     "common_denominator",
     "d_coeff",
+    "d_rat",
     "linear_solve",
     "power",
     "DEFAULT_MODULI",
+    "MAX_Q",
 ]
 
 
@@ -57,6 +58,9 @@ DEFAULT_MODULI = {
     (2, 3): (1, 1, 0, 1),   # x^3 + x + 1
     (3, 2): (1, 0, 1),      # x^2 + 1
 }
+
+# The largest q built; its tables grow as q^2 (about a second at q = 2^8).
+MAX_Q = 500
 
 
 def _is_prime(n: int) -> bool:
@@ -102,10 +106,13 @@ class FieldConfig:
     _instances: dict = {}
 
     def __new__(cls, p: int, e: int = 1, modulus=None):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("e must be positive")
+        # p^e >= 2^e, so the exponent is capped before the power is formed
+        if p ** min(e, MAX_Q.bit_length()) > MAX_Q:
+            raise ValueError(f"q = {p}^{e} exceeds MAX_Q = {MAX_Q}, the largest field built")
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         if modulus is None:
             if e == 1:
                 modulus = (0, 1)
@@ -189,6 +196,8 @@ class FieldConfig:
     @classmethod
     def from_q(cls, q: int) -> "FieldConfig":
         """Shorthand: factor q = p^e and use the shipped default modulus."""
+        if q > MAX_Q:
+            raise ValueError(f"q = {q} exceeds MAX_Q = {MAX_Q}, the largest field built")
         for p in range(2, q + 1):
             if q % p == 0:
                 e = 0
@@ -670,7 +679,6 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
     return r
 
 
-@functools.cache
 def bracket(i: int, cfg: FieldConfig) -> PolyT:
     """[i] = T^(q^i) - T."""
     if i < 1:
@@ -681,7 +689,6 @@ def bracket(i: int, cfg: FieldConfig) -> PolyT:
     return PolyT(cfg, coeffs)
 
 
-@functools.cache
 def d_coeff(i: int, cfg: FieldConfig) -> PolyT:
     """d_0 = 1 and d_i = [i] * d_{i-1}^q."""
     if i < 0:
@@ -695,6 +702,12 @@ def d_coeff(i: int, cfg: FieldConfig) -> PolyT:
 def d_power(i: int, k: int, cfg: FieldConfig) -> PolyT:
     """d_i^k, cached (denominators of this shape appear everywhere)."""
     return d_coeff(i, cfg) ** k
+
+
+def d_rat(i: int, k: int, cfg: FieldConfig) -> RatT:
+    """d_i^k for any integer k as a canonical RatT (d_i is monic)."""
+    d = d_power(i, abs(k), cfg)
+    return RatT._raw(cfg, d, cfg.poly_one) if k >= 0 else RatT._raw(cfg, cfg.poly_one, d)
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,13 @@ before the factor 2, 2 being invertible for odd p.  A single engine
 instance keeps one memo keyed by (monomial, order), and ``stats()`` counts
 its entries and the hits and misses of its lookups; one engine per thread is
 safe, since engines share only the per-field functools caches of ``algebra``
-(brackets, d_i powers, gcds and the ``_den_pair``, ``_den_product`` and
+(the d_i powers, gcds and the ``_den_pair``, ``_den_product`` and
 ``_coprime_parts`` LRUs), which are thread-safe and hold immutable values.
 """
 
 from __future__ import annotations
 
-from .algebra import FieldConfig, RatT, binom_mod_p, d_power, linear_solve
+from .algebra import FieldConfig, binom_mod_p, d_rat, linear_solve
 from .qmring import (
     DepthPoly, QmPoly, grading, modular_basis, monomial_signature, sum_of_products,
 )
@@ -75,11 +75,6 @@ def _lowest_digit(n: int, p: int):
     return n % p, k
 
 
-def _inv_d(cfg: FieldConfig, i: int, k: int) -> RatT:
-    """1/d_i^k as a canonical rational function (d_i is monic)."""
-    return RatT._raw(cfg, cfg.poly_one, d_power(i, k, cfg))
-
-
 def generator_table(cfg: FieldConfig, gen: str, n: int) -> QmPoly:
     """The paper's explicit D_n of a generator, for n < q and p-powers n <= q^2."""
     p, q = cfg.p, cfg.q
@@ -99,34 +94,34 @@ def generator_table(cfg: FieldConfig, gen: str, n: int) -> QmPoly:
     if n < q * q:
         s = n // q
         if gen == "E":
-            return mono(cfg, n + 1, 0, 0) + mono(cfg, 0, s - 1, s + 1, _inv_d(cfg, 1, s))
+            return mono(cfg, n + 1, 0, 0) + mono(cfg, 0, s - 1, s + 1, d_rat(1, -s, cfg))
         if gen == "g":
             return mono(cfg, n, 1, 0)
         return (
             mono(cfg, n, 0, 1)
-            + mono(cfg, q, s - 1, s, _inv_d(cfg, 1, s - 1))
-            - mono(cfg, 0, s, s + 1, _inv_d(cfg, 1, s))
+            + mono(cfg, q, s - 1, s, d_rat(1, 1 - s, cfg))
+            - mono(cfg, 0, s, s + 1, d_rat(1, -s, cfg))
         )
     # n == q^2
-    d1 = RatT._raw(cfg, d_power(1, 1, cfg), cfg.poly_one)
-    inv_d2 = _inv_d(cfg, 2, 1)
+    d1 = d_rat(1, 1, cfg)
+    inv_d2 = d_rat(2, -1, cfg)
     if gen == "E":
         return (
             mono(cfg, n + 1, 0, 0)
-            + mono(cfg, 0, q - 1, q + 1, _inv_d(cfg, 1, q))
+            + mono(cfg, 0, q - 1, q + 1, d_rat(1, -q, cfg))
             + mono(cfg, 0, 2 * q, 2, inv_d2)
         )
     if gen == "g":
         return (
             mono(cfg, n, 1, 0)
             - mono(cfg, 0, q + 1, q, d1 * inv_d2)
-            + mono(cfg, 0, 0, 2 * q - 1, _inv_d(cfg, 1, q - 1) - d1 * d1 * inv_d2)
+            + mono(cfg, 0, 0, 2 * q - 1, d_rat(1, 1 - q, cfg) - d1 * d1 * inv_d2)
         )
     return (
         mono(cfg, n, 0, 1)
-        + mono(cfg, q, q - 1, q, _inv_d(cfg, 1, q - 1))
+        + mono(cfg, q, q - 1, q, d_rat(1, 1 - q, cfg))
         - mono(cfg, 0, 2 * q + 1, 2, inv_d2)
-        - mono(cfg, 0, q, q + 1, d1 * inv_d2 + _inv_d(cfg, 1, q))
+        - mono(cfg, 0, q, q + 1, d1 * inv_d2 + d_rat(1, -q, cfg))
     )
 
 

@@ -11,8 +11,10 @@ q-powers), so derivative identities checked against the engine are
 genuinely two-route.  Every series sum and product is a call of one
 kernel, ``_sum_of_products``, which canonicalises each t-coefficient of a
 sum of products once: ``TSeries +`` and ``*``, the E and g lattice sums,
-``evaluate`` and ``hyper_derive`` call it.  No result shares a dict with a
-cache: ``expand_E/g/h`` and ``hyper_derive(s, 0)`` return copies.
+``evaluate`` and ``hyper_derive`` call it.  The caches are ``_expansion``,
+``_gen_power`` (whose gen^1 is the expansion itself) and ``alpha``, and no
+result shares a dict with them: ``expand_E/g/h`` and ``hyper_derive(s, 0)``
+return copies, and the powers never leave this module.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import functools
 from itertools import product
 
-from .algebra import FieldConfig, PolyT, RatT, binom_mod_p, common_denominator, d_power, power
+from .algebra import FieldConfig, PolyT, RatT, binom_mod_p, common_denominator, d_power, d_rat, power
 from .qmring import QmPoly
 
 __all__ = [
@@ -174,8 +176,7 @@ def _sum_of_products(cfg: FieldConfig, order: int, pairs) -> TSeries:
                     for j, w in t2:
                         out[i + j] = add[out[i + j]][row[w]]
     den = dx * dy
-    make = RatT._raw if den.is_one() else RatT
-    return TSeries(cfg, order, {n: make(cfg, PolyT(cfg, c), den) for n, c in acc.items()})
+    return TSeries(cfg, order, {n: RatT(cfg, PolyT(cfg, c), den) for n, c in acc.items()})
 
 
 def nu_infinity(s: TSeries):
@@ -247,7 +248,6 @@ def t_sub(a: PolyT, N: int, k: int = 1) -> TSeries:
     return TSeries(cfg, N, {base + n: v for n, v in inv.items()})
 
 
-@functools.cache
 def _monic_polys(cfg, d: int):
     """All monic elements of F_q[T] of degree exactly d."""
     return tuple(PolyT(cfg, tail + (1,)) for tail in product(range(cfg.q), repeat=d))
@@ -272,7 +272,7 @@ def _expansion(cfg: FieldConfig, N: int, gen: str) -> TSeries:
         return _lattice_sum(cfg, N, 1, lambda a: RatT(cfg, a))
     if gen == "g":
         total = _lattice_sum(cfg, N, cfg.q - 1, lambda a: cfg.rat_one)
-        return TSeries.one(cfg, N) - total * RatT(cfg, d_power(1, 1, cfg))
+        return TSeries.one(cfg, N) - total * d_rat(1, 1, cfg)
     g, E = _expansion(cfg, N, "g"), _expansion(cfg, N, "E")
     return -(hyper_derive(g, 1) + E * g)
 
@@ -336,7 +336,7 @@ def alpha(r: int, i: int, cfg: FieldConfig) -> RatT:
             for jj, c in enumerate(counts):
                 if jj and c:
                     den = den * d_power(jj, c, cfg)
-            total = total + RatT._raw(cfg, cfg.poly_one, den).scale_int(coef)
+            total = total + RatT(cfg, cfg.poly_one, den).scale_int(coef)
             continue
         step = q**j
         for a_j in range(min(r_rem, i_rem // step) + 1):
@@ -375,8 +375,8 @@ def _gen_power(cfg: FieldConfig, N: int, gen: str, n: int) -> TSeries:
     Powers at multiples of 128 below n are built first, bottom-up, so a miss
     recurses at most 128 levels before it reaches a cached power.
     """
-    if n == 0:
-        return TSeries.one(cfg, N)
+    if n <= 1:
+        return TSeries.one(cfg, N) if n == 0 else _expansion(cfg, N, gen)
     for k in range(128, n - 1, 128):
         _gen_power(cfg, N, gen, k)
     return _gen_power(cfg, N, gen, n - 1) * _expansion(cfg, N, gen)

@@ -1,14 +1,17 @@
 """Foundation tests: F_q arithmetic, polynomials, rational functions,
 Lucas binomials, brackets, and the exact linear solver."""
 
+import ast
 import itertools
 import math
 import operator
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dqmf
 from dqmf.algebra import (
     DEFAULT_MODULI,
     FieldConfig,
@@ -23,6 +26,7 @@ from dqmf.algebra import (
     common_denominator,
     d_coeff,
     d_power,
+    d_rat,
     linear_solve,
 )
 
@@ -236,6 +240,18 @@ def test_d3_degree_q4():
     assert d_coeff(3, cfg).degree == 64 + 4 * 32
 
 
+def test_d_rat_is_the_canonical_power_of_d_i():
+    for q in (2, 4, 5, 9):
+        cfg = FieldConfig.from_q(q)
+        for i in (1, 2):
+            d = d_coeff(i, cfg)
+            assert d_rat(i, 0, cfg) == cfg.rat_one
+            for k in (1, 2, 3):
+                assert d_rat(i, k, cfg) == RatT(cfg, d**k)
+                assert d_rat(i, -k, cfg) == RatT(cfg, cfg.poly_one, d**k)
+                assert d_rat(i, k, cfg) * d_rat(i, -k, cfg) == cfg.rat_one
+
+
 def test_poly_divmod_and_gcd():
     cfg = FieldConfig.from_q(5)
     a = PolyT.from_ints(cfg, [4, 0, 1])  # T^2 - 1
@@ -420,6 +436,17 @@ def test_coprime_parts_results_stay_in_their_field():
             got[q] = ((a * b).num.c, (a * b).den.c)
         assert got[2] == ((1,), (1, 1))
         assert got[3] == ((1, 1), (1, 0, 1))
+
+
+def test_only_algebra_touches_the_canonical_form_shortcut():
+    """RatT._raw trusts its caller to pass a canonical form, so only the
+    module that owns the form may name it (a call or a reference)."""
+    users = set()
+    for path in Path(dqmf.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(node, ast.Attribute) and node.attr == "_raw" for node in ast.walk(tree)):
+            users.add(path.name)
+    assert users == {"algebra.py"}
 
 
 # ---------------------------------------------------------------------------

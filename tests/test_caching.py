@@ -1,11 +1,14 @@
 """Per-field memoisation: process-wide functools caches keyed by the
 interned FieldConfig."""
 
+import importlib
 import itertools
+import pkgutil
 import random
 import sys
 import threading
 
+import dqmf
 from dqmf.algebra import (
     DEFAULT_MODULI,
     FieldConfig,
@@ -20,7 +23,7 @@ from dqmf.algebra import (
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly
 from dqmf.suite import run_suite
-from dqmf.tseries import _expansion, alpha, expand_E
+from dqmf.tseries import _expansion, _gen_power, alpha, expand_E
 
 from conftest import _ratio_of_linears
 
@@ -34,6 +37,28 @@ def test_repeated_calls_return_the_cached_object(cfg):
     assert d_power(2, 3, cfg) is d_power(2, 3, cfg)
     assert not alpha(1, q, cfg).is_zero()
     assert alpha(1, q, cfg) is alpha(1, q, cfg)
+
+
+def test_the_process_wide_caches_are_exactly_these_eight():
+    """Each per-field value has one builder and at most one cache; the
+    brackets, d_coeff and the monic lattices rebuild in well under a
+    millisecond and are not cached."""
+    found = set()
+    for info in pkgutil.iter_modules(dqmf.__path__):
+        module = importlib.import_module(f"dqmf.{info.name}")
+        found |= {f"{v.__module__}.{v.__qualname__}"
+                  for v in vars(module).values() if hasattr(v, "cache_info")}
+    assert found == {
+        "dqmf.algebra._monic_gcd", "dqmf.algebra._den_pair", "dqmf.algebra._den_product",
+        "dqmf.algebra._coprime_parts", "dqmf.algebra.d_power",
+        "dqmf.tseries.alpha", "dqmf.tseries._expansion", "dqmf.tseries._gen_power",
+    }
+
+
+def test_the_first_generator_power_is_the_cached_expansion(cfg):
+    # one copy of each generator series: gen^1 is not rebuilt as 1 * gen
+    for gen in "Egh":
+        assert _gen_power(cfg, cfg.q + 3, gen, 1) is _expansion(cfg, cfg.q + 3, gen)
 
 
 def test_field_config_carries_no_cache():

@@ -264,13 +264,21 @@ def test_cmd_verify_json_determinism(capsys):
         (["field", "--q", "4", "--modulus", "1,1,1"], "--e and --modulus need --p"),
         (["field", "--e", "2"], "--e and --modulus need --p"),
         (["verify", "--q", "4", "--suite"], "empty check selection"),
+        (["field", "--p", "10007"], "exceeds MAX_Q = 500"),
+        (["field", "--q", "1000000007"], "exceeds MAX_Q = 500"),
+        (["field", "--p", "2", "--e", "20", "--modulus", "1 0 0 1" + " 0" * 16 + " 1"],
+         "exceeds MAX_Q = 500"),
+        # 2^e is never formed, and a p = 1 below the bound still reads as not prime
+        (["field", "--p", "2", "--e", "1000000000000"], "exceeds MAX_Q = 500"),
+        (["field", "--p", "1", "--e", "30"], "not prime"),
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
          "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check",
          "order-below-leading-terms", "order-zero", "order-zero-one-check", "n-max-zero",
          "n-max-negative", "ideal-n-max-zero", "order-below-series-commutation",
          "e-zero", "e-negative", "p-not-prime", "q-and-p", "q-and-field-file",
-         "p-and-field-file", "e-without-p", "modulus-without-p", "e-alone", "empty-suite"],
+         "p-and-field-file", "e-without-p", "modulus-without-p", "e-alone", "empty-suite",
+         "p-above-max-q", "q-above-max-q", "degree-20-modulus", "huge-e", "p-one-large-e"],
 )
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")
