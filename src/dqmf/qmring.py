@@ -95,6 +95,8 @@ class QmPoly:
             coeff = cfg.rat_one
         elif isinstance(coeff, int):
             coeff = RatT.from_int(cfg, coeff)
+        elif coeff.cfg is not cfg:
+            raise ValueError("coefficient from a different field")
         out = cls(cfg)
         if not coeff.is_zero():
             out.terms[(a, b, c)] = coeff

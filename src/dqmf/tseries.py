@@ -4,12 +4,15 @@ Expansions of E, g, h are built from Carlitz-module lattice sums; the only
 identity imported from the polynomial side is the definitional equation
 h = -(D_1 g + E g).  ``carlitz(a)`` gives the coefficients of rho_a by one
 Horner recurrence in T, and ``t_sub(a, N, k)`` gives t_a^k for the E
-(k = 1) and g (k = q - 1) lattice sums.  The series-level divided
+(k = 1) and g (k = q - 1) lattice sums from one inversion of a unit over
+F_q[T], lifted by Frobenius.  The series-level divided
 derivative follows the convolution formula with the alpha coefficients
 (sums of 1/(d_{i_1}...d_{i_r}) over ways of writing the order as r
 q-powers), so derivative identities checked against the engine are
-genuinely two-route.  Every series sum and product is a call of one
-kernel, ``_sum_of_products``, which canonicalises each t-coefficient of a
+genuinely two-route.  Every series product is convolved on raw F_q[T] code
+lists by ``_accumulate``: ``t_sub`` calls it on F_q[T] coefficients, and
+every sum and product over F_q(T) is a call of one kernel,
+``_sum_of_products``, which canonicalises each t-coefficient of a
 sum of products once: ``TSeries +`` and ``*``, the E and g lattice sums,
 ``evaluate`` and ``hyper_derive`` call it.  The caches are ``_expansion``,
 ``_gen_power`` (whose gen^1 is the expansion itself) and ``alpha``, and no
@@ -91,8 +94,8 @@ class TSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, RatT):
-            other = TSeries(self.cfg, self.order, {0: other})
+        if isinstance(other, RatT):  # the kernel rejects a factor from another field
+            other = TSeries(other.cfg, self.order, {0: other})
         return _sum_of_products(self.cfg, min(self.order, other.order), [(self, other)])
 
     def scale_int(self, k: int):
@@ -127,20 +130,37 @@ class TSeries:
         }
 
 
-def _cleared(s: TSeries, order: int, common: PolyT):
-    """The coefficients of s below order as numerators over ``common``.
+def _cleared(s: TSeries, order: int, common: PolyT) -> dict:
+    """The coefficients of s below order as PolyT numerators over ``common``,
+    which must be a multiple of every denominator of s below order."""
+    return {
+        n: v.num if v.den.c == common.c else v.num * common.exact_div(v.den)
+        for n, v in s.terms.items()
+        if n < order
+    }
 
-    Returns (n, deg N_n, [(exponent, code), ...]) sorted by n, where
-    N_n = a_n * common and only the nonzero coefficients of N_n are listed;
-    ``common`` must be a multiple of every denominator of s below order.
-    """
-    out = []
-    for n, v in sorted(s.terms.items()):
-        if n >= order:
-            break
-        num = v.num if v.den.c == common.c else v.num * common.exact_div(v.den)
-        out.append((n, num.degree, [(i, x) for i, x in enumerate(num.c) if x]))
-    return out
+
+def _accumulate(cfg, acc: dict, x: dict, y: dict, M: int):
+    """Add x * y below M into acc (t-exponent -> raw F_q[T] code list), x and
+    y mapping t-exponents to nonzero PolyT coefficients."""
+    add, mul = cfg.add, cfg.mul
+    ys = [(n, len(v.c), [(j, w) for j, w in enumerate(v.c) if w]) for n, v in sorted(y.items())]
+    for n1, v in x.items():
+        deg1 = len(v.c) - 1
+        t1 = [(i, u) for i, u in enumerate(v.c) if u]
+        for n2, len2, t2 in ys:  # deg1 + len2 is the length of the product
+            n = n1 + n2
+            if n >= M:
+                break
+            out = acc.get(n)
+            if out is None:
+                out = acc[n] = [0] * (deg1 + len2)
+            elif len(out) < deg1 + len2:
+                out.extend([0] * (deg1 + len2 - len(out)))
+            for i, u in t1:
+                row = mul[u]
+                for j, w in t2:
+                    out[i + j] = add[out[i + j]][row[w]]
 
 
 def _sum_of_products(cfg: FieldConfig, order: int, pairs) -> TSeries:
@@ -157,24 +177,9 @@ def _sum_of_products(cfg: FieldConfig, order: int, pairs) -> TSeries:
             raise ValueError("series over different fields")
     dx = common_denominator(cfg, (v for x, _ in pairs for n, v in x.terms.items() if n < order))
     dy = common_denominator(cfg, (v for _, y in pairs for n, v in y.terms.items() if n < order))
-    add, mul = cfg.add, cfg.mul
     acc = {}
     for x, y in pairs:
-        ys = _cleared(y, order, dy)
-        for n1, deg1, t1 in _cleared(x, order, dx):
-            for n2, deg2, t2 in ys:
-                n = n1 + n2
-                if n >= order:
-                    break
-                out = acc.get(n)
-                if out is None:
-                    out = acc[n] = [0] * (deg1 + deg2 + 1)
-                elif len(out) <= deg1 + deg2:
-                    out.extend([0] * (deg1 + deg2 + 1 - len(out)))
-                for i, u in t1:
-                    row = mul[u]
-                    for j, w in t2:
-                        out[i + j] = add[out[i + j]][row[w]]
+        _accumulate(cfg, acc, _cleared(x, order, dx), _cleared(y, order, dy), order)
     den = dx * dy
     return TSeries(cfg, order, {n: RatT(cfg, PolyT(cfg, c), den) for n, c in acc.items()})
 
@@ -205,24 +210,29 @@ def carlitz(a: PolyT) -> tuple:
     return rho
 
 
-def _invert_unit(cfg, unit: dict, M: int) -> dict:
-    """Inverse of 1 + sum unit[s] t^s up to (exclusive) order M, as a dict."""
-    out = {0: cfg.rat_one}
-    if not unit:
+def _invert_unit(cfg, unit: dict, M: int, k: int) -> dict:
+    """(1 + sum unit[s] t^s)^(-k) below M, t-exponent -> nonzero PolyT, k >= 1.
+
+    k = 1 pushes each v_n of v_n = -sum_s unit[s] v_{n-s}, once complete, into
+    the accumulators of the orders n + s.  k >= 2 takes Frob(unit^(-m)) * unit^r,
+    m = ceil(k/q), r = qm - k and the inner power below ceil(M/q): over F_q[T]
+    the q-th power of a series is its Frobenius (exponents times q).
+    """
+    if k == 1:
+        out, acc = {0: cfg.poly_one}, {}
+        _accumulate(cfg, acc, out, unit, M)
+        for n in range(1, M):
+            if n in acc and (v := PolyT(cfg, [cfg.neg[x] for x in acc.pop(n)])):
+                out[n] = v
+                _accumulate(cfg, acc, {n: v}, unit, M)
         return out
-    exps = sorted(unit)
-    for n in range(1, M):
-        acc = None
-        for s in exps:
-            if s > n:
-                break
-            prev = out.get(n - s)
-            if prev is None:
-                continue
-            term = unit[s] * prev
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_zero():
-            out[n] = -acc
+    q, m = cfg.q, -(-k // cfg.q)
+    inner = _invert_unit(cfg, unit, -(-M // q), m)
+    out = {q * n: v.frobenius_pow(cfg.e) for n, v in inner.items() if q * n < M}
+    for _ in range(q * m - k):
+        acc = {}
+        _accumulate(cfg, acc, out, {0: cfg.poly_one, **unit}, M)
+        out = {n: v for n, v in ((n, PolyT(cfg, raw)) for n, raw in acc.items()) if v}
     return out
 
 
@@ -231,9 +241,11 @@ def t_sub(a: PolyT, N: int, k: int = 1) -> TSeries:
 
     For monic a of degree d, t_a is t^(q^d) over the unit
     1 + sum_{j<d} c_j t^(q^d - q^j), so nu_infinity(t_a) = q^d.  The unit's
-    k-th power is taken as a series truncated at N - k q^d and inverted once.
-    E sums t_a (k = 1) and g sums t_a^(q-1).
+    (-k)-th power below N - k q^d is one inversion over F_q[T], Frobenius-
+    lifted for k >= 2.  E sums t_a (k = 1), g sums t_a^(q-1); k = 0 gives 1.
     """
+    if k < 0:
+        raise ValueError(f"t_sub needs k >= 0, got k = {k}")
     if a.is_zero() or a.lead() != 1:
         raise ValueError("t_sub needs a monic polynomial")
     cfg = a.cfg
@@ -241,11 +253,12 @@ def t_sub(a: PolyT, N: int, k: int = 1) -> TSeries:
     base = k * cfg.q**d
     if base >= N:
         return TSeries.zero(cfg, N)
-    M = N - base
+    if k == 0:
+        return TSeries.one(cfg, N)
     rho = carlitz(a)
-    unit = TSeries(cfg, M, {cfg.q**d - cfg.q**j: RatT(cfg, c) for j, c in enumerate(rho)})
-    inv = _invert_unit(cfg, {s: v for s, v in (unit**k).terms.items() if s}, M)
-    return TSeries(cfg, N, {base + n: v for n, v in inv.items()})
+    unit = {cfg.q**d - cfg.q**j: c for j, c in enumerate(rho[:-1]) if c}
+    inv = _invert_unit(cfg, unit, N - base, k)
+    return TSeries(cfg, N, {base + n: RatT(cfg, v) for n, v in inv.items()})
 
 
 def _monic_polys(cfg, d: int):

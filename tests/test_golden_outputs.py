@@ -33,7 +33,7 @@ from dqmf.algebra import FieldConfig, linear_solve
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly, monomial_signature, qm_basis
 from dqmf.suite import series_check_orders
-from dqmf.tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive
+from dqmf.tseries import _monic_polys, evaluate, expand_E, expand_g, expand_h, hyper_derive, t_sub
 from dqmf.verify import h_power_quotients, random_ratt
 
 # q -> (weight bound W, order bound N, sha256)
@@ -157,6 +157,26 @@ def test_lattice_expansions_match_the_pinned_digest():
         for name, expand in (("E", expand_E), ("g", expand_g), ("h", expand_h)):
             h.update(f"{q} {N} {name} {expand(cfg, N)}\n".encode())
     assert h.hexdigest() == SERIES_GOLDEN
+
+
+T_SUB_GOLDEN = "bbaf71f56c529bf5d1921c945ff61d4bc06a7b0842de30c38fd95c477d3aa3a6"
+
+
+def test_t_sub_matches_the_pinned_digest():
+    """``str(t_sub(a, N, k))`` for q = 2..9, every monic a of degree <= 2
+    (<= 1 for q >= 7), k in {0, 1, 2, q-1, q, q+1, 2q-1} and N one past
+    2 q^(d+1), d that degree bound.  Computed while ``t_sub`` inverted the
+    k-th power of the unit at full length in pairwise RatT arithmetic."""
+    h = hashlib.sha256()
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        cfg = FieldConfig.from_q(q)
+        d_max = 2 if q < 7 else 1
+        N = 2 * q ** (d_max + 1) + 1
+        for d in range(d_max + 1):
+            for a in _monic_polys(cfg, d):
+                for k in sorted({0, 1, 2, q - 1, q, q + 1, 2 * q - 1}):
+                    h.update(f"{q} {N} {a} {k} {t_sub(a, N, k)}\n".encode())
+    assert h.hexdigest() == T_SUB_GOLDEN
 
 
 EVAL_FIELDS = (2, 3, 4, 5, 7, 8, 9)

@@ -81,15 +81,41 @@ def test_t_sub_T_geometric(cfg, q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
 def test_t_sub_pow_is_the_power_of_t_sub(q):
-    # t_sub(a, N, k) inverts the k-th power of the unit; the k-th power of
-    # the series t_a is the other route
+    # t_sub(a, N, k) lifts an inverse of the unit by Frobenius (k = q + 1 and
+    # q^2 - 1 recurse twice); the k-th power of the series t_a is the other
+    # route.  Two truncations, one of them not a multiple of q, so a lifted
+    # inner inverse one coefficient short shows.
     cfg = FieldConfig.from_q(q)
     d_max = 2 if q < 7 else 1
-    N = (q + 1) * q**d_max
-    for d in range(d_max + 1):
+    for N in ((q + 1) * q**d_max, (q + 1) * q**d_max + q - 1):
+        for d in range(d_max + 1):
+            for a in _monic_polys(cfg, d):
+                ta = t_sub(a, N)
+                for k in sorted({1, 2, q - 1, q, q + 1, q * q - 1}):
+                    assert t_sub(a, N, k) == ta**k, (N, str(a), k)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_t_sub_times_the_unit_is_the_leading_power(q):
+    # t_a = t^(q^d) / (1 + sum_{j<d} c_j t^(q^d - q^j)): multiplying back by
+    # the unit through the series kernel leaves exactly t^(q^d) below N
+    cfg = FieldConfig.from_q(q)
+    degrees = (1, 2, 3) if q <= 3 else (1, 2) if q < 7 else (1,)
+    for d in degrees:
+        N = 3 * q**d + 7
         for a in _monic_polys(cfg, d):
-            for k in sorted({1, 2, q - 1}):
-                assert t_sub(a, N, k) == t_sub(a, N) ** k, (str(a), k)
+            rho = carlitz(a)
+            terms = {q**d - q**j: RatT(cfg, c) for j, c in enumerate(rho)}
+            assert t_sub(a, N) * TSeries(cfg, N, terms) == TSeries(cfg, N, {q**d: cfg.rat_one}), str(a)
+
+
+def test_t_sub_k_range(cfg, q):
+    a = PolyT.monomial(cfg, 1)
+    assert t_sub(a, 12, 0) == TSeries.one(cfg, 12)
+    assert t_sub(cfg.poly_one, 1, 0) == TSeries.one(cfg, 1)
+    for k in (-1, -q):
+        with pytest.raises(ValueError, match=f"k = {k}"):
+            t_sub(a, 12, k)
 
 
 def test_t_sub_requires_monic(cfg):
@@ -551,6 +577,18 @@ def test_series_of_different_fields_never_mix():
         _sum_of_products(F4, 10, [(a, a), (a, b)])
     with pytest.raises(ValueError):
         _sum_of_products(F5, 10, [(b, b), (a, b)])
+    # a coefficient of F_5 read as F_7 codes would print as the same numbers
+    F7 = FieldConfig.from_q(7)
+    x = RatT(F5, PolyT(F5, (3, 4)))
+    for cfg in (F4, F7):
+        with pytest.raises(ValueError):
+            expand_E(cfg, 10) * x
+        with pytest.raises(ValueError):
+            QmPoly.monomial(cfg, 1, 0, 0, x)
+        with pytest.raises(ValueError):
+            QmPoly.from_scalar(cfg, x)
+    assert str(expand_E(F5, 10) * x) == "(3 + 4*T) * t + O(t^10)"
+    assert QmPoly.from_scalar(F5, x) == QmPoly.monomial(F5, 0, 0, 0, x)
 
 
 # ---------------------------------------------------------------------------
