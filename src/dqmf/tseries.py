@@ -5,19 +5,18 @@ identity imported from the polynomial side is the definitional equation
 h = -(D_1 g + E g).  ``carlitz(a)`` gives the coefficients of rho_a by one
 Horner recurrence in T, and ``t_sub(a, N, k)`` gives t_a^k for the E
 (k = 1) and g (k = q - 1) lattice sums from one inversion of a unit over
-F_q[T], lifted by Frobenius.  The series-level divided
-derivative follows the convolution formula with the alpha coefficients
-(sums of 1/(d_{i_1}...d_{i_r}) over ways of writing the order as r
-q-powers), so derivative identities checked against the engine are
-genuinely two-route.  Every series product is convolved on raw F_q[T] code
-lists by ``_accumulate``: ``t_sub`` calls it on F_q[T] coefficients, and
-every sum and product over F_q(T) is a call of one kernel,
-``_sum_of_products``, which canonicalises each t-coefficient of a
-sum of products once: ``TSeries +`` and ``*``, the E and g lattice sums,
-``evaluate`` and ``hyper_derive`` call it.  The caches are ``_expansion``,
-``_gen_power`` (whose gen^1 is the expansion itself) and ``alpha``, and no
-result shares a dict with them: ``expand_E/g/h`` and ``hyper_derive(s, 0)``
-return copies, and the powers never leave this module.
+F_q[T], lifted by Frobenius.  The series-level divided derivative follows
+the convolution formula with the alpha coefficients (sums of
+1/(d_{i_1}...d_{i_r}) over ways of writing the order as r q-powers), so
+derivative identities checked against the engine are genuinely two-route.
+Every series product is convolved on raw F_q[T] code lists by
+``_accumulate``, and ``_canonical`` reduces each t-coefficient of a result
+to a canonical RatT once: ``_sum_of_products`` (``TSeries +`` and ``*``, the
+lattice sums, ``hyper_derive``) and ``evaluate`` end in it.  The caches are
+``_expansion``, ``alpha`` and ``_monomial``, which holds each E^a g^b h^c
+over F_q[T], built digit by digit in base p since the p-th power of such a
+series is its Frobenius; it never leaves this module, and ``expand_E/g/h``
+and ``hyper_derive(s, 0)`` return copies of cached series.
 """
 
 from __future__ import annotations
@@ -130,14 +129,10 @@ class TSeries:
         }
 
 
-def _cleared(s: TSeries, order: int, common: PolyT) -> dict:
-    """The coefficients of s below order as PolyT numerators over ``common``,
-    which must be a multiple of every denominator of s below order."""
-    return {
-        n: v.num if v.den.c == common.c else v.num * common.exact_div(v.den)
-        for n, v in s.terms.items()
-        if n < order
-    }
+def _cleared(items, common: PolyT) -> dict:
+    """(key, RatT) items as key -> PolyT numerator over ``common``, which must
+    be a multiple of every denominator among them."""
+    return {k: v.num if v.den.c == common.c else v.num * common.exact_div(v.den) for k, v in items}
 
 
 def _accumulate(cfg, acc: dict, x: dict, y: dict, M: int):
@@ -163,25 +158,43 @@ def _accumulate(cfg, acc: dict, x: dict, y: dict, M: int):
                     out[i + j] = add[out[i + j]][row[w]]
 
 
+def _product(cfg, x: dict, y: dict, M: int) -> dict:
+    """x * y below M for x, y over F_q[T], t-exponent -> nonzero PolyT."""
+    acc = {}
+    _accumulate(cfg, acc, x, y, M)
+    return {n: v for n, v in ((n, PolyT(cfg, raw)) for n, raw in acc.items()) if v}
+
+
+def _frobenius(cfg, s: dict, M: int, k: int) -> dict:
+    """s^(p^k) below M for s over F_q[T]: t- and T-exponents times p^k, every
+    code sent through ``cfg.frob`` k times."""
+    step = cfg.p**k
+    return {step * n: v.frobenius_pow(k) for n, v in s.items() if step * n < M}
+
+
+def _canonical(cfg, order: int, acc: dict, den: PolyT) -> TSeries:
+    """The series of acc's raw F_q[T] code lists over den, each made canonical once."""
+    return TSeries(cfg, order, {n: RatT(cfg, PolyT(cfg, c), den) for n, c in acc.items()})
+
+
 def _sum_of_products(cfg: FieldConfig, order: int, pairs) -> TSeries:
     """The sum of x * y over TSeries pairs (x, y) of exact operands, below order.
 
     All left operands are cleared over one common denominator Dx, all right
     ones over another, Dy, and every numerator product is convolved into one
-    raw F_q[T] code list per t-exponent over Dx * Dy; the constructor then
-    reduces each list to a canonical RatT once.
+    raw F_q[T] code list per t-exponent over Dx * Dy, made canonical once.
     """
-    pairs = list(pairs)
+    below = []
     for x, y in pairs:
         if x.cfg is not cfg or y.cfg is not cfg:
             raise ValueError("series over different fields")
-    dx = common_denominator(cfg, (v for x, _ in pairs for n, v in x.terms.items() if n < order))
-    dy = common_denominator(cfg, (v for _, y in pairs for n, v in y.terms.items() if n < order))
+        below.append([[(n, v) for n, v in s.terms.items() if n < order] for s in (x, y)])
+    dx = common_denominator(cfg, (v for xs, _ in below for _, v in xs))
+    dy = common_denominator(cfg, (v for _, ys in below for _, v in ys))
     acc = {}
-    for x, y in pairs:
-        _accumulate(cfg, acc, _cleared(x, order, dx), _cleared(y, order, dy), order)
-    den = dx * dy
-    return TSeries(cfg, order, {n: RatT(cfg, PolyT(cfg, c), den) for n, c in acc.items()})
+    for xs, ys in below:
+        _accumulate(cfg, acc, _cleared(xs, dx), _cleared(ys, dy), order)
+    return _canonical(cfg, order, acc, dx * dy)
 
 
 def nu_infinity(s: TSeries):
@@ -206,7 +219,7 @@ def carlitz(a: PolyT) -> tuple:
     rho = ()
     for code in reversed(a.c):
         low = (PolyT(cfg, (code,)),) + tuple(c.frobenius_pow(cfg.e) for c in rho)
-        rho = tuple(x + cfg.poly_T * y for x, y in zip(low, rho + (cfg.poly_zero,)))
+        rho = tuple(x + PolyT(cfg, (0,) + y.c) for x, y in zip(low, rho + (cfg.poly_zero,)))
     return rho
 
 
@@ -227,12 +240,9 @@ def _invert_unit(cfg, unit: dict, M: int, k: int) -> dict:
                 _accumulate(cfg, acc, {n: v}, unit, M)
         return out
     q, m = cfg.q, -(-k // cfg.q)
-    inner = _invert_unit(cfg, unit, -(-M // q), m)
-    out = {q * n: v.frobenius_pow(cfg.e) for n, v in inner.items() if q * n < M}
+    out = _frobenius(cfg, _invert_unit(cfg, unit, -(-M // q), m), M, cfg.e)
     for _ in range(q * m - k):
-        acc = {}
-        _accumulate(cfg, acc, out, {0: cfg.poly_one, **unit}, M)
-        out = {n: v for n, v in ((n, PolyT(cfg, raw)) for n, raw in acc.items()) if v}
+        out = _product(cfg, out, {0: cfg.poly_one, **unit}, M)
     return out
 
 
@@ -279,8 +289,8 @@ def _lattice_sum(cfg: FieldConfig, N: int, k: int, weight) -> TSeries:
 
 @functools.cache
 def _expansion(cfg: FieldConfig, N: int, gen: str) -> TSeries:
-    """The expansion of gen in "Egh" below N, cached and read by the generator
-    powers; the public builders below hand out copies of it."""
+    """The expansion of gen in "Egh" below N, cached and read by ``_monomial``;
+    the public builders below hand out copies of it."""
     if gen == "E":
         return _lattice_sum(cfg, N, 1, lambda a: RatT(cfg, a))
     if gen == "g":
@@ -382,29 +392,34 @@ def hyper_derive(s: TSeries, i: int) -> TSeries:
 
 
 @functools.cache
-def _gen_power(cfg: FieldConfig, N: int, gen: str, n: int) -> TSeries:
-    """gen^n below N for gen in "Egh", as gen^(n-1) * gen (the expansion is sparse).
-
-    Powers at multiples of 128 below n are built first, bottom-up, so a miss
-    recurses at most 128 levels before it reaches a cached power.
-    """
-    if n <= 1:
-        return TSeries.one(cfg, N) if n == 0 else _expansion(cfg, N, gen)
-    for k in range(128, n - 1, 128):
-        _gen_power(cfg, N, gen, k)
-    return _gen_power(cfg, N, gen, n - 1) * _expansion(cfg, N, gen)
+def _monomial(cfg: FieldConfig, N: int, mono: tuple) -> dict:
+    """E^a g^b h^c below N for mono = (a, b, c), t-exponent -> nonzero PolyT, as
+    S(m mod p) * Frob(S(m div p)) with the base at the full N; the part below p
+    is halved, so a miss recurses O(log p) deep per base-p digit."""
+    if sum(mono) <= 1:
+        if not any(mono):
+            return {0: cfg.poly_one}
+        s = _expansion(cfg, N, "Egh"[mono.index(1)])
+        if any(not v.den.is_one() for v in s.terms.values()):  # once per generator
+            raise AssertionError(f"the expansion {mono} has a coefficient outside F_q[T]")
+        return {n: v.num for n, v in s.terms.items()}
+    if max(mono) >= cfg.p:
+        low = tuple(n % cfg.p for n in mono)
+        lifted = _frobenius(cfg, _monomial(cfg, N, tuple(n // cfg.p for n in mono)), N, 1)
+        return _product(cfg, _monomial(cfg, N, low), lifted, N) if any(low) else lifted
+    # halves; E g, E h, g h and E g h split off their first generator
+    part = tuple(n // 2 for n in mono) if max(mono) > 1 else (mono[0], 1 - mono[0], 0)
+    rest = tuple(n - k for n, k in zip(mono, part))
+    return _product(cfg, _monomial(cfg, N, part), _monomial(cfg, N, rest), N)
 
 
 def evaluate(f: QmPoly, N: int) -> TSeries:
-    """The substitution homomorphism sending E, g, h to their expansions:
-    the kernel sums each coefficient times its product of generator powers."""
+    """The substitution homomorphism sending E, g, h to their expansions: f's
+    coefficients are cleared over one denominator, each numerator convolved
+    with its cached monomial series, and only the sum made canonical."""
     cfg = f.cfg
-    pairs = []
-    for mono, v in f.terms.items():
-        term = None
-        for gen, n in zip("Egh", mono):
-            if n:
-                part = _gen_power(cfg, N, gen, n)
-                term = part if term is None else term * part
-        pairs.append((TSeries(cfg, N, {0: v}), TSeries.one(cfg, N) if term is None else term))
-    return _sum_of_products(cfg, N, pairs)
+    den = common_denominator(cfg, f.terms.values())
+    acc = {}
+    for mono, num in _cleared(f.terms.items(), den).items():
+        _accumulate(cfg, acc, {0: num}, _monomial(cfg, N, mono), N)
+    return _canonical(cfg, N, acc, den)

@@ -23,7 +23,7 @@ from dqmf.algebra import (
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly
 from dqmf.suite import run_suite
-from dqmf.tseries import _expansion, _gen_power, alpha, expand_E
+from dqmf.tseries import _expansion, _monomial, alpha, expand_E
 
 from conftest import _ratio_of_linears
 
@@ -51,14 +51,17 @@ def test_the_process_wide_caches_are_exactly_these_eight():
     assert found == {
         "dqmf.algebra._monic_gcd", "dqmf.algebra._den_pair", "dqmf.algebra._den_product",
         "dqmf.algebra._coprime_parts", "dqmf.algebra.d_power",
-        "dqmf.tseries.alpha", "dqmf.tseries._expansion", "dqmf.tseries._gen_power",
+        "dqmf.tseries.alpha", "dqmf.tseries._expansion", "dqmf.tseries._monomial",
     }
 
 
 def test_the_first_generator_power_is_the_cached_expansion(cfg):
-    # one copy of each generator series: gen^1 is not rebuilt as 1 * gen
-    for gen in "Egh":
-        assert _gen_power(cfg, cfg.q + 3, gen, 1) is _expansion(cfg, cfg.q + 3, gen)
+    # one copy of each generator series: gen^1 holds the expansion's own
+    # numerators, not a rebuilt 1 * gen
+    for mono, gen in (((1, 0, 0), "E"), ((0, 1, 0), "g"), ((0, 0, 1), "h")):
+        first, s = _monomial(cfg, cfg.q + 3, mono), _expansion(cfg, cfg.q + 3, gen)
+        assert first.keys() == s.terms.keys()
+        assert all(first[n] is v.num for n, v in s.terms.items())
 
 
 def test_field_config_carries_no_cache():

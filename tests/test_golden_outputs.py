@@ -221,3 +221,38 @@ def test_series_evaluation_and_derivative_match_the_pinned_digest():
             for n in orders:
                 h.update(f"{q} {name} {n} {hyper_derive(s, n)}\n".encode())
     assert h.hexdigest() == EVAL_GOLDEN
+
+
+DIGIT_POINTS = [(2, 120), (3, 100), (4, 120), (5, 150), (9, 90)]
+DIGIT_GOLDEN = "0561a83264a68a374eb758cda6bc81cfabb4ffb61c3ba096092cd2eb5de98d4c"
+
+
+def _deep_digit_element(cfg, rng):
+    """Four monomials whose exponents have several base-p digits, E's and h's
+    kept below the order N of DIGIT_POINTS (E and h vanish at t = 0), each
+    with a random nonzero fraction as coefficient."""
+    p = cfg.p
+    g_exps = (p - 1, p * p + p - 1, p**3 + 1, p**4 + 1, 2 * p**3 + p * p + p - 1)
+    low_exps = (0, 1, p - 1, p, p + 1, p * p, p * p + p - 1)
+    terms = {}
+    for _ in range(4):
+        mono = (rng.choice(low_exps), rng.choice(g_exps), rng.choice(low_exps))
+        v = cfg.rat_zero
+        while v.is_zero():
+            v = random_ratt(cfg, rng, 2)
+        terms[mono] = v
+    return QmPoly(cfg, terms)
+
+
+def test_deep_digit_evaluation_matches_the_pinned_digest():
+    """``str(evaluate(f, N))`` for seeded f over monomials with exponents of
+    up to five base-p digits.  Computed while ``evaluate`` multiplied
+    generator powers built one factor at a time."""
+    h = hashlib.sha256()
+    for q, N in DIGIT_POINTS:
+        cfg = FieldConfig.from_q(q)
+        rng = random.Random(q + 100)
+        for k in range(3):
+            f = _deep_digit_element(cfg, rng)
+            h.update(f"{q} {N} f{k} {evaluate(f, N)}\n".encode())
+    assert h.hexdigest() == DIGIT_GOLDEN

@@ -22,7 +22,7 @@ from dqmf.tseries import (
     nu_infinity,
     t_sub,
 )
-from dqmf.tseries import _gen_power, _monic_polys, _sum_of_products
+from dqmf.tseries import _monic_polys, _monomial, _sum_of_products
 from dqmf.verify import random_ratt
 
 
@@ -480,11 +480,12 @@ def _per_term_hyper_derive(s, i):
     return TSeries(cfg, s.order, out)
 
 
-def _mixed_element(cfg, rng, terms=5):
-    """Random monomials of degree <= 3 with random fractions as coefficients."""
+def _mixed_element(cfg, rng, terms=5, exponents=range(4)):
+    """Random monomials with exponents drawn from ``exponents`` (degree <= 3
+    by default) and random fractions as coefficients."""
     f = QmPoly.zero(cfg)
     for _ in range(terms):
-        mono = tuple(rng.randint(0, 3) for _ in range(3))
+        mono = tuple(rng.choice(exponents) for _ in range(3))
         v = random_ratt(cfg, rng, 2)
         if not v.is_zero():
             f.terms[mono] = v
@@ -499,6 +500,14 @@ def test_evaluate_matches_the_pairwise_route(q):
         for _ in range(3):
             f = _mixed_element(cfg, rng)
             assert evaluate(f, N) == _pairwise_evaluate(f, N)
+    # exponents next to the base-p digit boundaries, where the monomial series
+    # take a Frobenius lift, and orders at and next to a multiple of p
+    p = cfg.p
+    exponents = (0, 1, p - 1, p, p + 1, p * p, p * p + p - 1)
+    for N in (q * q + 2, p * (q + 3), p * (q + 3) + 1):
+        for _ in range(4):
+            f = _mixed_element(cfg, rng, exponents=exponents)
+            assert evaluate(f, N) == _pairwise_evaluate(f, N), (str(f), N)
 
 
 @pytest.mark.parametrize("q", ALL_FIELDS, ids=lambda q: f"q{q}")
@@ -515,7 +524,7 @@ def test_hyper_derive_matches_the_per_term_loop(q):
 
 def test_power_cache_separates_fields_and_orders():
     """Two moduli of F_9 and two truncation orders at one field each get
-    their own generator powers."""
+    their own monomial series."""
     fields = [FieldConfig(3, 2, (1, 0, 1)), FieldConfig(3, 2, (2, 1, 1))]
     assert fields[0] is not fields[1]
     for cfg in fields:
@@ -525,7 +534,7 @@ def test_power_cache_separates_fields_and_orders():
                 got = evaluate(QmPoly.monomial(cfg, *mono), N)
                 assert got.cfg is cfg and got.order == N
                 assert got == base(cfg, N) ** n
-                assert _gen_power(cfg, N, "Egh"[mono.index(n)], n) == got
+                assert _monomial(cfg, N, mono) == {k: v.num for k, v in got.terms.items()}
 
 
 def test_mutating_a_result_does_not_reach_the_caches(cfg):
@@ -560,6 +569,23 @@ def test_huge_generator_powers_do_not_recurse(q):
 
 # ---------------------------------------------------------------------------
 # series over different fields
+
+
+def test_a_huge_power_takes_few_monomial_entries():
+    """g^30000 is fifteen base-2 digits deep: each digit level adds one cached
+    monomial series (and at most one below p), not one per power."""
+    cfg = FieldConfig.from_q(4)
+    before = tseries._monomial.cache_info().currsize
+    got = evaluate(QmPoly.monomial(cfg, 0, 30000, 0), 40)
+    assert tseries._monomial.cache_info().currsize - before <= 64
+    assert got == expand_g(cfg, 40) ** 30000
+
+
+def test_the_part_below_p_recurses_shallowly():
+    """At q = 499 every exponent of E^498 g^498 h^498 is one base-p digit; it
+    is built by halving, not one generator at a time (about 1,500 frames)."""
+    cfg = FieldConfig.from_q(499)
+    assert str(evaluate(QmPoly.monomial(cfg, 498, 498, 498), 3)) == "O(t^3)"
 
 
 def test_series_of_different_fields_never_mix():
