@@ -30,17 +30,26 @@ Each convolution collects its (left, right) pairs and makes one
 ``qmring.sum_of_products`` call per (monomial, order), which canonicalises
 each output coefficient once rather than once per product; the squaring
 rule folds its middle square in as the pair (D_{n/2}(x^k)/2, D_{n/2}(x^k))
-before the factor 2, 2 being invertible for odd p.  A single engine
-instance keeps one memo keyed by (monomial, order), and ``stats()`` counts
-its entries and the hits and misses of its lookups; one engine per thread is
-safe, since engines share only the per-field functools caches of ``algebra``
-(the d_i powers, gcds and the ``_den_pair``, ``_den_product`` and
-``_coprime_parts`` LRUs), which are thread-safe and hold immutable values.
+before the factor 2, 2 being invertible for odd p.
+
+``derive`` groups the memo terms v*c of f's monomials, c = num(c)/D, by
+(output monomial, memo denominator D).  A group of one term is v*c; a
+group of several is (sum_j v_j num(c_j)) * (1/D), whose inner sum runs over
+the request coefficients' small denominators, so no sum takes a gcd
+against D.  The groups of one monomial are then added.  Every step is a
+RatT constructor or operator, so the result is canonical.
+
+A single engine instance keeps one memo keyed by (monomial, order), and
+``stats()`` counts its entries and the hits and misses of its lookups; one
+engine per thread is safe, since engines share only the per-field functools
+caches of ``algebra`` (the d_i powers, gcds and the ``_den_pair``,
+``_den_product`` and ``_coprime_parts`` LRUs), which are thread-safe and
+hold immutable values.
 """
 
 from __future__ import annotations
 
-from .algebra import FieldConfig, binom_mod_p, d_rat, linear_solve
+from .algebra import FieldConfig, RatT, binom_mod_p, d_rat, linear_solve
 from .qmring import (
     DepthPoly, QmPoly, grading, modular_basis, monomial_signature, sum_of_products,
 )
@@ -215,12 +224,23 @@ class DerivationEngine:
         """D_n f for any f in K[E,g,h], 0 <= n <= limit, as a fresh element."""
         self._check_field(f)
         self._check_order(n)
-        out = QmPoly.zero(self.cfg)
+        cfg = self.cfg
+        groups = {}  # (output monomial, memo denominator) -> [(v, memo coefficient)]
         for mono, v in f.terms.items():
-            part = self._derive_monomial(mono, n)
-            if not part.is_zero():
-                out = out + part.scale(v)
-        return out
+            for k, c in self._derive_monomial(mono, n).terms.items():
+                groups.setdefault((k, c.den.c), []).append((v, c))
+        out = {}
+        for (k, _), pairs in groups.items():
+            if len(pairs) == 1:
+                v, c = pairs[0]
+                s = c * v
+            else:
+                s = cfg.rat_zero
+                for v, c in pairs:
+                    s = s + v * RatT(cfg, c.num)
+                s = RatT(cfg, c.den).inverse() * s
+            out[k] = out[k] + s if k in out else s
+        return QmPoly(cfg, out)
 
     def depth_drop(self, w: int, l: int, n: int) -> bool:
         return depth_drop(w, l, n, self.cfg.p)
@@ -252,33 +272,6 @@ class DerivationEngine:
                     acc = acc + term.scale_int(bm)
             out.append(acc)
         return DepthPoly(cfg, out)
-
-    # -- generator derivatives up to modular forms -----------------------------
-
-    def derivative_mod_h_residue(self, i: int):
-        """The modular residues of D_{p^i} on E, g, h.
-
-        Returns (D_{p^i}E - E^{p^i+1},
-                 D_{p^i}g - C(q-2+p^i, p^i) E^{p^i} g,
-                 D_{p^i}h - E^{p^i}h - E^q D_{p^i-q}h), asserting that each
-        is modular (depth 0) and lies in the ideal (h).
-        """
-        cfg = self.cfg
-        n = cfg.p**i
-        self._check_order(n)
-        mono = QmPoly.monomial
-        rE = self.d_generator("E", n) - mono(cfg, n + 1, 0, 0)
-        cg = binom_mod_p(cfg.q - 2 + n, n, cfg.p)
-        rg = self.d_generator("g", n) - mono(cfg, n, 1, 0).scale_int(cg)
-        rh = self.d_generator("h", n) - mono(cfg, n, 0, 1)
-        if n >= cfg.q:
-            rh = rh - mono(cfg, cfg.q, 0, 0) * self.d_generator("h", n - cfg.q)
-        for r in (rE, rg, rh):
-            if r.deg_E() > 0:
-                raise AssertionError("residue is not modular")
-            if any(k[2] < 1 for k in r.terms):
-                raise AssertionError("residue is not divisible by h")
-        return rE, rg, rh
 
     # -- kernels on modular forms ----------------------------------------------
 

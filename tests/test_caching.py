@@ -155,7 +155,36 @@ def test_den_pair_traffic_is_mostly_hits():
     assert all(r["pass"] for r in results)
     info = _den_product.cache_info()
     assert info.misses and info.hits >= 10 * info.misses
-    assert _den_pair.cache_info()[:2] == (44, 24)
+    assert _den_pair.cache_info()[:2] == (34, 21)
+
+
+def test_derive_forms_few_denominator_pairs():
+    """A warm derive of multi-term q = 5 elements sums the memo terms of one
+    output monomial and one memo denominator D over the request's own
+    denominators, then multiplies by 1/D once, so the sums form few distinct
+    denominator pairs.  Adding the scaled terms pairwise, over b*D, forms
+    56 on this stream."""
+    cfg = FieldConfig.from_q(5)
+    engine = DerivationEngine(cfg)
+    slices = {}
+    for t in [(a, b, c) for a in range(7) for b in range(4) for c in range(3)
+              if 0 < 2 * a + 4 * b + 6 * c <= 12]:
+        slices.setdefault((2 * t[0] + 4 * t[1] + 6 * t[2], (t[0] + t[2]) % 4), []).append(t)
+    slices = [s for s in slices.values() if len(s) > 1]
+    rng = random.Random(22)
+    stream = []
+    for _ in range(100):
+        mates = rng.choice(slices)
+        support = rng.sample(mates, rng.randint(2, len(mates)))
+        stream.append((QmPoly(cfg, {t: _ratio_of_linears(cfg, rng) for t in support}),
+                       rng.randint(1, 16)))
+    for f, n in stream:
+        for t in f.terms:
+            engine.derive(QmPoly.monomial(cfg, *t), n)
+    _den_pair.cache_clear()
+    for f, n in stream:
+        engine.derive(f, n)
+    assert _den_pair.cache_info().misses <= 13
 
 
 def test_coprime_parts_cache_is_a_bounded_lru():

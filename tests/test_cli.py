@@ -2,13 +2,17 @@
 and exit codes."""
 
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dqmf
 from dqmf.algebra import FieldConfig, PolyT, RatT, bracket
 from dqmf.cli import ParseError, main, parse_qmpoly, parse_ratt
 from dqmf.qmring import QmPoly
@@ -197,6 +201,15 @@ def test_cmd_field_prints_the_field_file(tmp_path, capsys):
     assert capsys.readouterr().out == (tmp_path / "f.cfg").read_text()
     assert main(["field", "--field-file", str(tmp_path / "f.cfg")]) == 0
     assert capsys.readouterr().out == (tmp_path / "f.cfg").read_text()
+
+
+def test_python_dash_m_dqmf_runs_the_cli(capsys):
+    """`python -m dqmf` is the `dqmf` command: same output, same exit code."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dqmf.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "dqmf", "field", "--q", "3"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert main(["field", "--q", "3"]) == 0
+    assert (proc.returncode, proc.stdout) == (0, capsys.readouterr().out)
 
 
 def test_cmd_verify_small_field(capsys):

@@ -137,28 +137,76 @@ def _isobaric_requests(cfg, rng, count, w_max=20, n_max=24):
     return out
 
 
+def _derive_against_reference(engine, terms, n):
+    """derive(f, n) for f = sum_i v_i m_i, asserted equal to sum_i v_i D_n(m_i)
+    with every product and sum canonicalised by the RatT constructor.  Also
+    returns, per output monomial, the (i, memo coefficient) pairs that reach it."""
+    cfg = engine.cfg
+    f = QmPoly.zero(cfg)
+    ref, hits = {}, {}
+    for i, (mono, v) in enumerate(terms):
+        f = f + QmPoly.monomial(cfg, *mono, v)
+        for key, c in engine.derive(QmPoly.monomial(cfg, *mono), n).terms.items():
+            prod = _reference_mul(v, c)
+            ref[key] = _reference_add(ref[key], prod) if key in ref else prod
+            hits.setdefault(key, []).append((i, c))
+    out = engine.derive(f, n)
+    ref = {k: c for k, c in ref.items() if c}
+    assert out.terms.keys() == ref.keys()
+    for k, c in out.terms.items():
+        assert (c.num.c, c.den.c) == (ref[k].num.c, ref[k].den.c), (cfg.q, n, k)
+    return out, hits
+
+
 def test_derive_matches_a_constructor_route_sum():
-    """derive(f, n) equals sum_i v_i D_n(m_i) with every product and sum
-    canonicalised by the RatT constructor; the outputs are pinned by sha256."""
+    """derive(f, n) equals the constructor-route sum; the outputs are pinned by
+    sha256.  The second stream adds q = 2 and 3, orders at p-powers, and for
+    each request whose memo terms share a denominator at some monomial, a
+    twin request that cancels that coefficient; it must reach groups of
+    several terms over one denominator D != 1 (at q = 5 with non-constant
+    numerators) and coefficients that mix denominators."""
     digest = hashlib.sha256()
     for q in (4, 5, 7, 8, 9):
         engine = engine_for(q)
-        cfg = engine.cfg
-        for terms, n in _isobaric_requests(cfg, random.Random(f"derive-sum:{q}"), 12):
-            f = QmPoly.zero(cfg)
-            ref = {}
-            for mono, v in terms:
-                f = f + QmPoly.monomial(cfg, *mono, v)
-                for key, c in engine.derive(QmPoly.monomial(cfg, *mono), n).terms.items():
-                    prod = _reference_mul(v, c)
-                    ref[key] = _reference_add(ref[key], prod) if key in ref else prod
-            out = engine.derive(f, n)
-            ref = {k: c for k, c in ref.items() if c}
-            assert out.terms.keys() == ref.keys()
-            for k, c in out.terms.items():
-                assert (c.num.c, c.den.c) == (ref[k].num.c, ref[k].den.c), (q, n, k)
+        for terms, n in _isobaric_requests(engine.cfg, random.Random(f"derive-sum:{q}"), 12):
+            out, _ = _derive_against_reference(engine, terms, n)
             digest.update(f"{q} {n} {out}\n".encode())
     assert digest.hexdigest() == "ebc7f2c489568bfe2d78c9e5d61332d0f5cc6d3544a0d99b3473a0eee6992be1"
+
+    digest = hashlib.sha256()
+    seen = set()
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        engine = engine_for(q)
+        cfg = engine.cfg
+        rng = random.Random(f"derive-groups:{q}")
+        requests = _isobaric_requests(cfg, rng, 16, n_max=32)
+        orders = [n for n in p_powers_upto(cfg, 32) if n <= engine.limit]
+        extra = _isobaric_requests(cfg, rng, len(orders), n_max=32)
+        requests += [(terms, n) for (terms, _), n in zip(extra, orders)]
+        for terms, n in requests:
+            out, hits = _derive_against_reference(engine, terms, n)
+            digest.update(f"{q} {n} {out}\n".encode())
+            for pairs in hits.values():
+                dens = {c.den.c for _, c in pairs}
+                if len(dens) > 1:
+                    seen.add("mixed")
+                elif len(pairs) > 1 and dens != {(1,)}:
+                    seen.add("shared")
+                    if q == 5 and any(len(c.num.c) > 1 for _, c in pairs):
+                        seen.add("shared, q = 5, non-constant numerator")
+            key, pairs = next(((k, ps) for k, ps in hits.items()
+                               if len(ps) == 2 and ps[0][1].den == ps[1][1].den), (None, None))
+            if key is None:
+                continue
+            (i, c1), (j, c2) = pairs
+            twin = list(terms)
+            twin[j] = (terms[j][0], -(terms[i][1] * c1) / c2)
+            out, _ = _derive_against_reference(engine, twin, n)
+            assert key not in out.terms
+            seen.add("cancelled")
+            digest.update(f"{q} {n} {out}\n".encode())
+    assert seen == {"mixed", "shared", "shared, q = 5, non-constant numerator", "cancelled"}
+    assert digest.hexdigest() == "3064a0259bd4f7e7f038a0f748e10f8495669721f62fbfacd96ba69759be4b32"
 
 
 def test_one_engine_per_thread_matches_a_single_thread():
@@ -440,8 +488,25 @@ def test_transform_depth_poly_E_p_power(engine, q):
 # residues mod modular forms
 
 
+def _residues_mod_h(engine, i):
+    """D_{p^i} of E, g and h, n = p^i, less E^{n+1}, C(q-2+n, n) E^n g and
+    E^n h + E^q D_{n-q} h; each residue is modular and lies in the ideal (h)."""
+    cfg = engine.cfg
+    n = cfg.p**i
+    mono = QmPoly.monomial
+    rE = engine.d_generator("E", n) - mono(cfg, n + 1, 0, 0)
+    cg = binom_mod_p(cfg.q - 2 + n, n, cfg.p)
+    rg = engine.d_generator("g", n) - mono(cfg, n, 1, 0).scale_int(cg)
+    rh = engine.d_generator("h", n) - mono(cfg, n, 0, 1)
+    if n >= cfg.q:
+        rh = rh - mono(cfg, cfg.q, 0, 0) * engine.d_generator("h", n - cfg.q)
+    for r in (rE, rg, rh):
+        assert r.deg_E() <= 0 and all(k[2] >= 1 for k in r.terms)
+    return rE, rg, rh
+
+
 def test_derivative_mod_h_residue_i0(engine):
-    rE, rg, rh = engine.derivative_mod_h_residue(0)
+    rE, rg, rh = _residues_mod_h(engine, 0)
     assert rE.is_zero()
     assert rg == -QmPoly.gen_h(engine.cfg)
     assert rh.is_zero()
@@ -451,7 +516,7 @@ def test_derivative_mod_h_residue_all_i(engine, q):
     cfg = engine.cfg
     i = 0
     while cfg.p**i <= engine.limit and cfg.p**i <= q * q:
-        rE, rg, rh = engine.derivative_mod_h_residue(i)
+        rE, rg, rh = _residues_mod_h(engine, i)
         n = cfg.p**i
         if q <= n < q * q:
             s = n // q
