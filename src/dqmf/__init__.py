@@ -21,7 +21,6 @@ from .qmring import (
     d1,
     depth_coefficient_transform,
     grading,
-    isobaric_decompose,
     modular_basis,
     qm_basis,
     rankin_bracket,

@@ -4,15 +4,23 @@ One recursion derives every monomial.  A generator at a p-power order reads
 the paper's tables (``generator_table``).  A generator at any other order n
 takes one digit step: with c the lowest nonzero base-p digit of n, at place
 p^k, iterativity D_i o D_j = C(i+j, i) D_{i+j} and Lucas' C(n, p^k) = c give
-D_n = c^{-1} D_{p^k}(D_{n-p^k} gen).  For odd p, a pure even power
-x^{2k} of one generator is squared:
+D_n = c^{-1} D_{p^k}(D_{n-p^k} gen).  A g-free E^a h^c with p not dividing
+a is lifted first: D_j E = E^{j+1} and D_j h = E^j h for j < q give
+D_j(E^{a-j} h^c) = C(a+c-1, j) E^a h^c for 1 <= j <= min(a, q-1), so by
+iterativity C(a+c-1, j) D_n(E^a h^c) = C(n+j, j) D_{n+j}(E^{a-j} h^c).
+Over the j with C(a+c-1, j) != 0 mod p, the result is zero if some
+C(n+j, j) = 0 mod p; else the largest j with n + j <= limit whose target is
+not 1, E or h gives it from one memo entry (with no such j the rules below
+apply).  p | a is left to the peel, whose Frobenius sparsity a lift would
+lose; ``_lifted`` says why a target is never a generator.  For odd p, a pure
+even power x^{2k} of one generator is squared:
 
     D_n(x^{2k}) = 2 sum_{0 <= r < n/2} D_r(x^k) D_{n-r}(x^k)
                   + [n even] D_{n/2}(x^k)^2.
 
 This is the Leibniz rule on y*y, y = x^k, with the equal products of the
 pairs (r, n-r) and (n-r, r) merged, so it holds in every characteristic; it
-halves the products behind E^{q-1}, h^2 and h^3.  At p = 2 the sum vanishes
+halves the products behind E^2, h^2 and h^3.  At p = 2 the sum vanishes
 and only the Frobenius term is left.  Any other monomial, and every power at
 p = 2, is a Leibniz convolution that peels off one p-power atom x^{p^k} of
 one generator at a time, so that Frobenius sparsity (D_m of a p^k-th power
@@ -158,8 +166,25 @@ class DerivationEngine:
         self._check_order(n)
         return QmPoly(self.cfg, self._derive_monomial(_GENERATORS[gen], n).terms)
 
+    def _lifted(self, mono: tuple, n: int):
+        """D_n(E^a h^c), p not dividing a, by the module docstring's lift, or None."""
+        (a, b, c), p = mono, self.cfg.p
+        if b or a % p == 0:
+            return None
+        js = [j for j in range(1, min(a, self.cfg.q - 1) + 1) if binom_mod_p(a + c - 1, j, p)]
+        if any(binom_mod_p(n + j, j, p) == 0 for j in js):
+            return QmPoly.zero(self.cfg)
+        for j in reversed(js):
+            # target not 1, E or h: a lift keeps the output weight w + 2n and
+            # lowers a, so lift chains end in a peel or squaring (lower output
+            # weights); a lift onto E or h re-enters its digit step at w + 2n
+            if n + j <= self.limit and a - j + c > 1:
+                ratio = binom_mod_p(n + j, j, p) * pow(binom_mod_p(a + c - 1, j, p), p - 2, p)
+                return self._derive_monomial((a - j, 0, c), n + j).scale_int(ratio)
+        return None
+
     def _derive_monomial(self, mono: tuple, n: int) -> QmPoly:
-        """D_n(E^a g^b h^c): table or digit step, squaring, else Leibniz peel."""
+        """D_n(E^a g^b h^c): lift, table or digit step, squaring, else Leibniz peel."""
         if n == 0:
             return QmPoly.monomial(self.cfg, *mono)
         if mono == (0, 0, 0):
@@ -170,6 +195,10 @@ class DerivationEngine:
             self._hits += 1
             return out
         self._misses += 1
+        out = self._lifted(mono, n)
+        if out is not None:
+            self._memo[key] = out
+            return out
         p = self.cfg.p
         i = 0 if mono[0] else 1 if mono[1] else 2  # the first generator present
         gen = _GENERATORS["Egh"[i]]

@@ -34,7 +34,6 @@ __all__ = [
     "NotIsobaric",
     "NotModular",
     "grading",
-    "isobaric_decompose",
     "modular_basis",
     "qm_basis",
     "associated_polynomial",
@@ -362,19 +361,6 @@ def grading(f: QmPoly):
             raise NotIsobaric(f"mixed gradings ({sig.w},{sig.m}) vs ({s.w},{s.m})")
         depth = max(depth, a)
     return GradingSignature(sig.w, sig.m, depth)
-
-
-def isobaric_decompose(f: QmPoly):
-    """Split f into its isobaric components, keyed by (weight, type)."""
-    buckets = {}
-    for (a, b, c), v in f.terms.items():
-        s = monomial_signature(f.cfg, a, b, c)
-        buckets.setdefault((s.w, s.m), QmPoly(f.cfg)).terms[(a, b, c)] = v
-    out = []
-    for (w, m) in sorted(buckets):
-        comp = buckets[(w, m)]
-        out.append((grading(comp), comp))
-    return out
 
 
 def modular_basis(w: int, m: int, cfg: FieldConfig):

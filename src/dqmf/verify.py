@@ -6,8 +6,9 @@ is the kernel of an evaluation map), stability is certified on generators
 checks are the computable directions of the classification results:
 the mod-h congruence for monomials in E and g, Rankin-bracket derivation
 probes, kernel weight divisibility, and membership of every derivative
-quotient of powers of h in the ring (for h^n with n < 0 computed in the
-ring, by inverting the quotient sequence of h^{|n|}, never over powers of h).
+quotient of powers of h in the ring.  For n < 0 the quotients of h^n are the
+inverse of the quotient sequence of h^{|n|}, computed in the ring, so a row
+with n < 0 can fail only where the row of h^{|n|} fails.
 """
 
 from __future__ import annotations

@@ -724,6 +724,22 @@ def test_peeling_g_matches_peeling_E(q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_lifted_monomials_match_peeling_E(q):
+    # every g-free E^a h^c with p not dividing a up to weight 26, the lift
+    # rule's domain, at every order up to min(limit, 48): at q = 2, 3 and 4
+    # that reaches the orders near the limit, where the rule falls back to
+    # the peel
+    cfg = FieldConfig.from_q(q)
+    engine, reference = DerivationEngine(cfg), DerivationEngine(cfg)
+    monos = [(a, 0, c) for a in range(1, 14) for c in range(26 // (q + 1) + 1)
+             if a % cfg.p and 2 * a + (q + 1) * c <= 26]
+    for mono in monos:
+        f = QmPoly.monomial(cfg, *mono)
+        for n in range(min(engine.limit, 48) + 1):
+            assert engine.derive(f, n) == _E_peeled(reference, mono, n), (mono, n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
 def test_g_derivatives_vanish_unless_the_order_is_0_or_1_mod_q(q):
     # the premise of peeling g: its atom has fewer nonzero left factors
     engine = engine_for(q)
@@ -732,12 +748,8 @@ def test_g_derivatives_vanish_unless_the_order_is_0_or_1_mod_q(q):
             assert engine.d_generator("g", n).is_zero(), n
 
 
-def test_warm_up_term_pairs_stay_at_the_g_peel_count(monkeypatch):
-    """A q = 5 warm-up, every monomial of weight <= 20 at every order
-    1 <= n <= 32 (orders outermost), multiplies at most 111,251 term pairs
-    in the engine's kernel calls; an E-first peel makes 222,241."""
-    cfg = FieldConfig.from_q(5)
-    engine = DerivationEngine(cfg)
+def _count_term_pairs(monkeypatch):
+    """Count the term pairs of each engine kernel call into the returned list."""
     counted = []
 
     def counting(cfg, pairs):
@@ -746,9 +758,33 @@ def test_warm_up_term_pairs_stay_at_the_g_peel_count(monkeypatch):
         return sum_of_products(cfg, pairs)
 
     monkeypatch.setattr(hyperd, "sum_of_products", counting)
+    return counted
+
+
+def test_warm_up_term_pairs_stay_at_the_g_peel_count(monkeypatch):
+    """A q = 5 warm-up, every monomial of weight <= 20 at every order
+    1 <= n <= 32 (orders outermost), multiplies at most 66,805 term pairs
+    in the engine's kernel calls; without the lift of g-free monomials it
+    makes 111,251, and an E-first peel without it 222,241."""
+    cfg = FieldConfig.from_q(5)
+    engine = DerivationEngine(cfg)
+    counted = _count_term_pairs(monkeypatch)
     monos = [(a, b, c) for a in range(11) for b in range(6) for c in range(4)
              if 0 < 2 * a + 4 * b + 6 * c <= 20]
     for n in range(1, 33):
         for mono in monos:
             engine.derive(QmPoly.monomial(cfg, *mono), n)
-    assert sum(counted) <= 111_251
+    assert sum(counted) <= 66_805
+
+
+def test_lifts_keep_frobenius_sparsity(monkeypatch):
+    """D_{7k}((E^2 h)^7) = (D_k(E^2 h))^7 on a cold q = 7 engine, k <= 6, in
+    at most 125 term pairs (90 with the lift): E^14 h^7 has p | a, so it is
+    peeled by its E^7 atom, and lifting it instead makes 1,064."""
+    cfg = FieldConfig.from_q(7)
+    engine = DerivationEngine(cfg)
+    counted = _count_term_pairs(monkeypatch)
+    x = QmPoly.monomial(cfg, 2, 0, 1)
+    for k in range(7):
+        assert engine.derive(x.frobenius_pow(1), 7 * k) == engine.derive(x, k).frobenius_pow(1)
+    assert sum(counted) <= 125

@@ -17,7 +17,6 @@ from dqmf.qmring import (
     d1,
     depth_coefficient_transform,
     grading,
-    isobaric_decompose,
     modular_basis,
     qm_basis,
     rankin_bracket,
@@ -63,22 +62,6 @@ def test_grading_multiplicativity(cfg, q):
         assert sp.w == sf.w + sg.w
         assert q == 2 or sp.m == (sf.m + sg.m) % (q - 1)
         assert sp.l <= sf.l + sg.l
-
-
-def test_isobaric_decompose_sums_back(cfg):
-    E, g, h = QmPoly.gen_E(cfg), QmPoly.gen_g(cfg), QmPoly.gen_h(cfg)
-    f = (E + h) * g
-    parts = isobaric_decompose(f)
-    total = QmPoly.zero(cfg)
-    seen = set()
-    for sig, comp in parts:
-        assert grading(comp) == sig
-        assert (sig.w, sig.m) not in seen
-        seen.add((sig.w, sig.m))
-        total = total + comp
-    assert total == f
-    assert isobaric_decompose(QmPoly.zero(cfg)) == []
-    assert len(isobaric_decompose(E + g)) == 2
 
 
 def test_modular_basis_examples(cfg, q):
