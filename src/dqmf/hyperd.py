@@ -1,19 +1,24 @@
 """The divided-derivative engine on K[E,g,h].
 
 One recursion derives every monomial.  A generator at a p-power order reads
-the paper's tables (``generator_table``).  A generator at any other order n
-takes one digit step: with c the lowest nonzero base-p digit of n, at place
-p^k, iterativity D_i o D_j = C(i+j, i) D_{i+j} and Lucas' C(n, p^k) = c give
-D_n = c^{-1} D_{p^k}(D_{n-p^k} gen).  A g-free E^a h^c with p not dividing
-a is lifted first: D_j E = E^{j+1} and D_j h = E^j h for j < q give
+the paper's tables (``generator_table``).  Any other order n takes one digit
+step: with c the lowest nonzero base-p digit of n, at place p^k, iterativity
+D_i o D_j = C(i+j, i) D_{i+j} and Lucas' C(n, p^k) = c give
+D_n = c^{-1} D_{p^k} o D_{n-p^k}.  At k = 0 (p not dividing n, n >= 2) every
+monomial takes it as D_n(m) = n^{-1} D_1(D_{n-1} m), D_1 being the derivation
+``qmring.d1``: two integer multiples of each term, no product.  At k >= 1
+only a generator takes it, through ``derive`` at order p^k; other monomials
+there, and at n = 1, go by the rules below.  A g-free E^a h^c with p not
+dividing a is lifted before any step: D_j E = E^{j+1} and D_j h = E^j h for
+j < q give
 D_j(E^{a-j} h^c) = C(a+c-1, j) E^a h^c for 1 <= j <= min(a, q-1), so by
 iterativity C(a+c-1, j) D_n(E^a h^c) = C(n+j, j) D_{n+j}(E^{a-j} h^c).
 Over the j with C(a+c-1, j) != 0 mod p, the result is zero if some
 C(n+j, j) = 0 mod p; else the largest j with n + j <= limit whose target is
 not 1, E or h gives it from one memo entry (with no such j the rules below
-apply).  p | a is left to the peel, whose Frobenius sparsity a lift would
-lose; ``_lifted`` says why a target is never a generator.  For odd p, a pure
-even power x^{2k} of one generator is squared:
+apply).  p | a is left to the other rules, since a lift would lose the
+peel's Frobenius sparsity; ``_lifted`` says why a target is never a
+generator.  For odd p, a pure even power x^{2k} of one generator is squared:
 
     D_n(x^{2k}) = 2 sum_{0 <= r < n/2} D_r(x^k) D_{n-r}(x^k)
                   + [n even] D_{n/2}(x^k)^2.
@@ -59,7 +64,7 @@ from __future__ import annotations
 
 from .algebra import FieldConfig, RatT, binom_mod_p, d_rat, linear_solve
 from .qmring import (
-    DepthPoly, QmPoly, grading, modular_basis, monomial_signature, sum_of_products,
+    DepthPoly, QmPoly, d1, grading, modular_basis, monomial_signature, sum_of_products,
 )
 
 __all__ = ["DerivationEngine", "OrderOutOfRange", "depth_drop", "generator_table"]
@@ -120,7 +125,7 @@ def generator_table(cfg: FieldConfig, gen: str, n: int) -> QmPoly:
             - mono(cfg, 0, s, s + 1, d_rat(1, -s, cfg))
         )
     # n == q^2
-    d1 = d_rat(1, 1, cfg)
+    d_1 = d_rat(1, 1, cfg)
     inv_d2 = d_rat(2, -1, cfg)
     if gen == "E":
         return (
@@ -131,14 +136,14 @@ def generator_table(cfg: FieldConfig, gen: str, n: int) -> QmPoly:
     if gen == "g":
         return (
             mono(cfg, n, 1, 0)
-            - mono(cfg, 0, q + 1, q, d1 * inv_d2)
-            + mono(cfg, 0, 0, 2 * q - 1, d_rat(1, 1 - q, cfg) - d1 * d1 * inv_d2)
+            - mono(cfg, 0, q + 1, q, d_1 * inv_d2)
+            + mono(cfg, 0, 0, 2 * q - 1, d_rat(1, 1 - q, cfg) - d_1 * d_1 * inv_d2)
         )
     return (
         mono(cfg, n, 0, 1)
         + mono(cfg, q, q - 1, q, d_rat(1, 1 - q, cfg))
         - mono(cfg, 0, 2 * q + 1, 2, inv_d2)
-        - mono(cfg, 0, q, q + 1, d1 * inv_d2 + d_rat(1, -q, cfg))
+        - mono(cfg, 0, q, q + 1, d_1 * inv_d2 + d_rat(1, -q, cfg))
     )
 
 
@@ -184,7 +189,7 @@ class DerivationEngine:
         return None
 
     def _derive_monomial(self, mono: tuple, n: int) -> QmPoly:
-        """D_n(E^a g^b h^c): lift, table or digit step, squaring, else Leibniz peel."""
+        """D_n(E^a g^b h^c): lift, D_1 step, table or digit step, squaring, else Leibniz peel."""
         if n == 0:
             return QmPoly.monomial(self.cfg, *mono)
         if mono == (0, 0, 0):
@@ -202,8 +207,14 @@ class DerivationEngine:
         p = self.cfg.p
         i = 0 if mono[0] else 1 if mono[1] else 2  # the first generator present
         gen = _GENERATORS["Egh"[i]]
-        if mono == gen:
-            digit, k = _lowest_digit(n, p)
+        digit, k = _lowest_digit(n, p)
+        if k == 0 and n > 1:
+            # D_1 o D_{n-1} = n D_n, n = digit mod p.  d1 reads no memo entry,
+            # so no lift at order 1 cycles back here: D_1(E^2 h) lifts to
+            # D_2(E h), which applies D_1 to D_1(E h), a sum with E^2 h in it;
+            # through derive(., 1) that would read D_1(E^2 h) again
+            out = d1(self._derive_monomial(mono, n - 1)).scale_int(pow(digit, p - 2, p))
+        elif mono == gen:
             if p**k == n:
                 out = generator_table(self.cfg, "Egh"[i], n)
             else:

@@ -8,10 +8,11 @@ the Serre-style derivative on modular elements.
 
 Every sum of products in the ring goes through one kernel,
 ``sum_of_products``: ``QmPoly * QmPoly`` is the kernel on one pair, and
-the engine's Leibniz convolutions, the quotient sequences of ``verify``,
-depth-polynomial products and D_1 pass it all their pairs at once.  It
-convolves the F_q[T] numerators of every term pair into one raw code list
-per (output monomial, denominator d1*d2, from ``algebra._den_product``) and
+the engine's Leibniz convolutions, the quotient sequences of ``verify``
+and depth-polynomial products pass it all their pairs at once; ``d1``
+multiplies no pair, it scales each term by integers.  The kernel convolves
+the F_q[T] numerators of every term pair into one raw code list per
+(output monomial, denominator d1*d2, from ``algebra._den_product``) and
 canonicalises each list once, through the RatT constructor, instead of
 canonicalising every product and every partial sum.  The output is
 canonical all the same: a sum of numerators over one unreduced denominator
@@ -65,7 +66,8 @@ class GradingSignature:
 class QmPoly:
     """Finitely supported map (a, b, c) -> K, the element sum c_t E^a g^b h^c.
 
-    Stored coefficients are never zero; iteration is lexicographic in the
+    Stored coefficients are never zero.  ``terms`` keeps insertion order,
+    which depends on the route that built the element; ``items()`` sorts by
     exponent triple, which fixes printing and JSON output.
     """
 
@@ -483,14 +485,20 @@ def depth_coefficient_transform(P: DepthPoly, i: int) -> DepthPoly:
 
 
 def d1(f: QmPoly) -> QmPoly:
-    """The derivation with E -> E^2, g -> -(Eg+h), h -> Eh: sum of f.partial(x) D_1 x."""
-    cfg = f.cfg
-    images = {
-        "E": QmPoly.monomial(cfg, 2, 0, 0),
-        "g": -(QmPoly.monomial(cfg, 1, 1, 0) + QmPoly.gen_h(cfg)),
-        "h": QmPoly.monomial(cfg, 1, 0, 1),
-    }
-    return sum_of_products(cfg, ((f.partial(gen), image) for gen, image in images.items()))
+    """The derivation with E -> E^2, g -> -(Eg+h), h -> Eh, term by term:
+
+        D_1(E^a g^b h^c) = (a - b + c) E^{a+1} g^b h^c - b E^a g^{b-1} h^{c+1}.
+
+    Each term of f scales its coefficient by two integers; a RatT sum is
+    taken only where two source terms land on one monomial.
+    """
+    out = {}
+    for (a, b, c), v in f.terms.items():
+        for k, s in (((a + 1, b, c), a - b + c), ((a, b - 1, c + 1), -b)):
+            t = v.scale_int(s)
+            if not t.is_zero():
+                out[k] = out[k] + t if k in out else t
+    return QmPoly(f.cfg, out)
 
 
 def rankin_bracket(U: QmPoly, V: QmPoly) -> QmPoly:

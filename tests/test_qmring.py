@@ -204,7 +204,7 @@ def test_d1_is_a_derivation(cfg):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
 def test_d1_matches_the_engine(q):
-    # d1 sums formal partials; the engine derives through its tables and Leibniz
+    # d1 scales each term; the engine takes order 1 through its tables, lift and peel
     cfg = FieldConfig.from_q(q)
     engine = engine_for(q)
     rng = random.Random(q)
