@@ -15,16 +15,12 @@ from .qmring import (
     DepthPoly,
     GradingSignature,
     NotIsobaric,
-    NotModular,
     QmPoly,
     associated_polynomial,
     d1,
-    depth_coefficient_transform,
     grading,
     modular_basis,
     qm_basis,
-    rankin_bracket,
-    serre_derivative,
 )
 from .tseries import (
     TSeries,
@@ -46,7 +42,6 @@ from .verify import (
     h_power_quotients,
     member,
     munu_congruence,
-    rankin_stability_probe,
     weight_divisibility_check,
 )
 

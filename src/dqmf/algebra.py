@@ -237,10 +237,6 @@ class FieldConfig:
         """The three lines of a field file: p, e and the modulus low to high."""
         return f"p = {self.p}\ne = {self.e}\nmodulus = " + " ".join(str(c) for c in self.modulus)
 
-    def to_file(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_text() + "\n")
-
     def code(self, coords) -> int:
         """The code of the element with these e coordinates in the power basis."""
         if len(coords) != self.e:

@@ -282,9 +282,6 @@ class DerivationEngine:
             out[k] = out[k] + s if k in out else s
         return QmPoly(cfg, out)
 
-    def depth_drop(self, w: int, l: int, n: int) -> bool:
-        return depth_drop(w, l, n, self.cfg.p)
-
     # -- depth polynomial transport -------------------------------------------
 
     def transform_depth_poly(self, P: DepthPoly, w: int, n: int) -> DepthPoly:

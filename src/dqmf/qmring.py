@@ -3,8 +3,7 @@
 Monomials E^a g^b h^c carry weight 2a + (q-1)b + (q+1)c, type a+c mod q-1
 and depth a.  The module provides the grading bookkeeping, monomial bases
 of the modular and depth-filtered slices, depth polynomials (the ring
-substitution E -> E + Y), the first-order derivation, Rankin brackets and
-the Serre-style derivative on modular elements.
+substitution E -> E + Y) and the first-order derivation.
 
 Every sum of products in the ring goes through one kernel,
 ``sum_of_products``: ``QmPoly * QmPoly`` is the kernel on one pair, and
@@ -33,25 +32,17 @@ __all__ = [
     "GradingSignature",
     "DepthPoly",
     "NotIsobaric",
-    "NotModular",
     "grading",
     "modular_basis",
     "qm_basis",
     "associated_polynomial",
-    "depth_coefficient_transform",
     "d1",
-    "rankin_bracket",
-    "serre_derivative",
     "sum_of_products",
 ]
 
 
 class NotIsobaric(ValueError):
     """The element mixes weights or types."""
-
-
-class NotModular(ValueError):
-    """The element has positive depth where a modular form is required."""
 
 
 @dataclass(frozen=True)
@@ -234,21 +225,6 @@ class QmPoly:
         return sum_of_products(self.cfg, (
             (QmPoly.monomial(self.cfg, a, 0, c, v), repl**b) for (a, b, c), v in self.terms.items()
         ))
-
-    def partial(self, gen: str):
-        """Formal partial derivative with respect to one generator."""
-        idx = {"E": 0, "g": 1, "h": 2}[gen]
-        out = QmPoly(self.cfg)
-        res = {}
-        for k, v in self.terms.items():
-            n = k[idx]
-            if n % self.cfg.p == 0:
-                continue
-            nk = list(k)
-            nk[idx] = n - 1
-            res[tuple(nk)] = v.scale_int(n)
-        out.terms = res
-        return out
 
     # -- printing ------------------------------------------------------------
 
@@ -469,19 +445,8 @@ def associated_polynomial(f: QmPoly) -> DepthPoly:
     return DepthPoly(cfg, coeffs)
 
 
-def depth_coefficient_transform(P: DepthPoly, i: int) -> DepthPoly:
-    """Depth polynomial of the i-th coefficient of P: sum_j C(j,i) P_j Y^(j-i)."""
-    if i < 0 or i > P.degree:
-        raise IndexError(f"coefficient index {i} outside 0..{P.degree}")
-    cfg = P.cfg
-    out = []
-    for j in range(i, P.degree + 1):
-        out.append(P.coeff(j).scale_int(binom_mod_p(j, i, cfg.p)))
-    return DepthPoly(cfg, out)
-
-
 # ---------------------------------------------------------------------------
-# The first-order derivation and its derived operators.
+# The first-order derivation.
 
 
 def d1(f: QmPoly) -> QmPoly:
@@ -499,25 +464,3 @@ def d1(f: QmPoly) -> QmPoly:
             if not t.is_zero():
                 out[k] = out[k] + t if k in out else t
     return QmPoly(f.cfg, out)
-
-
-def rankin_bracket(U: QmPoly, V: QmPoly) -> QmPoly:
-    """[U, V] = w(U) U (D_1 V) - w(V) V (D_1 U) for isobaric U, V."""
-    su = grading(U)
-    sv = grading(V)
-    wu = su.w if su is not None else 0
-    wv = sv.w if sv is not None else 0
-    return (U * d1(V)).scale_int(wu) - (V * d1(U)).scale_int(wv)
-
-
-def serre_derivative(f: QmPoly) -> QmPoly:
-    """-h d/dg on a modular element; asserted equal to D_1 f - w E f."""
-    s = grading(f)
-    if s is not None and s.l != 0:
-        raise NotModular(f"depth {s.l} element where a modular form is required")
-    via_partial = -(QmPoly.gen_h(f.cfg) * f.partial("g"))
-    w = s.w if s is not None else 0
-    via_d1 = d1(f) - (QmPoly.gen_E(f.cfg) * f).scale_int(w)
-    if via_partial != via_d1:
-        raise AssertionError("the two defining expressions disagree")
-    return via_partial

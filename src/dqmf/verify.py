@@ -4,11 +4,11 @@ Membership in the classified ideals is decided by substitution (each ideal
 is the kernel of an evaluation map), stability is certified on generators
 (Leibniz closes the argument for arbitrary multiples), and the remaining
 checks are the computable directions of the classification results:
-the mod-h congruence for monomials in E and g, Rankin-bracket derivation
-probes, kernel weight divisibility, and membership of every derivative
-quotient of powers of h in the ring.  For n < 0 the quotients of h^n are the
-inverse of the quotient sequence of h^{|n|}, computed in the ring, so a row
-with n < 0 can fail only where the row of h^{|n|} fails.
+the mod-h congruence for monomials in E and g, kernel weight divisibility,
+and membership of every derivative quotient of powers of h in the ring.
+For n < 0 the quotients of h^n are the inverse of the quotient sequence of
+h^{|n|}, computed in the ring, so a row with n < 0 can fail only where the
+row of h^{|n|} fails.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ import random
 from dataclasses import dataclass, field
 
 from .algebra import PolyT, RatT, binom_mod_p
-from .hyperd import _GENERATORS, DerivationEngine
-from .qmring import (
-    NotIsobaric, QmPoly, grading, monomial_signature, qm_basis, rankin_bracket, sum_of_products,
-)
+from .hyperd import DerivationEngine
+from .qmring import QmPoly, grading, monomial_signature, qm_basis, sum_of_products
 
 __all__ = [
     "IDEAL_TAGS",
@@ -29,7 +27,6 @@ __all__ = [
     "member",
     "check_hyperstable",
     "munu_congruence",
-    "rankin_stability_probe",
     "weight_divisibility_check",
     "diagram_inclusions",
     "h_power_quotients",
@@ -145,46 +142,6 @@ def munu_congruence(engine: DerivationEngine, mu: int, nu: int, n: int) -> bool:
     bm = binom_mod_p(mu + nu * (cfg.q - 1) + n - 1, n, cfg.p)
     rhs = QmPoly.monomial(cfg, mu + n, nu, 0).scale_int(bm)
     return lhs == rhs
-
-
-def rankin_stability_probe(engine: DerivationEngine, M: QmPoly, ideal: IdealId) -> bool:
-    """First-order probes for the bracket derivation d_M = [., M].
-
-    Checks the expansion of d_M through the partials of the arguments on a
-    monomial sample, and that d_M keeps isobaric sample members of a
-    D_1-stable ideal inside the ideal.
-    """
-    cfg = engine.cfg
-    grading(M)  # raises NotIsobaric on mixed input, per the contract
-    d_of = {gen: rankin_bracket(QmPoly.monomial(cfg, *expo), M)
-            for gen, expo in _GENERATORS.items()}
-    samples = [
-        QmPoly.monomial(cfg, 1, 1, 1),
-        QmPoly.monomial(cfg, 2, 0, 1),
-        QmPoly.monomial(cfg, 0, 2, 1),
-        QmPoly.monomial(cfg, 1, 0, 2),
-    ]
-    for X in samples:
-        direct = rankin_bracket(X, M)
-        via_partials = sum_of_products(cfg, ((d_of[gen], X.partial(gen)) for gen in d_of))
-        if direct != via_partials:
-            return False
-    # stable-ideal direction: isobaric members stay in the ideal
-    iso_gens = [G for G in ideal.generators(cfg) if not G.is_zero() and _is_isobaric(G)]
-    for G in iso_gens:
-        for mult in samples:
-            ok, _ = member(ideal, rankin_bracket(G * mult, M))
-            if not ok:
-                return False
-    return True
-
-
-def _is_isobaric(f):
-    try:
-        grading(f)
-        return True
-    except NotIsobaric:
-        return False
 
 
 def weight_divisibility_check(engine: DerivationEngine, k: int, samples) -> bool:

@@ -17,10 +17,11 @@ from contextlib import contextmanager
 import pytest
 
 from dqmf.algebra import FieldConfig, RatT, binom_mod_p, d_power
+from dqmf.hyperd import depth_drop
 from dqmf.qmring import (
+    DepthPoly,
     QmPoly,
     associated_polynomial,
-    depth_coefficient_transform,
     grading,
     monomial_signature,
     qm_basis,
@@ -336,7 +337,7 @@ def test_criterion_4_depth_drop(q):
             n = rng.randint(1, min(24, engine.limit))
             d = engine.derive(f, n)
             dropped = d.deg_E() < a + n
-            assert dropped == engine.depth_drop(sig.w, a, n), (str(f), n)
+            assert dropped == depth_drop(sig.w, a, n, cfg.p), (str(f), n)
             done += 1
 
 
@@ -347,10 +348,11 @@ def test_criterion_4_coefficient_transform(q):
         for _ in range(CASES_PER_FIELD):
             f = random_isobaric(cfg, rng, 20)
             P = associated_polynomial(f)
+            # the depth polynomial of coefficient i is sum_j C(j, i) P_j Y^(j-i)
             for i in range(P.degree + 1):
-                assert depth_coefficient_transform(P, i) == associated_polynomial(
-                    P.coeff(i)
-                )
+                transform = DepthPoly(cfg, [P.coeff(j).scale_int(binom_mod_p(j, i, cfg.p))
+                                            for j in range(i, P.degree + 1)])
+                assert transform == associated_polynomial(P.coeff(i))
 
 
 def test_criterion_4_binomial_identity_sweep():

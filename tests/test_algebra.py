@@ -149,7 +149,7 @@ def test_code_str_prints_prime_subfield_bare():
 def test_field_config_file_roundtrip(tmp_path):
     cfg = FieldConfig.from_q(9)
     path = tmp_path / "field.cfg"
-    cfg.to_file(path)
+    path.write_text(cfg.to_text() + "\n")
     assert FieldConfig.from_file(path) is cfg
 
 

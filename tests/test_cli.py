@@ -194,9 +194,9 @@ def test_cmd_field_file(tmp_path, capsys):
 
 
 def test_cmd_field_prints_the_field_file(tmp_path, capsys):
-    """`dqmf field` and FieldConfig.to_file write the same three lines, and
-    --modulus splits its coefficients as a field file does."""
-    FieldConfig(3, 2, (2, 1, 1)).to_file(tmp_path / "f.cfg")
+    """`dqmf field` prints FieldConfig.to_text(), and --modulus splits its
+    coefficients as a field file does."""
+    (tmp_path / "f.cfg").write_text(FieldConfig(3, 2, (2, 1, 1)).to_text() + "\n")
     assert main(["field", "--p", "3", "--e", "2", "--modulus", "2, 1 1"]) == 0
     assert capsys.readouterr().out == (tmp_path / "f.cfg").read_text()
     assert main(["field", "--field-file", str(tmp_path / "f.cfg")]) == 0

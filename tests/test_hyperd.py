@@ -440,7 +440,7 @@ def test_depth_drop_matches_generic_elements(engine, q):
         n = rng.randint(1, min(12, engine.limit))
         d = engine.derive(f, n)
         dropped = d.deg_E() < a + n
-        assert dropped == engine.depth_drop(sig.w, a, n)
+        assert dropped == depth_drop(sig.w, a, n, cfg.p)
         tried += 1
 
 
@@ -777,13 +777,22 @@ def test_the_d1_step_matches_the_leibniz_rule(q):
                 assert engine.derive(f, n) == _leibniz_reference(reference, mono, n), (mono, n)
 
 
+def _partial(f, idx):
+    """The formal partial derivative of f in the generator at exponent slot idx."""
+    terms = {}
+    for k, v in f.terms.items():
+        if k[idx] % f.cfg.p:
+            terms[k[:idx] + (k[idx] - 1,) + k[idx + 1:]] = v.scale_int(k[idx])
+    return QmPoly(f.cfg, terms)
+
+
 def _d1_by_partials(f):
     """D_1 f as the sum over the generators x of (df/dx) D_1 x."""
     cfg = f.cfg
-    images = {"E": QmPoly.monomial(cfg, 2, 0, 0),
-              "g": -(QmPoly.monomial(cfg, 1, 1, 0) + QmPoly.gen_h(cfg)),
-              "h": QmPoly.monomial(cfg, 1, 0, 1)}
-    return sum_of_products(cfg, ((f.partial(x), image) for x, image in images.items()))
+    images = [QmPoly.monomial(cfg, 2, 0, 0),
+              -(QmPoly.monomial(cfg, 1, 1, 0) + QmPoly.gen_h(cfg)),
+              QmPoly.monomial(cfg, 1, 0, 1)]
+    return sum_of_products(cfg, ((_partial(f, idx), image) for idx, image in enumerate(images)))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")

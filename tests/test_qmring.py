@@ -1,5 +1,5 @@
-"""Grading, bases, depth polynomials, Rankin brackets and the Serre-style
-derivative on K[E,g,h]."""
+"""Grading, bases, depth polynomials and the first-order derivation on
+K[E,g,h]."""
 
 import operator
 import random
@@ -11,16 +11,12 @@ from dqmf.algebra import FieldConfig, PolyT, RatT, bracket, d_power
 from dqmf.qmring import (
     DepthPoly,
     NotIsobaric,
-    NotModular,
     QmPoly,
     associated_polynomial,
     d1,
-    depth_coefficient_transform,
     grading,
     modular_basis,
     qm_basis,
-    rankin_bracket,
-    serre_derivative,
     sum_of_products,
 )
 from dqmf.verify import random_isobaric
@@ -136,29 +132,6 @@ def test_associated_polynomial_square_example(cfg):
     assert P.coeff(2) == g
 
 
-def test_depth_coefficient_transform(cfg):
-    E = QmPoly.gen_E(cfg)
-    P = associated_polynomial(E)
-    t1 = depth_coefficient_transform(P, 1)
-    assert t1.degree == 0 and t1.coeff(0) == QmPoly.one(cfg)
-    assert depth_coefficient_transform(P, 0) == P
-    P2 = associated_polynomial(E * E)
-    t = depth_coefficient_transform(P2, 1)
-    assert t == associated_polynomial(E.scale_int(2))
-    with pytest.raises(IndexError):
-        depth_coefficient_transform(P, 5)
-
-
-def test_depth_coefficient_transform_random_dual_route(cfg):
-    """P_{f_i} via the transform equals associated_polynomial of coeff i."""
-    rng = random.Random(cfg.q * 17)
-    for _ in range(25):
-        f = random_isobaric(cfg, rng, 14)
-        P = associated_polynomial(f)
-        for i in range(P.degree + 1):
-            assert depth_coefficient_transform(P, i) == associated_polynomial(P.coeff(i))
-
-
 def test_depth_poly_coefficients_carry_shifted_grading(cfg, q):
     """Y has weight 2, type 1, depth 1: coefficient j of the depth polynomial
     of an isobaric f is isobaric of weight w - 2j and type m - j."""
@@ -182,9 +155,7 @@ def test_top_coefficient_is_modular(cfg):
     for _ in range(25):
         f = random_isobaric(cfg, rng, 14)
         P = associated_polynomial(f)
-        top = depth_coefficient_transform(P, P.degree)
-        assert top.degree == 0
-        assert top.coeff(0).deg_E() <= 0
+        assert P.coeff(P.degree).deg_E() <= 0
 
 
 def test_d1_system(cfg):
@@ -211,25 +182,6 @@ def test_d1_matches_the_engine(q):
     for _ in range(10):
         f = random_isobaric(cfg, rng, 14)
         assert d1(f) == engine.derive(f, 1), str(f)
-
-
-def test_rankin_bracket_golden(cfg):
-    E, g, h = QmPoly.gen_E(cfg), QmPoly.gen_g(cfg), QmPoly.gen_h(cfg)
-    assert rankin_bracket(g, h) == h * h
-    assert rankin_bracket(g, g).is_zero()
-    assert rankin_bracket(h, h).is_zero()
-    # hand-expanded: [g, E] = -g E^2 + 2 E (Eg + h) = E^2 g + 2 E h
-    expected = (E * E * g) + (E * h).scale_int(2)
-    assert rankin_bracket(g, E) == expected
-
-
-def test_serre_derivative_values(cfg, q):
-    g, h = QmPoly.gen_g(cfg), QmPoly.gen_h(cfg)
-    assert serre_derivative(g) == -h
-    assert serre_derivative(h).is_zero()
-    assert serre_derivative(g * g) == (g * h).scale_int(-2)
-    with pytest.raises(NotModular):
-        serre_derivative(QmPoly.gen_E(cfg))
 
 
 def test_qmpoly_str_and_json_roundtrip(cfg):

@@ -16,7 +16,6 @@ from dqmf.verify import (
     h_power_quotients,
     member,
     munu_congruence,
-    rankin_stability_probe,
     random_isobaric,
     random_ratt,
     weight_divisibility_check,
@@ -208,18 +207,6 @@ def test_munu_congruence_small(engine, q):
         mu, nu = rng.randint(0, 5), rng.randint(0, 5)
         n = rng.randint(0, min(24, engine.limit))
         assert munu_congruence(engine, mu, nu, n)
-
-
-def test_rankin_probe_golden(engine):
-    cfg = engine.cfg
-    from dqmf.qmring import rankin_bracket
-
-    g, h = QmPoly.gen_g(cfg), QmPoly.gen_h(cfg)
-    assert rankin_bracket(g, h) == h * h          # d_h(g) = h^2
-    assert rankin_bracket(h, g) == -(h * h)       # d_g(h) = -h^2
-    for M in (h, g, QmPoly.gen_E(cfg)):
-        assert rankin_stability_probe(engine, M, IdealId("h"))
-        assert rankin_stability_probe(engine, M, IdealId("P0"))
 
 
 def test_weight_divisibility(engine, q):
