@@ -269,15 +269,6 @@ class PolyT:
         self.cfg = cfg
         self.c = c
 
-    @classmethod
-    def from_ints(cls, cfg, ints):
-        """Coefficients given as integers, reduced into the prime field."""
-        return cls(cfg, tuple(n % cfg.p for n in ints))
-
-    @classmethod
-    def monomial(cls, cfg, deg, coeff=1):
-        return cls(cfg, (0,) * deg + (coeff,))
-
     @property
     def degree(self):
         return len(self.c) - 1

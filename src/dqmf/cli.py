@@ -304,8 +304,8 @@ def _cmd_ideal(args):
     if args.json:
         print(json.dumps({"field": _field_json(cfg), "report": report.to_json()}))
     else:
-        status = "hyperdifferential to n_max" if report.passed else "NOT stable"
-        print(f"ideal {ideal.describe()}: {status} = {n_max}")
+        status = "hyperdifferential" if report.passed else "NOT stable"
+        print(f"ideal {ideal.describe()}: {status} (checked to n_max = {n_max})")
         for gen, fail_n, witness in report.entries:
             if fail_n is not None:
                 print(f"  generator {gen}: fails at n = {fail_n}, residue {witness}")

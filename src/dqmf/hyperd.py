@@ -52,19 +52,22 @@ the request coefficients' small denominators, so no sum takes a gcd
 against D.  The groups of one monomial are then added.  Every step is a
 RatT constructor or operator, so the result is canonical.
 
-A single engine instance keeps one memo keyed by (monomial, order), and
-``stats()`` counts its entries and the hits and misses of its lookups; one
-engine per thread is safe, since engines share only the per-field functools
-caches of ``algebra`` (the d_i powers, gcds and the ``_den_pair``,
-``_den_product`` and ``_coprime_parts`` LRUs), which are thread-safe and
-hold immutable values.
+A single engine instance keeps one memo keyed by (monomial, order).
+``stats()`` counts its entries and the hits and misses of its lookups, and
+``check_memo_isobaric()`` lists every entry D_n(m) whose weight, type or
+depth is not the one n shifts m's to; ``dqmf verify`` reports both after
+its checks.  One engine per thread is safe, since engines share only the
+per-field functools caches of ``algebra`` (the d_i powers, gcds and the
+``_den_pair``, ``_den_product`` and ``_coprime_parts`` LRUs), which are
+thread-safe and hold immutable values.
 """
 
 from __future__ import annotations
 
 from .algebra import FieldConfig, RatT, binom_mod_p, d_rat, linear_solve
 from .qmring import (
-    DepthPoly, QmPoly, d1, grading, modular_basis, monomial_signature, sum_of_products,
+    DepthPoly, NotIsobaric, QmPoly, d1, grading, modular_basis, monomial_signature,
+    sum_of_products,
 )
 
 __all__ = ["DerivationEngine", "OrderOutOfRange", "depth_drop", "generator_table"]
@@ -340,17 +343,23 @@ class DerivationEngine:
         return {"entries": len(self._memo), "hits": self._hits, "misses": self._misses}
 
     def check_memo_isobaric(self):
-        """Every memo entry D_n(mono) is isobaric with the grading n shifts mono's to."""
+        """The (monomial, order, what) of every memo entry D_n(mono) that is not
+        isobaric with the grading n shifts mono's to; empty when all pass."""
         q = self.cfg.q
+        bad = []
         for (mono, n), val in self._memo.items():
             if val.is_zero():
                 continue
-            s = grading(val)
+            try:
+                s = grading(val)
+            except NotIsobaric:
+                bad.append((mono, n, "mixed gradings"))
+                continue
             base = monomial_signature(self.cfg, *mono)
             if s.w != base.w + 2 * n:
-                raise AssertionError(f"D_{n} of {mono} has weight {s.w}")
-            if s.m != (base.m + n) % (q - 1):
-                raise AssertionError(f"D_{n} of {mono} has type {s.m}")
-            if s.l > base.l + n:
-                raise AssertionError(f"D_{n} of {mono} has depth {s.l}")
-        return True
+                bad.append((mono, n, f"weight {s.w}"))
+            elif s.m != (base.m + n) % (q - 1):
+                bad.append((mono, n, f"type {s.m}"))
+            elif s.l > base.l + n:
+                bad.append((mono, n, f"depth {s.l}"))
+        return bad

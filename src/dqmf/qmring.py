@@ -124,12 +124,6 @@ class QmPoly:
     def __hash__(self):
         return hash(tuple(self.items()))
 
-    def deg_E(self):
-        """Depth as a polynomial: max exponent of E (-1 for the zero element)."""
-        if not self.terms:
-            return -1
-        return max(k[0] for k in self.terms)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):

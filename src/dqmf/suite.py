@@ -1,8 +1,11 @@
 """The runnable verification battery behind `dqmf verify`.
 
-Each check returns {check, params, pass, witness?}; the CLI exits nonzero
-if any fails.  The pytest acceptance suite runs the same material at full
-scale; this battery is sized to finish in seconds per field.
+Each check returns {check, params, pass, witness?}, and ``run_suite`` ends
+with one more record, memo_isobaric: the engine's grading self-check of
+every memo entry the selected checks filled, with its memo counts.  The
+CLI exits nonzero if any fails.  The pytest acceptance suite runs the same
+material at full scale; this battery is sized to finish in seconds per
+field.
 """
 
 from __future__ import annotations
@@ -235,4 +238,6 @@ def run_suite(cfg, n_max=32, order=None, seed=20260808, names=None):
         raise ValueError(f"{series[0]} needs order >= {least}, got {order}")
     engine = DerivationEngine(cfg)
     rng = random.Random(seed)
-    return [CHECKS[name](cfg, engine, rng, n_max, order) for name in selected]
+    results = [CHECKS[name](cfg, engine, rng, n_max, order) for name in selected]
+    memo = " ".join(f"{key}={count}" for key, count in engine.stats().items())
+    return results + [_result("memo_isobaric", f"q={cfg.q} {memo}", engine.check_memo_isobaric())]

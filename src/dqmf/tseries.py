@@ -97,9 +97,6 @@ class TSeries:
             other = TSeries(other.cfg, self.order, {0: other})
         return _sum_of_products(self.cfg, min(self.order, other.order), [(self, other)])
 
-    def scale_int(self, k: int):
-        return TSeries(self.cfg, self.order, {n: v.scale_int(k) for n, v in self.terms.items()})
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative series power")

@@ -336,7 +336,7 @@ def test_criterion_4_depth_drop(q):
                 )
             n = rng.randint(1, min(24, engine.limit))
             d = engine.derive(f, n)
-            dropped = d.deg_E() < a + n
+            dropped = max((k[0] for k in d.terms), default=-1) < a + n
             assert dropped == depth_drop(sig.w, a, n, cfg.p), (str(f), n)
             done += 1
 

@@ -220,7 +220,7 @@ def test_bracket_values():
     cfg2 = FieldConfig.from_q(2)
     b2 = bracket(2, cfg2)
     # char 2: T^4 - T = T^4 + T
-    assert b2 == PolyT.from_ints(cfg2, [0, 1, 0, 0, 1])
+    assert b2 == PolyT(cfg2, [0, 1, 0, 0, 1])
     b25 = bracket(2, cfg5)
     assert b25.degree == 25 and b25.c[1] == 4 and b25.c[25] == 1
 
@@ -254,21 +254,21 @@ def test_d_rat_is_the_canonical_power_of_d_i():
 
 def test_poly_divmod_and_gcd():
     cfg = FieldConfig.from_q(5)
-    a = PolyT.from_ints(cfg, [4, 0, 1])  # T^2 - 1
-    b = PolyT.from_ints(cfg, [4, 1])     # T - 1
+    a = PolyT(cfg, [4, 0, 1])  # T^2 - 1
+    b = PolyT(cfg, [4, 1])     # T - 1
     q, r = a.divmod(b)
-    assert r.is_zero() and q == PolyT.from_ints(cfg, [1, 1])
+    assert r.is_zero() and q == PolyT(cfg, [1, 1])
     assert a.gcd(b) == b.monic()
 
 
 def test_frobenius_pow_and_root():
     cfg = FieldConfig.from_q(9)
-    f = PolyT.from_ints(cfg, [1, 2, 1])
+    f = PolyT(cfg, [1, 2, 1])
     cubed = f.frobenius_pow(1)
     assert cubed == f * f * f
     assert cubed.pth_root() == f
     with pytest.raises(ArithmeticError):
-        (f * PolyT.from_ints(cfg, [0, 1])).pth_root()
+        (f * PolyT(cfg, [0, 1])).pth_root()
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +285,8 @@ def _random_ratt(cfg, rng, deg=3):
 
 def test_ratt_canonical_cancellation():
     cfg = FieldConfig.from_q(5)
-    val = RatT(cfg, PolyT.from_ints(cfg, [4, 0, 1]), PolyT.from_ints(cfg, [4, 1]))
-    assert val == RatT(cfg, PolyT.from_ints(cfg, [1, 1]))  # (T^2-1)/(T-1) = T+1
+    val = RatT(cfg, PolyT(cfg, [4, 0, 1]), PolyT(cfg, [4, 1]))
+    assert val == RatT(cfg, PolyT(cfg, [1, 1]))  # (T^2-1)/(T-1) = T+1
     assert val.den.is_one()
 
 
@@ -576,9 +576,9 @@ def _pow_samples(cfg):
     from dqmf.tseries import TSeries
 
     T = RatT(cfg, cfg.poly_T)
-    u = RatT(cfg, cfg.poly_one, PolyT.from_ints(cfg, [1, 1, 1]))
+    u = RatT(cfg, cfg.poly_one, PolyT(cfg, [1, 1, 1]))
     return {
-        "PolyT": (PolyT.from_ints(cfg, [1, 2, 0, 1]), cfg.poly_one),
+        "PolyT": (PolyT(cfg, [1, 2 % cfg.p, 0, 1]), cfg.poly_one),
         "RatT": (T * T + u, cfg.rat_one),
         "QmPoly": (
             QmPoly.gen_E(cfg) + QmPoly.monomial(cfg, 0, 1, 1, u) - QmPoly.gen_h(cfg),

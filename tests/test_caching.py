@@ -87,10 +87,10 @@ def test_same_q_other_modulus_gets_its_own_entries():
 def test_gcd_cache_is_a_bounded_lru():
     assert _monic_gcd.cache_info().maxsize == 1 << 18
     cfg = FieldConfig.from_q(5)
-    a = PolyT.from_ints(cfg, [2, 0, 1]) * PolyT.from_ints(cfg, [2, 1])
-    b = PolyT.from_ints(cfg, [1, 3])
+    a = PolyT(cfg, [2, 0, 1]) * PolyT(cfg, [2, 1])
+    b = PolyT(cfg, [1, 3])
     assert a.gcd(b) is b.gcd(a)
-    assert a.gcd(b) == PolyT.from_ints(cfg, [2, 1])
+    assert a.gcd(b) == PolyT(cfg, [2, 1])
 
 
 def test_den_pair_cache_is_a_bounded_lru():
@@ -101,7 +101,7 @@ def test_den_pair_cache_is_a_bounded_lru():
     assert _den_pair(d1, d2)[3] is lcm
     assert g == d1 and d1r == cfg.poly_one and lcm == d2
     assert g * d2r == d2
-    quad = PolyT.from_ints(cfg, [2, 0, 1])  # irreducible over F_5, prime to [1]
+    quad = PolyT(cfg, [2, 0, 1])  # irreducible over F_5, prime to [1]
     assert _den_pair(d1, quad) == (cfg.poly_one, d1, quad, d1 * quad)
 
 
@@ -136,7 +136,7 @@ def test_a_miss_of_each_denominator_cache_multiplies_once():
     """A sum's miss builds the lcm and a product's miss d1*d2, never both."""
     cfg = FieldConfig.from_q(5)
     d1, d2 = d_power(1, 1, cfg), d_power(2, 1, cfg)
-    quad = PolyT.from_ints(cfg, [2, 0, 1])
+    quad = PolyT(cfg, [2, 0, 1])
     for pair in ((d1, d2), (d2, d1), (d1, quad)):  # with a common factor, and coprime
         for cache in (_den_pair, _den_product):
             cache.cache_clear()
@@ -190,11 +190,11 @@ def test_derive_forms_few_denominator_pairs():
 def test_coprime_parts_cache_is_a_bounded_lru():
     assert _coprime_parts.cache_info().maxsize == 1 << 12
     cfg = FieldConfig.from_q(5)
-    n = PolyT.from_ints(cfg, [1, 1]) * PolyT.from_ints(cfg, [2, 1])
-    d = PolyT.from_ints(cfg, [1, 1]) * PolyT.from_ints(cfg, [3, 0, 1])
+    n = PolyT(cfg, [1, 1]) * PolyT(cfg, [2, 1])
+    d = PolyT(cfg, [1, 1]) * PolyT(cfg, [3, 0, 1])
     nr, dr = _coprime_parts(n, d)
     assert _coprime_parts(n, d)[0] is nr
-    assert nr == PolyT.from_ints(cfg, [2, 1]) and dr == PolyT.from_ints(cfg, [3, 0, 1])
+    assert nr == PolyT(cfg, [2, 1]) and dr == PolyT(cfg, [3, 0, 1])
 
 
 def test_coprime_parts_traffic_is_mostly_hits():

@@ -46,14 +46,14 @@ def test_parse_coefficients(cfg5):
     inv_b = RatT(cfg5, cfg5.poly_one, bracket(1, cfg5))
     assert f == QmPoly.monomial(cfg5, 0, 0, 2, inv_b)
     g = parse_qmpoly(cfg5, "(T^2 + 1) E + 3 h")
-    want = QmPoly.monomial(cfg5, 1, 0, 0, RatT(cfg5, PolyT.from_ints(cfg5, [1, 0, 1])))
+    want = QmPoly.monomial(cfg5, 1, 0, 0, RatT(cfg5, PolyT(cfg5, [1, 0, 1])))
     want = want + QmPoly.monomial(cfg5, 0, 0, 1, 3)
     assert g == want
 
 
 def test_parse_rational_functions(cfg5):
     r = parse_ratt(cfg5, "(T^2 - 1)/(T - 1)")
-    assert r == RatT(cfg5, PolyT.from_ints(cfg5, [1, 1]))
+    assert r == RatT(cfg5, PolyT(cfg5, [1, 1]))
     assert parse_ratt(cfg5, "2^3") == RatT.from_int(cfg5, 8)
 
 
@@ -185,6 +185,14 @@ def test_cmd_ideal_pass_and_fail(capsys):
     assert "fails at n = 1" in out
 
 
+def test_cmd_ideal_prints_the_checked_range(capsys):
+    assert main(["ideal", "--q", "4", "E", "--n-max", "8"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "ideal E: NOT stable (checked to n_max = 8)"
+    assert main(["ideal", "--q", "5", "Pd", "--d", "T+1", "--n-max", "48"]) == 0
+    assert (capsys.readouterr().out.splitlines()[0]
+            == "ideal Pd(1 + T): hyperdifferential (checked to n_max = 48)")
+
+
 def test_cmd_field_file(tmp_path, capsys):
     path = tmp_path / "f.cfg"
     path.write_text("p = 3\ne = 2\nmodulus = 1 0 1\n")
@@ -217,7 +225,30 @@ def test_cmd_verify_small_field(capsys):
                "--suite", "generator_tables", "munu_congruence"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.count("[PASS]") == 2
+    # the two selected checks, then the memo self-check that always runs
+    assert out.count("[PASS]") == 3
+    assert out.splitlines()[-1].startswith("[PASS] memo_isobaric q=4 entries=")
+
+
+def test_cmd_verify_reports_a_wrong_memo_entry(capsys, monkeypatch):
+    """A memo entry of the wrong weight fails the memo self-check of `verify`
+    with a witness: exit 1, no traceback."""
+    from dqmf import suite
+
+    class Planted(suite.DerivationEngine):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            self._memo[((0, 5, 0), 3)] = QmPoly.gen_E(cfg)
+
+    monkeypatch.setattr(suite, "DerivationEngine", Planted)
+    rc = main(["verify", "--q", "5", "--n-max", "8", "--suite", "generator_tables"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[0] == "[PASS] generator_tables q=5"
+    assert lines[1].startswith("[FAIL] memo_isobaric q=5 entries=")
+    assert lines[2:] == ["       witness: [((0, 5, 0), 3, 'weight 2')]"]
+    assert "Traceback" not in err
 
 
 def test_prime_field_without_a_shipped_modulus(capsys):

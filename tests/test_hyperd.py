@@ -420,7 +420,7 @@ def test_depth_drop_trivial_and_digit_cases(engine, q):
 
 
 def test_depth_drop_matches_generic_elements(engine, q):
-    """deg_E of the derivative of a generic element tracks the predicate."""
+    """The E-degree of the derivative of a generic element tracks the predicate."""
     rng = random.Random(61 + q)
     cfg = engine.cfg
     tried = 0
@@ -439,7 +439,7 @@ def test_depth_drop_matches_generic_elements(engine, q):
             f.terms[expo] = RatT(cfg, cfg.poly_T) ** (idx + 1) + RatT.from_int(cfg, 1)
         n = rng.randint(1, min(12, engine.limit))
         d = engine.derive(f, n)
-        dropped = d.deg_E() < a + n
+        dropped = max((k[0] for k in d.terms), default=-1) < a + n
         assert dropped == depth_drop(sig.w, a, n, cfg.p)
         tried += 1
 
@@ -502,7 +502,7 @@ def _residues_mod_h(engine, i):
     if n >= cfg.q:
         rh = rh - mono(cfg, cfg.q, 0, 0) * engine.d_generator("h", n - cfg.q)
     for r in (rE, rg, rh):
-        assert r.deg_E() <= 0 and all(k[2] >= 1 for k in r.terms)
+        assert all(k[0] == 0 and k[2] >= 1 for k in r.terms)
     return rE, rg, rh
 
 
@@ -590,7 +590,7 @@ def test_kernel_of_everything_is_constants(engine, q):
 
 
 def test_memo_entries_isobaric(engine):
-    engine.check_memo_isobaric()
+    assert not engine.check_memo_isobaric()
 
 
 def _composed_generator(engine, gen, n, memo):
@@ -677,7 +677,7 @@ def test_every_generator_order_up_to_the_limit(q):
         for gen in "Egh":
             engine.d_generator(gen, n)
     assert len(engine._memo) > 3 * engine.limit
-    assert engine.check_memo_isobaric()
+    assert not engine.check_memo_isobaric()
 
 
 def test_memo_check_covers_product_monomials():
@@ -686,10 +686,26 @@ def test_memo_check_covers_product_monomials():
     cfg = FieldConfig.from_q(5)
     engine = DerivationEngine(cfg)
     engine.derive(QmPoly.monomial(cfg, 1, 1, 0), 3)
-    assert engine.check_memo_isobaric()
+    assert not engine.check_memo_isobaric()
     engine._memo[((1, 1, 0), 3)] = QmPoly.gen_E(cfg)
-    with pytest.raises(AssertionError, match=r"D_3 of \(1, 1, 0\) has weight"):
-        engine.check_memo_isobaric()
+    assert engine.check_memo_isobaric() == [((1, 1, 0), 3, "weight 2")]
+
+
+def test_memo_check_names_what_is_wrong():
+    # q = 5: D_1 g has weight 6, type 1 and depth <= 1; D_1 g^2 weight 10,
+    # type 1 and depth <= 1
+    cfg = FieldConfig.from_q(5)
+    engine = DerivationEngine(cfg)
+    mono = QmPoly.monomial
+    engine._memo[((0, 1, 0), 1)] = mono(cfg, 3, 0, 0)  # weight 6, type 3
+    engine._memo[((0, 2, 0), 1)] = mono(cfg, 5, 0, 0)  # weight 10, type 1, depth 5
+    engine._memo[((0, 1, 1), 1)] = QmPoly.gen_E(cfg) + QmPoly.gen_g(cfg)
+    engine._memo[((1, 0, 0), 1)] = QmPoly.zero(cfg)  # zero has every grading
+    assert engine.check_memo_isobaric() == [
+        ((0, 1, 0), 1, "type 3"),
+        ((0, 2, 0), 1, "depth 5"),
+        ((0, 1, 1), 1, "mixed gradings"),
+    ]
 
 
 def _E_peeled(engine, mono, n):

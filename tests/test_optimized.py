@@ -17,28 +17,28 @@ def run_optimized(*args):
     )
 
 
-def test_memo_check_raises_under_O():
+def test_planted_memo_entry_fails_verify_under_O():
     code = """
 import sys
-from dqmf.algebra import FieldConfig
-from dqmf.hyperd import DerivationEngine
+from dqmf import suite
+from dqmf.cli import main
 from dqmf.qmring import QmPoly
 
 assert False, "asserts must be stripped"
-cfg = FieldConfig.from_q(5)
-engine = DerivationEngine(cfg)
-engine.derive(QmPoly.monomial(cfg, 1, 1, 0), 3)
-engine._memo[((1, 1, 0), 3)] = QmPoly.gen_E(cfg)
-try:
-    engine.check_memo_isobaric()
-except AssertionError as exc:
-    print("raised:", exc)
-    sys.exit(0)
-sys.exit(1)
+
+class Planted(suite.DerivationEngine):
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self._memo[((1, 1, 0), 3)] = QmPoly.gen_E(cfg)
+
+suite.DerivationEngine = Planted
+sys.exit(main(["verify", "--q", "5", "--n-max", "8", "--suite", "generator_tables"]))
 """
     proc = run_optimized("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    assert "raised: D_3 of (1, 1, 0) has weight" in proc.stdout
+    assert proc.returncode == 1, proc.stderr
+    assert "[FAIL] memo_isobaric q=5" in proc.stdout
+    assert "witness: [((1, 1, 0), 3, 'weight 2')]" in proc.stdout
+    assert "Traceback" not in proc.stderr
 
 
 def test_monomial_series_check_raises_under_O():
