@@ -271,6 +271,8 @@ def _cmd_expand(args):
 
 def _cmd_basis(args):
     cfg = _field_from_args(args)
+    if args.w < 0 or args.l < 0:
+        raise ValueError("weight and depth must be >= 0")
     basis = qm_basis(args.w, args.m, args.l, cfg)
     if args.json:
         print(json.dumps({"field": _field_json(cfg),

@@ -6,7 +6,8 @@ step: with c the lowest nonzero base-p digit of n, at place p^k, iterativity
 D_i o D_j = C(i+j, i) D_{i+j} and Lucas' C(n, p^k) = c give
 D_n = c^{-1} D_{p^k} o D_{n-p^k}.  At k = 0 (p not dividing n, n >= 2) every
 monomial takes it as D_n(m) = n^{-1} D_1(D_{n-1} m), D_1 being the derivation
-``qmring.d1``: two integer multiples of each term, no product.  At k >= 1
+``qmring.d1`` with n^{-1} folded into its two integer multipliers: each
+term is scaled once, with no product.  At k >= 1
 only a generator takes it, through ``derive`` at order p^k; other monomials
 there, and at n = 1, go by the rules below.  A g-free E^a h^c with p not
 dividing a is lifted before any step: D_j E = E^{j+1} and D_j h = E^j h for
@@ -45,12 +46,14 @@ each output coefficient once rather than once per product; the squaring
 rule folds its middle square in as the pair (D_{n/2}(x^k)/2, D_{n/2}(x^k))
 before the factor 2, 2 being invertible for odd p.
 
-``derive`` groups the memo terms v*c of f's monomials, c = num(c)/D, by
-(output monomial, memo denominator D).  A group of one term is v*c; a
-group of several is (sum_j v_j num(c_j)) * (1/D), whose inner sum runs over
-the request coefficients' small denominators, so no sum takes a gcd
-against D.  The groups of one monomial are then added.  Every step is a
-RatT constructor or operator, so the result is canonical.
+``derive`` returns a one-term f = v*m as the memo entry D_n(m) scaled by
+v (a copy when v = 1).  Otherwise it groups the memo terms v*c of f's
+monomials, c = num(c)/D, by (output monomial, memo denominator D): one
+term gives v*c, several give (sum_j v_j num(c_j)) * (1/D), whose inner sum
+runs over the request coefficients' small denominators, so no sum takes a
+gcd against D; a unit v multiplies nothing.  The groups of one monomial
+are then added, all by RatT constructors and operators, so the result is
+canonical.
 
 A single engine instance keeps one memo keyed by (monomial, order).
 ``stats()`` counts its entries and the hits and misses of its lookups, and
@@ -102,6 +105,8 @@ def _lowest_digit(n: int, p: int):
 
 def generator_table(cfg: FieldConfig, gen: str, n: int) -> QmPoly:
     """The paper's explicit D_n of a generator, for n < q and p-powers n <= q^2."""
+    if gen not in _GENERATORS:
+        raise ValueError(f"unknown generator {gen!r}")
     p, q = cfg.p, cfg.q
     mono = QmPoly.monomial
     if 0 <= n < q:
@@ -216,7 +221,7 @@ class DerivationEngine:
             # so no lift at order 1 cycles back here: D_1(E^2 h) lifts to
             # D_2(E h), which applies D_1 to D_1(E h), a sum with E^2 h in it;
             # through derive(., 1) that would read D_1(E^2 h) again
-            out = d1(self._derive_monomial(mono, n - 1)).scale_int(pow(digit, p - 2, p))
+            out = d1(self._derive_monomial(mono, n - 1), pow(digit, p - 2, p))
         elif mono == gen:
             if p**k == n:
                 out = generator_table(self.cfg, "Egh"[i], n)
@@ -268,19 +273,25 @@ class DerivationEngine:
         self._check_field(f)
         self._check_order(n)
         cfg = self.cfg
+        if len(f.terms) == 1:  # nothing to group: the memo entry, scaled
+            (mono, v), = f.terms.items()
+            d = self._derive_monomial(mono, n)
+            return QmPoly(cfg, d.terms) if v.is_one() else d.scale(v)
         groups = {}  # (output monomial, memo denominator) -> [(v, memo coefficient)]
         for mono, v in f.terms.items():
+            v = None if v.is_one() else v  # a unit v multiplies nothing
             for k, c in self._derive_monomial(mono, n).terms.items():
                 groups.setdefault((k, c.den.c), []).append((v, c))
         out = {}
         for (k, _), pairs in groups.items():
             if len(pairs) == 1:
                 v, c = pairs[0]
-                s = c * v
+                s = c if v is None else c * v
             else:
                 s = cfg.rat_zero
                 for v, c in pairs:
-                    s = s + v * RatT(cfg, c.num)
+                    u = RatT(cfg, c.num)
+                    s = s + (u if v is None else v * u)
                 s = RatT(cfg, c.den).inverse() * s
             out[k] = out[k] + s if k in out else s
         return QmPoly(cfg, out)

@@ -269,6 +269,8 @@ def sum_of_products(cfg: FieldConfig, pairs) -> QmPoly:
     for x, y in pairs:
         if x.cfg is not cfg or y.cfg is not cfg:
             raise ValueError("elements of K[E,g,h] over different fields")
+        if not x.terms or not y.terms:
+            continue
         right = {}  # y's terms by denominator: one _den_product lookup per group
         for k, v in y.terms.items():
             right.setdefault(v.den.c, (v.den, []))[1].append((k, v.num.c, len(v.num.c)))
@@ -443,17 +445,18 @@ def associated_polynomial(f: QmPoly) -> DepthPoly:
 # The first-order derivation.
 
 
-def d1(f: QmPoly) -> QmPoly:
-    """The derivation with E -> E^2, g -> -(Eg+h), h -> Eh, term by term:
+def d1(f: QmPoly, factor: int = 1) -> QmPoly:
+    """factor * D_1 f, D_1 the derivation with E -> E^2, g -> -(Eg+h), h -> Eh:
 
         D_1(E^a g^b h^c) = (a - b + c) E^{a+1} g^b h^c - b E^a g^{b-1} h^{c+1}.
 
-    Each term of f scales its coefficient by two integers; a RatT sum is
-    taken only where two source terms land on one monomial.
+    Each term of f scales its coefficient once, by factor*(a - b + c) and
+    -factor*b (the engine's D_1 step passes factor = n^{-1} mod p); a RatT
+    sum is taken only where two source terms land on one monomial.
     """
     out = {}
     for (a, b, c), v in f.terms.items():
-        for k, s in (((a + 1, b, c), a - b + c), ((a, b - 1, c + 1), -b)):
+        for k, s in (((a + 1, b, c), factor * (a - b + c)), ((a, b - 1, c + 1), -factor * b)):
             t = v.scale_int(s)
             if not t.is_zero():
                 out[k] = out[k] + t if k in out else t

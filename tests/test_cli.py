@@ -315,6 +315,8 @@ def test_cmd_verify_json_determinism(capsys):
         # 2^e is never formed, and a p = 1 below the bound still reads as not prime
         (["field", "--p", "2", "--e", "1000000000000"], "exceeds MAX_Q = 500"),
         (["field", "--p", "1", "--e", "30"], "not prime"),
+        (["basis", "--q", "4", "-2", "0", "1"], "weight and depth must be >= 0"),
+        (["basis", "--q", "4", "6", "0", "-1"], "weight and depth must be >= 0"),
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
          "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check",
@@ -322,7 +324,8 @@ def test_cmd_verify_json_determinism(capsys):
          "n-max-negative", "ideal-n-max-zero", "order-below-series-commutation",
          "e-zero", "e-negative", "p-not-prime", "q-and-p", "q-and-field-file",
          "p-and-field-file", "e-without-p", "modulus-without-p", "e-alone", "empty-suite",
-         "p-above-max-q", "q-above-max-q", "degree-20-modulus", "huge-e", "p-one-large-e"],
+         "p-above-max-q", "q-above-max-q", "degree-20-modulus", "huge-e", "p-one-large-e",
+         "basis-negative-weight", "basis-negative-depth"],
 )
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")

@@ -24,7 +24,7 @@ from dqmf.qmring import (
     qm_basis,
     sum_of_products,
 )
-from dqmf.suite import p_powers_upto
+from dqmf.suite import p_powers_upto, run_suite
 from dqmf.verify import random_isobaric
 
 from conftest import (
@@ -271,6 +271,31 @@ def test_mutating_a_result_does_not_reach_the_memo(q):
     expected = str(g)
     engine.derive(g, 0).terms.clear()
     assert str(g) == expected and engine.derive(g, 0) == g
+
+
+@pytest.mark.parametrize("q", [4, 5], ids=lambda q: f"q{q}")
+def test_derive_returns_a_fresh_element_on_every_route(q):
+    """One term with v = 1 (a copy of the memo entry), one term with v != 1
+    (the entry scaled) and several terms (the grouped sum) each return a
+    new element: clearing its terms reaches neither the memo nor the next
+    call, and the values match the kernel route v * D_n(m)."""
+    cfg = FieldConfig.from_q(q)
+    engine = DerivationEngine(cfg)
+    v = RatT(cfg, cfg.poly_T + cfg.poly_one, cfg.poly_T)
+    Eg = QmPoly.monomial(cfg, 1, 1, 0)
+    requests = [Eg, QmPoly.monomial(cfg, 1, 1, 0, v), Eg + QmPoly.monomial(cfg, 0, 0, 1, v)]
+    for n in (1, 2, q, q + 1):
+        for f in requests:
+            expected = sum_of_products(cfg, (
+                (QmPoly.from_scalar(cfg, c), engine.derive(QmPoly.monomial(cfg, *m), n))
+                for m, c in f.terms.items()))
+            assert not expected.is_zero(), (f, n)
+            out = engine.derive(f, n)
+            assert out == expected, (f, n)
+            assert not any(out.terms is val.terms for val in engine._memo.values())
+            out.terms.clear()
+            assert engine.derive(f, n) == expected, (f, n)
+        assert engine.derive(Eg, n).terms is not engine.derive(Eg, n).terms
 
 
 def test_derive_rejects_an_element_of_another_field():
@@ -822,6 +847,9 @@ def test_d1_matches_the_partials_route(q):
     f = QmPoly.monomial(cfg, 1, 0, 1) + QmPoly.monomial(cfg, 2, 1, 0, 2)
     assert (2, 0, 1) not in d1(f).terms
     assert d1(f) == _d1_by_partials(f)
+    # the factor scales each term once, as scaling D_1 f afterwards would
+    for s in range(-1, 2 * cfg.p):
+        assert d1(f, s) == d1(f).scale_int(s), s
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
@@ -862,6 +890,52 @@ def test_warm_up_term_pairs_stay_at_the_g_peel_count(monkeypatch):
         for mono in monos:
             engine.derive(QmPoly.monomial(cfg, *mono), n)
     assert sum(counted) <= 10_934
+
+
+def _count_rat_products(monkeypatch):
+    """Count the RatT.__mul__ calls into the returned one-element list."""
+    calls = [0]
+    mul = RatT.__mul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(RatT, "__mul__", counting)
+    return calls
+
+
+def test_battery_rat_products_stay_at_the_memo_copy_count(monkeypatch):
+    """run_suite(F_5, n_max=16) makes at most 419 RatT products: derive
+    copies a memo coefficient where its request coefficient is 1, and the
+    D_1 step scales by integers only.  Multiplying by 1 made 1,959."""
+    calls = _count_rat_products(monkeypatch)
+    assert all(r["pass"] for r in run_suite(FieldConfig.from_q(5), n_max=16))
+    assert calls[0] <= 419
+
+
+def test_warm_up_rat_products_stay_at_the_memo_copy_count(monkeypatch):
+    """The q = 5 warm-up of test_warm_up_term_pairs_stay_at_the_g_peel_count
+    makes at most 47 RatT products: each request is one monomial with
+    coefficient 1, so derive returns a copy of the memo entry.  Multiplying
+    every memo coefficient by 1 made 10,853."""
+    cfg = FieldConfig.from_q(5)
+    engine = DerivationEngine(cfg)
+    calls = _count_rat_products(monkeypatch)
+    monos = [(a, b, c) for a in range(11) for b in range(6) for c in range(4)
+             if 0 < 2 * a + 4 * b + 6 * c <= 20]
+    for n in range(1, 33):
+        for mono in monos:
+            engine.derive(QmPoly.monomial(cfg, *mono), n)
+    assert calls[0] <= 47
+
+
+def test_generator_table_rejects_an_unknown_name():
+    cfg = FieldConfig.from_q(5)
+    for n in (1, 5, 25):
+        with pytest.raises(ValueError, match="unknown generator 'x'"):
+            generator_table(cfg, "x", n)
+    assert str(generator_table(cfg, "h", 1)) == "E h"
 
 
 def test_lifts_keep_frobenius_sparsity(monkeypatch):

@@ -78,6 +78,8 @@ def test_qm_basis_examples(cfg, q):
     for w in range(0, 20):
         for m in range(max(q - 1, 1)):
             assert qm_basis(w, m, 0, cfg) == [(0, b, c) for b, c in modular_basis(w, m, cfg)]
+    # a negative weight or depth is an empty slice here; `dqmf basis` rejects it
+    assert qm_basis(-2, 0, 1, cfg) == qm_basis(q + 1, 1, -1, cfg) == []
 
 
 def test_qm_basis_dimension_is_sum_of_modular_dims(cfg, q):
@@ -227,6 +229,16 @@ def test_equality_compares_the_field():
                        (f4, [(e4, QmPoly.zero(f5))])):
         with pytest.raises(ValueError):
             sum_of_products(cfg, pairs)
+
+
+def test_an_empty_kernel_pair_still_checks_its_field():
+    """The kernel skips a pair with an empty side only after its field check."""
+    f4, f5 = FieldConfig.from_q(4), FieldConfig.from_q(5)
+    e4, z4, z5 = QmPoly.gen_E(f4), QmPoly.zero(f4), QmPoly.zero(f5)
+    for pair in ((z5, e4), (e4, z5), (z5, z5), (z4, z5)):
+        with pytest.raises(ValueError, match="different fields"):
+            sum_of_products(f4, [(e4, e4), pair])
+    assert sum_of_products(f4, [(z4, e4), (e4, e4), (e4, z4)]) == e4 * e4
 
 
 # sum_of_products against a pairwise reference that canonicalises every
