@@ -269,8 +269,6 @@ def sum_of_products(cfg: FieldConfig, pairs) -> QmPoly:
     for x, y in pairs:
         if x.cfg is not cfg or y.cfg is not cfg:
             raise ValueError("elements of K[E,g,h] over different fields")
-        if not x.terms or not y.terms:
-            continue
         right = {}  # y's terms by denominator: one _den_product lookup per group
         for k, v in y.terms.items():
             right.setdefault(v.den.c, (v.den, []))[1].append((k, v.num.c, len(v.num.c)))
