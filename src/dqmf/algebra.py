@@ -305,9 +305,6 @@ class PolyT:
         neg = self.cfg.neg
         return PolyT(self.cfg, tuple(neg[x] for x in self.c))
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         a, b = self.c, other.c
         if not a or not b:
@@ -564,9 +561,8 @@ class RatT:
         t = self.num * d2r + other.num * d1r
         if g.is_one():
             return RatT._raw(cfg, t, lcm)
-        if t.is_zero():
-            return cfg.rat_zero
-        # t is prime to d1r and d2r, so a gcd with g alone, not the whole lcm, reduces it
+        # t is prime to d1r and d2r, so a gcd with g alone, not the whole lcm, reduces
+        # it; t is not zero, since y = -x forces den(y) = den(x), the d1 == d2 branch
         g2 = t.gcd(g)
         if g2.is_one():
             return RatT._raw(cfg, t, lcm)
@@ -617,15 +613,6 @@ class RatT:
             s = self.cfg.inv[den.lead()]
             num, den = num.scale(s), den.scale(s)
         return RatT._raw(self.cfg, num, den)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        # num and den stay coprime under powers
-        return RatT._raw(self.cfg, self.num**n, self.den**n)
 
     def frobenius_pow(self, k: int):
         return RatT._raw(self.cfg, self.num.frobenius_pow(k), self.den.frobenius_pow(k))

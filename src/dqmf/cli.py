@@ -17,6 +17,7 @@ import sys
 from .algebra import FieldConfig, PolyT, RatT
 from .hyperd import _GENERATORS, DerivationEngine
 from .qmring import NotIsobaric, QmPoly, grading, qm_basis
+from .suite import run_suite
 from .tseries import TSeries, evaluate, hyper_derive
 from .verify import IDEAL_TAGS, IdealId, check_hyperstable
 
@@ -138,7 +139,7 @@ class _Parser:
         self.take()
         expo = self.take()
         if not isinstance(expo, int):
-            raise ParseError("exponent must be an integer")
+            raise ParseError("exponent must be a non-negative integer")
         if isinstance(t, int):
             # reduce mod p first: the bare integer power can be astronomically large
             return QmPoly.from_scalar(self.cfg, pow(t, expo, self.cfg.p))
@@ -316,10 +317,9 @@ def _cmd_ideal(args):
 
 def _cmd_verify(args):
     cfg = _field_from_args(args)
-    from .suite import run_suite
-
-    results = run_suite(cfg, n_max=args.n_max, order=args.order, seed=args.seed,
-                        names=args.suite)
+    # --n-max and --seed are set only when given, so run_suite's defaults apply
+    given = {key: getattr(args, key) for key in ("n_max", "seed") if key in args}
+    results = run_suite(cfg, order=args.order, names=args.suite, **given)
     ok = all(r["pass"] for r in results)
     if args.json:
         print(json.dumps({"field": _field_json(cfg), "checks": results}))
@@ -382,9 +382,9 @@ def main(argv=None):
 
     p_verify = sub.add_parser("verify", help="run the verification battery")
     _add_field_args(p_verify)
-    p_verify.add_argument("--n-max", type=int, default=32)
+    p_verify.add_argument("--n-max", type=int, default=argparse.SUPPRESS)
     p_verify.add_argument("--order", type=int, default=None, help="series truncation order")
-    p_verify.add_argument("--seed", type=int, default=20260808)
+    p_verify.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p_verify.add_argument("--suite", nargs="*", default=None,
                           help="restrict to named checks")
     p_verify.set_defaults(func=_cmd_verify)

@@ -7,9 +7,9 @@ substitution E -> E + Y) and the first-order derivation.
 
 Every sum of products in the ring goes through one kernel,
 ``sum_of_products``: ``QmPoly * QmPoly`` is the kernel on one pair, and
-the engine's Leibniz convolutions, the quotient sequences of ``verify``
-and depth-polynomial products pass it all their pairs at once; ``d1``
-multiplies no pair, it scales each term by integers.  The kernel convolves
+the engine's Leibniz convolutions and the quotient sequences of ``verify``
+pass it all their pairs at once; ``scale``, ``scale_int`` and ``d1``
+multiply no pair, they scale each term.  The kernel convolves
 the F_q[T] numerators of every term pair into one raw code list per
 (output monomial, denominator d1*d2, from ``algebra._den_product``) and
 canonicalises each list once, through the RatT constructor, instead of
@@ -121,9 +121,6 @@ class QmPoly:
     def __eq__(self, other):
         return isinstance(other, QmPoly) and self.cfg is other.cfg and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(tuple(self.items()))
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -153,13 +150,7 @@ class QmPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, RatT):
-            return self.scale(other)
-        if isinstance(other, int):
-            return self.scale_int(other)
         return sum_of_products(self.cfg, ((self, other),))
-
-    __rmul__ = __mul__
 
     def scale(self, coeff: RatT):
         if coeff.is_zero():
@@ -396,19 +387,6 @@ class DepthPoly:
 
     def __eq__(self, other):
         return isinstance(other, DepthPoly) and self.cfg is other.cfg and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DepthPoly(self.cfg, [self.coeff(j) + other.coeff(j) for j in range(n)])
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return DepthPoly(self.cfg, [])
-        pairs = [[] for _ in range(self.degree + other.degree + 1)]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                pairs[i + j].append((a, b))
-        return DepthPoly(self.cfg, [sum_of_products(self.cfg, ps) for ps in pairs])
 
     def __str__(self):
         if not self.coeffs:

@@ -120,9 +120,9 @@ def _check_ideals(cfg, engine, rng, n_max, order):
     for _ in range(2):
         d = cfg.rat_zero
         while d.is_zero():
-            d = random_ratt(cfg, rng, 1)
+            d = random_ratt(cfg, rng)
         ideals.append(IdealId("Pd", d))
-    ideals.append(IdealId("max", random_ratt(cfg, rng, 1)))
+    ideals.append(IdealId("max", random_ratt(cfg, rng)))
     failures = []
     for ideal in ideals:
         rep = check_hyperstable(engine, ideal, n_max)

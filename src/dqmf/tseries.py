@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 from itertools import product
 
-from .algebra import FieldConfig, PolyT, RatT, binom_mod_p, common_denominator, d_power, d_rat, power
+from .algebra import FieldConfig, PolyT, RatT, binom_mod_p, common_denominator, d_power, d_rat
 from .qmring import QmPoly
 
 __all__ = [
@@ -56,10 +56,6 @@ class TSeries:
             for n, v in terms.items():
                 if n < order and not v.is_zero():
                     self.terms[n] = v
-
-    @classmethod
-    def zero(cls, cfg, order):
-        return cls(cfg, order)
 
     @classmethod
     def one(cls, cfg, order):
@@ -96,11 +92,6 @@ class TSeries:
         if isinstance(other, RatT):  # the kernel rejects a factor from another field
             other = TSeries(other.cfg, self.order, {0: other})
         return _sum_of_products(self.cfg, min(self.order, other.order), [(self, other)])
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative series power")
-        return power(self, n, TSeries.one(self.cfg, self.order))
 
     def __str__(self):
         parts = []
@@ -259,7 +250,7 @@ def t_sub(a: PolyT, N: int, k: int = 1) -> TSeries:
     d = a.degree
     base = k * cfg.q**d
     if base >= N:
-        return TSeries.zero(cfg, N)
+        return TSeries(cfg, N)
     if k == 0:
         return TSeries.one(cfg, N)
     rho = carlitz(a)

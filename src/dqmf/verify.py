@@ -228,9 +228,10 @@ def h_power_quotients(engine: DerivationEngine, n: int, r_max: int):
 # Sample generators for the randomized probes (seeded, reproducible).
 
 
-def random_ratt(cfg, rng: random.Random, max_deg=2):
-    num = PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, max_deg + 1))])
-    den = PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, max_deg + 1))])
+def random_ratt(cfg, rng: random.Random):
+    """A random element of F_q(T), numerator and denominator of degree <= 1."""
+    num = PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, 2))])
+    den = PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, 2))])
     if den.is_zero():
         den = cfg.poly_one
     return RatT(cfg, num, den)
@@ -250,7 +251,7 @@ def random_isobaric(cfg, rng: random.Random, w_max=20):
         terms = {}
         for expo in qm_basis(sig.w, sig.m, a, cfg):
             if rng.random() < 0.7:
-                terms[expo] = random_ratt(cfg, rng, 1)
+                terms[expo] = random_ratt(cfg, rng)
         f = QmPoly(cfg, terms)
         if not f.is_zero():
             return f

@@ -36,6 +36,17 @@ def engine(q):
     return engine_for(q)
 
 
+def random_fraction(cfg, rng):
+    """A random element of F_q(T), numerator and denominator of degree <= 2,
+    drawn as ``verify.random_ratt`` draws its degree <= 1 ones; the golden
+    digests were pinned on these draws."""
+    num = PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, 3))])
+    den = PolyT(cfg, [rng.randrange(cfg.q) for _ in range(rng.randint(1, 3))])
+    if den.is_zero():
+        den = cfg.poly_one
+    return RatT(cfg, num, den)
+
+
 def _inv_d(cfg, i, k):
     return RatT(cfg, cfg.poly_one, d_power(i, k, cfg))
 

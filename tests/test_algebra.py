@@ -28,6 +28,7 @@ from dqmf.algebra import (
     d_power,
     d_rat,
     linear_solve,
+    power,
 )
 
 from conftest import _reference_add, _reference_mul
@@ -325,7 +326,7 @@ def test_ratt_canonical_form_is_normal_form():
         assert scaled == a and scaled.num.c == a.num.c and scaled.den.c == a.den.c
         assert (a + b) - b == a
         if not b.is_zero():
-            assert (a * b) / b == a
+            assert (a * b) * b.inverse() == a
 
 
 @settings(max_examples=150, deadline=None)
@@ -361,8 +362,6 @@ def test_ratt_equality_compares_the_field():
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(ValueError):
                 op(a, b)
-    with pytest.raises(ValueError):
-        f4.rat_one / f5.rat_one
 
 
 def _differential_samples(cfg, rng):
@@ -594,5 +593,7 @@ def test_pow_matches_repeated_product(cfg, kind):
     x, one = _pow_samples(cfg)[kind]
     acc = one
     for n in range(7):
-        assert x**n == acc
+        assert power(x, n, one) == acc
+        if kind in ("PolyT", "QmPoly"):  # the two types with a ** operator
+            assert x**n == acc
         acc = acc * x

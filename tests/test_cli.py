@@ -317,6 +317,9 @@ def test_cmd_verify_json_determinism(capsys):
         (["field", "--p", "1", "--e", "30"], "not prime"),
         (["basis", "--q", "4", "-2", "0", "1"], "weight and depth must be >= 0"),
         (["basis", "--q", "4", "6", "0", "-1"], "weight and depth must be >= 0"),
+        # the tokenizer splits off the sign, and an exponent takes no parentheses
+        (["derive", "--q", "4", "E^-1", "1"], "exponent must be a non-negative integer"),
+        (["derive", "--q", "4", "E^(2)", "1"], "exponent must be a non-negative integer"),
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
          "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check",
@@ -325,7 +328,8 @@ def test_cmd_verify_json_determinism(capsys):
          "e-zero", "e-negative", "p-not-prime", "q-and-p", "q-and-field-file",
          "p-and-field-file", "e-without-p", "modulus-without-p", "e-alone", "empty-suite",
          "p-above-max-q", "q-above-max-q", "degree-20-modulus", "huge-e", "p-one-large-e",
-         "basis-negative-weight", "basis-negative-depth"],
+         "basis-negative-weight", "basis-negative-depth", "negative-exponent",
+         "parenthesized-exponent"],
 )
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")

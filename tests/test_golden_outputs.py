@@ -34,7 +34,9 @@ from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly, monomial_signature, qm_basis
 from dqmf.suite import series_check_orders
 from dqmf.tseries import _monic_polys, evaluate, expand_E, expand_g, expand_h, hyper_derive, t_sub
-from dqmf.verify import h_power_quotients, random_ratt
+from dqmf.verify import h_power_quotients
+
+from conftest import random_fraction
 
 # q -> (weight bound W, order bound N, sha256)
 GOLDEN = {
@@ -193,7 +195,7 @@ def _mixed_isobaric(cfg, rng):
     for mono in rng.sample(basis, min(6, len(basis))):
         v = cfg.rat_zero
         while v.is_zero():
-            v = random_ratt(cfg, rng, 2)
+            v = random_fraction(cfg, rng)
         terms[mono] = v
     return QmPoly(cfg, terms)
 
@@ -239,7 +241,7 @@ def _deep_digit_element(cfg, rng):
         mono = (rng.choice(low_exps), rng.choice(g_exps), rng.choice(low_exps))
         v = cfg.rat_zero
         while v.is_zero():
-            v = random_ratt(cfg, rng, 2)
+            v = random_fraction(cfg, rng)
         terms[mono] = v
     return QmPoly(cfg, terms)
 

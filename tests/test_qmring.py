@@ -104,9 +104,11 @@ def test_associated_polynomial_multiplicative(cfg):
     for _ in range(20):
         f = random_isobaric(cfg, rng, 12)
         g = random_isobaric(cfg, rng, 12)
-        lhs = associated_polynomial(f * g)
-        rhs = associated_polynomial(f) * associated_polynomial(g)
-        assert lhs == rhs
+        P, Q = associated_polynomial(f), associated_polynomial(g)
+        # P * Q coefficientwise: Y^k takes the sum of P_i Q_{k-i}
+        rhs = [sum_of_products(cfg, ((P.coeff(i), Q.coeff(k - i)) for i in range(k + 1)))
+               for k in range(P.degree + Q.degree + 1)]
+        assert associated_polynomial(f * g) == DepthPoly(cfg, rhs)
         assert associated_polynomial(f).coeff(0) == f
 
 
@@ -119,9 +121,9 @@ def test_associated_polynomial_additive_on_equal_gradings(cfg):
         g = QmPoly.zero(cfg)
         for expo in basis:
             g.terms[expo] = RatT(cfg, cfg.poly_T)
-        lhs = associated_polynomial(f + g)
-        rhs = associated_polynomial(f) + associated_polynomial(g)
-        assert lhs == rhs
+        P, Q = associated_polynomial(f), associated_polynomial(g)
+        rhs = [P.coeff(j) + Q.coeff(j) for j in range(max(P.degree, Q.degree) + 1)]
+        assert associated_polynomial(f + g) == DepthPoly(cfg, rhs)
 
 
 def test_associated_polynomial_square_example(cfg):

@@ -1,18 +1,28 @@
-"""The public surface: every name a module exports serves the package."""
+"""The public surface: every name a module exports serves the package, and
+every function of the package runs under some `dqmf` command."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import dqmf
 
-SRC = Path(dqmf.__file__).parent
+SRC = Path(dqmf.__file__).resolve().parent
 
-# exported for callers outside the package, so src/dqmf need not use them
-ALLOWED_UNUSED = {
-    "qmpoly_from_json",  # the inverse of `derive --json`, round-tripped by the tests
-    "tseries_from_json",  # the inverse of `expand --json`, round-tripped by the tests
-    "depth_drop",  # the paper's depth criterion, checked against the engine by the acceptance suite
+# defs that no command enters, each kept for a reason of its own
+NEVER_ENTERED = {
+    "cli:qmpoly_from_json": "the inverse of `derive --json`, round-tripped by the tests",
+    "cli:tseries_from_json": "the inverse of `expand --json`, round-tripped by the tests",
+    "cli:parse_polyt": "reads the num/den strings of the two JSON readers above",
+    "hyperd:depth_drop": "the paper's depth criterion, checked against the engine by the acceptance suite",
+    "algebra:RatT.__hash__": "RatT is a value type: the frozen IdealId hashes its parameter",
 }
+# kept for people reading a failure, not for any command
+FOR_READERS = {"__repr__", "__str__"}
 
 
 def _exported(tree):
@@ -26,7 +36,9 @@ def _exported(tree):
 
 def test_every_exported_name_is_used_inside_the_package():
     """A name in a module's __all__ is read (as a Name or an Attribute) by some
-    module of src/dqmf; the re-exports of __init__ do not count."""
+    module of src/dqmf; the re-exports of __init__ do not count.  This covers
+    the classes and constants, which the command guard below does not see."""
+    allowed = {key.split(":")[1] for key in NEVER_ENTERED}
     exported, used = {}, set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
@@ -40,77 +52,142 @@ def test_every_exported_name_is_used_inside_the_package():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     orphans = sorted(f"{mod}:{name}" for name, mod in exported.items()
-                     if name not in used and name not in ALLOWED_UNUSED)
+                     if name not in used and name not in allowed)
     assert not orphans, f"exported but used by no command or check: {orphans}"
-    assert ALLOWED_UNUSED <= exported.keys()
 
 
-def _unread(sources):
-    """The public top-level functions, and the non-dunder methods of the public
-    classes, of ``sources`` (module name -> source text) that no module reads.
+# ---------------------------------------------------------------------------
+# Every def runs under some command.
 
-    A function or an instance method counts as read when its name is read
-    anywhere, as a Name or an Attribute.  A classmethod or staticmethod counts
-    as read only as ``Class.name``, or as ``cls.name`` inside its own class,
-    so a classmethod is not hidden by another class's method of the same
-    name.  Blind spot: two classes can share an instance method name, and a
-    read of either then counts for both."""
-    defs, names, class_reads = {}, set(), set()
-    for mod, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                defs[f"{mod}:{node.name}"] = (names, node.name)
-            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                for item in node.body:
-                    if not isinstance(item, ast.FunctionDef) or (
-                            item.name.startswith("__") and item.name.endswith("__")):
-                        continue
-                    bound = {d.id for d in item.decorator_list if isinstance(d, ast.Name)}
-                    defs[f"{mod}:{node.name}.{item.name}"] = (
-                        (class_reads, (node.name, item.name))
-                        if bound & {"classmethod", "staticmethod"} else (names, item.name))
-                for sub in ast.walk(node):
-                    if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
-                            and sub.value.id == "cls"):
-                        class_reads.add((node.name, sub.attr))
-        for sub in ast.walk(tree):
-            if isinstance(sub, ast.Name):
-                names.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                names.add(sub.attr)
-                if isinstance(sub.value, ast.Name):
-                    class_reads.add((sub.value.id, sub.attr))
-    return sorted(key for key, (reads, name) in defs.items() if name not in reads)
+# Runs ``<package>.cli.main`` on each command line in a fresh interpreter, so
+# no cache or interned field of an earlier test skips a function body, and
+# prints the exit codes and the (file, first line, name) of every code object
+# entered.  A decorated def's code starts at its first decorator.
+_RUNNER = """
+import contextlib, importlib, io, json, os, sys
+
+root, package = sys.argv[1], sys.argv[2]
+commands = json.load(sys.stdin)
+entered = set()
 
 
-def test_every_public_function_and_method_is_read_inside_the_package():
-    sources = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
-    orphans = [key for key in _unread(sources) if key.split(":")[1] not in ALLOWED_UNUSED]
-    assert not orphans, f"read by no command or check: {orphans}"
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
 
 
-def test_an_unread_classmethod_is_found_next_to_a_read_namesake():
-    source = """
-class A:
-    @classmethod
-    def f(cls):
-        return 1
-
-class B:
-    @classmethod
-    def f(cls):
-        return 2
-
-    @classmethod
-    def g(cls):
-        return cls.f()
-
-    def h(self):
-        return 3
-
-def _main():
-    return B.g() + B().h()
+sys.path.insert(0, root)
+sys.setprofile(profile)
+cli = importlib.import_module(package + ".cli")
+codes = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+sys.setprofile(None)
+code_keys = sorted({(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in entered})
+print(json.dumps({"codes": codes, "entered": code_keys}))
 """
-    assert _unread({"m": source}) == ["m:A.f"]
+
+
+def _defs(package_dir: Path) -> dict:
+    """(file, first line, name) -> "module:Qualified.name" of every def in the
+    package's modules, nested defs and methods included."""
+    out = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[(str(path), first, child.name)] = f"{path.stem}:{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(package_dir.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.resolve(), "")
+    return out
+
+
+def _never_entered(package_dir: Path, commands):
+    """(exit codes, sorted "module:Qualified.name" of the defs in package_dir
+    that none of the command lines entered, __repr__ and __str__ aside)."""
+    run = subprocess.run(
+        [sys.executable, "-c", _RUNNER, str(package_dir.parent), package_dir.name],
+        input=json.dumps(commands), capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    result = json.loads(run.stdout)
+    entered = {tuple(key) for key in result["entered"]}
+    missed = sorted(name for key, name in _defs(package_dir).items()
+                    if key not in entered and key[2] not in FOR_READERS)
+    return result["codes"], missed
+
+
+def _field_commands(field_file):
+    """Every subcommand, in text and JSON form, and every way to name a field."""
+    verify = [["verify", "--q", str(q), "--n-max", "16"] for q in (2, 3, 4, 5, 7, 8, 9)]
+    verify[0].append("--json")
+    return verify + [
+        ["derive", "--q", "5", "E^2 g + (1/(T^5 - T)) h^2", "6"],
+        ["derive", "--q", "4", "E g h", "5", "--json"],
+        ["derive", "--q", "4", "[0,1] E g/(T + [1,1])", "3"],  # a coordinate tuple and /
+        ["expand", "--q", "4", "h", "20"],
+        ["expand", "--q", "5", "E g", "30", "--n", "5", "--json"],
+        ["basis", "--q", "5", "24", "0", "2"],
+        ["basis", "--q", "5", "24", "0", "2", "--json"],
+        ["ideal", "--q", "5", "Pd", "--d", "T+1", "--n-max", "8"],
+        ["ideal", "--q", "4", "max", "--c", "T", "--n-max", "8", "--json"],
+        ["field", "--q", "9"],
+        ["field", "--p", "3", "--e", "2", "--modulus", "2 2 1", "--json"],
+        ["field", "--field-file", str(field_file)],
+    ]
+
+
+# the negative control exits 1, each malformed input 2
+FAILING = [
+    ["ideal", "--q", "4", "E", "--n-max", "8"],
+    ["derive", "--q", "4", "E^-1", "1"],
+    ["derive", "--q", "4", "E +", "1"],
+    ["derive", "--q", "4", "E/g", "1"],
+    ["derive", "--q", "5", "E", "999"],
+    ["field", "--q", "6"],
+]
+
+
+def test_every_function_runs_under_some_command(tmp_path):
+    field_file = tmp_path / "f9.cfg"
+    field_file.write_text("p = 3\ne = 2\nmodulus = 1 0 1\n")
+    commands = _field_commands(field_file)
+    codes, missed = _never_entered(SRC, commands + FAILING)
+    assert codes == [0] * len(commands) + [1] + [2] * (len(FAILING) - 1)
+    unentered = sorted(set(missed) - NEVER_ENTERED.keys())
+    assert not unentered, f"entered by no dqmf command: {unentered}"
+    stale = sorted(NEVER_ENTERED.keys() - set(missed))
+    assert not stale, f"allowlisted, but entered or gone: {stale}"
+
+
+def test_a_method_no_command_calls_is_reported(tmp_path):
+    package = tmp_path / "planted"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(textwrap.dedent("""
+        class A:
+            @property
+            def used(self):
+                return 1
+
+            def __mul__(self, other):
+                return 2
+
+            def planted(self):
+                return 3
+
+
+        def main(argv):
+            return A().used - 1
+    """))
+    codes, missed = _never_entered(package, [[], []])
+    assert codes == [0, 0]
+    assert missed == ["cli:A.__mul__", "cli:A.planted"]

@@ -27,7 +27,7 @@ from conftest import engine_for
 def _rand_d(cfg, rng):
     d = cfg.rat_zero
     while d.is_zero():
-        d = random_ratt(cfg, rng, 1)
+        d = random_ratt(cfg, rng)
     return d
 
 
@@ -155,7 +155,7 @@ def test_member_monomial_ideals_complete_on_slices(engine, q):
 
 def test_member_max_ideal(cfg):
     rng = random.Random(13)
-    c = random_ratt(cfg, rng, 1)
+    c = random_ratt(cfg, rng)
     ideal = IdealId("max", c)
     assert member(ideal, QmPoly.gen_g(cfg) - QmPoly.from_scalar(cfg, c))[0]
     assert member(ideal, QmPoly.gen_E(cfg))[0]
@@ -167,7 +167,7 @@ def test_check_hyperstable_classified_ideals(engine, q):
     cfg = engine.cfg
     n_max = min(24, engine.limit)
     ideals = [IdealId("h"), IdealId("P0"), IdealId("Pinf"),
-              IdealId("Pd", _rand_d(cfg, rng)), IdealId("max", random_ratt(cfg, rng, 1))]
+              IdealId("Pd", _rand_d(cfg, rng)), IdealId("max", random_ratt(cfg, rng))]
     for ideal in ideals:
         report = check_hyperstable(engine, ideal, n_max)
         assert report.passed, report.to_json()
@@ -192,7 +192,7 @@ def test_diagram_inclusions(engine):
     rng = random.Random(23)
     cfg = engine.cfg
     ds = [_rand_d(cfg, rng) for _ in range(3)]
-    cs = [random_ratt(cfg, rng, 1) for _ in range(2)]
+    cs = [random_ratt(cfg, rng) for _ in range(2)]
     checks = diagram_inclusions(engine, ds, cs)
     assert checks and all(ok for _, ok in checks)
 
