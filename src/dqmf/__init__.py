@@ -12,7 +12,6 @@ from .algebra import (
 )
 from .hyperd import DerivationEngine, OrderOutOfRange, depth_drop
 from .qmring import (
-    DepthPoly,
     GradingSignature,
     NotIsobaric,
     QmPoly,

@@ -212,15 +212,20 @@ class FieldConfig:
 
     @classmethod
     def from_file(cls, path) -> "FieldConfig":
-        """Read a key-value field config: p, e, modulus (coefficients low-to-high)."""
+        """Read a key-value field config: p, e, modulus (coefficients low-to-high),
+        each at most once; # starts a comment."""
         vals = {}
         with open(path) as fh:
             for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
+                text = line.split("#", 1)[0].strip()
+                if not text:
                     continue
-                key, _, rhs = line.partition("=")
-                vals[key.strip()] = rhs.strip()
+                key, eq, rhs = (s.strip() for s in text.partition("="))
+                if not eq or key not in ("p", "e", "modulus"):
+                    raise ValueError(f"field file {path}: {text!r} is not 'p|e|modulus = value'")
+                if key in vals:
+                    raise ValueError(f"field file {path}: repeated key in {text!r}")
+                vals[key] = rhs
         if "p" not in vals:
             raise ValueError(f"field file {path} has no 'p =' line")
         p = int(vals["p"])
@@ -410,7 +415,8 @@ class PolyT:
 
 
 def _divmod_lists(rem, bc, cfg):
-    """Long division on raw coefficient lists; returns (quot, rem) trimmed."""
+    """Long division on raw coefficient lists, the dividend trimmed (so the
+    first step writes quot's nonzero top); returns (quot, rem) trimmed."""
     add, mul, neg = cfg.add, cfg.mul, cfg.neg
     db = len(bc) - 1
     inv_lead = cfg.inv[bc[-1]]
@@ -432,8 +438,6 @@ def _divmod_lists(rem, bc, cfg):
         rem.pop()
     while rem and rem[-1] == 0:
         rem.pop()
-    while quot and quot[-1] == 0:
-        quot.pop()
     return quot, rem
 
 

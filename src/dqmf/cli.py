@@ -47,7 +47,11 @@ def _tokenize(text):
             j = text.find("]", i)
             if j < 0:
                 raise ParseError("unterminated coordinate tuple")
-            coords = tuple(int(t) for t in text[i + 1 : j].split(","))
+            try:
+                coords = tuple(int(t) for t in text[i + 1 : j].split(","))
+            except ValueError:
+                raise ParseError(
+                    f"coordinate tuple {text[i : j + 1]} needs integer entries") from None
             toks.append(("coords", coords))
             i = j + 1
         elif ch.isdigit():

@@ -69,8 +69,8 @@ from __future__ import annotations
 
 from .algebra import FieldConfig, RatT, binom_mod_p, d_rat, linear_solve
 from .qmring import (
-    DepthPoly, NotIsobaric, QmPoly, d1, grading, modular_basis, monomial_signature,
-    sum_of_products,
+    NotIsobaric, QmPoly, associated_polynomial, d1, grading, modular_basis,
+    monomial_signature, sum_of_products,
 )
 
 __all__ = ["DerivationEngine", "OrderOutOfRange", "depth_drop", "generator_table"]
@@ -298,31 +298,28 @@ class DerivationEngine:
 
     # -- depth polynomial transport -------------------------------------------
 
-    def transform_depth_poly(self, P: DepthPoly, w: int, n: int) -> DepthPoly:
-        """Depth polynomial of D_n f from the depth polynomial P of f.
-
-        Coefficient of Y^j is sum_r C(n + w + r - j - 1, r) D_{n-r} P_{j-r};
-        equals associated_polynomial(derive(f, n)).
+    def transform_depth_poly(self, f: QmPoly, n: int) -> tuple:
+        """The tuple associated_polynomial(derive(f, n)), transported from
+        P = associated_polynomial(f): the coefficient of Y^j is
+        sum_r C(n + w + r - j - 1, r) D_{n-r} P_{j-r}, w the weight of f.
+        Raises NotIsobaric when f mixes gradings.
         """
-        self._check_field(P)
+        self._check_field(f)
         self._check_order(n)
-        cfg = self.cfg
-        l = P.degree if not P.is_zero() else 0
+        if f.is_zero():
+            return ()
+        w, P, p = grading(f).w, associated_polynomial(f), self.cfg.p
         out = []
-        for j in range(n + l + 1):
-            acc = QmPoly.zero(cfg)
-            for r in range(n + 1):
-                src = j - r
-                if src < 0 or src > P.degree:
-                    continue
-                bm = binom_mod_p(n + w + r - j - 1, r, cfg.p)
-                if bm == 0:
-                    continue
-                term = self.derive(P.coeff(src), n - r)
-                if not term.is_zero():
-                    acc = acc + term.scale_int(bm)
+        for j in range(n + len(P)):
+            acc = QmPoly.zero(self.cfg)
+            for r in range(max(0, j - len(P) + 1), min(n, j) + 1):
+                bm = binom_mod_p(n + w + r - j - 1, r, p)
+                if bm:
+                    acc = acc + self.derive(P[j - r], n - r).scale_int(bm)
             out.append(acc)
-        return DepthPoly(cfg, out)
+        while out and out[-1].is_zero():
+            out.pop()
+        return tuple(out)
 
     # -- kernels on modular forms ----------------------------------------------
 

@@ -3,7 +3,8 @@
 Monomials E^a g^b h^c carry weight 2a + (q-1)b + (q+1)c, type a+c mod q-1
 and depth a.  The module provides the grading bookkeeping, monomial bases
 of the modular and depth-filtered slices, depth polynomials (the ring
-substitution E -> E + Y) and the first-order derivation.
+substitution E -> E + Y, a plain tuple of the QmPoly coefficients of
+Y^0, Y^1, ...) and the first-order derivation.
 
 Every sum of products in the ring goes through one kernel,
 ``sum_of_products``: ``QmPoly * QmPoly`` is the kernel on one pair, and
@@ -30,7 +31,6 @@ from .algebra import FieldConfig, PolyT, RatT, _den_product, binom_mod_p, power
 __all__ = [
     "QmPoly",
     "GradingSignature",
-    "DepthPoly",
     "NotIsobaric",
     "grading",
     "modular_basis",
@@ -357,56 +357,16 @@ def qm_basis(w: int, m: int, l: int, cfg: FieldConfig):
 # Depth polynomials.
 
 
-class DepthPoly:
-    """Polynomial in the depth variable Y with coefficients in K[E,g,h].
+def associated_polynomial(f: QmPoly) -> tuple:
+    """The depth polynomial of f: f under E -> E + Y, g -> g, h -> h, as the
+    tuple of its Y^0, Y^1, ... coefficients in K[E,g,h], () for f = 0.
 
-    Y carries weight 2, type 1 and depth 1.  For f in the ring this is the
-    image of f under E -> E + Y; the Y^0 coefficient is f itself.
+    Y carries weight 2, type 1 and depth 1; the Y^0 coefficient is f itself,
+    and the last one, Y^l for l the depth of f, is nonzero.
     """
-
-    __slots__ = ("cfg", "coeffs")
-
-    def __init__(self, cfg, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.cfg = cfg
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def coeff(self, j):
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return QmPoly.zero(self.cfg)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, DepthPoly) and self.cfg is other.cfg and self.coeffs == other.coeffs
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            ys = "" if j == 0 else (" Y" if j == 1 else f" Y^{j}")
-            parts.append(f"({c}){ys}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def associated_polynomial(f: QmPoly) -> DepthPoly:
-    """Ring substitution E -> E + Y, g -> g, h -> h applied to f."""
     cfg = f.cfg
     p = cfg.p
-    l = max((k[0] for k in f.terms), default=0)
+    l = max((k[0] for k in f.terms), default=-1)
     coeffs = [QmPoly.zero(cfg) for _ in range(l + 1)]
     # distinct terms of f land on distinct monomials (a - j, b, c) of each Y^j
     for (a, b, c), v in f.terms.items():
@@ -414,7 +374,7 @@ def associated_polynomial(f: QmPoly) -> DepthPoly:
             bm = binom_mod_p(a, j, p)
             if bm:
                 coeffs[j].terms[(a - j, b, c)] = v.scale_int(bm)
-    return DepthPoly(cfg, coeffs)
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

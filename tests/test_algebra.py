@@ -154,6 +154,29 @@ def test_field_config_file_roundtrip(tmp_path):
     assert FieldConfig.from_file(path) is cfg
 
 
+def test_field_file_allows_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "field.cfg"
+    path.write_text("# F_9\n\np = 3  # the characteristic\ne = 2\n  modulus = 1 0 1\n")
+    assert FieldConfig.from_file(path) is FieldConfig.from_q(9)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p = 3\ne = 2\nmodulous = 2 2 1\n", "'modulous = 2 2 1' is not"),
+        ("p = 3\ne = 2\nmodulus 2 2 1\n", "'modulus 2 2 1' is not"),
+        ("p = 3\np = 5\n", "repeated key in 'p = 5'"),
+    ],
+    ids=["misspelled-key", "missing-equals", "repeated-key"],
+)
+def test_field_file_rejects_a_line_it_cannot_read(tmp_path, text, message):
+    # each used to fall back to the default modulus, or to the last p, silently
+    path = tmp_path / "field.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        FieldConfig.from_file(path)
+
+
 # ---------------------------------------------------------------------------
 # Lucas binomials
 

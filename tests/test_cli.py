@@ -320,6 +320,8 @@ def test_cmd_verify_json_determinism(capsys):
         # the tokenizer splits off the sign, and an exponent takes no parentheses
         (["derive", "--q", "4", "E^-1", "1"], "exponent must be a non-negative integer"),
         (["derive", "--q", "4", "E^(2)", "1"], "exponent must be a non-negative integer"),
+        (["derive", "--q", "4", "[] E", "1"], "coordinate tuple [] needs integer entries"),
+        (["derive", "--q", "4", "[1,,0] E", "1"], "coordinate tuple [1,,0] needs integer entries"),
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
          "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check",
@@ -329,7 +331,7 @@ def test_cmd_verify_json_determinism(capsys):
          "p-and-field-file", "e-without-p", "modulus-without-p", "e-alone", "empty-suite",
          "p-above-max-q", "q-above-max-q", "degree-20-modulus", "huge-e", "p-one-large-e",
          "basis-negative-weight", "basis-negative-depth", "negative-exponent",
-         "parenthesized-exponent"],
+         "parenthesized-exponent", "empty-coordinate-tuple", "non-integer-coordinate"],
 )
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")

@@ -17,6 +17,7 @@ from dqmf.hyperd import (
     _GENERATORS, DerivationEngine, OrderOutOfRange, depth_drop, generator_table,
 )
 from dqmf.qmring import (
+    NotIsobaric,
     QmPoly,
     associated_polynomial,
     d1,
@@ -290,7 +291,7 @@ def test_derive_rejects_an_element_of_another_field():
             with pytest.raises(ValueError, match="different fields"):
                 engine.derive(f, n)
             with pytest.raises(ValueError, match="different fields"):
-                engine.transform_depth_poly(associated_polynomial(f), 2, n)
+                engine.transform_depth_poly(f, n)
 
 
 def test_E_power_rule(engine, q):
@@ -460,8 +461,17 @@ def test_depth_drop_matches_generic_elements(engine, q):
 def test_transform_depth_poly_identity_at_zero(engine):
     rng = random.Random(3)
     f = random_isobaric(engine.cfg, rng, 10)
-    P = associated_polynomial(f)
-    assert engine.transform_depth_poly(P, grading(f).w, 0) == P
+    assert engine.transform_depth_poly(f, 0) == associated_polynomial(f)
+
+
+def test_transform_depth_poly_reads_the_weight_of_f(engine):
+    # zero has every grading and the empty depth polynomial; E + g mixes
+    # weights, so it has no one weight w to transport with
+    cfg = engine.cfg
+    for n in (0, 1):
+        assert engine.transform_depth_poly(QmPoly.zero(cfg), n) == ()
+        with pytest.raises(NotIsobaric):
+            engine.transform_depth_poly(QmPoly.gen_E(cfg) + QmPoly.gen_g(cfg), n)
 
 
 def test_transform_depth_poly_h_row(engine, q):
@@ -469,29 +479,26 @@ def test_transform_depth_poly_h_row(engine, q):
     cfg = engine.cfg
     h = QmPoly.gen_h(cfg)
     n = min(q + 2, engine.limit)
-    P = engine.transform_depth_poly(associated_polynomial(h), q + 1, n)
+    P = engine.transform_depth_poly(h, n)
+    zero = QmPoly.zero(cfg)
     for j in range(n + 1):
         expected = engine.derive(h, n - j).scale_int(binom_mod_p(n + q, j, cfg.p))
-        assert P.coeff(j) == expected
+        assert (P[j] if j < len(P) else zero) == expected
 
 
 def test_transform_depth_poly_dual_route(engine, q):
     rng = random.Random(71 + q)
     for _ in range(6):
         f = random_isobaric(engine.cfg, rng, 12)
-        s = grading(f)
         n = rng.randint(1, min(10, engine.limit))
-        lhs = engine.transform_depth_poly(associated_polynomial(f), s.w, n)
-        rhs = associated_polynomial(engine.derive(f, n))
-        assert lhs == rhs
+        assert engine.transform_depth_poly(f, n) == associated_polynomial(engine.derive(f, n))
 
 
 def test_transform_depth_poly_E_p_power(engine, q):
     cfg = engine.cfg
     E = QmPoly.gen_E(cfg)
     for n in p_powers_upto(cfg, q * q):
-        lhs = engine.transform_depth_poly(associated_polynomial(E), 2, n)
-        assert lhs == associated_polynomial(engine.derive(E, n))
+        assert engine.transform_depth_poly(E, n) == associated_polynomial(engine.derive(E, n))
 
 
 # ---------------------------------------------------------------------------

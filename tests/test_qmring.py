@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from dqmf.algebra import FieldConfig, PolyT, RatT, bracket, d_power
 from dqmf.qmring import (
-    DepthPoly,
     NotIsobaric,
     QmPoly,
     associated_polynomial,
@@ -93,10 +92,11 @@ def test_qm_basis_dimension_is_sum_of_modular_dims(cfg, q):
 def test_associated_polynomial_generators(cfg):
     E = QmPoly.gen_E(cfg)
     P = associated_polynomial(E)
-    assert P.degree == 1 and P.coeff(0) == E and P.coeff(1) == QmPoly.one(cfg)
+    assert P == (E, QmPoly.one(cfg))
     h = QmPoly.gen_h(cfg)
     Ph = associated_polynomial(h)
-    assert Ph.degree == 0 and Ph.coeff(0) == h
+    assert Ph == (h,)
+    assert associated_polynomial(QmPoly.zero(cfg)) == ()
 
 
 def test_associated_polynomial_multiplicative(cfg):
@@ -106,10 +106,11 @@ def test_associated_polynomial_multiplicative(cfg):
         g = random_isobaric(cfg, rng, 12)
         P, Q = associated_polynomial(f), associated_polynomial(g)
         # P * Q coefficientwise: Y^k takes the sum of P_i Q_{k-i}
-        rhs = [sum_of_products(cfg, ((P.coeff(i), Q.coeff(k - i)) for i in range(k + 1)))
-               for k in range(P.degree + Q.degree + 1)]
-        assert associated_polynomial(f * g) == DepthPoly(cfg, rhs)
-        assert associated_polynomial(f).coeff(0) == f
+        rhs = tuple(sum_of_products(cfg, ((P[i], Q[k - i]) for i in range(k + 1)
+                                          if i < len(P) and k - i < len(Q)))
+                    for k in range(len(P) + len(Q) - 1))
+        assert associated_polynomial(f * g) == rhs
+        assert associated_polynomial(f)[0] == f
 
 
 def test_associated_polynomial_additive_on_equal_gradings(cfg):
@@ -122,8 +123,12 @@ def test_associated_polynomial_additive_on_equal_gradings(cfg):
         for expo in basis:
             g.terms[expo] = RatT(cfg, cfg.poly_T)
         P, Q = associated_polynomial(f), associated_polynomial(g)
-        rhs = [P.coeff(j) + Q.coeff(j) for j in range(max(P.degree, Q.degree) + 1)]
-        assert associated_polynomial(f + g) == DepthPoly(cfg, rhs)
+        zero = QmPoly.zero(cfg)
+        rhs = [(P[j] if j < len(P) else zero) + (Q[j] if j < len(Q) else zero)
+               for j in range(max(len(P), len(Q)))]
+        while rhs and rhs[-1].is_zero():
+            rhs.pop()
+        assert associated_polynomial(f + g) == tuple(rhs)
 
 
 def test_associated_polynomial_square_example(cfg):
@@ -131,9 +136,7 @@ def test_associated_polynomial_square_example(cfg):
     g = QmPoly.gen_g(cfg)
     P = associated_polynomial(E * E * g)
     # (E+Y)^2 g
-    assert P.coeff(0) == E * E * g
-    assert P.coeff(1) == (E * g).scale_int(2)
-    assert P.coeff(2) == g
+    assert P == (E * E * g, (E * g).scale_int(2), g)
 
 
 def test_depth_poly_coefficients_carry_shifted_grading(cfg, q):
@@ -144,8 +147,7 @@ def test_depth_poly_coefficients_carry_shifted_grading(cfg, q):
         f = random_isobaric(cfg, rng, 14)
         s = grading(f)
         P = associated_polynomial(f)
-        for j in range(P.degree + 1):
-            cj = P.coeff(j)
+        for j, cj in enumerate(P):
             if cj.is_zero():
                 continue
             sj = grading(cj)
@@ -159,7 +161,7 @@ def test_top_coefficient_is_modular(cfg):
     for _ in range(25):
         f = random_isobaric(cfg, rng, 14)
         P = associated_polynomial(f)
-        assert all(k[0] == 0 for k in P.coeff(P.degree).terms)
+        assert all(k[0] == 0 for k in P[-1].terms)
 
 
 def test_d1_system(cfg):
@@ -216,8 +218,6 @@ def test_equality_compares_the_field():
     f3, f5 = FieldConfig.from_q(3), FieldConfig.from_q(5)
     assert QmPoly.zero(f3) != QmPoly.zero(f5)
     assert QmPoly.zero(f3) == QmPoly.zero(FieldConfig.from_q(3))
-    assert DepthPoly(f3, []) != DepthPoly(f5, [])
-    assert DepthPoly(f3, []) == DepthPoly(f3, [QmPoly.zero(f3)])
     assert associated_polynomial(QmPoly.gen_E(f3)) != associated_polynomial(QmPoly.gen_E(f5))
     # arithmetic across fields is an error: E over F_4 plus E over F_5 used
     # to print 0, and products ran on the first field's tables
