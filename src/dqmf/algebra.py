@@ -225,18 +225,22 @@ class FieldConfig:
                     raise ValueError(f"field file {path}: {text!r} is not 'p|e|modulus = value'")
                 if key in vals:
                     raise ValueError(f"field file {path}: repeated key in {text!r}")
-                vals[key] = rhs
+                try:
+                    vals[key] = cls.parse_coefficients(rhs) if key == "modulus" else int(rhs)
+                except ValueError:
+                    kind = "a list of integers" if key == "modulus" else "an integer"
+                    raise ValueError(f"field file {path}: {key} = {rhs!r} is not {kind}") from None
         if "p" not in vals:
             raise ValueError(f"field file {path} has no 'p =' line")
-        p = int(vals["p"])
-        e = int(vals.get("e", "1"))
-        modulus = cls.parse_coefficients(vals["modulus"]) if "modulus" in vals else None
-        return cls(p, e, modulus)
+        return cls(vals["p"], vals.get("e", 1), vals.get("modulus"))
 
     @staticmethod
     def parse_coefficients(text: str) -> tuple:
         """Integer coefficients separated by commas and/or spaces, e.g. "1, 0 1"."""
-        return tuple(int(t) for t in text.replace(",", " ").split())
+        try:
+            return tuple(int(t) for t in text.replace(",", " ").split())
+        except ValueError:
+            raise ValueError(f"modulus {text!r} is not a list of integers") from None
 
     def to_text(self) -> str:
         """The three lines of a field file: p, e and the modulus low to high."""

@@ -400,11 +400,11 @@ def main(argv=None):
     args = ap.parse_args(argv)
     # the one error boundary: malformed input (ParseError, NotIsobaric,
     # OrderOutOfRange, ... are ValueErrors), impossible arithmetic such as a
-    # zero denominator and an unreadable field file become an error line,
-    # never a traceback
+    # zero denominator, an unreadable field file and a derivation deeper than
+    # the interpreter's recursion limit become an error line, never a traceback
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

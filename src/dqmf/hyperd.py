@@ -1,25 +1,29 @@
 """The divided-derivative engine on K[E,g,h].
 
-One recursion derives every monomial.  A generator at a p-power order reads
-the paper's tables (``generator_table``).  Any other order n takes one digit
-step: with c the lowest nonzero base-p digit of n, at place p^k, iterativity
-D_i o D_j = C(i+j, i) D_{i+j} and Lucas' C(n, p^k) = c give
-D_n = c^{-1} D_{p^k} o D_{n-p^k}.  At k = 0 (p not dividing n, n >= 2) every
-monomial takes it as D_n(m) = n^{-1} D_1(D_{n-1} m), D_1 being the derivation
-``qmring.d1`` with n^{-1} folded into its two integer multipliers: each
-term is scaled once, with no product.  At k >= 1
-only a generator takes it, through ``derive`` at order p^k; other monomials
-there, and at n = 1, go by the rules below.  A g-free E^a h^c with p not
-dividing a is lifted before any step: D_j E = E^{j+1} and D_j h = E^j h for
-j < q give
-D_j(E^{a-j} h^c) = C(a+c-1, j) E^a h^c for 1 <= j <= min(a, q-1), so by
-iterativity C(a+c-1, j) D_n(E^a h^c) = C(n+j, j) D_{n+j}(E^{a-j} h^c).
-Over the j with C(a+c-1, j) != 0 mod p, the result is zero if some
-C(n+j, j) = 0 mod p; else the largest j with n + j <= limit whose target is
-not 1, E or h gives it from one memo entry (with no such j the rules below
-apply).  p | a is left to the other rules, since a lift would lose the
-peel's Frobenius sparsity; ``_lifted`` says why a target is never a
-generator.  For odd p, a pure even power x^{2k} of one generator is squared:
+One recursion derives every monomial, by the class of the order n.  It
+ends: no rule reads an order above n, and every read at order n is of a
+monomial of lower total degree.  By iterativity, D_i o D_j = C(i+j, i)
+D_{i+j}, the derivation D_1 (``qmring.d1``: E -> E^2, g -> -(Eg+h),
+h -> Eh) commutes with every D_n.
+
+- Any n, a g-free E^a h^c with p not dividing a is zero if some
+  1 <= j <= min(a, q-1) has C(a+c-1, j) != 0 and C(n+j, j) = 0 mod p: as
+  D_j(E^{a-j} h^c) = C(a+c-1, j) E^a h^c (D_j E = E^{j+1}, D_j h = E^j h for
+  j < q), C(a+c-1, j) D_n(E^a h^c) = C(n+j, j) D_{n+j}(E^{a-j} h^c).
+- p not dividing n, n = 1 too: every other monomial takes the D_1 step
+  D_n(m) = c^{-1} D_1(D_{n-1} m), c = n mod p, with c^{-1} folded into d1's
+  two integer multipliers, so each term is scaled once, with no product.
+- p | n, a generator: a p-power n reads the paper's tables
+  (``generator_table``), any other n the digit step D_n = c^{-1} D_{p^k} o
+  D_{n-p^k}, c = C(n, p^k) mod p its lowest nonzero base-p digit, at p^k.
+- p | n, E^a g^b h^c with p dividing neither a nor s = a - 1 - b + c is
+  lifted at the same order.  With m = E^{a-1} g^b h^c and
+  m' = E^{a-1} g^{b-1} h^{c+1}, D_1 m = s E^a g^b h^c - b m', so
+
+    D_n(E^a g^b h^c) = s^{-1} (D_1 D_n m + b D_n m').
+
+  p | a is left to the rules below: a lift would lose Frobenius sparsity.
+- Otherwise, for odd p, a pure even power x^{2k} of one generator is squared:
 
     D_n(x^{2k}) = 2 sum_{0 <= r < n/2} D_r(x^k) D_{n-r}(x^k)
                   + [n even] D_{n/2}(x^k)^2.
@@ -179,25 +183,8 @@ class DerivationEngine:
         self._check_order(n)
         return QmPoly(self.cfg, self._derive_monomial(_GENERATORS[gen], n).terms)
 
-    def _lifted(self, mono: tuple, n: int):
-        """D_n(E^a h^c), p not dividing a, by the module docstring's lift, or None."""
-        (a, b, c), p = mono, self.cfg.p
-        if b or a % p == 0:
-            return None
-        js = [j for j in range(1, min(a, self.cfg.q - 1) + 1) if binom_mod_p(a + c - 1, j, p)]
-        if any(binom_mod_p(n + j, j, p) == 0 for j in js):
-            return QmPoly.zero(self.cfg)
-        for j in reversed(js):
-            # target not 1, E or h: a lift keeps the output weight w + 2n and
-            # lowers a, so lift chains end in a peel or squaring (lower output
-            # weights); a lift onto E or h re-enters its digit step at w + 2n
-            if n + j <= self.limit and a - j + c > 1:
-                ratio = binom_mod_p(n + j, j, p) * pow(binom_mod_p(a + c - 1, j, p), p - 2, p)
-                return self._derive_monomial((a - j, 0, c), n + j).scale_int(ratio)
-        return None
-
     def _derive_monomial(self, mono: tuple, n: int) -> QmPoly:
-        """D_n(E^a g^b h^c): lift, D_1 step, table or digit step, squaring, else Leibniz peel."""
+        """D_n(E^a g^b h^c) by the first rule of the module docstring that applies."""
         if n == 0:
             return QmPoly.monomial(self.cfg, *mono)
         if mono == (0, 0, 0):
@@ -208,19 +195,16 @@ class DerivationEngine:
             self._hits += 1
             return out
         self._misses += 1
-        out = self._lifted(mono, n)
-        if out is not None:
-            self._memo[key] = out
-            return out
-        p = self.cfg.p
-        i = 0 if mono[0] else 1 if mono[1] else 2  # the first generator present
+        p, (a, b, c) = self.cfg.p, mono
+        i = 0 if a else 1 if b else 2  # the first generator present
         gen = _GENERATORS["Egh"[i]]
         digit, k = _lowest_digit(n, p)
-        if k == 0 and n > 1:
-            # D_1 o D_{n-1} = n D_n, n = digit mod p.  d1 reads no memo entry,
-            # so no lift at order 1 cycles back here: D_1(E^2 h) lifts to
-            # D_2(E h), which applies D_1 to D_1(E h), a sum with E^2 h in it;
-            # through derive(., 1) that would read D_1(E^2 h) again
+        if a % p and not b and any(
+                binom_mod_p(a + c - 1, j, p) and not binom_mod_p(n + j, j, p)
+                for j in range(1, min(a, self.cfg.q - 1) + 1)):
+            out = QmPoly.zero(self.cfg)  # the binomial zero test
+        elif k == 0:
+            # D_1 o D_{n-1} = n D_n, n = digit mod p
             out = d1(self._derive_monomial(mono, n - 1), pow(digit, p - 2, p))
         elif mono == gen:
             if p**k == n:
@@ -229,6 +213,12 @@ class DerivationEngine:
                 # C(n, p^k) = digit, so D_n = digit^{-1} D_{p^k} o D_{n - p^k}
                 prev = self._derive_monomial(mono, n - p**k)
                 out = self.derive(prev, p**k).scale_int(pow(digit, p - 2, p))
+        elif a % p and (a - 1 - b + c) % p:
+            # the same-order lift; both reads are at order n, of degree one less
+            inv = pow(a - 1 - b + c, p - 2, p)
+            out = d1(self._derive_monomial((a - 1, b, c), n), inv)
+            if b % p:
+                out = out + self._derive_monomial((a - 1, b - 1, c + 1), n).scale_int(b * inv)
         elif p != 2 and mono[i] % 2 == 0 and mono.count(0) == 2:
             # the squaring rule of the module docstring on x^{2k} = y*y, y = x^k;
             # D_r y vanishes unless pk | r, pk the p-part of k (Frobenius)

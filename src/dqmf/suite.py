@@ -65,10 +65,11 @@ def _result(check, params, bad):
 
 
 def _check_generator_tables(cfg, engine, rng, n_max, order):
-    # the engine reads the p-power rows from generator_table itself, so only
-    # the orders it composes from digits are compared; the p-powers are
-    # checked against the series oracle by series_commutation
-    powers = p_powers_upto(cfg, cfg.q)
+    # the engine reads the rows p, p^2, ... from generator_table itself, so
+    # only the orders it composes by the D_1 or the digit step (order 1
+    # included) are compared; those rows are checked against the series
+    # oracle by series_commutation
+    powers = p_powers_upto(cfg, cfg.q)[1:]
     bad = []
     for gen in ("E", "g", "h"):
         for n in range(cfg.q):

@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -166,14 +167,18 @@ def test_field_file_allows_comments_and_blank_lines(tmp_path):
         ("p = 3\ne = 2\nmodulous = 2 2 1\n", "'modulous = 2 2 1' is not"),
         ("p = 3\ne = 2\nmodulus 2 2 1\n", "'modulus 2 2 1' is not"),
         ("p = 3\np = 5\n", "repeated key in 'p = 5'"),
+        ("p = abc\n", "p = 'abc' is not an integer"),
+        ("p = 3\ne = 2\nmodulus = 1 x 1\n", "modulus = '1 x 1' is not a list of integers"),
     ],
-    ids=["misspelled-key", "missing-equals", "repeated-key"],
+    ids=["misspelled-key", "missing-equals", "repeated-key", "non-integer-p",
+         "non-integer-modulus"],
 )
 def test_field_file_rejects_a_line_it_cannot_read(tmp_path, text, message):
-    # each used to fall back to the default modulus, or to the last p, silently
+    # the first three used to fall back to the default modulus, or to the
+    # last p, silently; the non-integer values named neither key nor file
     path = tmp_path / "field.cfg"
     path.write_text(text)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(f"field file {path}: {message}")):
         FieldConfig.from_file(path)
 
 

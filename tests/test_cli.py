@@ -322,6 +322,14 @@ def test_cmd_verify_json_determinism(capsys):
         (["derive", "--q", "4", "E^(2)", "1"], "exponent must be a non-negative integer"),
         (["derive", "--q", "4", "[] E", "1"], "coordinate tuple [] needs integer entries"),
         (["derive", "--q", "4", "[1,,0] E", "1"], "coordinate tuple [1,,0] needs integer entries"),
+        (["field", "--field-file", "{tmp}/bad-p.cfg"], "bad-p.cfg: p = 'abc' is not an integer"),
+        (["field", "--field-file", "{tmp}/bad-modulus.cfg"],
+         "bad-modulus.cfg: modulus = '1 x 1' is not a list of integers"),
+        (["field", "--p", "3", "--e", "2", "--modulus", "1 x 1"],
+         "modulus '1 x 1' is not a list of integers"),
+        # the lift chain of E^497 g h and the D_1 chain below it outgrow the
+        # interpreter's recursion limit
+        (["derive", "--p", "499", "E^497 g h", "499"], "maximum recursion depth exceeded"),
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
          "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check",
@@ -331,10 +339,14 @@ def test_cmd_verify_json_determinism(capsys):
          "p-and-field-file", "e-without-p", "modulus-without-p", "e-alone", "empty-suite",
          "p-above-max-q", "q-above-max-q", "degree-20-modulus", "huge-e", "p-one-large-e",
          "basis-negative-weight", "basis-negative-depth", "negative-exponent",
-         "parenthesized-exponent", "empty-coordinate-tuple", "non-integer-coordinate"],
+         "parenthesized-exponent", "empty-coordinate-tuple", "non-integer-coordinate",
+         "non-integer-p-in-file", "non-integer-modulus-in-file", "non-integer-modulus",
+         "recursion-too-deep"],
 )
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")
+    (tmp_path / "bad-p.cfg").write_text("p = abc\n")
+    (tmp_path / "bad-modulus.cfg").write_text("p = 3\ne = 2\nmodulus = 1 x 1\n")
     rc = main([a.format(tmp=tmp_path) for a in argv])
     err = capsys.readouterr().err
     assert rc == 2

@@ -758,24 +758,24 @@ def test_peeling_g_matches_peeling_E(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
 def test_lifted_monomials_match_peeling_E(q):
-    # every g-free E^a h^c with p not dividing a up to weight 26, the lift
-    # rule's domain, at every order up to min(limit, 48): at q = 2, 3 and 4
-    # that reaches the orders near the limit, where the rule falls back to
-    # the peel
+    # every E^a g^b h^c with p not dividing a up to weight 26 at every order
+    # p | n up to min(limit, 48): the domain of the binomial zero test (b = 0)
+    # and of the same-order lift (p not dividing a - 1 - b + c), and the
+    # monomials of p | a - 1 - b + c that fall through to the peel
     cfg = FieldConfig.from_q(q)
     engine, reference = DerivationEngine(cfg), DerivationEngine(cfg)
-    monos = [(a, 0, c) for a in range(1, 14) for c in range(26 // (q + 1) + 1)
-             if a % cfg.p and 2 * a + (q + 1) * c <= 26]
+    monos = [(a, b, c) for a in range(1, 14) for b in range(27) for c in range(26 // (q + 1) + 1)
+             if a % cfg.p and 2 * a + (q - 1) * b + (q + 1) * c <= 26]
     for mono in monos:
         f = QmPoly.monomial(cfg, *mono)
-        for n in range(min(engine.limit, 48) + 1):
+        for n in range(0, min(engine.limit, 48) + 1, cfg.p):
             assert engine.derive(f, n) == _E_peeled(reference, mono, n), (mono, n)
 
 
 def _leibniz_reference(engine, mono, n):
     """D_n(E^a g^b h^c), p not dividing n, with every factor read from
-    `engine`.  A generator x is n^{-1} D_1(D_{n-1} x), D_1 taken through the
-    engine's order-1 rules (tables, lift, peel) and not qmring.d1.  Any other
+    `engine`.  A generator x is n^{-1} D_1(D_{n-1} x), D_1 taken by the chain
+    rule (_d1_by_partials), not by qmring.d1, the engine's order 1.  Any other
     monomial is x^{p^k} * rest, x its first generator in the order g, E, h
     and p^k the lowest base-p place of x's exponent: the Leibniz sum over
     p^k | r of (D_{r/p^k} x)^{p^k} D_{n-r}(rest)."""
@@ -783,7 +783,7 @@ def _leibniz_reference(engine, mono, n):
     i = next(i for i in (1, 0, 2) if mono[i])
     gen = "Egh"[i]
     if sum(mono) == 1:
-        return engine.derive(engine.d_generator(gen, n - 1), 1).scale_int(pow(n, p - 2, p))
+        return _d1_by_partials(engine.d_generator(gen, n - 1)).scale_int(pow(n, p - 2, p))
     k = 0
     while mono[i] % p**(k + 1) == 0:
         k += 1
@@ -867,11 +867,13 @@ def _count_term_pairs(monkeypatch):
 
 def test_warm_up_term_pairs_stay_at_the_g_peel_count(monkeypatch):
     """A q = 5 warm-up, every monomial of weight <= 20 at every order
-    1 <= n <= 32 (orders outermost), multiplies at most 10,934 term pairs
+    1 <= n <= 32 (orders outermost), multiplies at most 4,554 term pairs
     in the engine's kernel calls: at orders prime to p every monomial takes
-    the D_1 step, which makes no kernel call.  Without that step the g peel
-    and the lift make 66,805, without the lift too 111,251, and an E-first
-    peel without either 222,241."""
+    the D_1 step, and at orders divisible by p the same-order lift, neither
+    of which makes a kernel call.  Without the lift it makes 18,696; with
+    the lift of g-free monomials to higher orders in its place, 10,934.
+    Without the D_1 step that lift and the g peel made 66,805, without the
+    lift too 111,251, and an E-first peel without either 222,241."""
     cfg = FieldConfig.from_q(5)
     engine = DerivationEngine(cfg)
     counted = _count_term_pairs(monkeypatch)
@@ -880,7 +882,7 @@ def test_warm_up_term_pairs_stay_at_the_g_peel_count(monkeypatch):
     for n in range(1, 33):
         for mono in monos:
             engine.derive(QmPoly.monomial(cfg, *mono), n)
-    assert sum(counted) <= 10_934
+    assert sum(counted) <= 4_554
 
 
 def _count_rat_products(monkeypatch):
@@ -931,8 +933,8 @@ def test_generator_table_rejects_an_unknown_name():
 
 def test_lifts_keep_frobenius_sparsity(monkeypatch):
     """D_{7k}((E^2 h)^7) = (D_k(E^2 h))^7 on a cold q = 7 engine, k <= 6, in
-    at most 125 term pairs (90 with the lift): E^14 h^7 has p | a, so it is
-    peeled by its E^7 atom, and lifting it instead makes 1,064."""
+    at most 125 term pairs (59 with these rules): E^14 h^7 has p | a, so it
+    is peeled by its E^7 atom, and lifting it instead makes 359."""
     cfg = FieldConfig.from_q(7)
     engine = DerivationEngine(cfg)
     counted = _count_term_pairs(monkeypatch)
@@ -940,3 +942,14 @@ def test_lifts_keep_frobenius_sparsity(monkeypatch):
     for k in range(7):
         assert engine.derive(x.frobenius_pow(1), 7 * k) == engine.derive(x, k).frobenius_pow(1)
     assert sum(counted) <= 125
+
+
+def test_a_long_lift_chain_stays_within_the_recursion_limit():
+    # q = 499: D_499(E^498 h) lifts through E^497 h, ..., E h to the table
+    # row D_499 h at one stack frame per level, so its 498 levels fit in the
+    # interpreter's default recursion limit of 1000
+    cfg = FieldConfig.from_q(499)
+    engine = DerivationEngine(cfg)
+    out = engine.derive(QmPoly.monomial(cfg, 498, 0, 1), 499)
+    assert not out.is_zero()
+    assert engine.check_memo_isobaric() == []

@@ -18,6 +18,7 @@ from dqmf.qmring import (
     qm_basis,
     sum_of_products,
 )
+from dqmf.tseries import evaluate, hyper_derive
 from dqmf.verify import random_isobaric
 
 from conftest import engine_for
@@ -181,13 +182,16 @@ def test_d1_is_a_derivation(cfg):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
 def test_d1_matches_the_engine(q):
-    # d1 scales each term; the engine takes order 1 through its tables, lift and peel
+    # the engine's order 1 is d1 on each monomial; both are checked against
+    # the series oracle, whose D_1 reads no formula of qmring or hyperd
     cfg = FieldConfig.from_q(q)
     engine = engine_for(q)
     rng = random.Random(q)
+    N = q * q + q + 2
     for _ in range(10):
         f = random_isobaric(cfg, rng, 14)
         assert d1(f) == engine.derive(f, 1), str(f)
+        assert evaluate(d1(f), N) == hyper_derive(evaluate(f, N), 1), str(f)
 
 
 def test_qmpoly_str_and_json_roundtrip(cfg):

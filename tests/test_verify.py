@@ -281,17 +281,23 @@ def test_generator_tables_check_catches_a_wrong_composed_value():
     engine._memo[((1, 0, 0), 2)] = QmPoly.zero(cfg)
     out = CHECKS["generator_tables"](cfg, engine, random.Random(0), 8, None)
     assert out["pass"] is False and "('E', 2)" in out["witness"]
+    # order 1 is qmring.d1, not the table row, so it is compared too
+    engine = DerivationEngine(cfg)
+    engine._memo[((0, 0, 1), 1)] = QmPoly.zero(cfg)
+    out = CHECKS["generator_tables"](cfg, engine, random.Random(0), 8, None)
+    assert out["pass"] is False and "('h', 1)" in out["witness"]
 
 
 def test_h_power_quotients_check_catches_a_wrong_generator_value():
-    # with D_1 h replaced by g, h no longer divides D_1 h, so n = 1 fails
-    # and, through the inverted quotient sequence, so does every negative n
+    # with D_5 h replaced by g^2, h no longer divides D_5 h, so n = 1 fails
+    # at r = 5, and so does every other n whose quotients read D_5 h: the
+    # powers h^2, h^3 and, through the inverted quotient sequence, n < 0
     cfg = FieldConfig.from_q(5)
     check = CHECKS["h_power_quotients"]
     assert check(cfg, DerivationEngine(cfg), random.Random(0), 8, None)["pass"]
     engine = DerivationEngine(cfg)
-    engine._memo[((0, 0, 1), 1)] = QmPoly.gen_g(cfg)
+    engine._memo[((0, 0, 1), 5)] = QmPoly.monomial(cfg, 0, 2, 0)
     out = check(cfg, engine, random.Random(0), 8, None)
     assert out["pass"] is False
-    for n in (1, -1, -2, -3):
-        assert f"({n}, 1)" in out["witness"]
+    for n in (1, 2, 3, -1, -2, -3):
+        assert f"({n}, 5)" in out["witness"]
