@@ -152,10 +152,8 @@ def _check_munu(cfg, engine, rng, n_max, order):
 
 def _check_h_quotients(cfg, engine, rng, n_max, order):
     r_max = min(n_max, engine.limit)
-    bad = []
-    for n in range(-3, 4):
-        quotients = h_power_quotients(engine, n, r_max)
-        bad.extend((n, r) for r, quo in enumerate(quotients) if quo is None)
+    bad = [(n, r) for n, quotients in sorted(h_power_quotients(engine, 3, r_max).items())
+           for r, quo in enumerate(quotients) if quo is None]
     return _result("h_power_quotients", f"q={cfg.q} r<={r_max}", bad)
 
 

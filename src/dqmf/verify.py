@@ -6,9 +6,9 @@ is the kernel of an evaluation map), stability is certified on generators
 checks are the computable directions of the classification results:
 the mod-h congruence for monomials in E and g, kernel weight divisibility,
 and membership of every derivative quotient of powers of h in the ring.
-For n < 0 the quotients of h^n are the inverse of the quotient sequence of
-h^{|n|}, computed in the ring, so a row with n < 0 can fail only where the
-row of h^{|n|} fails.
+For n < 0 the quotients of h^n are built in the ring from one inverse of
+the quotient sequence of h, row -m as the convolution of row -(m-1) with
+row -1, so a row with n < 0 can fail only where the row of h fails.
 """
 
 from __future__ import annotations
@@ -197,31 +197,41 @@ def diagram_inclusions(engine: DerivationEngine, d_values, c_values):
 # classification of elements with all quotients in the ring).
 
 
-def h_power_quotients(engine: DerivationEngine, n: int, r_max: int):
-    """D_r(h^n) / h^n for r = 0..r_max, as ring elements (None where outside).
+def h_power_quotients(engine: DerivationEngine, k: int, r_max: int):
+    """{n: [D_r(h^n) / h^n for r = 0..r_max]} for |n| <= k, as ring elements
+    (None where outside).
 
-    Negative n stays in the ring: by Leibniz, quotient sequences multiply
-    like power series, and (h) is hyperdifferential, so the quotients Q_j of
-    h^m are ring elements and those of h^{-m} are their inverse sequence,
-    u_0 = 1 and u_r = -sum_{j=1..r} Q_j u_{r-j}.
+    Rows n >= 0 come from the engine.  The rows n < 0 stay in the ring: by
+    Leibniz, quotient sequences multiply like power series,
+    D_r(xy)/xy = sum_i (D_i x/x)(D_{r-i} y/y), and (h) is hyperdifferential,
+    so row 1's quotients Q_j are ring elements.  Row -1 is their inverse
+    sequence, u_0 = 1 and u_r = -sum_{j=1..r} Q_j u_{r-j}, and row -m is the
+    convolution of row -(m-1) with row -1.  Both sums leave out the pairs
+    with a zero factor.  A row n < 0 is None from the first r at which
+    row 1 is, so it re-reports no failure of the rows of h^2, h^3, ...
     """
     cfg = engine.cfg
-    if n < 0:
-        quo = h_power_quotients(engine, -n, r_max)
-        u = [QmPoly.one(cfg)]
+    rows = {}
+    for n in range(k + 1):
+        rows[n] = []
+        for r in range(r_max + 1):
+            d = engine.derive(QmPoly.monomial(cfg, 0, 0, n), r)
+            if any(c < n for _, _, c in d.terms):
+                rows[n].append(None)
+            else:
+                rows[n].append(QmPoly(cfg, {(a, b, c - n): v for (a, b, c), v in d.terms.items()}))
+    for m in range(1, k + 1):
+        row = rows[-m] = [QmPoly.one(cfg)]
+        # row -1 from row 1 and itself (j >= 1), row -m from row -(m-1) and row -1
+        left, right, lo = (rows[1], row, 1) if m == 1 else (rows[1 - m], rows[-1], 0)
         for r in range(1, r_max + 1):
-            if quo[r] is None:
-                return u + [None] * (r_max + 1 - r)
-            u.append(-sum_of_products(cfg, ((quo[j], u[r - j]) for j in range(1, r + 1))))
-        return u
-    out = []
-    for r in range(r_max + 1):
-        d = engine.derive(QmPoly.monomial(cfg, 0, 0, n), r)
-        if any(c < n for _, _, c in d.terms):
-            out.append(None)
-        else:
-            out.append(QmPoly(cfg, {(a, b, c - n): v for (a, b, c), v in d.terms.items()}))
-    return out
+            if rows[1][r] is None:
+                row += [None] * (r_max + 1 - r)
+                break
+            s = sum_of_products(cfg, ((left[i], right[r - i]) for i in range(lo, r + 1)
+                                      if left[i].terms and right[r - i].terms))
+            row.append(-s if m == 1 else s)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Canonical engine outputs pinned by sha256, one digest per field.
 
 Each digest covers ``str(engine.derive(m, n))`` for every monomial m of
-weight <= W and every order n <= min(N, limit), then every entry of
-``h_power_quotients(engine, n, min(N, limit))`` for n = -3..3 on a fresh
-engine.  The digests were computed with pairwise RatT products and sums,
-before the sum-of-products kernel of ``qmring`` took over the Leibniz
-convolutions.  Canonical forms are unique, so any arithmetic route that
-is exact reproduces them byte for byte.
+weight <= W and every order n <= min(N, limit), then every entry of the
+rows n = -3..3, in that order, of ``h_power_quotients(engine, 3,
+min(N, limit))`` on a fresh engine.  The digests were computed with
+pairwise RatT products and sums, before the sum-of-products kernel of
+``qmring`` took over the Leibniz convolutions.  Canonical forms are
+unique, so any arithmetic route that is exact reproduces them byte for
+byte.
 
 A second digest covers ``kernel_on_modular(w, m, k)`` for every field
 q = 2..9, every weight w <= 10(q-1), every type m and every k <= 2 with
@@ -63,8 +64,9 @@ def _digest(q, W, N):
                 f = QmPoly.monomial(cfg, a, b, c)
                 for n in range(top + 1):
                     h.update(f"{a} {b} {c} {n} {engine.derive(f, n)}\n".encode())
+    rows = h_power_quotients(DerivationEngine(cfg), 3, top)
     for n in range(-3, 4):
-        for r, x in enumerate(h_power_quotients(DerivationEngine(cfg), n, top)):
+        for r, x in enumerate(rows[n]):
             h.update(f"h^{n} {r} {x}\n".encode())
     return h.hexdigest()
 

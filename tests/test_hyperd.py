@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from dqmf import hyperd
+from dqmf import hyperd, verify
 from dqmf.algebra import (
     FieldConfig, RatT, _coprime_parts, _den_pair, _den_product, binom_mod_p, d_power,
 )
@@ -25,7 +25,7 @@ from dqmf.qmring import (
     qm_basis,
     sum_of_products,
 )
-from dqmf.suite import p_powers_upto, run_suite
+from dqmf.suite import CHECKS, p_powers_upto, run_suite
 from dqmf.verify import random_isobaric
 
 from conftest import (
@@ -852,8 +852,9 @@ def test_g_derivatives_vanish_unless_the_order_is_0_or_1_mod_q(q):
             assert engine.d_generator("g", n).is_zero(), n
 
 
-def _count_term_pairs(monkeypatch):
-    """Count the term pairs of each engine kernel call into the returned list."""
+def _count_term_pairs(monkeypatch, modules=(hyperd,)):
+    """Count the term pairs of each kernel call that `modules` make (by
+    default the engine's) into the returned list."""
     counted = []
 
     def counting(cfg, pairs):
@@ -861,7 +862,8 @@ def _count_term_pairs(monkeypatch):
         counted.append(sum(len(x.terms) * len(y.terms) for x, y in pairs))
         return sum_of_products(cfg, pairs)
 
-    monkeypatch.setattr(hyperd, "sum_of_products", counting)
+    for module in modules:
+        monkeypatch.setattr(module, "sum_of_products", counting)
     return counted
 
 
@@ -883,6 +885,19 @@ def test_warm_up_term_pairs_stay_at_the_g_peel_count(monkeypatch):
         for mono in monos:
             engine.derive(QmPoly.monomial(cfg, *mono), n)
     assert sum(counted) <= 4_554
+
+
+def test_h_quotient_check_term_pairs_stay_at_one_inverse(monkeypatch):
+    """The battery's h_power_quotients check at q = 5, n_max 48, multiplies
+    at most 12,737 term pairs in the kernel calls of the engine and of
+    verify: the rows n < 0 invert h's quotient row once and convolve with
+    it, leaving out the pairs with a zero factor.  Inverting the row of
+    each h^{|n|} on its own, with every pair passed, made 26,504."""
+    cfg = FieldConfig.from_q(5)
+    counted = _count_term_pairs(monkeypatch, (hyperd, verify))
+    check = CHECKS["h_power_quotients"]
+    assert check(cfg, DerivationEngine(cfg), random.Random(0), 48, None)["pass"]
+    assert sum(counted) <= 12_737
 
 
 def _count_rat_products(monkeypatch):
@@ -942,6 +957,30 @@ def test_lifts_keep_frobenius_sparsity(monkeypatch):
     for k in range(7):
         assert engine.derive(x.frobenius_pow(1), 7 * k) == engine.derive(x, k).frobenius_pow(1)
     assert sum(counted) <= 125
+
+
+def _zero_test_by_loop(a, c, n, q, p):
+    """The binomial zero test of E^a h^c at order n, j by j."""
+    return any(binom_mod_p(a + c - 1, j, p) and not binom_mod_p(n + j, j, p)
+               for j in range(1, min(a, q - 1) + 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27, 499], ids=lambda q: f"q{q}")
+def test_the_digit_zero_test_matches_the_binomial_loop(q):
+    # every a, c <= 2q at every order up to the limit p q^2 - 1 for q <= 9,
+    # seeded random (a, c, n) over the whole range beyond
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    limit = p * q * q - 1
+    if q <= 9:
+        cases = [(a, c, n) for a in range(1, 2 * q + 1) for c in range(2 * q + 1)
+                 for n in range(limit + 1)]
+    else:
+        rng = random.Random(f"zero-test:{q}")
+        cases = [(rng.randint(1, 3 * q), rng.randint(0, 3 * q), rng.randint(1, limit))
+                 for _ in range(400)]
+    for a, c, n in cases:
+        got = hyperd._binomial_zero_test(a + c - 1, n, min(a, q - 1), p)
+        assert got == _zero_test_by_loop(a, c, n, q, p), (a, c, n)
 
 
 def test_a_long_lift_chain_stays_within_the_recursion_limit():

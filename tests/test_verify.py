@@ -223,8 +223,9 @@ def test_weight_divisibility(engine, q):
 
 def test_h_power_quotient_nonnegative(engine, q):
     cfg = engine.cfg
+    rows = h_power_quotients(engine, 3, min(20, engine.limit))
     for n in (0, 1, 3):
-        for r, out in enumerate(h_power_quotients(engine, n, min(20, engine.limit))):
+        for r, out in enumerate(rows[n]):
             assert out is not None
             # cross-check: out * h^n = D_r(h^n)
             lhs = out * QmPoly.monomial(cfg, 0, 0, n)
@@ -235,8 +236,9 @@ def test_h_power_quotient_negative(engine, q):
     """D_r(h^-m) h^m stays polynomial; verified against h^m * h^-m = 1."""
     cfg = engine.cfg
     r_max = min(12, engine.limit)
+    rows = h_power_quotients(engine, 3, r_max)
     for m in (1, 2, 3):
-        quotients = h_power_quotients(engine, -m, r_max)
+        quotients = rows[-m]
         assert None not in quotients
         # Leibniz on h^m * h^(-m) = 1: sum_j D_j(h^m) D_(r-j)(h^(-m)) = 0
         hm = QmPoly.monomial(cfg, 0, 0, m)
@@ -253,17 +255,22 @@ def test_h_power_quotient_negative(engine, q):
     "q", [pytest.param(3, marks=pytest.mark.experimental), 4, 5, 7, 9], ids=lambda q: f"q{q}"
 )
 def test_negative_h_powers_match_the_convolution_of_h_inverse(q):
-    """The quotient sequence of h^-m, the inverse of h^m's, equals the m-fold
-    Leibniz convolution D_r(xy)/xy = sum_i (D_i x/x)(D_(r-i) y/y) of h^-1's."""
+    """The quotient row of h^-m, built as the m-fold Leibniz convolution
+    D_r(xy)/xy = sum_i (D_i x/x)(D_(r-i) y/y) of h^-1's, equals the inverse
+    of h^m's own quotient row, u_0 = 1 and u_r = -sum_(j=1..r) Q_j u_(r-j),
+    with every pair passed."""
     engine = engine_for(q)
     cfg = engine.cfg
     r_max = min(24, engine.limit)
-    u = h_power_quotients(engine, -1, r_max)
-    conv = u
-    for m in (2, 3):
-        conv = [sum_of_products(cfg, ((conv[i], u[r - i]) for i in range(r + 1)))
-                for r in range(r_max + 1)]
-        assert h_power_quotients(engine, -m, r_max) == conv, m
+    k = 5 if q in (4, 5) else 3
+    rows = h_power_quotients(engine, k, r_max)
+    for m in range(1, k + 1):
+        quo = rows[m]
+        inverse = [QmPoly.one(cfg)]
+        for r in range(1, r_max + 1):
+            pairs = ((quo[j], inverse[r - j]) for j in range(1, r + 1))
+            inverse.append(-sum_of_products(cfg, pairs))
+        assert rows[-m] == inverse, m
 
 
 def test_stability_report_json(engine):
@@ -290,8 +297,8 @@ def test_generator_tables_check_catches_a_wrong_composed_value():
 
 def test_h_power_quotients_check_catches_a_wrong_generator_value():
     # with D_5 h replaced by g^2, h no longer divides D_5 h, so n = 1 fails
-    # at r = 5, and so does every other n whose quotients read D_5 h: the
-    # powers h^2, h^3 and, through the inverted quotient sequence, n < 0
+    # from r = 5, and so does every other n whose quotients read D_5 h: the
+    # powers h^2, h^3 and, through the inverse of h's quotient row, n < 0
     cfg = FieldConfig.from_q(5)
     check = CHECKS["h_power_quotients"]
     assert check(cfg, DerivationEngine(cfg), random.Random(0), 8, None)["pass"]
@@ -299,5 +306,13 @@ def test_h_power_quotients_check_catches_a_wrong_generator_value():
     engine._memo[((0, 0, 1), 5)] = QmPoly.monomial(cfg, 0, 2, 0)
     out = check(cfg, engine, random.Random(0), 8, None)
     assert out["pass"] is False
-    for n in (1, 2, 3, -1, -2, -3):
-        assert f"({n}, 5)" in out["witness"]
+    assert out["witness"] == (
+        "[(-3, 5), (-3, 6), (-3, 7), (-3, 8), (-2, 5), (-2, 6), (-2, 7), (-2, 8), "
+        "(-1, 5), (-1, 6), (-1, 7), (-1, 8), (1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (3, 5)]")
+    # a wrong D_5(h^2) with h's row intact fails h^2 (and h^3, which reads
+    # it), but no n < 0: those rows are built from h's row alone
+    engine = DerivationEngine(cfg)
+    engine._memo[((0, 0, 2), 5)] = QmPoly.monomial(cfg, 0, 2, 0)
+    out = check(cfg, engine, random.Random(0), 8, None)
+    assert out["pass"] is False
+    assert "(2, 5)" in out["witness"] and "(-" not in out["witness"]
