@@ -6,6 +6,8 @@ monomial of lower total degree.  By iterativity, D_i o D_j = C(i+j, i)
 D_{i+j}, the derivation D_1 (``qmring.d1``: E -> E^2, g -> -(Eg+h),
 h -> Eh) commutes with every D_n.
 
+- Any n, an atom x^{p^j}, j >= 1, of one generator x is a Frobenius image,
+  D_n(x^{p^j}) = (D_{n/p^j} x)^{p^j}, and zero unless p^j | n.
 - Any n, a g-free E^a h^c with p not dividing a is zero if some
   1 <= j <= min(a, q-1) has C(a+c-1, j) != 0 and C(n+j, j) = 0 mod p: as
   D_j(E^{a-j} h^c) = C(a+c-1, j) E^a h^c (D_j E = E^{j+1}, D_j h = E^j h for
@@ -32,18 +34,18 @@ h -> Eh) commutes with every D_n.
 This is the Leibniz rule on y*y, y = x^k, with the equal products of the
 pairs (r, n-r) and (n-r, r) merged, so it holds in every characteristic; it
 halves the products behind E^2, h^2 and h^3.  At p = 2 the sum vanishes
-and only the Frobenius term is left.  Any other monomial, and every power at
-p = 2, is a Leibniz convolution that peels off one p-power atom x^{p^k} of
-one generator at a time, so that Frobenius sparsity (D_m of a p^k-th power
-vanishes unless p^k | m) keeps the convolutions short.  The atom is E's
-lowest one, or h's when E and g are absent.  When E and g are both present,
-g's lowest atom is peeled instead if fewer of its left factors can be
-nonzero: D_j g vanishes unless j = 0 or 1 mod q, while D_j E never does, so
-g's atom counts the j <= n/p^k with j = 0 or 1 mod q against n/p^k + 1 for
-E's (ties go to E).  The count is only a cost estimate: every left factor
-D_{r/p^k}(x) is read first, and an order r whose left factor is zero is
-skipped without deriving the rest, so a wrong estimate costs time, never
-correctness.
+and only the Frobenius term is left.  Any other monomial, and every other
+power at p = 2, is a Leibniz convolution that peels off one atom x^{p^k} at
+a time and reads its left factors D_r(x^{p^k}) from the memo, one Frobenius
+image per (atom, r); they vanish unless p^k | r, which keeps the
+convolutions short.  The atom is E's lowest one, or h's when E and g are
+absent.  When E and g are both present, g's lowest atom is peeled instead
+if fewer of its left factors can be nonzero: D_j g vanishes unless j = 0 or
+1 mod q, while D_j E never does, so g's atom counts the j <= n/p^k with
+j = 0 or 1 mod q against n/p^k + 1 for E's (ties go to E).  The count is
+only a cost estimate: every left factor is read first, and an order r whose
+left factor is zero is skipped without deriving the rest, so a wrong
+estimate costs time, never correctness.
 
 Each convolution collects its (left, right) pairs and makes one
 ``qmring.sum_of_products`` call per (monomial, order), which canonicalises
@@ -56,9 +58,9 @@ v (a copy when v = 1).  Otherwise it groups the memo terms v*c of f's
 monomials, c = num(c)/D, by (output monomial, memo denominator D): one
 term gives v*c, several give (sum_j v_j num(c_j)) * (1/D), whose inner sum
 runs over the request coefficients' small denominators, so no sum takes a
-gcd against D; a unit v multiplies nothing.  The groups of one monomial
-are then added, all by RatT constructors and operators, so the result is
-canonical.
+gcd against D; a unit v, c, num(c) or D multiplies nothing.  The groups
+of one monomial are then added, all by RatT constructors and operators,
+so the result is canonical.
 
 A single engine instance keeps one memo keyed by (monomial, order).
 ``stats()`` counts its entries and the hits and misses of its lookups, and
@@ -197,7 +199,7 @@ class DerivationEngine:
         if gen not in _GENERATORS:
             raise ValueError(f"unknown generator {gen!r}")
         self._check_order(n)
-        return QmPoly(self.cfg, self._derive_monomial(_GENERATORS[gen], n).terms)
+        return self._derive_monomial(_GENERATORS[gen], n).scale(self.cfg.rat_one)
 
     def _derive_monomial(self, mono: tuple, n: int) -> QmPoly:
         """D_n(E^a g^b h^c) by the first rule of the module docstring that applies."""
@@ -215,7 +217,12 @@ class DerivationEngine:
         i = 0 if a else 1 if b else 2  # the first generator present
         gen = _GENERATORS["Egh"[i]]
         digit, k = _lowest_digit(n, p)
-        if a % p and not b and _binomial_zero_test(a + c - 1, n, min(a, self.cfg.q - 1), p):
+        _, j = _lowest_digit(mono[i], p)
+        if j and mono[i] == p**j and mono.count(0) == 2:  # an atom x^{p^j}
+            out = QmPoly.zero(self.cfg)
+            if n % p**j == 0:
+                out = self._derive_monomial(gen, n // p**j).frobenius_pow(j)
+        elif a % p and not b and _binomial_zero_test(a + c - 1, n, min(a, self.cfg.q - 1), p):
             out = QmPoly.zero(self.cfg)
         elif k == 0:
             # D_1 o D_{n-1} = n D_n, n = digit mod p
@@ -257,17 +264,23 @@ class DerivationEngine:
                 m, q = n // p**pos_g, self.cfg.q
                 if m // q + 1 + (m + q - 1) // q < n // p**pos + 1:
                     i, pos, gen = 1, pos_g, _GENERATORS["g"]
-            pk = p**pos
-            rest = mono[:i] + (mono[i] - pk,) + mono[i + 1:]
-            # D_r(gen^{p^pos}) = (D_{r/p^pos} gen)^{p^pos}, zero unless p^pos | r
+            pk, memo = p**pos, self._memo
+            atom, rest = tuple(e * pk for e in gen), mono[:i] + (mono[i] - pk,) + mono[i + 1:]
+            # D_r of the atom is zero unless p^pos | r (the atom rule)
             pairs = []
             for r in range(0, n + 1, pk):
-                left = self._derive_monomial(gen, r // pk)
+                left = memo.get((atom, r))
+                self._hits += left is not None
+                if left is None:
+                    left = self._derive_monomial(atom, r)
                 if left.is_zero():
                     continue
-                right = self._derive_monomial(rest, n - r)
+                right = memo.get((rest, n - r))
+                self._hits += right is not None
+                if right is None:
+                    right = self._derive_monomial(rest, n - r)
                 if not right.is_zero():
-                    pairs.append((left.frobenius_pow(pos) if pos else left, right))
+                    pairs.append((left, right))
             out = sum_of_products(self.cfg, pairs)
         self._memo[key] = out
         return out
@@ -279,8 +292,7 @@ class DerivationEngine:
         cfg = self.cfg
         if len(f.terms) == 1:  # nothing to group: the memo entry, scaled
             (mono, v), = f.terms.items()
-            d = self._derive_monomial(mono, n)
-            return QmPoly(cfg, d.terms) if v.is_one() else d.scale(v)
+            return self._derive_monomial(mono, n).scale(v)
         groups = {}  # (output monomial, memo denominator) -> [(v, memo coefficient)]
         for mono, v in f.terms.items():
             v = None if v.is_one() else v  # a unit v multiplies nothing
@@ -290,13 +302,14 @@ class DerivationEngine:
         for (k, _), pairs in groups.items():
             if len(pairs) == 1:
                 v, c = pairs[0]
-                s = c if v is None else c * v
+                s = c if v is None else v if c.is_one() else c * v
             else:
                 s = cfg.rat_zero
                 for v, c in pairs:
                     u = RatT(cfg, c.num)
-                    s = s + (u if v is None else v * u)
-                s = RatT(cfg, c.den).inverse() * s
+                    s = s + (u if v is None else v if c.num.is_one() else v * u)
+                if not c.den.is_one():
+                    s = RatT(cfg, c.den).inverse() * s
             out[k] = out[k] + s if k in out else s
         return QmPoly(cfg, out)
 

@@ -156,7 +156,10 @@ class QmPoly:
         if coeff.is_zero():
             return QmPoly(self.cfg)
         out = QmPoly(self.cfg)
-        out.terms = {k: v * coeff for k, v in self.terms.items()}
+        if coeff.is_one():  # a copy: the terms hold no zero to filter
+            out.terms = dict(self.terms)
+        else:
+            out.terms = {k: coeff if v.is_one() else v * coeff for k, v in self.terms.items()}
         return out
 
     def scale_int(self, n: int):
@@ -387,13 +390,16 @@ def d1(f: QmPoly, factor: int = 1) -> QmPoly:
         D_1(E^a g^b h^c) = (a - b + c) E^{a+1} g^b h^c - b E^a g^{b-1} h^{c+1}.
 
     Each term of f scales its coefficient once, by factor*(a - b + c) and
-    -factor*b (the engine's D_1 step passes factor = n^{-1} mod p); a RatT
-    sum is taken only where two source terms land on one monomial.
+    -factor*b (the engine's D_1 step passes factor = n^{-1} mod p), skipping
+    a multiplier 0 mod p; a RatT sum is taken only where two source terms
+    land on one monomial, and a sum that cancels is dropped.
     """
-    out = {}
+    p, out = f.cfg.p, QmPoly(f.cfg)
     for (a, b, c), v in f.terms.items():
         for k, s in (((a + 1, b, c), factor * (a - b + c)), ((a, b - 1, c + 1), -factor * b)):
-            t = v.scale_int(s)
-            if not t.is_zero():
-                out[k] = out[k] + t if k in out else t
-    return QmPoly(f.cfg, out)
+            if s % p:
+                t = v.scale_int(s)
+                t = out.terms.pop(k) + t if k in out.terms else t
+                if not t.is_zero():
+                    out.terms[k] = t
+    return out

@@ -113,6 +113,16 @@ def test_stats_count_memo_entries_hits_and_misses():
     # a repeat misses nothing and hits once per term of f
     assert second == {**first, "hits": first["hits"] + 2}
     assert all(type(v) is int for v in second.values())
+    # D_10(E^5 h) peels the atom E^5 off h; with its four factors of nonzero
+    # order D_5 E^5, D_10 E^5, D_5 h and D_10 h in the memo, the peel reads
+    # each of them there (a hit apiece) and misses only E^5 h itself
+    for mono in ((5, 0, 0), (0, 0, 1)):
+        for n in (5, 10):
+            engine.derive(QmPoly.monomial(cfg, *mono), n)
+    third = engine.stats()
+    engine.derive(QmPoly.monomial(cfg, 5, 0, 1), 10)
+    assert engine.stats() == {"entries": third["entries"] + 1, "hits": third["hits"] + 4,
+                              "misses": third["misses"] + 1}
 
 
 def _isobaric_requests(cfg, rng, count, w_max=20, n_max=24):
@@ -809,6 +819,26 @@ def test_the_d1_step_matches_the_leibniz_rule(q):
                 assert engine.derive(f, n) == _leibniz_reference(reference, mono, n), (mono, n)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_atoms_match_the_leibniz_rule(q):
+    # every p-power atom x^{p^j}, j >= 1, of x in {E, g, h} with p^j <= 2q at
+    # every order n <= min(limit, 48), the zeros at p^j not dividing n among
+    # them, against the Leibniz sum of D_r(x) D_{n-r}(x^{p^j - 1}) with every
+    # factor read from a second engine
+    cfg = FieldConfig.from_q(q)
+    engine, reference = DerivationEngine(cfg), DerivationEngine(cfg)
+    for gen, x in _GENERATORS.items():
+        for pj in p_powers_upto(cfg, 2 * q)[1:]:
+            atom = QmPoly.monomial(cfg, *(e * pj for e in x))
+            rest = QmPoly.monomial(cfg, *(e * (pj - 1) for e in x))
+            for n in range(min(engine.limit, 48) + 1):
+                expected = sum_of_products(cfg, ((reference.d_generator(gen, r),
+                                                  reference.derive(rest, n - r))
+                                                 for r in range(n + 1)))
+                assert engine.derive(atom, n) == expected, (gen, pj, n)
+                assert expected.is_zero() or n % pj == 0, (gen, pj, n)
+
+
 def _partial(f, idx):
     """The formal partial derivative of f in the generator at exponent slot idx."""
     terms = {}
@@ -887,6 +917,30 @@ def test_warm_up_term_pairs_stay_at_the_g_peel_count(monkeypatch):
     assert sum(counted) <= 4_554
 
 
+def test_warm_up_frobenius_images_are_taken_once_per_atom_order(monkeypatch):
+    """A q = 4 warm-up, every monomial of weight <= 20 at every order
+    1 <= n <= 31 (orders outermost), calls QmPoly.frobenius_pow at most 70
+    times: each atom x^{p^j} raises D_{n/p^j} x once, into its memo entry
+    D_n(x^{p^j}), and the peel reads that entry.  Raising the generator
+    derivative again in every peel that needs it made 2,792 calls."""
+    cfg = FieldConfig.from_q(4)
+    engine = DerivationEngine(cfg)
+    calls = [0]
+    frobenius_pow = QmPoly.frobenius_pow
+
+    def counting(self, k):
+        calls[0] += 1
+        return frobenius_pow(self, k)
+
+    monkeypatch.setattr(QmPoly, "frobenius_pow", counting)
+    monos = [(a, b, c) for a in range(11) for b in range(7) for c in range(5)
+             if 0 < 2 * a + 3 * b + 5 * c <= 20]
+    for n in range(1, 32):
+        for mono in monos:
+            engine.derive(QmPoly.monomial(cfg, *mono), n)
+    assert calls[0] <= 70
+
+
 def test_h_quotient_check_term_pairs_stay_at_one_inverse(monkeypatch):
     """The battery's h_power_quotients check at q = 5, n_max 48, multiplies
     at most 12,737 term pairs in the kernel calls of the engine and of
@@ -936,6 +990,28 @@ def test_warm_up_rat_products_stay_at_the_memo_copy_count(monkeypatch):
         for mono in monos:
             engine.derive(QmPoly.monomial(cfg, *mono), n)
     assert calls[0] <= 47
+
+
+def test_warm_requests_multiply_by_no_unit_memo_operand(monkeypatch):
+    """400 warm q = 5 requests, 200 seeded multi-term elements and their
+    anchor terms on their own, make at most 3,877 RatT products: neither
+    derive nor QmPoly.scale multiplies by a memo coefficient 1, and derive's
+    grouped sum multiplies by no memo numerator 1 and no 1/D for a memo
+    denominator D = 1, each unit read off its coefficient tuple.
+    Multiplying by those units made 4,490."""
+    cfg = FieldConfig.from_q(5)
+    engine = DerivationEngine(cfg)
+    requests = []
+    for terms, n in _isobaric_requests(cfg, random.Random("unit-operands:5"), 200, n_max=32):
+        f = QmPoly.zero(cfg)
+        for mono, v in terms:
+            f = f + QmPoly.monomial(cfg, *mono, v)
+            engine.derive(QmPoly.monomial(cfg, *mono), n)  # warms the memo
+        requests += [(f, n), (QmPoly.monomial(cfg, *terms[0][0], terms[0][1]), n)]
+    calls = _count_rat_products(monkeypatch)
+    for f, n in requests:
+        engine.derive(f, n)
+    assert calls[0] <= 3_877
 
 
 def test_generator_table_rejects_an_unknown_name():
