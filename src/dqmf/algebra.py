@@ -10,6 +10,8 @@ the digits up and subtracts the top digit times m, and a*b = sum_i b_i
 Rational functions are kept in canonical form (coprime, monic denominator)
 at all times, which makes equality syntactic; ``RatT._raw``, which trusts
 its caller to pass that form, is called only in this module.
+``RatT.over`` reduces a raw code list over a monic denominator with one
+division, for the series coefficients of ``tseries``.
 
 Two denominators d1, d2 meet in LRUs of 2^12 entries keyed by the two PolyT
 values (and so by their field), each building only what its callers read:
@@ -19,9 +21,9 @@ RatT sums and ``common_denominator`` take the gcd, cofactors and lcm from
 the pairs recur; ``cache_info()`` reports the traffic.  A product first
 cross-cancels each numerator against the other factor's denominator through
 ``_coprime_parts``, a third such LRU.  The gcds come from ``_monic_gcd``,
-the LRU of 2^18 entries behind ``PolyT.gcd``.  The d_i have one cache,
-``d_power``; ``d_rat`` gives d_i^k for any integer k as a RatT.  ``+`` and
-``*`` raise ValueError on values of two fields.
+the LRU of 2^18 entries behind ``PolyT.gcd`` and ``RatT.over``.  The d_i
+have one cache, ``d_power``; ``d_rat`` gives d_i^k for any integer k as a
+RatT.  ``+`` and ``*`` raise ValueError on values of two fields.
 """
 
 from __future__ import annotations
@@ -273,8 +275,11 @@ class PolyT:
 
     def __init__(self, cfg: FieldConfig, coeffs):
         c = tuple(coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
+        if c and not c[-1]:  # trim the zero tail with one slice
+            n = len(c) - 1
+            while n and not c[n - 1]:
+                n -= 1
+            c = c[:n]
         self.cfg = cfg
         self.c = c
 
@@ -525,6 +530,23 @@ class RatT:
         self.num = num
         self.den = den
         return self
+
+    @classmethod
+    def over(cls, cfg, codes, den: PolyT):
+        """codes/den in canonical form, for a raw F_q[T] code list and a monic
+        den: one division, whose quotient is the result when den | codes;
+        otherwise gcd(codes, den) = gcd(den, remainder), a unit for a constant one."""
+        if not den.c or den.c[-1] != 1:
+            raise ValueError("RatT.over needs a monic denominator")
+        num = PolyT(cfg, codes)
+        if not num.c or den.is_one():
+            return cls._raw(cfg, num, cfg.poly_one)
+        quot, rem = _divmod_lists(list(num.c), den.c, cfg)
+        if not rem:
+            return cls._raw(cfg, PolyT(cfg, quot), cfg.poly_one)
+        if len(rem) > 1 and not (g := _monic_gcd(cfg, den.c, tuple(rem))).is_one():
+            num, den = num.exact_div(g), den.exact_div(g)
+        return cls._raw(cfg, num, den)
 
     @classmethod
     def from_int(cls, cfg, n: int):

@@ -11,8 +11,9 @@ the convolution formula with the alpha coefficients (sums of
 derivative identities checked against the engine are genuinely two-route.
 Every series product is convolved on raw F_q[T] code lists by
 ``_accumulate``, and ``_canonical`` reduces each t-coefficient of a result
-to a canonical RatT once: ``_sum_of_products`` (``TSeries +`` and ``*``, the
-lattice sums, ``hyper_derive``) and ``evaluate`` end in it.  The caches are
+to a canonical RatT once, by ``RatT.over`` (one division by the common
+denominator): ``_sum_of_products`` (``TSeries +`` and ``*``, the lattice
+sums), ``hyper_derive`` and ``evaluate`` end in it.  The caches are
 ``_expansion``, ``alpha`` and ``_monomial``, which holds each E^a g^b h^c
 over F_q[T], built digit by digit in base p since the p-th power of such a
 series is its Frobenius; it never leaves this module, and ``expand_E/g/h``
@@ -162,7 +163,7 @@ def _frobenius(cfg, s: dict, M: int, k: int) -> dict:
 
 def _canonical(cfg, order: int, acc: dict, den: PolyT) -> TSeries:
     """The series of acc's raw F_q[T] code lists over den, each made canonical once."""
-    return TSeries(cfg, order, {n: RatT(cfg, PolyT(cfg, c), den) for n, c in acc.items()})
+    return TSeries(cfg, order, {n: RatT.over(cfg, c, den) for n, c in acc.items()})
 
 
 def _sum_of_products(cfg: FieldConfig, order: int, pairs) -> TSeries:
@@ -360,23 +361,29 @@ def hyper_derive(s: TSeries, i: int) -> TSeries:
     sum_{r=1}^{n-1} (-1)^(i+r) C(n-1, r) alpha(r, i) a_{n-r}.
 
     The output keeps the input truncation order (the formula only consumes
-    coefficients below n).  D_1 specializes to t^m -> m t^(m+1).  The kernel
-    sums (-1)^(i+r) alpha(r, i) times sum_m C(m+r-1, r) a_m t^(m+r) over r.
+    coefficients below n).  D_1 specializes to t^m -> m t^(m+1).  s is cleared
+    over one denominator and the alpha(r, i), zero for r > i, over another; per
+    r the kernel adds the signed alpha numerator times sum_m C(m+r-1, r) a_m
+    t^(m+r), the binomials that vanish mod p left out, and the sum is made
+    canonical once.
     """
     if i < 0:
         raise ValueError("derivative order must be >= 0")
     if i == 0:
         return TSeries(s.cfg, s.order, s.terms)
     cfg, order, p = s.cfg, s.order, s.cfg.p
-    pairs = []
-    for r in range(1, order - 1):
-        al = alpha(r, i, cfg)
-        if al.is_zero():
-            continue
-        sign_al = al if (i + r) % 2 == 0 else -al
-        shifted = {m + r: a.scale_int(binom_mod_p(m + r - 1, r, p)) for m, a in s.terms.items()}
-        pairs.append((TSeries(cfg, order, {0: sign_al}), TSeries(cfg, order, shifted)))
-    return _sum_of_products(cfg, order, pairs)
+    alphas = {r: al for r in range(1, min(i, order - 2) + 1)
+              if not (al := alpha(r, i, cfg)).is_zero()}
+    da, ds = common_denominator(cfg, alphas.values()), common_denominator(cfg, s.terms.values())
+    nums = _cleared(s.terms.items(), ds)
+    acc = {}
+    for r, al in _cleared(alphas.items(), da).items():
+        shifted = {}
+        for m, a in nums.items():
+            if m + r < order and (b := binom_mod_p(m + r - 1, r, p)):
+                shifted[m + r] = a if b == 1 else a.scale(b)
+        _accumulate(cfg, acc, {0: al if (i + r) % 2 == 0 else -al}, shifted, order)
+    return _canonical(cfg, order, acc, da * ds)
 
 
 @functools.cache

@@ -3,13 +3,18 @@ coefficients, the series divided derivative, the evaluation map and the
 sum-of-products kernel behind all series products."""
 
 import ast
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dqmf import tseries
 from dqmf.algebra import FieldConfig, PolyT, RatT, binom_mod_p, d_power, power
 from dqmf.qmring import QmPoly
+from dqmf.suite import run_suite
 from dqmf.tseries import (
     TSeries,
     alpha,
@@ -571,6 +576,105 @@ def test_huge_generator_powers_do_not_recurse(q):
     N = 10
     for mono, base in (((0, 5000, 0), expand_g), ((5000, 0, 0), expand_E)):
         assert evaluate(QmPoly.monomial(cfg, *mono), N) == _pow(base(cfg, N), 5000)
+
+
+# ---------------------------------------------------------------------------
+# exact counts of the series work
+
+
+# An oracle-shaped cross-check in a fresh interpreter, so no cache of an
+# earlier test is warm: the expansions of E, g and h at q = 4, N = 60 are
+# built first, then E, g, h and one seeded element of the slice of E g h are
+# compared through both routes at every order of series_check_orders, with
+# every _divmod_lists call counted.
+_CROSS_CHECK = """
+import random
+from dqmf import algebra
+from dqmf.algebra import FieldConfig
+from dqmf.hyperd import DerivationEngine
+from dqmf.qmring import QmPoly, qm_basis
+from dqmf.suite import series_check_orders
+from dqmf.tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive
+from dqmf.verify import random_ratt
+
+cfg, N = FieldConfig.from_q(4), 60
+engine = DerivationEngine(cfg)
+for expand in (expand_E, expand_g, expand_h):
+    expand(cfg, N)
+rng = random.Random(1)
+terms = {}
+for t in qm_basis(2 * cfg.q + 2, 2, 1, cfg):
+    while (v := random_ratt(cfg, rng)).is_zero():
+        pass
+    terms[t] = v
+elems = [QmPoly.gen_E(cfg), QmPoly.gen_g(cfg), QmPoly.gen_h(cfg), QmPoly(cfg, terms)]
+calls = 0
+divmod_lists = algebra._divmod_lists
+
+def counted(*args):
+    global calls
+    calls += 1
+    return divmod_lists(*args)
+
+algebra._divmod_lists = counted
+for f in elems:
+    base = evaluate(f, N)
+    for n in series_check_orders(cfg):
+        if evaluate(engine.derive(f, n), N) != hyper_derive(base, n):
+            raise SystemExit(f"routes disagree at n = {n}")
+print(calls)
+"""
+
+
+def test_a_cross_check_divides_once_per_series_coefficient():
+    """Each series coefficient is made canonical by one division, and the
+    gcd, when needed, is taken with its remainder.  Dividing twice when the
+    denominator divides the numerator (a gcd that drops its quotient, then
+    the exact division) made 778 _divmod_lists calls here."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _CROSS_CHECK], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) <= 747
+
+
+@pytest.mark.parametrize("q", [4, 5, 9], ids=lambda q: f"q{q}")
+def test_hyper_derive_reads_alpha_only_up_to_its_order(q):
+    """alpha(r, i) = 0 for r > i, so D_i reads alpha(r, i) for r <= i only,
+    not for every r below the truncation order."""
+    cfg = FieldConfig.from_q(q)
+    s = expand_E(cfg, 3 * q * q)
+    alpha.cache_clear()
+    for i in (1, 2, q - 1, q, q + 1, 2 * q, q * q):
+        before = alpha.cache_info().currsize
+        hyper_derive(s, i)
+        assert alpha.cache_info().currsize - before <= i
+
+
+def test_the_battery_scales_no_coefficient_by_a_zero_binomial(monkeypatch):
+    """A binomial C(m + r - 1, r) that is 0 mod p drops its term before any
+    scaling.  Scaling every coefficient first made 725 scalings by a multiple
+    of p in this battery, all in hyper_derive."""
+    zeros = []
+    scale, scale_int = PolyT.scale, RatT.scale_int
+
+    def counted_scale(self, code):
+        if code == 0:
+            zeros.append(("PolyT.scale", code))
+        return scale(self, code)
+
+    def counted_scale_int(self, n):
+        if n % self.cfg.p == 0:
+            zeros.append(("RatT.scale_int", n))
+        return scale_int(self, n)
+
+    monkeypatch.setattr(PolyT, "scale", counted_scale)
+    monkeypatch.setattr(RatT, "scale_int", counted_scale_int)
+    for q in (4, 5, 7, 8, 9):
+        assert all(r["pass"] for r in run_suite(FieldConfig.from_q(q), n_max=48, seed=1))
+    assert zeros == []
 
 
 # ---------------------------------------------------------------------------
