@@ -10,8 +10,8 @@ the digits up and subtracts the top digit times m, and a*b = sum_i b_i
 Rational functions are kept in canonical form (coprime, monic denominator)
 at all times, which makes equality syntactic; ``RatT._raw``, which trusts
 its caller to pass that form, is called only in this module.
-``RatT.over`` reduces a raw code list over a monic denominator with one
-division, for the series coefficients of ``tseries``.
+``RatT.over`` reduces a numerator over a monic denominator with one
+division, for the coefficients that ``tseries`` series hand out on a read.
 
 Two denominators d1, d2 meet in LRUs of 2^12 entries keyed by the two PolyT
 values (and so by their field), each building only what its callers read:
@@ -66,18 +66,7 @@ MAX_Q = 500
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def power(base, n: int, one):
@@ -200,17 +189,13 @@ class FieldConfig:
         """Shorthand: factor q = p^e and use the shipped default modulus."""
         if q > MAX_Q:
             raise ValueError(f"q = {q} exceeds MAX_Q = {MAX_Q}, the largest field built")
-        for p in range(2, q + 1):
-            if q % p == 0:
-                e = 0
-                m = q
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                if m != 1:
-                    raise ValueError(f"q = {q} is not a prime power")
-                return cls(p, e)
-        raise ValueError(f"q = {q} is not a prime power")
+        p = next((p for p in range(2, q + 1) if q % p == 0), q)  # q's least prime factor
+        e = 1
+        while p**e < q:
+            e += 1
+        if p < 2 or p**e != q:
+            raise ValueError(f"q = {q} is not a prime power")
+        return cls(p, e)
 
     @classmethod
     def from_file(cls, path) -> "FieldConfig":
@@ -532,13 +517,13 @@ class RatT:
         return self
 
     @classmethod
-    def over(cls, cfg, codes, den: PolyT):
-        """codes/den in canonical form, for a raw F_q[T] code list and a monic
-        den: one division, whose quotient is the result when den | codes;
-        otherwise gcd(codes, den) = gcd(den, remainder), a unit for a constant one."""
+    def over(cls, num: PolyT, den: PolyT):
+        """num/den in canonical form for a monic den, num itself when den is 1:
+        one division, whose quotient is the result when den | num; otherwise
+        gcd(num, den) = gcd(den, remainder), a unit for a constant one."""
         if not den.c or den.c[-1] != 1:
             raise ValueError("RatT.over needs a monic denominator")
-        num = PolyT(cfg, codes)
+        cfg = num.cfg
         if not num.c or den.is_one():
             return cls._raw(cfg, num, cfg.poly_one)
         quot, rem = _divmod_lists(list(num.c), den.c, cfg)
@@ -719,7 +704,7 @@ def d_rat(i: int, k: int, cfg: FieldConfig) -> RatT:
 
 
 def common_denominator(cfg: FieldConfig, values) -> PolyT:
-    """The monic lcm of the denominators of some RatT values (1 for none)."""
+    """The monic lcm of the ``den`` of some RatT or TSeries values (1 for none)."""
     common = cfg.poly_one
     for x in values:
         if x.den.is_one():

@@ -9,11 +9,11 @@ F_q[T], lifted by Frobenius.  The series-level divided derivative follows
 the convolution formula with the alpha coefficients (sums of
 1/(d_{i_1}...d_{i_r}) over ways of writing the order as r q-powers), so
 derivative identities checked against the engine are genuinely two-route.
-Every series product is convolved on raw F_q[T] code lists by
-``_accumulate``, and ``_canonical`` reduces each t-coefficient of a result
-to a canonical RatT once, by ``RatT.over`` (one division by the common
-denominator): ``_sum_of_products`` (``TSeries +`` and ``*``, the lattice
-sums), ``hyper_derive`` and ``evaluate`` end in it.  The caches are
+A series is one monic den over F_q[T] numerators prime to it as a whole,
+and a canonical RatT coefficient is built (``RatT.over``) only when read.
+Products are convolved on raw F_q[T] code lists by ``_accumulate``, and
+``_canonical`` takes one running gcd with den: ``_sum_of_products`` (``+``,
+``*``, lattice sums), ``hyper_derive`` and ``evaluate`` end in it.  The caches are
 ``_expansion``, ``alpha`` and ``_monomial``, which holds each E^a g^b h^c
 over F_q[T], built digit by digit in base p since the p-th power of such a
 series is its Frobenius; it never leaves this module, and ``expand_E/g/h``
@@ -43,40 +43,41 @@ __all__ = [
 
 
 class TSeries:
-    """Truncated power series in t: sparse exponent -> K map, exact below order."""
+    """Truncated power series in t, exact below order: a monic ``den`` over nonzero
+    PolyT ``nums`` (t-exponent -> numerator) with gcd(den, all nums) = 1."""
 
-    __slots__ = ("cfg", "order", "terms")
+    __slots__ = ("cfg", "order", "den", "nums")
 
     def __init__(self, cfg: FieldConfig, order: int, terms=None):
         if order < 1:
             raise ValueError("truncation order must be >= 1")
-        self.cfg = cfg
-        self.order = order
-        self.terms = {}
-        if terms:
-            for n, v in terms.items():
-                if n < order and not v.is_zero():
-                    self.terms[n] = v
+        if terms and min(terms) < 0:
+            raise ValueError(f"negative t-exponent {min(terms)}")
+        terms = {n: v for n, v in (terms or {}).items() if n < order and v}
+        # the lcm of canonical denominators is prime to the cleared numerators
+        self.cfg, self.order, self.den = cfg, order, common_denominator(cfg, terms.values())
+        self.nums = _cleared(terms.items(), self.den)
 
     @classmethod
     def one(cls, cfg, order):
-        return cls(cfg, order, {0: cfg.rat_one})
+        return _series(cfg, order, cfg.poly_one, {0: cfg.poly_one})
 
     def coeff(self, n: int) -> RatT:
         if n >= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.terms.get(n, self.cfg.rat_zero)
+        return RatT.over(self.nums.get(n, self.cfg.poly_zero), self.den)
+
+    @property
+    def terms(self) -> dict:
+        """Exponent -> canonical RatT, built anew on every read."""
+        return {n: RatT.over(num, self.den) for n, num in self.nums.items()}
 
     def items(self):
         return sorted(self.terms.items())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TSeries)
-            and self.cfg is other.cfg
-            and self.order == other.order
-            and self.terms == other.terms
-        )
+        return (isinstance(other, TSeries) and self.cfg is other.cfg and self.order == other.order
+                and self.den.c == other.den.c and self.nums == other.nums)
 
     def __add__(self, other):
         order = min(self.order, other.order)
@@ -84,7 +85,7 @@ class TSeries:
         return _sum_of_products(self.cfg, order, [(self, one), (other, one)])
 
     def __neg__(self):
-        return TSeries(self.cfg, self.order, {n: -v for n, v in self.terms.items()})
+        return _series(self.cfg, self.order, self.den, {n: -v for n, v in self.nums.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -99,23 +100,27 @@ class TSeries:
         for n, v in self.items():
             vs = str(v)
             coeff = f"({vs})" if ("+" in vs or "/" in vs or "*" in vs) else vs
-            if n == 0:
-                parts.append(coeff)
-            else:
-                tp = "t" if n == 1 else f"t^{n}"
-                parts.append(tp if v.is_one() else f"{coeff} * {tp}")
-        parts.append(f"O(t^{self.order})")
-        return " + ".join(parts)
+            tp = "t" if n == 1 else f"t^{n}"
+            parts.append(coeff if n == 0 else tp if v.is_one() else f"{coeff} * {tp}")
+        return " + ".join(parts + [f"O(t^{self.order})"])
 
     __repr__ = __str__
 
     def to_json(self):
-        return {
-            "order": self.order,
-            "terms": [
-                {"n": n, "num": str(v.num), "den": str(v.den)} for n, v in self.items()
-            ],
-        }
+        terms = [{"n": n, "num": str(v.num), "den": str(v.den)} for n, v in self.items()]
+        return {"order": self.order, "terms": terms}
+
+
+def _series(cfg, order: int, den: PolyT, nums: dict) -> TSeries:
+    """The series nums/den; the caller guarantees the normal form."""
+    s = object.__new__(TSeries)
+    s.cfg, s.order, s.den, s.nums = cfg, order, den, nums
+    return s
+
+
+def _copy(s: TSeries) -> TSeries:
+    """s with its own numerator dict, for handing out a cached series."""
+    return _series(s.cfg, s.order, s.den, dict(s.nums))
 
 
 def _cleared(items, common: PolyT) -> dict:
@@ -162,35 +167,47 @@ def _frobenius(cfg, s: dict, M: int, k: int) -> dict:
 
 
 def _canonical(cfg, order: int, acc: dict, den: PolyT) -> TSeries:
-    """The series of acc's raw F_q[T] code lists over den, each made canonical once."""
-    return TSeries(cfg, order, {n: RatT.over(cfg, c, den) for n, c in acc.items()})
+    """acc's raw F_q[T] code lists over a nonzero den in normal form: a running
+    gcd g of den with the numerators, which stops at 1, then one exact division
+    of den and of each numerator by g times den's leading unit, unless that is 1."""
+    nums = {n: v for n, v in ((n, PolyT(cfg, raw)) for n, raw in acc.items()) if v}
+    g = den.monic()
+    for v in nums.values():
+        if len(g.c) == 1:
+            break
+        g = g.gcd(v.divmod(g)[1])  # gcd(g, v) = gcd(g, v mod g), keyed on short tuples
+    if len(g.c) > 1 or den.c[-1] != 1:
+        g = g.scale(den.c[-1])  # so den / g is monic
+        den, nums = den.exact_div(g), {n: v.exact_div(g) for n, v in nums.items()}
+    return _series(cfg, order, den, nums)
+
+
+def _over(s: TSeries, common: PolyT) -> dict:
+    """s's numerators over ``common``, a multiple of s.den: one cofactor per series."""
+    if s.den.c == common.c:
+        return s.nums
+    cofactor = common.exact_div(s.den)
+    return {n: v * cofactor for n, v in s.nums.items()}
 
 
 def _sum_of_products(cfg: FieldConfig, order: int, pairs) -> TSeries:
-    """The sum of x * y over TSeries pairs (x, y) of exact operands, below order.
-
-    All left operands are cleared over one common denominator Dx, all right
-    ones over another, Dy, and every numerator product is convolved into one
-    raw F_q[T] code list per t-exponent over Dx * Dy, made canonical once.
-    """
-    below = []
-    for x, y in pairs:
-        if x.cfg is not cfg or y.cfg is not cfg:
-            raise ValueError("series over different fields")
-        below.append([[(n, v) for n, v in s.terms.items() if n < order] for s in (x, y)])
-    dx = common_denominator(cfg, (v for xs, _ in below for _, v in xs))
-    dy = common_denominator(cfg, (v for _, ys in below for _, v in ys))
+    """The sum of x * y over TSeries pairs (x, y) of exact operands, below order:
+    the left operands over the lcm Dx of their dens, the right ones over Dy, every
+    numerator product convolved into one code list per t-exponent over Dx * Dy."""
+    pairs = list(pairs)
+    if any(x.cfg is not cfg or y.cfg is not cfg for x, y in pairs):
+        raise ValueError("series over different fields")
+    dx = common_denominator(cfg, (x for x, _ in pairs))
+    dy = common_denominator(cfg, (y for _, y in pairs))
     acc = {}
-    for xs, ys in below:
-        _accumulate(cfg, acc, _cleared(xs, dx), _cleared(ys, dy), order)
+    for x, y in pairs:
+        _accumulate(cfg, acc, _over(x, dx), _over(y, dy), order)
     return _canonical(cfg, order, acc, dx * dy)
 
 
 def nu_infinity(s: TSeries):
     """Least exponent with a nonzero coefficient; None if zero to the order."""
-    if not s.terms:
-        return None
-    return min(s.terms)
+    return min(s.nums) if s.nums else None
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +264,7 @@ def t_sub(a: PolyT, N: int, k: int = 1) -> TSeries:
         raise ValueError(f"t_sub needs k >= 0, got k = {k}")
     if a.is_zero() or a.lead() != 1:
         raise ValueError("t_sub needs a monic polynomial")
-    cfg = a.cfg
-    d = a.degree
+    cfg, d = a.cfg, a.degree
     base = k * cfg.q**d
     if base >= N:
         return TSeries(cfg, N)
@@ -257,7 +273,7 @@ def t_sub(a: PolyT, N: int, k: int = 1) -> TSeries:
     rho = carlitz(a)
     unit = {cfg.q**d - cfg.q**j: c for j, c in enumerate(rho[:-1]) if c}
     inv = _invert_unit(cfg, unit, N - base, k)
-    return TSeries(cfg, N, {base + n: RatT(cfg, v) for n, v in inv.items()})
+    return _series(cfg, N, cfg.poly_one, {base + n: v for n, v in inv.items()})
 
 
 def _monic_polys(cfg, d: int):
@@ -291,7 +307,7 @@ def _expansion(cfg: FieldConfig, N: int, gen: str) -> TSeries:
 
 def expand_E(cfg: FieldConfig, N: int) -> TSeries:
     """E as the lattice sum over monic a of a * t_a, truncated below N."""
-    return TSeries(cfg, N, _expansion(cfg, N, "E").terms)
+    return _copy(_expansion(cfg, N, "E"))
 
 
 def expand_g(cfg: FieldConfig, N: int) -> TSeries:
@@ -300,12 +316,12 @@ def expand_g(cfg: FieldConfig, N: int) -> TSeries:
     The degree-zero lattice layer is normalized to the constant 1, which
     pins the leading coefficient; the monic layers are summed honestly.
     """
-    return TSeries(cfg, N, _expansion(cfg, N, "g").terms)
+    return _copy(_expansion(cfg, N, "g"))
 
 
 def expand_h(cfg: FieldConfig, N: int) -> TSeries:
     """h = -(D_1 g + E g): the one definitional equation on the series side."""
-    return TSeries(cfg, N, _expansion(cfg, N, "h").terms)
+    return _copy(_expansion(cfg, N, "h"))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +353,7 @@ def alpha(r: int, i: int, cfg: FieldConfig) -> RatT:
             if r_rem != i_rem:
                 continue
             counts = [r_rem] + mults  # a_0, a_1, ..., a_J
-            coef = 1
-            run = 0
+            coef, run = 1, 0
             for c in counts:
                 run += c
                 coef = coef * binom_mod_p(run, c, p) % p
@@ -361,29 +376,28 @@ def hyper_derive(s: TSeries, i: int) -> TSeries:
     sum_{r=1}^{n-1} (-1)^(i+r) C(n-1, r) alpha(r, i) a_{n-r}.
 
     The output keeps the input truncation order (the formula only consumes
-    coefficients below n).  D_1 specializes to t^m -> m t^(m+1).  s is cleared
-    over one denominator and the alpha(r, i), zero for r > i, over another; per
-    r the kernel adds the signed alpha numerator times sum_m C(m+r-1, r) a_m
-    t^(m+r), the binomials that vanish mod p left out, and the sum is made
-    canonical once.
+    coefficients below n).  D_1 specializes to t^m -> m t^(m+1).  s is read
+    over its own den and the alpha(r, i), zero for r > i, are cleared over one
+    other; per r the kernel adds the signed alpha numerator times
+    sum_m C(m+r-1, r) a_m t^(m+r), the binomials that vanish mod p left out,
+    and the sum is reduced once.
     """
     if i < 0:
         raise ValueError("derivative order must be >= 0")
     if i == 0:
-        return TSeries(s.cfg, s.order, s.terms)
+        return _copy(s)
     cfg, order, p = s.cfg, s.order, s.cfg.p
     alphas = {r: al for r in range(1, min(i, order - 2) + 1)
               if not (al := alpha(r, i, cfg)).is_zero()}
-    da, ds = common_denominator(cfg, alphas.values()), common_denominator(cfg, s.terms.values())
-    nums = _cleared(s.terms.items(), ds)
+    da = common_denominator(cfg, alphas.values())
     acc = {}
     for r, al in _cleared(alphas.items(), da).items():
         shifted = {}
-        for m, a in nums.items():
+        for m, a in s.nums.items():
             if m + r < order and (b := binom_mod_p(m + r - 1, r, p)):
                 shifted[m + r] = a if b == 1 else a.scale(b)
         _accumulate(cfg, acc, {0: al if (i + r) % 2 == 0 else -al}, shifted, order)
-    return _canonical(cfg, order, acc, da * ds)
+    return _canonical(cfg, order, acc, da * s.den)
 
 
 @functools.cache
@@ -395,9 +409,9 @@ def _monomial(cfg: FieldConfig, N: int, mono: tuple) -> dict:
         if not any(mono):
             return {0: cfg.poly_one}
         s = _expansion(cfg, N, "Egh"[mono.index(1)])
-        if any(not v.den.is_one() for v in s.terms.values()):  # once per generator
+        if not s.den.is_one():  # once per generator
             raise AssertionError(f"the expansion {mono} has a coefficient outside F_q[T]")
-        return {n: v.num for n, v in s.terms.items()}
+        return s.nums
     if max(mono) >= cfg.p:
         low = tuple(n % cfg.p for n in mono)
         lifted = _frobenius(cfg, _monomial(cfg, N, tuple(n // cfg.p for n in mono)), N, 1)

@@ -477,7 +477,7 @@ def test_ratt_over_matches_the_constructor(q):
     rng = random.Random(q + 53)
     kinds = set()
     for codes, den in _over_cases(cfg, rng):
-        got, ref = RatT.over(cfg, codes, den), RatT(cfg, PolyT(cfg, codes), den)
+        got, ref = RatT.over(PolyT(cfg, codes), den), RatT(cfg, PolyT(cfg, codes), den)
         assert got == ref and got.num.c == ref.num.c and got.den.c == ref.den.c, (codes, den)
         assert got.num.cfg is cfg and got.den.cfg is cfg
         kinds.add(_over_kind(cfg, codes, den, ref))
@@ -488,9 +488,9 @@ def test_ratt_over_needs_a_monic_denominator():
     cfg = FieldConfig.from_q(5)
     for den in (cfg.poly_zero, PolyT(cfg, [1, 2]), PolyT(cfg, [3]), bracket(1, cfg).scale(2)):
         with pytest.raises(ValueError):
-            RatT.over(cfg, [1, 1], den)
+            RatT.over(PolyT(cfg, [1, 1]), den)
     with pytest.raises(ValueError):
-        RatT.over(cfg, [], cfg.poly_zero)
+        RatT.over(cfg.poly_zero, cfg.poly_zero)
 
 
 def _trim_one_step_at_a_time(coeffs):
