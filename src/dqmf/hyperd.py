@@ -1,57 +1,43 @@
 """The divided-derivative engine on K[E,g,h].
 
-One recursion derives every monomial, by the class of the order n.  It
-ends: no rule reads an order above n, and every read at order n is of a
-monomial of lower total degree.  By iterativity, D_i o D_j = C(i+j, i)
-D_{i+j}, the derivation D_1 (``qmring.d1``: E -> E^2, g -> -(Eg+h),
-h -> Eh) commutes with every D_n.
+One recursion derives every monomial, by the class of the order n.  By
+iterativity, D_i o D_j = C(i+j, i) D_{i+j}, the derivation D_1
+(``qmring.d1``: E -> E^2, g -> -(Eg+h), h -> Eh) commutes with every D_n.
 
-- Any n, an atom x^{p^j}, j >= 1, of one generator x is a Frobenius image,
-  D_n(x^{p^j}) = (D_{n/p^j} x)^{p^j}, and zero unless p^j | n.
-- Any n, a g-free E^a h^c with p not dividing a is zero if some
-  1 <= j <= min(a, q-1) has C(a+c-1, j) != 0 and C(n+j, j) = 0 mod p: as
-  D_j(E^{a-j} h^c) = C(a+c-1, j) E^a h^c (D_j E = E^{j+1}, D_j h = E^j h for
-  j < q), C(a+c-1, j) D_n(E^a h^c) = C(n+j, j) D_{n+j}(E^{a-j} h^c).  The
-  test reads the base-p digits of a+c-1 and n (``_binomial_zero_test``).
-- p not dividing n, n = 1 too: every other monomial takes the D_1 step
+- p not dividing n, n = 1 too: every monomial takes the D_1 step
   D_n(m) = c^{-1} D_1(D_{n-1} m), c = n mod p, with c^{-1} folded into d1's
   two integer multipliers, so each term is scaled once, with no product.
 - p | n, a generator: a p-power n reads the paper's tables
   (``generator_table``), any other n the digit step D_n = c^{-1} D_{p^k} o
   D_{n-p^k}, c = C(n, p^k) mod p its lowest nonzero base-p digit, at p^k.
-- p | n, E^a g^b h^c with p dividing neither a nor s = a - 1 - b + c is
-  lifted at the same order.  With m = E^{a-1} g^b h^c and
-  m' = E^{a-1} g^{b-1} h^{c+1}, D_1 m = s E^a g^b h^c - b m', so
+- p | n, every other monomial E^a u, u = g^b h^c, of weight w takes the
+  depth transport read at E = 0:
 
-    D_n(E^a g^b h^c) = s^{-1} (D_1 D_n m + b D_n m').
+    D_n(E^a u) = sum_{i <= a} sum_{r <= n} C(a, i) C(n+w-i-1, r) E^{r+i} N_{n-r}(E^{a-i} u),
 
-  p | a is left to the rules below: a lift would lose Frobenius sparsity.
-- Otherwise, for odd p, a pure even power x^{2k} of one generator is squared:
+  the binomials mod p, N_k(x) the E-free part of D_k x (D_k x at E = 0).
 
-    D_n(x^{2k}) = 2 sum_{0 <= r < n/2} D_r(x^k) D_{n-r}(x^k)
-                  + [n even] D_{n/2}(x^k)^2.
+This is the identity of ``transform_depth_poly``, read at E = 0: E^a u has
+the depth polynomial sum_i C(a, i) E^{a-i} u Y^i, and a depth polynomial's
+Y^j coefficient at E = 0 is the E^j coefficient of the element itself.
 
-This is the Leibniz rule on y*y, y = x^k, with the equal products of the
-pairs (r, n-r) and (n-r, r) merged, so it holds in every characteristic; it
-halves the products behind E^2, h^2 and h^3.  At p = 2 the sum vanishes
-and only the Frobenius term is left.  Any other monomial, and every other
-power at p = 2, is a Leibniz convolution that peels off one atom x^{p^k} at
-a time and reads its left factors D_r(x^{p^k}) from the memo, one Frobenius
-image per (atom, r); they vanish unless p^k | r, which keeps the
-convolutions short.  The atom is E's lowest one, or h's when E and g are
-absent.  When E and g are both present, g's lowest atom is peeled instead
-if fewer of its left factors can be nonzero: D_j g vanishes unless j = 0 or
-1 mod q, while D_j E never does, so g's atom counts the j <= n/p^k with
-j = 0 or 1 mod q against n/p^k + 1 for E's (ties go to E).  The count is
-only a cost estimate: every left factor is read first, and an order r whose
-left factor is zero is skipped without deriving the rest, so a wrong
-estimate costs time, never correctness.
+Setting E = 0 is a ring map, so by the Leibniz rule the series
+N(x) = sum_k N_k(x) X^k in K[g,h][[X]] is multiplicative: N(xy) = N(x) N(y).
+The engine keeps one coefficient list per monomial, extended in place one
+order at a time.  A generator reads its own memo entries D_k x with E
+killed.  A p-th power y^p is the Frobenius image of N(y): X -> X^p, and
+each nonzero coefficient raised to the p-th power once.  Any other monomial
+is the Cauchy product of its digits below p and the rest, the part below p
+halved, as ``tseries._monomial`` splits it: one ``qmring.sum_of_products``
+call per X-order.  D_k E = E^{k+1} for k < q, so N(E) starts at X^q and
+only the terms with q (a - i) <= n - r contribute.
 
-Each convolution collects its (left, right) pairs and makes one
-``qmring.sum_of_products`` call per (monomial, order), which canonicalises
-each output coefficient once rather than once per product; the squaring
-rule folds its middle square in as the pair (D_{n/2}(x^k)/2, D_{n/2}(x^k))
-before the factor 2, 2 being invertible for odd p.
+The recursion ends.  The D_1 step reads the same monomial one order lower.
+The transport at order n reads generator entries of order <= n only, and a
+generator at order n reads other monomials only at the lower order p^k of
+its digit step (the tables read nothing).  A list's length is re-read
+before each new order, since computing a generator at order k can extend
+other lists below k.
 
 ``derive`` returns a one-term f = v*m as the memo entry D_n(m) scaled by
 v (a copy when v = 1).  Otherwise it groups the memo terms v*c of f's
@@ -62,14 +48,15 @@ gcd against D; a unit v, c, num(c) or D multiplies nothing.  The groups
 of one monomial are then added, all by RatT constructors and operators,
 so the result is canonical.
 
-A single engine instance keeps one memo keyed by (monomial, order).
-``stats()`` counts its entries and the hits and misses of its lookups, and
-``check_memo_isobaric()`` lists every entry D_n(m) whose weight, type or
-depth is not the one n shifts m's to; ``dqmf verify`` reports both after
-its checks.  One engine per thread is safe, since engines share only the
-per-field functools caches of ``algebra`` (the d_i powers, gcds and the
-``_den_pair``, ``_den_product`` and ``_coprime_parts`` LRUs), which are
-thread-safe and hold immutable values.
+A single engine instance keeps one memo keyed by (monomial, order), and
+the E-free lists keyed by monomial.  ``stats()`` counts the memo's entries
+and the hits and misses of its lookups, a list's reads of generator entries
+among them, and ``check_memo_isobaric()`` lists every entry D_n(m) whose
+weight, type or depth is not the one n shifts m's to; ``dqmf verify``
+reports both after its checks.  One engine per thread is safe, since
+engines share only the per-field functools caches of ``algebra`` (the d_i
+powers, gcds and the ``_den_pair``, ``_den_product`` and ``_coprime_parts``
+LRUs), which are thread-safe and hold immutable values.
 """
 
 from __future__ import annotations
@@ -108,21 +95,6 @@ def _lowest_digit(n: int, p: int):
         n //= p
         k += 1
     return n % p, k
-
-
-def _binomial_zero_test(A: int, n: int, bound: int, p: int) -> bool:
-    """True iff some 1 <= j <= bound has C(A, j) != 0 and C(n+j, j) = 0 mod p.
-
-    By Lucas the first holds iff every base-p digit of j is at most A's, and
-    by Kummer the second iff adding j to n carries.  So the least such j is
-    (p - n_t) p^t, over the places t with A_t + n_t >= p.
-    """
-    pt = 1
-    while pt <= bound:
-        if A % p + n % p >= p and (p - n % p) * pt <= bound:
-            return True
-        A, n, pt = A // p, n // p, pt * p
-    return False
 
 
 def generator_table(cfg: FieldConfig, gen: str, n: int) -> QmPoly:
@@ -185,6 +157,7 @@ class DerivationEngine:
         self.limit = cfg.p * cfg.q**2 - 1
         self._memo: dict = {}  # (monomial, order) -> D_order of that monomial
         self._hits = self._misses = 0  # lookups of _memo in _derive_monomial
+        self._lists: dict = {}  # monomial -> [N_0, N_1, ...] of the module docstring
 
     def _check_order(self, n: int):
         if n < 0 or n > self.limit:
@@ -202,7 +175,7 @@ class DerivationEngine:
         return self._derive_monomial(_GENERATORS[gen], n).scale(self.cfg.rat_one)
 
     def _derive_monomial(self, mono: tuple, n: int) -> QmPoly:
-        """D_n(E^a g^b h^c) by the first rule of the module docstring that applies."""
+        """D_n(E^a g^b h^c) by the rule of the module docstring for n and mono."""
         if n == 0:
             return QmPoly.monomial(self.cfg, *mono)
         if mono == (0, 0, 0):
@@ -213,76 +186,69 @@ class DerivationEngine:
             self._hits += 1
             return out
         self._misses += 1
-        p, (a, b, c) = self.cfg.p, mono
-        i = 0 if a else 1 if b else 2  # the first generator present
-        gen = _GENERATORS["Egh"[i]]
+        p = self.cfg.p
         digit, k = _lowest_digit(n, p)
-        _, j = _lowest_digit(mono[i], p)
-        if j and mono[i] == p**j and mono.count(0) == 2:  # an atom x^{p^j}
-            out = QmPoly.zero(self.cfg)
-            if n % p**j == 0:
-                out = self._derive_monomial(gen, n // p**j).frobenius_pow(j)
-        elif a % p and not b and _binomial_zero_test(a + c - 1, n, min(a, self.cfg.q - 1), p):
-            out = QmPoly.zero(self.cfg)
-        elif k == 0:
+        if k == 0:
             # D_1 o D_{n-1} = n D_n, n = digit mod p
             out = d1(self._derive_monomial(mono, n - 1), pow(digit, p - 2, p))
-        elif mono == gen:
-            if p**k == n:
-                out = generator_table(self.cfg, "Egh"[i], n)
-            else:
-                # C(n, p^k) = digit, so D_n = digit^{-1} D_{p^k} o D_{n - p^k}
-                prev = self._derive_monomial(mono, n - p**k)
-                out = self.derive(prev, p**k).scale_int(pow(digit, p - 2, p))
-        elif a % p and (a - 1 - b + c) % p:
-            # the same-order lift; both reads are at order n, of degree one less
-            inv = pow(a - 1 - b + c, p - 2, p)
-            out = d1(self._derive_monomial((a - 1, b, c), n), inv)
-            if b % p:
-                out = out + self._derive_monomial((a - 1, b - 1, c + 1), n).scale_int(b * inv)
-        elif p != 2 and mono[i] % 2 == 0 and mono.count(0) == 2:
-            # the squaring rule of the module docstring on x^{2k} = y*y, y = x^k;
-            # D_r y vanishes unless pk | r, pk the p-part of k (Frobenius)
-            half = tuple(e // 2 for e in mono)
-            pk = p ** _lowest_digit(half[i], p)[1]
-            pairs = []
-            for r in range(0, (n + 1) // 2, pk):
-                left = self._derive_monomial(half, r)
-                if not left.is_zero():
-                    pairs.append((left, self._derive_monomial(half, n - r)))
-            if n % 2 == 0:
-                # 2 * (sum + mid^2 / 2): one kernel call, (p + 1) / 2 = 1/2 mod p
-                mid = self._derive_monomial(half, n // 2)
-                pairs.append((mid.scale_int((p + 1) // 2), mid))
-            out = sum_of_products(self.cfg, pairs).scale_int(2)
+        elif sum(mono) > 1:
+            out = self._transport(mono, n)
+        elif p**k == n:
+            out = generator_table(self.cfg, "Egh"[mono.index(1)], n)
         else:
-            _, pos = _lowest_digit(mono[i], p)
-            if i == 0 and mono[1]:
-                # D_j g vanishes unless j = 0 or 1 mod q: of its j <= m = n/p^k,
-                # m//q + 1 + ceil(m/q) remain, against n/p^k + 1 for E's atom
-                _, pos_g = _lowest_digit(mono[1], p)
-                m, q = n // p**pos_g, self.cfg.q
-                if m // q + 1 + (m + q - 1) // q < n // p**pos + 1:
-                    i, pos, gen = 1, pos_g, _GENERATORS["g"]
-            pk, memo = p**pos, self._memo
-            atom, rest = tuple(e * pk for e in gen), mono[:i] + (mono[i] - pk,) + mono[i + 1:]
-            # D_r of the atom is zero unless p^pos | r (the atom rule)
-            pairs = []
-            for r in range(0, n + 1, pk):
-                left = memo.get((atom, r))
-                self._hits += left is not None
-                if left is None:
-                    left = self._derive_monomial(atom, r)
-                if left.is_zero():
-                    continue
-                right = memo.get((rest, n - r))
-                self._hits += right is not None
-                if right is None:
-                    right = self._derive_monomial(rest, n - r)
-                if not right.is_zero():
-                    pairs.append((left, right))
-            out = sum_of_products(self.cfg, pairs)
+            # C(n, p^k) = digit, so D_n = digit^{-1} D_{p^k} o D_{n - p^k}
+            prev = self._derive_monomial(mono, n - p**k)
+            out = self.derive(prev, p**k).scale_int(pow(digit, p - 2, p))
         self._memo[key] = out
+        return out
+
+    def _transport(self, mono: tuple, n: int) -> QmPoly:
+        """D_n(E^a u), p | n, as the module docstring's sum over (i, r), one
+        RatT add wherever two (i, r) reach one output monomial."""
+        cfg, p, q = self.cfg, self.cfg.p, self.cfg.q
+        a, b, c = mono
+        w = monomial_signature(cfg, a, b, c).w
+        out = {}
+        for i in range(max(0, a - n // q), a + 1):
+            ci = binom_mod_p(a, i, p)
+            if not ci:
+                continue
+            series = self._series((a - i, b, c), n)
+            for r in range(n - q * (a - i) + 1):
+                x = series[n - r]
+                s = ci * binom_mod_p(n + w - i - 1, r, p) % p if x.terms else 0
+                if s:
+                    for (_, b2, c2), v in x.terms.items():
+                        t = v if s == 1 else v.scale_int(s)
+                        k = (r + i, b2, c2)
+                        out[k] = out[k] + t if k in out else t
+        return QmPoly(cfg, out)
+
+    def _series(self, mono: tuple, n: int) -> list:
+        """The coefficients N_0, N_1, ... of N(E^a g^b h^c) through X^n at
+        least, extended in place by the rules of the module docstring."""
+        cfg, p = self.cfg, self.cfg.p
+        out = self._lists.setdefault(mono, [])
+        if sum(mono) <= 1:
+            while len(out) <= n:
+                out.append(self._derive_monomial(mono, len(out)).kill("E"))
+        elif not any(e % p for e in mono):  # y^p: X -> X^p, coefficients Frobenius
+            y = self._series(tuple(e // p for e in mono), n // p)
+            while len(out) <= n:
+                m = len(out)
+                x = y[m // p]
+                out.append(x.frobenius_pow(1) if m % p == 0 and x.terms else QmPoly.zero(cfg))
+        elif len(out) <= n:
+            low = tuple(e % p for e in mono)
+            if low == mono:  # halves; E g, E h, g h and E g h split off their first generator
+                low = tuple(e // 2 for e in mono) if max(mono) > 1 else (mono[0], 1 - mono[0], 0)
+            left = self._series(low, n)
+            right = self._series(tuple(e - k for e, k in zip(mono, low)), n)
+            while len(out) <= n:
+                m = len(out)
+                pairs = [(left[j], right[m - j]) for j in range(m + 1)
+                         if left[j].terms and right[m - j].terms]
+                out.append(sum_of_products(cfg, pairs) if pairs else QmPoly.zero(cfg))
         return out
 
     def derive(self, f: QmPoly, n: int) -> QmPoly:
@@ -319,7 +285,9 @@ class DerivationEngine:
         """The tuple associated_polynomial(derive(f, n)), transported from
         P = associated_polynomial(f): the coefficient of Y^j is
         sum_r C(n + w + r - j - 1, r) D_{n-r} P_{j-r}, w the weight of f.
-        Raises NotIsobaric when f mixes gradings.
+        This is the one identity behind the engine's transport, which reads
+        it at E = 0 (module docstring).  Raises NotIsobaric when f mixes
+        gradings.
         """
         self._check_field(f)
         self._check_order(n)

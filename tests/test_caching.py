@@ -207,7 +207,7 @@ def test_coprime_parts_traffic_is_mostly_hits():
         for t in monos:
             engine.derive(QmPoly.monomial(cfg, *t), n)
     entries = list(engine._memo.values())
-    assert len(entries) == 376
+    assert len(entries) == 362
     rng = random.Random(5)
     _coprime_parts.cache_clear()
     for value in entries:

@@ -327,9 +327,9 @@ def test_cmd_verify_json_determinism(capsys):
          "bad-modulus.cfg: modulus = '1 x 1' is not a list of integers"),
         (["field", "--p", "3", "--e", "2", "--modulus", "1 x 1"],
          "modulus '1 x 1' is not a list of integers"),
-        # the lift chain of E^497 g h and the D_1 chain below it outgrow the
-        # interpreter's recursion limit
-        (["derive", "--p", "499", "E^497 g h", "499"], "maximum recursion depth exceeded"),
+        # the D_1 chain of D_498, one frame per order down to 0, outgrows the
+        # recursion limit that the test lowers for this case
+        (["derive", "--p", "499", "E^497 g h", "498"], "maximum recursion depth exceeded"),
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
          "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check",
@@ -347,7 +347,13 @@ def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")
     (tmp_path / "bad-p.cfg").write_text("p = abc\n")
     (tmp_path / "bad-modulus.cfg").write_text("p = 3\ne = 2\nmodulus = 1 x 1\n")
-    rc = main([a.format(tmp=tmp_path) for a in argv])
+    limit = sys.getrecursionlimit()
+    if message == "maximum recursion depth exceeded":
+        sys.setrecursionlimit(400)
+    try:
+        rc = main([a.format(tmp=tmp_path) for a in argv])
+    finally:
+        sys.setrecursionlimit(limit)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and message in err

@@ -113,15 +113,17 @@ def test_stats_count_memo_entries_hits_and_misses():
     # a repeat misses nothing and hits once per term of f
     assert second == {**first, "hits": first["hits"] + 2}
     assert all(type(v) is int for v in second.values())
-    # D_10(E^5 h) peels the atom E^5 off h; with its four factors of nonzero
-    # order D_5 E^5, D_10 E^5, D_5 h and D_10 h in the memo, the peel reads
-    # each of them there (a hit apiece) and misses only E^5 h itself
-    for mono in ((5, 0, 0), (0, 0, 1)):
-        for n in (5, 10):
-            engine.derive(QmPoly.monomial(cfg, *mono), n)
+    # D_10(E^5 h) is transported from i = 5 alone: C(5, i) = 0 mod 5 for
+    # 0 < i < 5, and N(E^{5-i} h) starts at X^{5(5-i)} > 10 for i = 0.  So it
+    # reads N(h) through X^10.  With D_1 h .. D_10 h in the memo, and N(h)
+    # already read through X^5 by D_10 h's digit step (D_5 of E^5 h in D_5 h),
+    # the new series reads are D_6 h .. D_10 h (a hit apiece), and only
+    # E^5 h itself misses
+    for n in range(1, 11):
+        engine.derive(QmPoly.gen_h(cfg), n)
     third = engine.stats()
     engine.derive(QmPoly.monomial(cfg, 5, 0, 1), 10)
-    assert engine.stats() == {"entries": third["entries"] + 1, "hits": third["hits"] + 4,
+    assert engine.stats() == {"entries": third["entries"] + 1, "hits": third["hits"] + 5,
                               "misses": third["misses"] + 1}
 
 
@@ -684,8 +686,8 @@ def _peeled_power(engine, x, m, n, memo):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9], ids=lambda q: f"q{q}")
 def test_squared_powers_match_the_peeled_convolution(q):
-    # every pure power x^m, 2 <= m <= 2(q - 1), the squaring rule's domain
-    # (even m) and the odd powers built on it
+    # every pure power x^m, 2 <= m <= 2(q - 1), whose E-free series are
+    # products of halves at orders divisible by p, against the Leibniz rule
     cfg = FieldConfig.from_q(q)
     peeler, engine = DerivationEngine(cfg), DerivationEngine(cfg)
     for x, mono in (("E", (1, 0, 0)), ("g", (0, 1, 0)), ("h", (0, 0, 1))):
@@ -752,9 +754,9 @@ def _E_peeled(engine, mono, n):
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
 def test_peeling_g_matches_peeling_E(q):
-    # every E^a g^b h^c with a, b >= 1 up to the weight of E g^p, whose g
-    # atom is a p-th power, so a peeled g atom's Frobenius twist is covered;
-    # the cap at weight 26 leaves E g^7 out at q = 7 only
+    # every E^a g^b h^c with a, b >= 1 up to the weight of E g^p, whose series
+    # has a p-th power factor g^p, so its Frobenius image is covered; the cap
+    # at weight 26 leaves E g^7 out at q = 7 only
     cfg = FieldConfig.from_q(q)
     engine, reference = DerivationEngine(cfg), DerivationEngine(cfg)
     w_max = min(2 + cfg.p * (q - 1), 26)
@@ -769,9 +771,8 @@ def test_peeling_g_matches_peeling_E(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
 def test_lifted_monomials_match_peeling_E(q):
     # every E^a g^b h^c with p not dividing a up to weight 26 at every order
-    # p | n up to min(limit, 48): the domain of the binomial zero test (b = 0)
-    # and of the same-order lift (p not dividing a - 1 - b + c), and the
-    # monomials of p | a - 1 - b + c that fall through to the peel
+    # p | n up to min(limit, 48), the g-free binomial zeros (b = 0) among
+    # them, where the transport reads N(E^{a-i} g^b h^c) for every i <= a
     cfg = FieldConfig.from_q(q)
     engine, reference = DerivationEngine(cfg), DerivationEngine(cfg)
     monos = [(a, b, c) for a in range(1, 14) for b in range(27) for c in range(26 // (q + 1) + 1)
@@ -783,16 +784,19 @@ def test_lifted_monomials_match_peeling_E(q):
 
 
 def _leibniz_reference(engine, mono, n):
-    """D_n(E^a g^b h^c), p not dividing n, with every factor read from
-    `engine`.  A generator x is n^{-1} D_1(D_{n-1} x), D_1 taken by the chain
-    rule (_d1_by_partials), not by qmring.d1, the engine's order 1.  Any other
-    monomial is x^{p^k} * rest, x its first generator in the order g, E, h
-    and p^k the lowest base-p place of x's exponent: the Leibniz sum over
+    """D_n(E^a g^b h^c), n >= 1, with every factor read from `engine`.  A
+    generator x is, for p not dividing n, n^{-1} D_1(D_{n-1} x), D_1 taken by
+    the chain rule (_d1_by_partials), not by qmring.d1, the engine's order 1;
+    for p | n it is `engine`'s own D_n x, by the table or the digit step.  Any
+    other monomial is x^{p^k} * rest, x its first generator in the order g,
+    E, h and p^k the lowest base-p place of x's exponent: the Leibniz sum over
     p^k | r of (D_{r/p^k} x)^{p^k} D_{n-r}(rest)."""
     cfg, p = engine.cfg, engine.cfg.p
     i = next(i for i in (1, 0, 2) if mono[i])
     gen = "Egh"[i]
     if sum(mono) == 1:
+        if n % p == 0:
+            return engine.d_generator(gen, n)
         return _d1_by_partials(engine.d_generator(gen, n - 1)).scale_int(pow(n, p - 2, p))
     k = 0
     while mono[i] % p**(k + 1) == 0:
@@ -817,6 +821,23 @@ def test_the_d1_step_matches_the_leibniz_rule(q):
             for mono in monos:
                 f = QmPoly.monomial(cfg, *mono)
                 assert engine.derive(f, n) == _leibniz_reference(reference, mono, n), (mono, n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_the_transport_matches_the_leibniz_rule(q):
+    # every monomial of weight <= 26 at every order p | n <= min(limit, 48),
+    # where every monomial but a generator is transported, against the
+    # Leibniz peel of a reference engine; its generator factors come from
+    # the table and the digit step, so the smallest monomial at the lowest
+    # order that the transport gets wrong has every factor right
+    cfg = FieldConfig.from_q(q)
+    engine, reference = DerivationEngine(cfg), DerivationEngine(cfg)
+    monos = [(a, b, c) for a in range(14) for b in range(27) for c in range(27)
+             if 0 < 2 * a + (q - 1) * b + (q + 1) * c <= 26]
+    for n in range(cfg.p, min(engine.limit, 48) + 1, cfg.p):
+        for mono in monos:
+            f = QmPoly.monomial(cfg, *mono)
+            assert engine.derive(f, n) == _leibniz_reference(reference, mono, n), (mono, n)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
@@ -875,7 +896,7 @@ def test_d1_matches_the_partials_route(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
 def test_g_derivatives_vanish_unless_the_order_is_0_or_1_mod_q(q):
-    # the premise of peeling g: its atom has fewer nonzero left factors
+    # the pattern of the table at n < q holds at every order checked
     engine = engine_for(q)
     for n in range(min(engine.limit, 130) + 1):
         if n % q not in (0, 1):
@@ -901,8 +922,9 @@ def test_warm_up_term_pairs_stay_at_the_g_peel_count(monkeypatch):
     """A q = 5 warm-up, every monomial of weight <= 20 at every order
     1 <= n <= 32 (orders outermost), multiplies at most 4,554 term pairs
     in the engine's kernel calls: at orders prime to p every monomial takes
-    the D_1 step, and at orders divisible by p the same-order lift, neither
-    of which makes a kernel call.  Without the lift it makes 18,696; with
+    the D_1 step, which makes no kernel call, and at orders divisible by p
+    the transport's only kernel calls build the E-free series (2,737 pairs).
+    A same-order lift with a Leibniz peel made 4,540; the peel alone 18,696;
     the lift of g-free monomials to higher orders in its place, 10,934.
     Without the D_1 step that lift and the g peel made 66,805, without the
     lift too 111,251, and an E-first peel without either 222,241."""
@@ -919,10 +941,12 @@ def test_warm_up_term_pairs_stay_at_the_g_peel_count(monkeypatch):
 
 def test_warm_up_frobenius_images_are_taken_once_per_atom_order(monkeypatch):
     """A q = 4 warm-up, every monomial of weight <= 20 at every order
-    1 <= n <= 31 (orders outermost), calls QmPoly.frobenius_pow at most 70
-    times: each atom x^{p^j} raises D_{n/p^j} x once, into its memo entry
-    D_n(x^{p^j}), and the peel reads that entry.  Raising the generator
-    derivative again in every peel that needs it made 2,792 calls."""
+    1 <= n <= 31 (orders outermost), calls QmPoly.frobenius_pow exactly 91
+    times: once per nonzero coefficient of the E-free series of a p-th power,
+    y^p from N(y) with X -> X^p, when that coefficient is first computed;
+    every later transport reads it from the engine's list.  Raising the
+    generator derivative again in every Leibniz peel that needed it made
+    2,792 calls."""
     cfg = FieldConfig.from_q(4)
     engine = DerivationEngine(cfg)
     calls = [0]
@@ -938,7 +962,9 @@ def test_warm_up_frobenius_images_are_taken_once_per_atom_order(monkeypatch):
     for n in range(1, 32):
         for mono in monos:
             engine.derive(QmPoly.monomial(cfg, *mono), n)
-    assert calls[0] <= 70
+    images = [x for mono, xs in engine._lists.items()
+              if sum(mono) > 1 and not any(e % cfg.p for e in mono) for x in xs if x.terms]
+    assert calls[0] == len(images) == 91
 
 
 def test_h_quotient_check_term_pairs_stay_at_one_inverse(monkeypatch):
@@ -1024,8 +1050,10 @@ def test_generator_table_rejects_an_unknown_name():
 
 def test_lifts_keep_frobenius_sparsity(monkeypatch):
     """D_{7k}((E^2 h)^7) = (D_k(E^2 h))^7 on a cold q = 7 engine, k <= 6, in
-    at most 125 term pairs (59 with these rules): E^14 h^7 has p | a, so it
-    is peeled by its E^7 atom, and lifting it instead makes 359."""
+    at most 125 term pairs: the transport of E^14 h^7 reads only i = 14, as
+    C(14, i) = 0 mod 7 unless 7 | i and N(E^7 h^7) starts at X^49, and
+    N(h^7) is the Frobenius image of N(h), so no kernel call is made.
+    Peeling the E^7 atom made 53, and a same-order lift 359."""
     cfg = FieldConfig.from_q(7)
     engine = DerivationEngine(cfg)
     counted = _count_term_pairs(monkeypatch)
@@ -1036,15 +1064,35 @@ def test_lifts_keep_frobenius_sparsity(monkeypatch):
 
 
 def _zero_test_by_loop(a, c, n, q, p):
-    """The binomial zero test of E^a h^c at order n, j by j."""
+    """The binomial zero test of E^a h^c at order n, j by j: D_j E = E^{j+1}
+    and D_j h = E^j h for j < q give D_j(E^{a-j} h^c) = C(a+c-1, j) E^a h^c,
+    so by iterativity C(a+c-1, j) D_n(E^a h^c) = C(n+j, j) D_{n+j}(E^{a-j} h^c),
+    and D_n(E^a h^c) = 0 if some 1 <= j <= min(a, q-1) has C(a+c-1, j) != 0
+    and C(n+j, j) = 0 mod p."""
     return any(binom_mod_p(a + c - 1, j, p) and not binom_mod_p(n + j, j, p)
                for j in range(1, min(a, q - 1) + 1))
+
+
+def _zero_test_by_digits(a, c, n, q, p):
+    """The same test from base-p digits: by Lucas C(A, j) != 0 (A = a + c - 1)
+    iff every digit of j is at most A's, and by Kummer C(n+j, j) = 0 iff
+    adding j to n carries, so the least such j is (p - n_t) p^t over the
+    places t with A_t + n_t >= p."""
+    A, bound, pt = a + c - 1, min(a, q - 1), 1
+    while pt <= bound:
+        if A % p + n % p >= p and (p - n % p) * pt <= bound:
+            return True
+        A, n, pt = A // p, n // p, pt * p
+    return False
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27, 499], ids=lambda q: f"q{q}")
 def test_the_digit_zero_test_matches_the_binomial_loop(q):
     # every a, c <= 2q at every order up to the limit p q^2 - 1 for q <= 9,
-    # seeded random (a, c, n) over the whole range beyond
+    # seeded random (a, c, n) over the whole range beyond; and the engine
+    # derives 0 wherever the test fires, for a, c <= 2q at n <= min(limit, 48)
+    # (q <= 9) and for a, c <= 3 at n <= 2q (q = 499; no modulus of F_25 or
+    # F_27 is shipped)
     p = next(d for d in range(2, q + 1) if q % d == 0)
     limit = p * q * q - 1
     if q <= 9:
@@ -1055,16 +1103,52 @@ def test_the_digit_zero_test_matches_the_binomial_loop(q):
         cases = [(rng.randint(1, 3 * q), rng.randint(0, 3 * q), rng.randint(1, limit))
                  for _ in range(400)]
     for a, c, n in cases:
-        got = hyperd._binomial_zero_test(a + c - 1, n, min(a, q - 1), p)
-        assert got == _zero_test_by_loop(a, c, n, q, p), (a, c, n)
+        assert _zero_test_by_digits(a, c, n, q, p) == _zero_test_by_loop(a, c, n, q, p), (a, c, n)
+    if q in (25, 27):
+        return
+    cfg = FieldConfig.from_q(q)
+    engine = DerivationEngine(cfg)
+    top, n_max = (2 * q, min(limit, 48)) if q <= 9 else (3, 2 * q)
+    fired = [(a, c, n) for a in range(1, top + 1) for c in range(top + 1)
+             for n in range(1, n_max + 1) if _zero_test_by_digits(a, c, n, q, p)]
+    assert fired
+    for a, c, n in fired:
+        assert engine.derive(QmPoly.monomial(cfg, a, 0, c), n).is_zero(), (a, c, n)
 
 
 def test_a_long_lift_chain_stays_within_the_recursion_limit():
-    # q = 499: D_499(E^498 h) lifts through E^497 h, ..., E h to the table
-    # row D_499 h at one stack frame per level, so its 498 levels fit in the
-    # interpreter's default recursion limit of 1000
+    # q = 499: D_499(E^498 h) is transported from N(E h) and N(h) through
+    # X^499 alone, since N(E^{498-i} h) starts at X^{499(498-i)}; a same-order
+    # lift went through E^497 h, ..., E h at one stack frame per level
     cfg = FieldConfig.from_q(499)
     engine = DerivationEngine(cfg)
     out = engine.derive(QmPoly.monomial(cfg, 498, 0, 1), 499)
     assert not out.is_zero()
     assert engine.check_memo_isobaric() == []
+
+
+# The sha256 over the lines "q a b c n D_n(E^a g^b h^c)" of the reach grid
+# below, in its order, derived by the older same-order lift and Leibniz peel
+# with the recursion limit raised in a thread with a 512 MB stack.  At the
+# default limit that route failed 41 of the inputs in this order with
+# RecursionError, and 47 when each input had a cold engine of its own.
+_REACH_GRID_SHA256 = "7cf1467e68cd70fd53eb7e1da2c528bb25d28482a2be523c33d1ac26be8b039b"
+
+
+def test_the_reach_grid_derives_at_the_default_recursion_limit():
+    # q in {251, 499}, a in {p - 1, p - 2, p//2, 2, 1}, b in {0, 1, 3},
+    # c in {0, 1, 2} and n in {p - 1, p, 2p, p + p//2}: 360 inputs, one
+    # engine per field, the highest powers of E first, so the deepest
+    # derivations meet the emptiest memo
+    digest = hashlib.sha256()
+    for q in (251, 499):
+        cfg, p = FieldConfig.from_q(q), q
+        engine = DerivationEngine(cfg)
+        for a in (p - 1, p - 2, p // 2, 2, 1):
+            for b in (0, 1, 3):
+                for c in (0, 1, 2):
+                    for n in (p - 1, p, 2 * p, p + p // 2):
+                        out = engine.derive(QmPoly.monomial(cfg, a, b, c), n)
+                        digest.update(f"{q} {a} {b} {c} {n} {out}\n".encode())
+        assert engine.check_memo_isobaric() == []
+    assert digest.hexdigest() == _REACH_GRID_SHA256
