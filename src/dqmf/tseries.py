@@ -113,6 +113,8 @@ class TSeries:
 
 def _series(cfg, order: int, den: PolyT, nums: dict) -> TSeries:
     """The series nums/den; the caller guarantees the normal form."""
+    if order < 1:
+        raise ValueError("truncation order must be >= 1")
     s = object.__new__(TSeries)
     s.cfg, s.order, s.den, s.nums = cfg, order, den, nums
     return s

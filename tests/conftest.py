@@ -55,6 +55,15 @@ def _d(cfg, i):
     return RatT(cfg, d_power(i, 1, cfg))
 
 
+def _p_powers(cfg, bound):
+    """1, p, p^2, ... up to bound."""
+    out, v = [], 1
+    while v <= bound:
+        out.append(v)
+        v *= cfg.p
+    return out
+
+
 def expected_generator_value(cfg, gen, n):
     """The explicit generator tables (n < q and p-powers <= q^2), transcribed
     here independently of the package, which reads its own copy."""

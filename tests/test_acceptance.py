@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from dqmf.algebra import FieldConfig, RatT, binom_mod_p, d_power, power
+from dqmf.algebra import FieldConfig, RatT, binom_mod_p, power
 from dqmf.hyperd import depth_drop
 from dqmf.qmring import (
     QmPoly,
@@ -42,7 +42,7 @@ from dqmf.verify import (
     random_ratt,
 )
 
-from conftest import engine_for, expected_generator_value
+from conftest import _d, _inv_d, _p_powers, engine_for, expected_generator_value
 
 SEED = 20260808
 CASES_PER_FIELD = 200  # x 5 fields = 1000 randomized cases per property suite
@@ -56,22 +56,6 @@ def criterion(label):
         print(f"ACCEPTANCE {label}: FAIL")
         raise
     print(f"ACCEPTANCE {label}: PASS")
-
-
-def _inv_d(cfg, i, k):
-    return RatT(cfg, cfg.poly_one, d_power(i, k, cfg))
-
-
-def _d(cfg, i):
-    return RatT(cfg, d_power(i, 1, cfg))
-
-
-def _p_powers(cfg, bound):
-    out, v = [], 1
-    while v <= bound:
-        out.append(v)
-        v *= cfg.p
-    return out
 
 
 def _rng(q, salt):

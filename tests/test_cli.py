@@ -290,6 +290,9 @@ def test_cmd_verify_json_determinism(capsys):
         (["verify", "--q", "4", "--order", "0"], "truncation order must be >= 1"),
         (["verify", "--q", "4", "--order", "0", "--suite", "generator_tables"],
          "truncation order must be >= 1"),
+        (["expand", "--q", "4", "E", "0"], "truncation order must be >= 1"),
+        (["expand", "--q", "4", "E+1", "-3", "--n", "2"], "truncation order must be >= 1"),
+        (["expand", "--q", "4", "g", "0"], "truncation order must be >= 1"),
         (["verify", "--q", "4", "--n-max", "0"], "n_max must be >= 1"),
         (["verify", "--q", "4", "--n-max", "-3"], "n_max must be >= 1"),
         (["ideal", "--q", "5", "h", "--n-max", "0"], "n_max must be >= 1"),
@@ -333,7 +336,8 @@ def test_cmd_verify_json_determinism(capsys):
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
          "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check",
-         "order-below-leading-terms", "order-zero", "order-zero-one-check", "n-max-zero",
+         "order-below-leading-terms", "order-zero", "order-zero-one-check",
+         "expand-E-order-zero", "expand-negative-order", "expand-g-order-zero", "n-max-zero",
          "n-max-negative", "ideal-n-max-zero", "order-below-series-commutation",
          "e-zero", "e-negative", "p-not-prime", "q-and-p", "q-and-field-file",
          "p-and-field-file", "e-without-p", "modulus-without-p", "e-alone", "empty-suite",

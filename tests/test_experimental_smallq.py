@@ -13,7 +13,7 @@ from dqmf.qmring import QmPoly
 from dqmf.tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive
 from dqmf.verify import IdealId, check_hyperstable
 
-from conftest import SMALL_FIELDS, engine_for
+from conftest import SMALL_FIELDS, _p_powers, engine_for
 
 pytestmark = pytest.mark.experimental
 
@@ -21,14 +21,6 @@ pytestmark = pytest.mark.experimental
 @pytest.fixture(params=SMALL_FIELDS, ids=lambda q: f"q{q}")
 def qs(request):
     return request.param
-
-
-def _p_powers(cfg, bound):
-    out, v = [], 1
-    while v <= bound:
-        out.append(v)
-        v *= cfg.p
-    return out
 
 
 def test_series_confirms_tables_small_q(qs):

@@ -11,7 +11,7 @@ import pytest
 
 from dqmf import hyperd, verify
 from dqmf.algebra import (
-    FieldConfig, RatT, _coprime_parts, _den_pair, _den_product, binom_mod_p, d_power,
+    FieldConfig, RatT, _coprime_parts, _den_pair, _den_product, binom_mod_p,
 )
 from dqmf.hyperd import (
     _GENERATORS, DerivationEngine, OrderOutOfRange, depth_drop, generator_table,
@@ -22,6 +22,7 @@ from dqmf.qmring import (
     associated_polynomial,
     d1,
     grading,
+    monomial_signature,
     qm_basis,
     sum_of_products,
 )
@@ -29,12 +30,9 @@ from dqmf.suite import CHECKS, p_powers_upto, run_suite
 from dqmf.verify import random_isobaric
 
 from conftest import (
-    _ratio_of_linears, _reference_add, _reference_mul, engine_for, expected_generator_value,
+    _d, _inv_d, _ratio_of_linears, _reference_add, _reference_mul, engine_for,
+    expected_generator_value,
 )
-
-
-def _inv_d(cfg, i, k):
-    return RatT(cfg, cfg.poly_one, d_power(i, k, cfg))
 
 
 def test_engine_limit(engine, q):
@@ -71,7 +69,7 @@ def test_prime_field_systems_verbatim():
         mono = QmPoly.monomial
         d1_inv = _inv_d(cfg, 1, 1)
         d2_inv = _inv_d(cfg, 2, 1)
-        d1 = RatT(cfg, d_power(1, 1, cfg))
+        d1 = _d(cfg, 1)
         p = q
         assert eng.d_generator("E", p) == mono(cfg, p + 1, 0, 0) + mono(cfg, 0, 0, 2, d1_inv)
         assert eng.d_generator("g", p) == mono(cfg, p, 1, 0)
@@ -127,6 +125,13 @@ def test_stats_count_memo_entries_hits_and_misses():
                               "misses": third["misses"] + 1}
 
 
+def _monomials(q, w_max):
+    """Every E^a g^b h^c of weight 0 < 2a + (q-1)b + (q+1)c <= w_max, in
+    lexicographic order."""
+    return [(a, b, c) for a in range(w_max // 2 + 1) for b in range(w_max + 1)
+            for c in range(w_max + 1) if 0 < 2 * a + (q - 1) * b + (q + 1) * c <= w_max]
+
+
 def _isobaric_requests(cfg, rng, count, w_max=20, n_max=24):
     """Seeded multi-term isobaric elements with (a + bT)/(c + dT) coefficients,
     each with an order, built from the grading formula."""
@@ -135,8 +140,7 @@ def _isobaric_requests(cfg, rng, count, w_max=20, n_max=24):
     def sig(t):
         return 2 * t[0] + (q - 1) * t[1] + (q + 1) * t[2], (t[0] + t[2]) % (q - 1)
 
-    monos = [(a, b, c) for a in range(w_max // 2 + 1) for b in range(w_max // (q - 1) + 1)
-             for c in range(w_max // (q + 1) + 1) if 0 < sig((a, b, c))[0] <= w_max]
+    monos = _monomials(q, w_max)
     slices = {}
     for t in monos:
         slices.setdefault(sig(t), []).append(t)
@@ -448,8 +452,6 @@ def test_depth_drop_matches_generic_elements(engine, q):
     tried = 0
     while tried < 8:
         a, b, c = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
-        from dqmf.qmring import monomial_signature
-
         sig = monomial_signature(cfg, a, b, c)
         basis = qm_basis(sig.w, sig.m, a, cfg)
         if not basis or max(e[0] for e in basis) != a:
@@ -562,21 +564,8 @@ def test_derivative_mod_h_residue_all_i(engine, q):
 def test_kernel_contains_gp(engine, q):
     cfg = engine.cfg
     basis = engine.kernel_on_modular(cfg.p * (q - 1), 0, 0)
-    gp = QmPoly.monomial(cfg, 0, cfg.p, 0)
-    assert any(_proportional(v, gp) for v in basis)
-
-
-def _proportional(u, v):
-    if set(u.terms) != set(v.terms):
-        return False
-    ratio = None
-    for k, val in u.terms.items():
-        r = val * v.terms[k].inverse()
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
+    # some basis element is a nonzero multiple of g^p
+    assert any(set(v.terms) == {(0, cfg.p, 0)} for v in basis)
 
 
 def test_kernel_elements_are_p_powers(engine, q):
@@ -662,42 +651,6 @@ def test_digit_step_matches_the_older_composition(q):
             assert engine.d_generator(gen, n) == _composed_generator(composer, gen, n, memo), (gen, n)
 
 
-def _peeled_power(engine, x, m, n, memo):
-    """D_n(x^m) by the Leibniz rule on x^{p^k} * x^{m - p^k}, p^k the lowest
-    base-p place of m, peeling one p-power atom at a time with
-    D_r(x^{p^k}) = (D_{r/p^k} x)^{p^k}, zero unless p^k | r."""
-    cfg = engine.cfg
-    if m == 0:
-        return QmPoly.one(cfg) if n == 0 else QmPoly.zero(cfg)
-    key = (m, n)
-    if key in memo:
-        return memo[key]
-    p, k = cfg.p, 0
-    while m % p**(k + 1) == 0:
-        k += 1
-    out = QmPoly.zero(cfg)
-    for r in range(0, n + 1, p**k):
-        rest = _peeled_power(engine, x, m - p**k, n - r, memo)
-        if not rest.is_zero():
-            out = out + engine.d_generator(x, r // p**k).frobenius_pow(k) * rest
-    memo[key] = out
-    return out
-
-
-@pytest.mark.parametrize("q", [3, 5, 7, 9], ids=lambda q: f"q{q}")
-def test_squared_powers_match_the_peeled_convolution(q):
-    # every pure power x^m, 2 <= m <= 2(q - 1), whose E-free series are
-    # products of halves at orders divisible by p, against the Leibniz rule
-    cfg = FieldConfig.from_q(q)
-    peeler, engine = DerivationEngine(cfg), DerivationEngine(cfg)
-    for x, mono in (("E", (1, 0, 0)), ("g", (0, 1, 0)), ("h", (0, 0, 1))):
-        memo = {}
-        for m in range(2, 2 * (q - 1) + 1):
-            f = QmPoly.monomial(cfg, *(m * e for e in mono))
-            for n in range(min(engine.limit, 48) + 1):
-                assert engine.derive(f, n) == _peeled_power(peeler, x, m, n, memo), (x, m, n)
-
-
 @pytest.mark.parametrize("q", [5, 9], ids=lambda q: f"q{q}")
 def test_every_generator_order_up_to_the_limit(q):
     engine = DerivationEngine(FieldConfig.from_q(q))
@@ -736,63 +689,16 @@ def test_memo_check_names_what_is_wrong():
     ]
 
 
-def _E_peeled(engine, mono, n):
-    """D_n(E^a g^b h^c), a >= 1, by the Leibniz rule on E^{p^k} * rest, p^k
-    the lowest base-p place of a: the sum over p^k | r of
-    (D_{r/p^k} E)^{p^k} D_{n-r}(rest), each factor read from `engine`."""
-    cfg, p = engine.cfg, engine.cfg.p
-    a, b, c = mono
-    k = 0
-    while a % p**(k + 1) == 0:
-        k += 1
-    rest = QmPoly.monomial(cfg, a - p**k, b, c)
-    out = QmPoly.zero(cfg)
-    for r in range(0, n + 1, p**k):
-        out = out + engine.d_generator("E", r // p**k).frobenius_pow(k) * engine.derive(rest, n - r)
-    return out
-
-
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
-def test_peeling_g_matches_peeling_E(q):
-    # every E^a g^b h^c with a, b >= 1 up to the weight of E g^p, whose series
-    # has a p-th power factor g^p, so its Frobenius image is covered; the cap
-    # at weight 26 leaves E g^7 out at q = 7 only
-    cfg = FieldConfig.from_q(q)
-    engine, reference = DerivationEngine(cfg), DerivationEngine(cfg)
-    w_max = min(2 + cfg.p * (q - 1), 26)
-    monos = [(a, b, c) for a in range(1, w_max) for b in range(1, w_max) for c in range(w_max)
-             if 2 * a + (q - 1) * b + (q + 1) * c <= w_max]
-    for mono in monos:
-        f = QmPoly.monomial(cfg, *mono)
-        for n in range(min(engine.limit, 40) + 1):
-            assert engine.derive(f, n) == _E_peeled(reference, mono, n), (mono, n)
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
-def test_lifted_monomials_match_peeling_E(q):
-    # every E^a g^b h^c with p not dividing a up to weight 26 at every order
-    # p | n up to min(limit, 48), the g-free binomial zeros (b = 0) among
-    # them, where the transport reads N(E^{a-i} g^b h^c) for every i <= a
-    cfg = FieldConfig.from_q(q)
-    engine, reference = DerivationEngine(cfg), DerivationEngine(cfg)
-    monos = [(a, b, c) for a in range(1, 14) for b in range(27) for c in range(26 // (q + 1) + 1)
-             if a % cfg.p and 2 * a + (q - 1) * b + (q + 1) * c <= 26]
-    for mono in monos:
-        f = QmPoly.monomial(cfg, *mono)
-        for n in range(0, min(engine.limit, 48) + 1, cfg.p):
-            assert engine.derive(f, n) == _E_peeled(reference, mono, n), (mono, n)
-
-
-def _leibniz_reference(engine, mono, n):
+def _leibniz_reference(engine, mono, n, first="gEh"):
     """D_n(E^a g^b h^c), n >= 1, with every factor read from `engine`.  A
     generator x is, for p not dividing n, n^{-1} D_1(D_{n-1} x), D_1 taken by
     the chain rule (_d1_by_partials), not by qmring.d1, the engine's order 1;
     for p | n it is `engine`'s own D_n x, by the table or the digit step.  Any
-    other monomial is x^{p^k} * rest, x its first generator in the order g,
-    E, h and p^k the lowest base-p place of x's exponent: the Leibniz sum over
-    p^k | r of (D_{r/p^k} x)^{p^k} D_{n-r}(rest)."""
+    other monomial is x^{p^k} * rest, x its first generator in the order
+    `first` and p^k the lowest base-p place of x's exponent: the Leibniz sum
+    over p^k | r of (D_{r/p^k} x)^{p^k} D_{n-r}(rest)."""
     cfg, p = engine.cfg, engine.cfg.p
-    i = next(i for i in (1, 0, 2) if mono[i])
+    i = next(i for i in map("Egh".index, first) if mono[i])
     gen = "Egh"[i]
     if sum(mono) == 1:
         if n % p == 0:
@@ -807,57 +713,110 @@ def _leibniz_reference(engine, mono, n):
                                  for r, left in lefts if not left.is_zero()))
 
 
+def _match_the_leibniz_rule(q, monos, at, n_max=48, first="gEh"):
+    """Each monomial of `monos` at each order 1 <= n <= min(limit, n_max)
+    with at(n, p) equals _leibniz_reference on a second engine, peeling the
+    generators in the order `first`, and vanishes unless p^j | n for p^j the
+    highest p-power dividing all its exponents; every memo entry is isobaric."""
+    cfg = FieldConfig.from_q(q)
+    p = cfg.p
+    engine, reference = DerivationEngine(cfg), DerivationEngine(cfg)
+    for n in range(1, min(engine.limit, n_max) + 1):
+        if at(n, p):
+            for mono in monos:
+                out = engine.derive(QmPoly.monomial(cfg, *mono), n)
+                assert out == _leibniz_reference(reference, mono, n, first), (mono, n)
+                # a p^j-th power derives to 0 unless p^j | n (p^n does not divide n)
+                assert out.is_zero() or n % math.gcd(*mono, p**n) == 0, (mono, n)
+    assert engine.check_memo_isobaric() == []
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
 def test_the_d1_step_matches_the_leibniz_rule(q):
-    # every monomial of weight <= 26 at every order n <= min(limit, 48) with
-    # p not dividing n, where D_n = n^{-1} D_1(D_{n-1}) (the step), checked
-    # against a reference engine that derives its factors the same way
-    cfg = FieldConfig.from_q(q)
-    engine, reference = DerivationEngine(cfg), DerivationEngine(cfg)
-    monos = [(a, b, c) for a in range(14) for b in range(27) for c in range(27)
-             if 0 < 2 * a + (q - 1) * b + (q + 1) * c <= 26]
-    for n in range(1, min(engine.limit, 48) + 1):
-        if n % cfg.p:
-            for mono in monos:
-                f = QmPoly.monomial(cfg, *mono)
-                assert engine.derive(f, n) == _leibniz_reference(reference, mono, n), (mono, n)
+    # every monomial of weight <= 26 at every order prime to p, where
+    # D_n = n^{-1} D_1(D_{n-1}), against a reference engine that derives its
+    # factors the same way
+    _match_the_leibniz_rule(q, _monomials(q, 26), lambda n, p: n % p)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
 def test_the_transport_matches_the_leibniz_rule(q):
-    # every monomial of weight <= 26 at every order p | n <= min(limit, 48),
-    # where every monomial but a generator is transported, against the
-    # Leibniz peel of a reference engine; its generator factors come from
-    # the table and the digit step, so the smallest monomial at the lowest
-    # order that the transport gets wrong has every factor right
-    cfg = FieldConfig.from_q(q)
-    engine, reference = DerivationEngine(cfg), DerivationEngine(cfg)
-    monos = [(a, b, c) for a in range(14) for b in range(27) for c in range(27)
-             if 0 < 2 * a + (q - 1) * b + (q + 1) * c <= 26]
-    for n in range(cfg.p, min(engine.limit, 48) + 1, cfg.p):
-        for mono in monos:
-            f = QmPoly.monomial(cfg, *mono)
-            assert engine.derive(f, n) == _leibniz_reference(reference, mono, n), (mono, n)
+    # every monomial of weight <= 26 whose E exponent p divides (the others
+    # are in the lifted test) at every order p | n, where every monomial but
+    # a generator is transported; the reference's generator factors come
+    # from the table and the digit step, so the smallest monomial at the
+    # lowest order that the transport gets wrong has every factor right
+    p = FieldConfig.from_q(q).p
+    monos = [m for m in _monomials(q, 26) if m[0] % p == 0]
+    _match_the_leibniz_rule(q, monos, lambda n, p: n % p == 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_lifted_monomials_match_peeling_E(q):
+    # every monomial of weight <= 26 whose E exponent p does not divide, at
+    # every order p | n, where the transport reads N(E^{a-i} g^b h^c) for
+    # every i <= a, against the Leibniz split that peels E first
+    p = FieldConfig.from_q(q).p
+    monos = [m for m in _monomials(q, 26) if m[0] % p]
+    _match_the_leibniz_rule(q, monos, lambda n, p: n % p == 0, first="Egh")
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_peeling_g_matches_peeling_E(q):
+    # every E^a g^b h^c with a, b >= 1 up to the weight of E g^p (at most 26)
+    # at every order n <= 40 prime to p, against the split that peels E
+    # first; the D_1-step test checks them against the split that peels g
+    # first, and the two tests above cover the orders p | n
+    p = FieldConfig.from_q(q).p
+    monos = [m for m in _monomials(q, min(2 + p * (q - 1), 26)) if m[0] and m[1]]
+    _match_the_leibniz_rule(q, monos, lambda n, p: n % p, n_max=40, first="Egh")
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
 def test_atoms_match_the_leibniz_rule(q):
-    # every p-power atom x^{p^j}, j >= 1, of x in {E, g, h} with p^j <= 2q at
-    # every order n <= min(limit, 48), the zeros at p^j not dividing n among
-    # them, against the Leibniz sum of D_r(x) D_{n-r}(x^{p^j - 1}) with every
-    # factor read from a second engine
+    # every p-power atom x^{p^j}, j >= 1, of x in {E, g, h} with p^j <= 2q,
+    # above weight 26 too, at every order n <= min(limit, 48); it derives to
+    # 0 unless p^j | n
     cfg = FieldConfig.from_q(q)
-    engine, reference = DerivationEngine(cfg), DerivationEngine(cfg)
-    for gen, x in _GENERATORS.items():
-        for pj in p_powers_upto(cfg, 2 * q)[1:]:
-            atom = QmPoly.monomial(cfg, *(e * pj for e in x))
-            rest = QmPoly.monomial(cfg, *(e * (pj - 1) for e in x))
-            for n in range(min(engine.limit, 48) + 1):
-                expected = sum_of_products(cfg, ((reference.d_generator(gen, r),
-                                                  reference.derive(rest, n - r))
-                                                 for r in range(n + 1)))
-                assert engine.derive(atom, n) == expected, (gen, pj, n)
-                assert expected.is_zero() or n % pj == 0, (gen, pj, n)
+    atoms = [tuple(pj * e for e in x) for x in _GENERATORS.values()
+             for pj in p_powers_upto(cfg, 2 * q)[1:]]
+    _match_the_leibniz_rule(q, atoms, lambda n, p: True)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9], ids=lambda q: f"q{q}")
+def test_squared_powers_match_the_peeled_convolution(q):
+    # every pure power x^m, 2 <= m <= 2(q - 1), at every order
+    # n <= min(limit, 48); the reference peels x^{p^k}, p^k the lowest
+    # base-p place of m, one Leibniz convolution at a time
+    powers = [tuple(m * e for e in x) for x in _GENERATORS.values() for m in range(2, 2 * q - 1)]
+    _match_the_leibniz_rule(q, powers, lambda n, p: True)
+
+
+def _vanishes_by_iterativity(a, c, n, q, p):
+    """True if iterativity forces D_n(E^a h^c) = 0: D_j E = E^{j+1} and
+    D_j h = E^j h for j < q give D_j(E^{a-j} h^c) = C(a+c-1, j) E^a h^c, so
+    C(a+c-1, j) D_n(E^a h^c) = C(n+j, j) D_{n+j}(E^{a-j} h^c), and
+    D_n(E^a h^c) = 0 if some 1 <= j <= min(a, q-1) has C(a+c-1, j) != 0
+    and C(n+j, j) = 0 mod p."""
+    return any(binom_mod_p(a + c - 1, j, p) and not binom_mod_p(n + j, j, p)
+               for j in range(1, min(a, q - 1) + 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 499], ids=lambda q: f"q{q}")
+def test_the_digit_zero_test_matches_the_binomial_loop(q):
+    # the engine derives D_n(E^a h^c) = 0 wherever the binomial loop
+    # _vanishes_by_iterativity fires, by the D_1 step, the digit step and
+    # the transport, with no zero test of its own: a, c <= 2q at
+    # n <= min(limit, 48) for q <= 9, a, c <= 3 at n <= 2q for q = 499
+    cfg = FieldConfig.from_q(q)
+    engine = DerivationEngine(cfg)
+    top, n_max = (2 * q, min(engine.limit, 48)) if q <= 9 else (3, 2 * q)
+    fired = [(a, c, n) for a in range(1, top + 1) for c in range(top + 1)
+             for n in range(1, n_max + 1) if _vanishes_by_iterativity(a, c, n, q, cfg.p)]
+    assert fired
+    for a, c, n in fired:
+        assert engine.derive(QmPoly.monomial(cfg, a, 0, c), n).is_zero(), (a, c, n)
+    assert engine.check_memo_isobaric() == []
 
 
 def _partial(f, idx):
@@ -918,37 +877,36 @@ def _count_term_pairs(monkeypatch, modules=(hyperd,)):
     return counted
 
 
-def test_warm_up_term_pairs_stay_at_the_g_peel_count(monkeypatch):
-    """A q = 5 warm-up, every monomial of weight <= 20 at every order
-    1 <= n <= 32 (orders outermost), multiplies at most 4,554 term pairs
-    in the engine's kernel calls: at orders prime to p every monomial takes
-    the D_1 step, which makes no kernel call, and at orders divisible by p
-    the transport's only kernel calls build the E-free series (2,737 pairs).
-    A same-order lift with a Leibniz peel made 4,540; the peel alone 18,696;
-    the lift of g-free monomials to higher orders in its place, 10,934.
-    Without the D_1 step that lift and the g peel made 66,805, without the
-    lift too 111,251, and an E-first peel without either 222,241."""
-    cfg = FieldConfig.from_q(5)
+def _warm_up(cfg, n_max):
+    """A cold engine that has derived every monomial of weight <= 20 at
+    every order 1 <= n <= n_max, orders outermost."""
     engine = DerivationEngine(cfg)
-    counted = _count_term_pairs(monkeypatch)
-    monos = [(a, b, c) for a in range(11) for b in range(6) for c in range(4)
-             if 0 < 2 * a + 4 * b + 6 * c <= 20]
-    for n in range(1, 33):
+    monos = _monomials(cfg.q, 20)
+    for n in range(1, n_max + 1):
         for mono in monos:
             engine.derive(QmPoly.monomial(cfg, *mono), n)
-    assert sum(counted) <= 4_554
+    return engine
 
 
-def test_warm_up_frobenius_images_are_taken_once_per_atom_order(monkeypatch):
+def test_warm_up_term_pairs_are_the_e_free_series_products(monkeypatch):
+    """A q = 5 warm-up, every monomial of weight <= 20 at every order
+    1 <= n <= 32 (orders outermost), multiplies exactly 2,737 term pairs
+    in the engine's kernel calls, all in the Cauchy products that build the
+    E-free series: at orders prime to p every monomial takes the D_1 step,
+    which makes no kernel call, and the transport reads the series'
+    coefficients without a product."""
+    counted = _count_term_pairs(monkeypatch)
+    _warm_up(FieldConfig.from_q(5), 32)
+    assert sum(counted) == 2_737
+
+
+def test_warm_up_frobenius_images_are_taken_once_per_series_coefficient(monkeypatch):
     """A q = 4 warm-up, every monomial of weight <= 20 at every order
     1 <= n <= 31 (orders outermost), calls QmPoly.frobenius_pow exactly 91
     times: once per nonzero coefficient of the E-free series of a p-th power,
     y^p from N(y) with X -> X^p, when that coefficient is first computed;
-    every later transport reads it from the engine's list.  Raising the
-    generator derivative again in every Leibniz peel that needed it made
-    2,792 calls."""
-    cfg = FieldConfig.from_q(4)
-    engine = DerivationEngine(cfg)
+    every later transport reads it from the engine's list.  Raising a
+    generator derivative anew at each use made 2,792 calls."""
     calls = [0]
     frobenius_pow = QmPoly.frobenius_pow
 
@@ -957,13 +915,9 @@ def test_warm_up_frobenius_images_are_taken_once_per_atom_order(monkeypatch):
         return frobenius_pow(self, k)
 
     monkeypatch.setattr(QmPoly, "frobenius_pow", counting)
-    monos = [(a, b, c) for a in range(11) for b in range(7) for c in range(5)
-             if 0 < 2 * a + 3 * b + 5 * c <= 20]
-    for n in range(1, 32):
-        for mono in monos:
-            engine.derive(QmPoly.monomial(cfg, *mono), n)
+    engine = _warm_up(FieldConfig.from_q(4), 31)
     images = [x for mono, xs in engine._lists.items()
-              if sum(mono) > 1 and not any(e % cfg.p for e in mono) for x in xs if x.terms]
+              if sum(mono) > 1 and not any(e % engine.cfg.p for e in mono) for x in xs if x.terms]
     assert calls[0] == len(images) == 91
 
 
@@ -1003,18 +957,12 @@ def test_battery_rat_products_stay_at_the_memo_copy_count(monkeypatch):
 
 
 def test_warm_up_rat_products_stay_at_the_memo_copy_count(monkeypatch):
-    """The q = 5 warm-up of test_warm_up_term_pairs_stay_at_the_g_peel_count
+    """The q = 5 warm-up of test_warm_up_term_pairs_are_the_e_free_series_products
     makes at most 47 RatT products: each request is one monomial with
     coefficient 1, so derive copies the memo entry's coefficients.  Multiplying
     every memo coefficient by 1 made 10,853."""
-    cfg = FieldConfig.from_q(5)
-    engine = DerivationEngine(cfg)
     calls = _count_rat_products(monkeypatch)
-    monos = [(a, b, c) for a in range(11) for b in range(6) for c in range(4)
-             if 0 < 2 * a + 4 * b + 6 * c <= 20]
-    for n in range(1, 33):
-        for mono in monos:
-            engine.derive(QmPoly.monomial(cfg, *mono), n)
+    _warm_up(FieldConfig.from_q(5), 32)
     assert calls[0] <= 47
 
 
@@ -1048,78 +996,25 @@ def test_generator_table_rejects_an_unknown_name():
     assert str(generator_table(cfg, "h", 1)) == "E h"
 
 
-def test_lifts_keep_frobenius_sparsity(monkeypatch):
-    """D_{7k}((E^2 h)^7) = (D_k(E^2 h))^7 on a cold q = 7 engine, k <= 6, in
-    at most 125 term pairs: the transport of E^14 h^7 reads only i = 14, as
-    C(14, i) = 0 mod 7 unless 7 | i and N(E^7 h^7) starts at X^49, and
-    N(h^7) is the Frobenius image of N(h), so no kernel call is made.
-    Peeling the E^7 atom made 53, and a same-order lift 359."""
+def test_the_transport_of_a_pth_power_makes_no_kernel_call(monkeypatch):
+    """D_{7k}((E^2 h)^7) = (D_k(E^2 h))^7 on a cold q = 7 engine, k <= 6,
+    with no kernel call: the D_1 step makes none for D_k(E^2 h), and the
+    transport of E^14 h^7 reads only i = 14, as C(14, i) = 0 mod 7 unless
+    7 | i and N(E^7 h^7) starts at X^49, where N(h^7) is the Frobenius
+    image of N(h)."""
     cfg = FieldConfig.from_q(7)
     engine = DerivationEngine(cfg)
     counted = _count_term_pairs(monkeypatch)
     x = QmPoly.monomial(cfg, 2, 0, 1)
     for k in range(7):
         assert engine.derive(x.frobenius_pow(1), 7 * k) == engine.derive(x, k).frobenius_pow(1)
-    assert sum(counted) <= 125
-
-
-def _zero_test_by_loop(a, c, n, q, p):
-    """The binomial zero test of E^a h^c at order n, j by j: D_j E = E^{j+1}
-    and D_j h = E^j h for j < q give D_j(E^{a-j} h^c) = C(a+c-1, j) E^a h^c,
-    so by iterativity C(a+c-1, j) D_n(E^a h^c) = C(n+j, j) D_{n+j}(E^{a-j} h^c),
-    and D_n(E^a h^c) = 0 if some 1 <= j <= min(a, q-1) has C(a+c-1, j) != 0
-    and C(n+j, j) = 0 mod p."""
-    return any(binom_mod_p(a + c - 1, j, p) and not binom_mod_p(n + j, j, p)
-               for j in range(1, min(a, q - 1) + 1))
-
-
-def _zero_test_by_digits(a, c, n, q, p):
-    """The same test from base-p digits: by Lucas C(A, j) != 0 (A = a + c - 1)
-    iff every digit of j is at most A's, and by Kummer C(n+j, j) = 0 iff
-    adding j to n carries, so the least such j is (p - n_t) p^t over the
-    places t with A_t + n_t >= p."""
-    A, bound, pt = a + c - 1, min(a, q - 1), 1
-    while pt <= bound:
-        if A % p + n % p >= p and (p - n % p) * pt <= bound:
-            return True
-        A, n, pt = A // p, n // p, pt * p
-    return False
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25, 27, 499], ids=lambda q: f"q{q}")
-def test_the_digit_zero_test_matches_the_binomial_loop(q):
-    # every a, c <= 2q at every order up to the limit p q^2 - 1 for q <= 9,
-    # seeded random (a, c, n) over the whole range beyond; and the engine
-    # derives 0 wherever the test fires, for a, c <= 2q at n <= min(limit, 48)
-    # (q <= 9) and for a, c <= 3 at n <= 2q (q = 499; no modulus of F_25 or
-    # F_27 is shipped)
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    limit = p * q * q - 1
-    if q <= 9:
-        cases = [(a, c, n) for a in range(1, 2 * q + 1) for c in range(2 * q + 1)
-                 for n in range(limit + 1)]
-    else:
-        rng = random.Random(f"zero-test:{q}")
-        cases = [(rng.randint(1, 3 * q), rng.randint(0, 3 * q), rng.randint(1, limit))
-                 for _ in range(400)]
-    for a, c, n in cases:
-        assert _zero_test_by_digits(a, c, n, q, p) == _zero_test_by_loop(a, c, n, q, p), (a, c, n)
-    if q in (25, 27):
-        return
-    cfg = FieldConfig.from_q(q)
-    engine = DerivationEngine(cfg)
-    top, n_max = (2 * q, min(limit, 48)) if q <= 9 else (3, 2 * q)
-    fired = [(a, c, n) for a in range(1, top + 1) for c in range(top + 1)
-             for n in range(1, n_max + 1) if _zero_test_by_digits(a, c, n, q, p)]
-    assert fired
-    for a, c, n in fired:
-        assert engine.derive(QmPoly.monomial(cfg, a, 0, c), n).is_zero(), (a, c, n)
+    assert counted == []
 
 
 def test_a_long_lift_chain_stays_within_the_recursion_limit():
     # q = 499: D_499(E^498 h) is transported from N(E h) and N(h) through
-    # X^499 alone, since N(E^{498-i} h) starts at X^{499(498-i)}; a same-order
-    # lift went through E^497 h, ..., E h at one stack frame per level
+    # X^499 alone, since N(E^{498-i} h) starts at X^{499(498-i)}; a cold
+    # engine derives it with no chain through E^497 h, ..., E h
     cfg = FieldConfig.from_q(499)
     engine = DerivationEngine(cfg)
     out = engine.derive(QmPoly.monomial(cfg, 498, 0, 1), 499)
@@ -1128,10 +1023,9 @@ def test_a_long_lift_chain_stays_within_the_recursion_limit():
 
 
 # The sha256 over the lines "q a b c n D_n(E^a g^b h^c)" of the reach grid
-# below, in its order, derived by the older same-order lift and Leibniz peel
-# with the recursion limit raised in a thread with a 512 MB stack.  At the
-# default limit that route failed 41 of the inputs in this order with
-# RecursionError, and 47 when each input had a cold engine of its own.
+# below, in its order, as the rules before the transport derived them in a
+# thread with a 512 MB stack and a raised recursion limit; at the default
+# limit they failed 41 of these inputs (47 with a cold engine per input).
 _REACH_GRID_SHA256 = "7cf1467e68cd70fd53eb7e1da2c528bb25d28482a2be523c33d1ac26be8b039b"
 
 

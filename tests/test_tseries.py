@@ -30,20 +30,12 @@ from dqmf.tseries import (
 from dqmf.tseries import _monic_polys, _monomial, _sum_of_products
 from dqmf.verify import random_ratt
 
-from conftest import random_fraction
+from conftest import _d, _inv_d, random_fraction
 
 
 def _pow(s, n):
     """The series s^n by square-and-multiply."""
     return power(s, n, TSeries.one(s.cfg, s.order))
-
-
-def _inv_d(cfg, i, k):
-    return RatT(cfg, cfg.poly_one, d_power(i, k, cfg))
-
-
-def _d(cfg, i):
-    return RatT(cfg, d_power(i, 1, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +205,18 @@ def test_expand_E_leading_terms(cfg, q):
 def test_expand_E_coefficients_in_A(cfg):
     E = expand_E(cfg, cfg.q**2 + cfg.q + 2)
     assert all(v.den.is_one() for v in E.terms.values())
+
+
+def test_expansions_reject_an_order_below_1(cfg):
+    # every raw series, a sum of products among them, is built by one
+    # constructor, which checks the order
+    E_plus_1 = QmPoly.gen_E(cfg) + QmPoly.one(cfg)
+    for N in (0, -3):
+        for build in (expand_E, expand_g, expand_h, TSeries.one):
+            with pytest.raises(ValueError, match="truncation order must be >= 1"):
+                build(cfg, N)
+        with pytest.raises(ValueError, match="truncation order must be >= 1"):
+            evaluate(E_plus_1, N)
 
 
 def test_expand_E_bootstrap_recursion(cfg, q):
