@@ -49,7 +49,10 @@ of one monomial are then added, all by RatT constructors and operators,
 so the result is canonical.
 
 A single engine instance keeps one memo keyed by (monomial, order), and
-the E-free lists keyed by monomial.  ``stats()`` counts the memo's entries
+the E-free lists keyed by monomial.  Both store through the engine's table
+(num, den) -> RatT and its one empty QmPoly, so each coefficient value and
+zero exists once: safe, since RatT and PolyT are never mutated and results
+leave the engine as copies.  ``stats()`` counts the memo's entries
 and the hits and misses of its lookups, a list's reads of generator entries
 among them, and ``check_memo_isobaric()`` lists every entry D_n(m) whose
 weight, type or depth is not the one n shifts m's to; ``dqmf verify``
@@ -158,6 +161,8 @@ class DerivationEngine:
         self._memo: dict = {}  # (monomial, order) -> D_order of that monomial
         self._hits = self._misses = 0  # lookups of _memo in _derive_monomial
         self._lists: dict = {}  # monomial -> [N_0, N_1, ...] of the module docstring
+        self._values: dict = {}  # (num.c, den.c) -> this engine's one RatT of that value
+        self._empty = QmPoly(cfg)  # this engine's one zero memo entry and zero list row
 
     def _check_order(self, n: int):
         if n < 0 or n > self.limit:
@@ -173,6 +178,13 @@ class DerivationEngine:
             raise ValueError(f"unknown generator {gen!r}")
         self._check_order(n)
         return self._derive_monomial(_GENERATORS[gen], n).scale(self.cfg.rat_one)
+
+    def _intern(self, x: QmPoly) -> QmPoly:
+        """x, a fresh element, with each coefficient this engine's one RatT of its value."""
+        if not x.terms:
+            return self._empty
+        x.terms = {k: self._values.setdefault((v.num.c, v.den.c), v) for k, v in x.terms.items()}
+        return x
 
     def _derive_monomial(self, mono: tuple, n: int) -> QmPoly:
         """D_n(E^a g^b h^c) by the rule of the module docstring for n and mono."""
@@ -199,7 +211,7 @@ class DerivationEngine:
             # C(n, p^k) = digit, so D_n = digit^{-1} D_{p^k} o D_{n - p^k}
             prev = self._derive_monomial(mono, n - p**k)
             out = self.derive(prev, p**k).scale_int(pow(digit, p - 2, p))
-        self._memo[key] = out
+        self._memo[key] = out = self._intern(out)
         return out
 
     def _transport(self, mono: tuple, n: int) -> QmPoly:
@@ -231,13 +243,13 @@ class DerivationEngine:
         out = self._lists.setdefault(mono, [])
         if sum(mono) <= 1:
             while len(out) <= n:
-                out.append(self._derive_monomial(mono, len(out)).kill("E"))
+                out.append(self._intern(self._derive_monomial(mono, len(out)).kill("E")))
         elif not any(e % p for e in mono):  # y^p: X -> X^p, coefficients Frobenius
             y = self._series(tuple(e // p for e in mono), n // p)
             while len(out) <= n:
                 m = len(out)
-                x = y[m // p]
-                out.append(x.frobenius_pow(1) if m % p == 0 and x.terms else QmPoly.zero(cfg))
+                x = y[m // p] if m % p == 0 else self._empty
+                out.append(self._intern(x.frobenius_pow(1)) if x.terms else self._empty)
         elif len(out) <= n:
             low = tuple(e % p for e in mono)
             if low == mono:  # halves; E g, E h, g h and E g h split off their first generator
@@ -248,7 +260,7 @@ class DerivationEngine:
                 m = len(out)
                 pairs = [(left[j], right[m - j]) for j in range(m + 1)
                          if left[j].terms and right[m - j].terms]
-                out.append(sum_of_products(cfg, pairs) if pairs else QmPoly.zero(cfg))
+                out.append(self._intern(sum_of_products(cfg, pairs)) if pairs else self._empty)
         return out
 
     def derive(self, f: QmPoly, n: int) -> QmPoly:

@@ -297,6 +297,20 @@ def test_mutating_a_result_does_not_reach_the_memo(q):
     expected = str(g)
     engine.derive(g, 0).terms.clear()
     assert str(g) == expected and engine.derive(g, 0) == g
+    # every zero memo entry and list row is the engine's one empty value:
+    # writing into or clearing the result of a monomial whose entry is zero
+    # (D_2 g), or nonzero (D_1 E g), reaches no entry and no row
+    def stored():
+        return (sorted((k, str(x)) for k, x in engine._memo.items()),
+                sorted((k, [str(x) for x in xs]) for k, xs in engine._lists.items()))
+
+    assert engine.derive(QmPoly.gen_g(cfg), 2).is_zero() and not engine.derive(Eg, 1).is_zero()
+    zeros = [x for x in engine._memo.values() if x.is_zero()]
+    expected = stored()
+    for f, n in ((QmPoly.gen_g(cfg), 2), (Eg, 1)):
+        engine.derive(f, n).terms[(0, 0, 0)] = v
+        engine.derive(f, n).terms.clear()
+    assert all(x.is_zero() for x in zeros) and stored() == expected
 
 
 def test_derive_rejects_an_element_of_another_field():
@@ -886,6 +900,20 @@ def _warm_up(cfg, n_max):
         for mono in monos:
             engine.derive(QmPoly.monomial(cfg, *mono), n)
     return engine
+
+
+@pytest.mark.parametrize("q, n_max", [(4, 31), (7, 32)], ids=["q4", "q7"])
+def test_the_engine_stores_one_copy_of_each_coefficient_value(q, n_max):
+    """After a warm-up the memo and the E-free lists hold one RatT object per
+    coefficient value (num, den), and every zero memo entry or list row is
+    one object, the engine's empty value."""
+    engine = _warm_up(FieldConfig.from_q(q), n_max)
+    memo = list(engine._memo.values())
+    rows = [x for xs in engine._lists.values() for x in xs]
+    coeffs = [v for x in memo + rows for v in x.terms.values()]
+    assert len({id(v) for v in coeffs}) == len({(v.num.c, v.den.c) for v in coeffs}) < len(coeffs)
+    assert {id(x) for x in memo + rows if x.is_zero()} == {id(engine._empty)}
+    assert any(x.is_zero() for x in memo) and any(x.is_zero() for x in rows)
 
 
 def test_warm_up_term_pairs_are_the_e_free_series_products(monkeypatch):
