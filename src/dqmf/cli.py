@@ -15,8 +15,8 @@ import json
 import sys
 
 from .algebra import FieldConfig, PolyT, RatT
-from .hyperd import _GENERATORS, DerivationEngine
-from .qmring import NotIsobaric, QmPoly, grading, qm_basis
+from .hyperd import DerivationEngine
+from .qmring import GENERATORS, NotIsobaric, QmPoly, grading, qm_basis
 from .suite import run_suite
 from .tseries import TSeries, evaluate, hyper_derive
 from .verify import IDEAL_TAGS, IdealId, check_hyperstable
@@ -152,10 +152,10 @@ class _Parser:
     def atom(self):
         cfg = self.cfg
         t = self.take()
-        if t in _GENERATORS:
+        if t in GENERATORS:
             if self.constant:
                 raise ParseError(f"generator {t} where a constant is expected")
-            return QmPoly.monomial(cfg, *_GENERATORS[t])
+            return QmPoly.monomial(cfg, *GENERATORS[t])
         if t == "T":
             return QmPoly.from_scalar(cfg, RatT(cfg, cfg.poly_T))
         if isinstance(t, int):
@@ -234,7 +234,7 @@ def _field_from_args(args) -> FieldConfig:
     if args.q is not None:
         return FieldConfig.from_q(args.q)
     if args.p is not None:
-        modulus = FieldConfig.parse_coefficients(args.modulus) if args.modulus else None
+        modulus = FieldConfig.parse_coefficients(args.modulus) if args.modulus is not None else None
         return FieldConfig(args.p, 1 if args.e is None else args.e, modulus)
     raise ValueError("specify a field with --q, --p/--e/--modulus, or --field-file")
 

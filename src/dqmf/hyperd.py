@@ -66,7 +66,7 @@ from __future__ import annotations
 
 from .algebra import FieldConfig, RatT, binom_mod_p, d_rat, linear_solve
 from .qmring import (
-    NotIsobaric, QmPoly, associated_polynomial, d1, grading, modular_basis,
+    GENERATORS, NotIsobaric, QmPoly, associated_polynomial, d1, grading, modular_basis,
     monomial_signature, sum_of_products,
 )
 
@@ -88,9 +88,6 @@ def depth_drop(w: int, l: int, n: int, p: int) -> bool:
     return binom_mod_p(w - l + n - 1, n, p) == 0
 
 
-_GENERATORS = {"E": (1, 0, 0), "g": (0, 1, 0), "h": (0, 0, 1)}
-
-
 def _lowest_digit(n: int, p: int):
     """(c, k) for the lowest nonzero base-p digit c of n >= 1, at place p^k."""
     k = 0
@@ -102,7 +99,7 @@ def _lowest_digit(n: int, p: int):
 
 def generator_table(cfg: FieldConfig, gen: str, n: int) -> QmPoly:
     """The paper's explicit D_n of a generator, for n < q and p-powers n <= q^2."""
-    if gen not in _GENERATORS:
+    if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
     p, q = cfg.p, cfg.q
     mono = QmPoly.monomial
@@ -174,10 +171,10 @@ class DerivationEngine:
 
     def d_generator(self, gen: str, n: int) -> QmPoly:
         """D_n of a single generator, any 0 <= n <= limit, as a copy of the memo entry."""
-        if gen not in _GENERATORS:
+        if gen not in GENERATORS:
             raise ValueError(f"unknown generator {gen!r}")
         self._check_order(n)
-        return self._derive_monomial(_GENERATORS[gen], n).scale(self.cfg.rat_one)
+        return self._derive_monomial(GENERATORS[gen], n).scale(self.cfg.rat_one)
 
     def _intern(self, x: QmPoly) -> QmPoly:
         """x, a fresh element, with each coefficient this engine's one RatT of its value."""

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from .algebra import FieldConfig, PolyT, RatT, _den_product, binom_mod_p, power
 
 __all__ = [
+    "GENERATORS",
     "QmPoly",
     "GradingSignature",
     "NotIsobaric",
@@ -39,6 +40,8 @@ __all__ = [
     "d1",
     "sum_of_products",
 ]
+
+GENERATORS = {"E": (1, 0, 0), "g": (0, 1, 0), "h": (0, 0, 1)}  # name -> (a, b, c) of E^a g^b h^c
 
 
 class NotIsobaric(ValueError):

@@ -14,7 +14,7 @@ import random
 
 from .algebra import d_rat
 from .hyperd import DerivationEngine, generator_table
-from .qmring import QmPoly, associated_polynomial
+from .qmring import GENERATORS, QmPoly, associated_polynomial
 from .tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive, nu_infinity
 from .verify import (
     IdealId,
@@ -71,7 +71,7 @@ def _check_generator_tables(cfg, engine, rng, n_max, order):
     # oracle by series_commutation
     powers = p_powers_upto(cfg, cfg.q)[1:]
     bad = []
-    for gen in ("E", "g", "h"):
+    for gen in GENERATORS:
         for n in range(cfg.q):
             if n not in powers and engine.d_generator(gen, n) != generator_table(cfg, gen, n):
                 bad.append((gen, n))
@@ -80,7 +80,7 @@ def _check_generator_tables(cfg, engine, rng, n_max, order):
 
 def _check_series_commutation(cfg, engine, rng, n_max, order):
     N = _series_order(cfg, order)
-    gens = {"E": QmPoly.gen_E(cfg), "g": QmPoly.gen_g(cfg), "h": QmPoly.gen_h(cfg)}
+    gens = {x: QmPoly.monomial(cfg, *mono) for x, mono in GENERATORS.items()}
     series = {"E": expand_E(cfg, N), "g": expand_g(cfg, N), "h": expand_h(cfg, N)}
     bad = []
     for name, f in gens.items():

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .algebra import PolyT, RatT, binom_mod_p
 from .hyperd import DerivationEngine
-from .qmring import QmPoly, grading, monomial_signature, qm_basis, sum_of_products
+from .qmring import GENERATORS, QmPoly, grading, monomial_signature, qm_basis, sum_of_products
 
 __all__ = [
     "IDEAL_TAGS",
@@ -60,12 +60,12 @@ class IdealId:
             raise ValueError("the maximal ideal requires a parameter c")
 
     def generators(self, cfg):
+        if self.tag in _KILLED:
+            return [QmPoly.monomial(cfg, *GENERATORS[x]) for x in _KILLED[self.tag]]
         E, g, h = QmPoly.gen_E(cfg), QmPoly.gen_g(cfg), QmPoly.gen_h(cfg)
         if self.tag == "Pd":
             return [h, QmPoly.monomial(cfg, cfg.q - 1, 0, 0) - g.scale(self.param)]
-        if self.tag == "max":
-            return [E, g - QmPoly.from_scalar(cfg, self.param), h]
-        return [{"E": E, "g": g, "h": h}[x] for x in _KILLED[self.tag]]
+        return [E, g - QmPoly.from_scalar(cfg, self.param), h]  # max
 
     def describe(self):
         if self.param is not None:

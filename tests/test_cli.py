@@ -330,6 +330,8 @@ def test_cmd_verify_json_determinism(capsys):
          "bad-modulus.cfg: modulus = '1 x 1' is not a list of integers"),
         (["field", "--p", "3", "--e", "2", "--modulus", "1 x 1"],
          "modulus '1 x 1' is not a list of integers"),
+        # an empty modulus is a modulus of no degree, not the shipped default
+        (["field", "--p", "3", "--e", "2", "--modulus", ""], "modulus must have degree exactly e"),
         # the D_1 chain of D_498, one frame per order down to 0, outgrows the
         # recursion limit that the test lowers for this case
         (["derive", "--p", "499", "E^497 g h", "498"], "maximum recursion depth exceeded"),
@@ -345,7 +347,7 @@ def test_cmd_verify_json_determinism(capsys):
          "basis-negative-weight", "basis-negative-depth", "negative-exponent",
          "parenthesized-exponent", "empty-coordinate-tuple", "non-integer-coordinate",
          "non-integer-p-in-file", "non-integer-modulus-in-file", "non-integer-modulus",
-         "recursion-too-deep"],
+         "empty-modulus", "recursion-too-deep"],
 )
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")

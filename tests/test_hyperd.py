@@ -1,5 +1,8 @@
-"""Engine tests: generator tables, Leibniz/iterativity/Frobenius laws,
-depth drop, the depth-polynomial transport, residues and kernels."""
+"""Engine tests: the D_1 step, the digit step and the depth transport
+against test-owned references, depth drop, the depth-polynomial transport,
+residues, kernels and the memo.  The paper's generator tables and its laws
+on random elements (iterativity, Leibniz, Frobenius, the grading, the depth
+drop and the dual route) are criteria 1 and 4 of the acceptance gate."""
 
 import hashlib
 import math
@@ -13,26 +16,19 @@ from dqmf import hyperd, verify
 from dqmf.algebra import (
     FieldConfig, RatT, _coprime_parts, _den_pair, _den_product, binom_mod_p,
 )
-from dqmf.hyperd import (
-    _GENERATORS, DerivationEngine, OrderOutOfRange, depth_drop, generator_table,
-)
+from dqmf.hyperd import DerivationEngine, OrderOutOfRange, depth_drop, generator_table
 from dqmf.qmring import (
+    GENERATORS,
     NotIsobaric,
     QmPoly,
     associated_polynomial,
     d1,
-    grading,
-    monomial_signature,
-    qm_basis,
     sum_of_products,
 )
 from dqmf.suite import CHECKS, p_powers_upto, run_suite
 from dqmf.verify import random_isobaric
 
-from conftest import (
-    _d, _inv_d, _ratio_of_linears, _reference_add, _reference_mul, engine_for,
-    expected_generator_value,
-)
+from conftest import _inv_d, _ratio_of_linears, _reference_add, _reference_mul, engine_for
 
 
 def test_engine_limit(engine, q):
@@ -41,55 +37,6 @@ def test_engine_limit(engine, q):
         engine.derive(QmPoly.gen_E(engine.cfg), engine.limit + 1)
     with pytest.raises(OrderOutOfRange):
         engine.d_generator("E", -1)
-
-
-def test_generator_small_orders(engine, q):
-    cfg = engine.cfg
-    for n in range(q):
-        assert engine.d_generator("E", n) == QmPoly.monomial(cfg, n + 1, 0, 0)
-        assert engine.d_generator("h", n) == QmPoly.monomial(cfg, n, 0, 1)
-    for n in range(2, q):
-        assert engine.d_generator("g", n).is_zero()
-    assert engine.d_generator("g", 1) == -(
-        QmPoly.monomial(cfg, 1, 1, 0) + QmPoly.gen_h(cfg)
-    )
-
-
-def test_generator_p_power_tables(engine, q):
-    for gen in ("E", "g", "h"):
-        for n in p_powers_upto(engine.cfg, q * q):
-            assert engine.d_generator(gen, n) == expected_generator_value(engine.cfg, gen, n)
-
-
-def test_prime_field_systems_verbatim():
-    """For q = p the first two p-power layers read exactly as the displayed systems."""
-    for q in (5, 7):
-        cfg = FieldConfig.from_q(q)
-        eng = engine_for(q)
-        mono = QmPoly.monomial
-        d1_inv = _inv_d(cfg, 1, 1)
-        d2_inv = _inv_d(cfg, 2, 1)
-        d1 = _d(cfg, 1)
-        p = q
-        assert eng.d_generator("E", p) == mono(cfg, p + 1, 0, 0) + mono(cfg, 0, 0, 2, d1_inv)
-        assert eng.d_generator("g", p) == mono(cfg, p, 1, 0)
-        assert eng.d_generator("h", p) == mono(cfg, p, 0, 1).scale_int(2) - mono(cfg, 0, 1, 2, d1_inv)
-        assert eng.d_generator("E", p * p) == (
-            mono(cfg, p * p + 1, 0, 0)
-            + mono(cfg, 0, p - 1, p + 1, _inv_d(cfg, 1, p))
-            + mono(cfg, 0, 2 * p, 2, d2_inv)
-        )
-        assert eng.d_generator("g", p * p) == (
-            mono(cfg, p * p, 1, 0)
-            - mono(cfg, 0, p + 1, p, d1 * d2_inv)
-            + mono(cfg, 0, 0, 2 * p - 1, _inv_d(cfg, 1, p - 1) - d1 * d1 * d2_inv)
-        )
-        assert eng.d_generator("h", p * p) == (
-            mono(cfg, p * p, 0, 1)
-            + mono(cfg, p, p - 1, p, _inv_d(cfg, 1, p - 1))
-            - mono(cfg, 0, 2 * p + 1, 2, d2_inv)
-            - mono(cfg, 0, p, p + 1, d1 * d2_inv + _inv_d(cfg, 1, p))
-        )
 
 
 def test_derive_is_identity_at_zero(engine):
@@ -276,7 +223,7 @@ def test_mutating_a_result_does_not_reach_the_memo(q):
     number of terms.  A private engine keeps a failure local."""
     cfg = FieldConfig.from_q(q)
     engine = DerivationEngine(cfg)
-    for gen, mono in _GENERATORS.items():
+    for gen, mono in GENERATORS.items():
         f = QmPoly.monomial(cfg, *mono)
         for n in (0, 1, q, q + 1, 5):
             expected = str(engine.d_generator(gen, n))
@@ -353,42 +300,6 @@ def test_h_squared_leibniz_example(engine, q):
     assert engine.derive(h * h, 2) == expected
 
 
-def test_leibniz_random(engine, q):
-    rng = random.Random(23 + q)
-    for _ in range(8):
-        f = random_isobaric(engine.cfg, rng, 10)
-        g = random_isobaric(engine.cfg, rng, 10)
-        n = rng.randint(1, min(16, engine.limit))
-        lhs = engine.derive(f * g, n)
-        rhs = QmPoly.zero(engine.cfg)
-        for r in range(n + 1):
-            rhs = rhs + engine.derive(f, r) * engine.derive(g, n - r)
-        assert lhs == rhs
-
-
-def test_iterativity_random(engine, q):
-    rng = random.Random(31 + q)
-    for _ in range(8):
-        f = random_isobaric(engine.cfg, rng, 10)
-        i = rng.randint(0, 8)
-        j = rng.randint(0, 8)
-        lhs = engine.derive(engine.derive(f, j), i)
-        rhs = engine.derive(f, i + j).scale_int(binom_mod_p(i + j, i, engine.cfg.p))
-        assert lhs == rhs
-
-
-def test_frobenius_rule(engine, q):
-    rng = random.Random(47 + q)
-    for k in (1, 2):
-        f = random_isobaric(engine.cfg, rng, 8)
-        n = rng.randint(1, 2)
-        if n * engine.cfg.p**k > engine.limit:
-            continue
-        lhs = engine.derive(f.frobenius_pow(k), n * engine.cfg.p**k)
-        rhs = engine.derive(f, n).frobenius_pow(k)
-        assert lhs == rhs
-
-
 def test_digit_composition_matches_factorial_form(engine, q):
     """D_n = (1/(n_s! ... n_0!)) D_{p^s}^{n_s} o ... o D_1^{n_0} directly,
     against the engine's digit-splitting recursion."""
@@ -411,22 +322,6 @@ def test_digit_composition_matches_factorial_form(engine, q):
             scalar = scalar * math.factorial(digit) % p
         expected = engine.derive(f, n).scale_int(scalar)
         assert out == expected, (str(f), n)
-
-
-def test_grading_contract(engine, q):
-    rng = random.Random(53 + q)
-    cfg = engine.cfg
-    for _ in range(10):
-        f = random_isobaric(cfg, rng, 12)
-        s = grading(f)
-        n = rng.randint(1, min(24, engine.limit))
-        d = engine.derive(f, n)
-        if d.is_zero():
-            continue
-        sd = grading(d)
-        assert sd.w == s.w + 2 * n
-        assert q == 2 or sd.m == (s.m + n) % (q - 1)
-        assert sd.l <= s.l + n
 
 
 def test_kernel_generators_killed(engine, q):
@@ -459,29 +354,6 @@ def test_depth_drop_trivial_and_digit_cases(engine, q):
             assert depth_drop(beta * p**k, 0, p**k, p) == (beta % p == 0)
 
 
-def test_depth_drop_matches_generic_elements(engine, q):
-    """The E-degree of the derivative of a generic element tracks the predicate."""
-    rng = random.Random(61 + q)
-    cfg = engine.cfg
-    tried = 0
-    while tried < 8:
-        a, b, c = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)
-        sig = monomial_signature(cfg, a, b, c)
-        basis = qm_basis(sig.w, sig.m, a, cfg)
-        if not basis or max(e[0] for e in basis) != a:
-            tried += 1
-            continue
-        # generic: all slots filled with distinct nonzero scalars
-        f = QmPoly.zero(cfg)
-        for idx, expo in enumerate(basis):
-            f.terms[expo] = RatT(cfg, cfg.poly_T ** (idx + 1)) + RatT.from_int(cfg, 1)
-        n = rng.randint(1, min(12, engine.limit))
-        d = engine.derive(f, n)
-        dropped = max((k[0] for k in d.terms), default=-1) < a + n
-        assert dropped == depth_drop(sig.w, a, n, cfg.p)
-        tried += 1
-
-
 # ---------------------------------------------------------------------------
 # depth polynomial transport
 
@@ -512,14 +384,6 @@ def test_transform_depth_poly_h_row(engine, q):
     for j in range(n + 1):
         expected = engine.derive(h, n - j).scale_int(binom_mod_p(n + q, j, cfg.p))
         assert (P[j] if j < len(P) else zero) == expected
-
-
-def test_transform_depth_poly_dual_route(engine, q):
-    rng = random.Random(71 + q)
-    for _ in range(6):
-        f = random_isobaric(engine.cfg, rng, 12)
-        n = rng.randint(1, min(10, engine.limit))
-        assert engine.transform_depth_poly(f, n) == associated_polynomial(engine.derive(f, n))
 
 
 def test_transform_depth_poly_E_p_power(engine, q):
@@ -756,7 +620,7 @@ def test_the_d1_step_matches_the_leibniz_rule(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
 def test_the_transport_matches_the_leibniz_rule(q):
     # every monomial of weight <= 26 whose E exponent p divides (the others
-    # are in the lifted test) at every order p | n, where every monomial but
+    # are in the E-first test) at every order p | n, where every monomial but
     # a generator is transported; the reference's generator factors come
     # from the table and the digit step, so the smallest monomial at the
     # lowest order that the transport gets wrong has every factor right
@@ -776,7 +640,7 @@ def test_lifted_monomials_match_peeling_E(q):
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
-def test_peeling_g_matches_peeling_E(q):
+def test_the_d1_step_matches_the_E_first_leibniz_rule(q):
     # every E^a g^b h^c with a, b >= 1 up to the weight of E g^p (at most 26)
     # at every order n <= 40 prime to p, against the split that peels E
     # first; the D_1-step test checks them against the split that peels g
@@ -792,17 +656,17 @@ def test_atoms_match_the_leibniz_rule(q):
     # above weight 26 too, at every order n <= min(limit, 48); it derives to
     # 0 unless p^j | n
     cfg = FieldConfig.from_q(q)
-    atoms = [tuple(pj * e for e in x) for x in _GENERATORS.values()
+    atoms = [tuple(pj * e for e in x) for x in GENERATORS.values()
              for pj in p_powers_upto(cfg, 2 * q)[1:]]
     _match_the_leibniz_rule(q, atoms, lambda n, p: True)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9], ids=lambda q: f"q{q}")
-def test_squared_powers_match_the_peeled_convolution(q):
+def test_pure_powers_match_the_leibniz_rule(q):
     # every pure power x^m, 2 <= m <= 2(q - 1), at every order
     # n <= min(limit, 48); the reference peels x^{p^k}, p^k the lowest
     # base-p place of m, one Leibniz convolution at a time
-    powers = [tuple(m * e for e in x) for x in _GENERATORS.values() for m in range(2, 2 * q - 1)]
+    powers = [tuple(m * e for e in x) for x in GENERATORS.values() for m in range(2, 2 * q - 1)]
     _match_the_leibniz_rule(q, powers, lambda n, p: True)
 
 
@@ -1039,7 +903,7 @@ def test_the_transport_of_a_pth_power_makes_no_kernel_call(monkeypatch):
     assert counted == []
 
 
-def test_a_long_lift_chain_stays_within_the_recursion_limit():
+def test_the_transport_reads_no_chain_through_lower_powers_of_E():
     # q = 499: D_499(E^498 h) is transported from N(E h) and N(h) through
     # X^499 alone, since N(E^{498-i} h) starts at X^{499(498-i)}; a cold
     # engine derives it with no chain through E^497 h, ..., E h

@@ -30,7 +30,7 @@ from dqmf.tseries import (
 from dqmf.tseries import _monic_polys, _monomial, _sum_of_products
 from dqmf.verify import random_ratt
 
-from conftest import _d, _inv_d, random_fraction
+from conftest import _inv_d, random_fraction
 
 
 def _pow(s, n):
@@ -192,21 +192,6 @@ def test_alpha_brute_force_small(cfg):
 # expansions
 
 
-def test_expand_E_leading_terms(cfg, q):
-    N = q * q + q + 2
-    E = expand_E(cfg, N)
-    assert E.coeff(1) == cfg.rat_one
-    assert E.coeff(q * q - 2 * q + 2) == cfg.rat_one
-    assert nu_infinity(E) == 1
-    gap = [n for n in E.terms if 1 < n < q * q - 2 * q + 2]
-    assert gap == []
-
-
-def test_expand_E_coefficients_in_A(cfg):
-    E = expand_E(cfg, cfg.q**2 + cfg.q + 2)
-    assert all(v.den.is_one() for v in E.terms.values())
-
-
 def test_expansions_reject_an_order_below_1(cfg):
     # every raw series, a sum of products among them, is built by one
     # constructor, which checks the order
@@ -227,23 +212,6 @@ def test_expand_E_bootstrap_recursion(cfg, q):
     for n in range(2, N):
         lhs = E.coeff(n - 1).scale_int(n - 1)
         assert lhs == E2.coeff(n)
-
-
-def test_expand_g_leading_terms(cfg, q):
-    N = q * q + q + 2
-    g = expand_g(cfg, N)
-    assert g.coeff(0) == cfg.rat_one
-    assert g.coeff(q - 1) == -_d(cfg, 1)
-    assert all(v.den.is_one() for v in g.terms.values())
-
-
-def test_expand_h_leading_terms(cfg, q):
-    N = q * q + q + 2
-    h = expand_h(cfg, N)
-    assert h.coeff(1) == -cfg.rat_one
-    assert h.coeff(q * q - 2 * q + 2) == -cfg.rat_one
-    assert nu_infinity(h) == 1
-    assert all(v.den.is_one() for v in h.terms.values())
 
 
 def test_h_first_order_identity_on_series(cfg, q):
