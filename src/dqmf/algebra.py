@@ -164,10 +164,6 @@ class FieldConfig:
             for _ in range(p):
                 y = self.mul[y][a]
             self.frob.append(y)
-        # Frobenius is a bijection; its inverse extracts p-th roots.
-        self.pth_root = [0] * q
-        for a in range(q):
-            self.pth_root[self.frob[a]] = a
 
     def _decode(self, code: int) -> list:
         """The e base-p digits of a packed code, low to high."""
@@ -375,18 +371,6 @@ class PolyT:
             for _ in range(k):
                 y = frob[y]
             out[i * pk] = y
-        return PolyT(cfg, out)
-
-    def pth_root(self):
-        """Inverse of frobenius_pow(1); raises if the polynomial is not a p-th power."""
-        cfg = self.cfg
-        p = cfg.p
-        out = [0] * (self.degree // p + 1) if self.c else []
-        for i, x in enumerate(self.c):
-            if x and i % p:
-                raise ArithmeticError("not a p-th power")
-            if x:
-                out[i // p] = cfg.pth_root[x]
         return PolyT(cfg, out)
 
     def __str__(self):
@@ -631,9 +615,6 @@ class RatT:
 
     def frobenius_pow(self, k: int):
         return RatT._raw(self.cfg, self.num.frobenius_pow(k), self.den.frobenius_pow(k))
-
-    def pth_root(self):
-        return RatT._raw(self.cfg, self.num.pth_root(), self.den.pth_root())
 
     def __str__(self):
         if self.den.is_one():

@@ -187,17 +187,6 @@ class QmPoly:
         }
         return out
 
-    def pth_root(self):
-        out = QmPoly(self.cfg)
-        p = self.cfg.p
-        res = {}
-        for (a, b, c), v in self.terms.items():
-            if a % p or b % p or c % p:
-                raise ArithmeticError("not a p-th power: exponent not divisible by p")
-            res[(a // p, b // p, c // p)] = v.pth_root()
-        out.terms = res
-        return out
-
     # -- substitutions used by the ideal machinery ---------------------------
 
     def kill(self, gens: str):

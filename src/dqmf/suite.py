@@ -192,12 +192,13 @@ def _check_kernels(cfg, engine, rng, n_max, order):
                     if kernel:
                         bad.append((w, m, k, "nonempty"))
                     continue
+                # v is a p^{k+1}-th power iff p^{k+1} divides every exponent
+                # of E, g, h and of T in its support: F_q is perfect, and
+                # y^{p^{k+1}} has canonical form num(y)^{p^{k+1}} / den(y)^{p^{k+1}}
                 for v in kernel:
-                    root = v
-                    try:
-                        for _ in range(k + 1):
-                            root = root.pth_root()
-                    except ArithmeticError:
+                    if any(e % pk1 for mono in v.terms for e in mono) or any(
+                            i % pk1 for x in v.terms.values() for poly in (x.num, x.den)
+                            for i, c in enumerate(poly.c) if c):
                         bad.append((w, m, k, "not a p-power"))
     return _result("kernel_suite", f"q={cfg.q}", bad)
 

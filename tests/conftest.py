@@ -47,6 +47,24 @@ def random_fraction(cfg, rng):
     return RatT(cfg, num, den)
 
 
+def pth_root(f):
+    """The p-th root of f in K[E,g,h]: exponents and T-exponents divided by p,
+    codes mapped through the inverse of cfg.frob; raises ArithmeticError when
+    f is not a p-th power.  The package applies Frobenius in one direction
+    only, so the kernel tests extract roots here."""
+    cfg, p = f.cfg, f.cfg.p
+
+    def root(poly):
+        if any(c and i % p for i, c in enumerate(poly.c)):
+            raise ArithmeticError("not a p-th power")
+        return PolyT(cfg, [cfg.frob.index(c) for c in poly.c[::p]])
+
+    if any(e % p for mono in f.terms for e in mono):
+        raise ArithmeticError("not a p-th power")
+    return QmPoly(cfg, {tuple(e // p for e in mono): RatT(cfg, root(x.num), root(x.den))
+                        for mono, x in f.terms.items()})
+
+
 def _inv_d(cfg, i, k):
     return RatT(cfg, cfg.poly_one, d_power(i, k, cfg))
 

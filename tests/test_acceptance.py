@@ -43,7 +43,7 @@ from dqmf.verify import (
     random_ratt,
 )
 
-from conftest import _d, _inv_d, _p_powers, engine_for, expected_generator_value
+from conftest import _d, _inv_d, _p_powers, engine_for, expected_generator_value, pth_root
 
 SEED = 20260808
 CASES_PER_FIELD = 200  # x 5 fields = 1000 randomized cases per property suite
@@ -446,7 +446,7 @@ def test_criterion_7_kernel_suite(qk):
                     for v in kernel:
                         root = v
                         for _ in range(k + 1):
-                            root = root.pth_root()
+                            root = pth_root(root)
                         assert root.frobenius_pow(k + 1) == v
                         sv = evaluate(v, N)
                         assert all(n % pk1 == 0 for n in sv.terms), (w, m, k)

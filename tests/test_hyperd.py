@@ -28,7 +28,9 @@ from dqmf.qmring import (
 from dqmf.suite import CHECKS, p_powers_upto, run_suite
 from dqmf.verify import random_isobaric
 
-from conftest import _inv_d, _ratio_of_linears, _reference_add, _reference_mul, engine_for
+from conftest import (
+    _inv_d, _ratio_of_linears, _reference_add, _reference_mul, engine_for, pth_root,
+)
 
 
 def test_engine_limit(engine, q):
@@ -456,7 +458,7 @@ def test_kernel_elements_are_p_powers(engine, q):
                 for v in engine.kernel_on_modular(w, m, k):
                     root = v
                     for _ in range(k + 1):
-                        root = root.pth_root()  # raises if not a p-th power
+                        root = pth_root(root)  # raises if not a p-th power
                     assert root.frobenius_pow(k + 1) == v
 
 
@@ -572,9 +574,10 @@ def _leibniz_reference(engine, mono, n, first="gEh"):
     generator x is, for p not dividing n, n^{-1} D_1(D_{n-1} x), D_1 taken by
     the chain rule (_d1_by_partials), not by qmring.d1, the engine's order 1;
     for p | n it is `engine`'s own D_n x, by the table or the digit step.  Any
-    other monomial is x^{p^k} * rest, x its first generator in the order
-    `first` and p^k the lowest base-p place of x's exponent: the Leibniz sum
-    over p^k | r of (D_{r/p^k} x)^{p^k} D_{n-r}(rest)."""
+    other monomial is x * rest, x one factor of its first generator in the
+    order `first`: the Leibniz sum over r <= n of D_r x D_{n-r}(rest).  The
+    reference raises nothing to a p-th power, so it shares no Frobenius
+    with the engine's p-th-power rows."""
     cfg, p = engine.cfg, engine.cfg.p
     i = next(i for i in map("Egh".index, first) if mono[i])
     gen = "Egh"[i]
@@ -582,12 +585,9 @@ def _leibniz_reference(engine, mono, n, first="gEh"):
         if n % p == 0:
             return engine.d_generator(gen, n)
         return _d1_by_partials(engine.d_generator(gen, n - 1)).scale_int(pow(n, p - 2, p))
-    k = 0
-    while mono[i] % p**(k + 1) == 0:
-        k += 1
-    rest = QmPoly.monomial(cfg, *(e - p**k * (j == i) for j, e in enumerate(mono)))
-    lefts = [(r, engine.d_generator(gen, r // p**k)) for r in range(0, n + 1, p**k)]
-    return sum_of_products(cfg, ((left.frobenius_pow(k) if k else left, engine.derive(rest, n - r))
+    rest = QmPoly.monomial(cfg, *(e - (j == i) for j, e in enumerate(mono)))
+    lefts = [(r, engine.d_generator(gen, r)) for r in range(n + 1)]
+    return sum_of_products(cfg, ((left, engine.derive(rest, n - r))
                                  for r, left in lefts if not left.is_zero()))
 
 
@@ -630,7 +630,7 @@ def test_the_transport_matches_the_leibniz_rule(q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
-def test_lifted_monomials_match_peeling_E(q):
+def test_the_transport_matches_the_E_first_leibniz_rule(q):
     # every monomial of weight <= 26 whose E exponent p does not divide, at
     # every order p | n, where the transport reads N(E^{a-i} g^b h^c) for
     # every i <= a, against the Leibniz split that peels E first
@@ -651,7 +651,7 @@ def test_the_d1_step_matches_the_E_first_leibniz_rule(q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
-def test_atoms_match_the_leibniz_rule(q):
+def test_p_powers_of_a_generator_match_the_leibniz_rule(q):
     # every p-power atom x^{p^j}, j >= 1, of x in {E, g, h} with p^j <= 2q,
     # above weight 26 too, at every order n <= min(limit, 48); it derives to
     # 0 unless p^j | n
@@ -664,8 +664,8 @@ def test_atoms_match_the_leibniz_rule(q):
 @pytest.mark.parametrize("q", [3, 5, 7, 9], ids=lambda q: f"q{q}")
 def test_pure_powers_match_the_leibniz_rule(q):
     # every pure power x^m, 2 <= m <= 2(q - 1), at every order
-    # n <= min(limit, 48); the reference peels x^{p^k}, p^k the lowest
-    # base-p place of m, one Leibniz convolution at a time
+    # n <= min(limit, 48); the reference peels one factor x, one Leibniz
+    # convolution at a time
     powers = [tuple(m * e for e in x) for x in GENERATORS.values() for m in range(2, 2 * q - 1)]
     _match_the_leibniz_rule(q, powers, lambda n, p: True)
 
@@ -681,7 +681,7 @@ def _vanishes_by_iterativity(a, c, n, q, p):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 499], ids=lambda q: f"q{q}")
-def test_the_digit_zero_test_matches_the_binomial_loop(q):
+def test_derivatives_that_iterativity_forces_to_zero_vanish(q):
     # the engine derives D_n(E^a h^c) = 0 wherever the binomial loop
     # _vanishes_by_iterativity fires, by the D_1 step, the digit step and
     # the transport, with no zero test of its own: a, c <= 2q at

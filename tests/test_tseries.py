@@ -834,7 +834,6 @@ def test_tseries_borrows_nothing_from_the_engine():
 def test_nu_infinity_basics(cfg):
     assert nu_infinity(TSeries(cfg, 10)) is None
     assert nu_infinity(expand_g(cfg, 12)) == 0
-    assert nu_infinity(expand_h(cfg, 12)) == 1
 
 
 def test_series_json_roundtrip(cfg):

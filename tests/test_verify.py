@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from dqmf.algebra import FieldConfig
+from dqmf.algebra import FieldConfig, PolyT, RatT
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly, sum_of_products
 from dqmf.suite import CHECKS
@@ -269,3 +269,27 @@ def test_h_power_quotients_check_catches_a_wrong_generator_value():
     out = check(cfg, engine, random.Random(0), 8, None)
     assert out["pass"] is False
     assert "(2, 5)" in out["witness"] and "(-" not in out["witness"]
+
+
+@pytest.mark.parametrize("t_num, t_den, b, at, passes", [
+    (1, 0, 2, (6, 0, 0), False),   # T g^2
+    (0, 1, 2, (6, 0, 0), False),   # g^2 / T
+    (2, 0, 4, (12, 0, 1), False),  # T^2 g^4, a square but no fourth power
+    (2, 0, 2, (6, 0, 0), True),    # T^2 g^2 = (T g)^2
+], ids=["T-g2", "g2-over-T", "T2-g4", "T2-g2-passes"])
+def test_kernel_suite_check_catches_a_vector_that_is_not_a_p_power(t_num, t_den, b, at, passes):
+    # at q = 4 (p = 2) one engine's kernel at (w, m, k) = at is the planted
+    # T^t_num g^b / T^t_den; the check must read the exponents of T in the
+    # numerator and in the denominator, not only those of E, g and h, and
+    # test them against p^{k+1}, not p^k
+    cfg = FieldConfig.from_q(4)
+    engine = DerivationEngine(cfg)
+    coeff = RatT(cfg, PolyT(cfg, [0] * t_num + [1]), PolyT(cfg, [0] * t_den + [1]))
+    planted = QmPoly.monomial(cfg, 0, b, 0, coeff)
+    kernel_on_modular = engine.kernel_on_modular
+    engine.kernel_on_modular = lambda *wmk: [planted] if wmk == at else kernel_on_modular(*wmk)
+    out = CHECKS["kernel_suite"](cfg, engine, random.Random(0), 48, None)
+    if passes:
+        assert out == {"check": "kernel_suite", "params": "q=4", "pass": True}
+    else:
+        assert out["pass"] is False and out["witness"] == str([(*at, "not a p-power")])
