@@ -20,10 +20,13 @@ RatT sums and ``common_denominator`` take the gcd, cofactors and lcm from
 ``_den_product``.  Engine denominators are products of a few brackets, so
 the pairs recur; ``cache_info()`` reports the traffic.  A product first
 cross-cancels each numerator against the other factor's denominator through
-``_coprime_parts``, a third such LRU.  The gcds come from ``_monic_gcd``,
-the LRU of 2^18 entries behind ``PolyT.gcd`` and ``RatT.over``.  The d_i
-have one cache, ``d_power``; ``d_rat`` gives d_i^k for any integer k as a
-RatT.  ``+`` and ``*`` raise ValueError on values of two fields.
+``_coprime_parts``, a third such LRU.  Each cached value has one owner:
+those two pair LRUs take their gcd from ``_euclid`` uncached, and only
+``PolyT.gcd`` and ``RatT.over`` store theirs, in ``_monic_gcd`` (LRU 2^18).
+All share ``_gcd``'s shortcuts: a constant is a unit, equal inputs are their
+own gcd, and two linears read theirs off their coefficients.  The d_i have
+one cache, ``d_power``; ``d_rat`` gives d_i^k for any integer k as a RatT.
+``+`` and ``*`` raise ValueError on values of two fields.
 """
 
 from __future__ import annotations
@@ -340,18 +343,7 @@ class PolyT:
         return q
 
     def gcd(self, other):
-        cfg = self.cfg
-        a, b = self.c, other.c
-        if not a:
-            return other.monic()
-        if not b:
-            return self.monic()
-        # constants are units; equal inputs shortcut the Euclid loop
-        if len(a) == 1 or len(b) == 1:
-            return cfg.poly_one
-        if a == b:
-            return self.monic()
-        return _monic_gcd(cfg, a, b) if len(a) >= len(b) else _monic_gcd(cfg, b, a)
+        return _gcd(self, other, _monic_gcd)
 
     def monic(self):
         if self.is_zero() or self.lead() == 1:
@@ -419,13 +411,9 @@ def _divmod_lists(rem, bc, cfg):
     return quot, rem
 
 
-@functools.lru_cache(maxsize=1 << 18)
-def _monic_gcd(cfg, a, b):
-    """Monic gcd of two nonconstant coefficient tuples, the longer one first.
-
-    Euclid on raw lists; the LRU bound keeps a long-running process from
-    holding every denominator pair it has ever reduced.
-    """
+def _euclid(cfg, a, b):
+    """Monic gcd of two nonconstant coefficient tuples, the longer one first:
+    Euclid on raw lists."""
     a, b = list(a), list(b)
     while b:
         _, r = _divmod_lists(a, b, cfg)
@@ -433,16 +421,51 @@ def _monic_gcd(cfg, a, b):
     return PolyT(cfg, a).monic()
 
 
+@functools.lru_cache(maxsize=1 << 18)
+def _monic_gcd(cfg, a, b):
+    """``_euclid`` behind ``PolyT.gcd`` and ``RatT.over``; the LRU bound keeps
+    a long-running process from holding every pair it has ever reduced."""
+    return _euclid(cfg, a, b)
+
+
+def _gcd(x, y, euclid):
+    """The monic gcd of two PolyT, ``euclid(cfg, a, b)`` on the coefficient
+    tuples (the longer first) where no shortcut decides it: a constant is a
+    unit, equal inputs are their own gcd, and two linears have the monic one
+    as gcd when they are proportional and 1 otherwise."""
+    cfg = x.cfg
+    a, b = x.c, y.c
+    if not a:
+        return y.monic()
+    if not b:
+        return x.monic()
+    if len(a) == 1 or len(b) == 1:
+        return cfg.poly_one
+    if a == b:
+        return x.monic()
+    if len(a) == 2 == len(b):
+        if cfg.mul[a[0]][b[1]] != cfg.mul[b[0]][a[1]]:
+            return cfg.poly_one
+        return x if a[1] == 1 else y.monic()
+    return euclid(cfg, a, b) if len(a) >= len(b) else euclid(cfg, b, a)
+
+
 @functools.lru_cache(maxsize=1 << 12)
 def _den_pair(d1, d2):
     """(gcd, d1/gcd, d2/gcd, lcm) of two monic nonconstant denominators.
 
     The arguments are the PolyT values themselves, so the key carries the
-    field: PolyT equality compares ``cfg`` as well as the coefficients.
+    field: PolyT equality compares ``cfg`` as well as the coefficients.  The
+    gcd is this entry's alone (``_euclid``, not the ``_monic_gcd`` LRU); when
+    one denominator divides the other, it and the other are the gcd and lcm.
     """
-    g = d1.gcd(d2)
+    g = _gcd(d1, d2, _euclid)
     if g.is_one():
         return g, d1, d2, d1 * d2
+    if g.c == d1.c:
+        return d1, d1.cfg.poly_one, d2.exact_div(d1), d2
+    if g.c == d2.c:
+        return d2, d1.exact_div(d2), d2.cfg.poly_one, d1
     d1r, d2r = d1.exact_div(g), d2.exact_div(g)
     return g, d1r, d2r, d1r * d2
 
@@ -456,8 +479,9 @@ def _den_product(d1, d2):
 @functools.lru_cache(maxsize=1 << 12)
 def _coprime_parts(n, d):
     """(n/g, d/g) for g = gcd(n, d) of two nonconstant PolyT: the
-    cross-cancellation of a RatT product, keyed like ``_den_pair``."""
-    g = n.gcd(d)
+    cross-cancellation of a RatT product, keyed like ``_den_pair`` and, like
+    it, the one owner of its gcd."""
+    g = _gcd(n, d, _euclid)
     if g.is_one():
         return n, d
     return n.exact_div(g), d.exact_div(g)

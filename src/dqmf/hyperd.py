@@ -49,10 +49,11 @@ of one monomial are then added, all by RatT constructors and operators,
 so the result is canonical.
 
 A single engine instance keeps one memo keyed by (monomial, order), and
-the E-free lists keyed by monomial.  Both store through the engine's table
-(num, den) -> RatT and its one empty QmPoly, so each coefficient value and
-zero exists once: safe, since RatT and PolyT are never mutated and results
-leave the engine as copies.  ``stats()`` counts the memo's entries
+the E-free lists keyed by monomial.  Both store through the engine's table,
+(a, b, c) -> monomial key and (num, den) -> RatT, and its one empty QmPoly,
+so each monomial key, coefficient value and zero exists once: safe, since
+tuples, RatT and PolyT are never mutated and results leave the engine as
+copies.  ``stats()`` counts the memo's entries
 and the hits and misses of its lookups, a list's reads of generator entries
 among them, and ``check_memo_isobaric()`` lists every entry D_n(m) whose
 weight, type or depth is not the one n shifts m's to; ``dqmf verify``
@@ -158,7 +159,8 @@ class DerivationEngine:
         self._memo: dict = {}  # (monomial, order) -> D_order of that monomial
         self._hits = self._misses = 0  # lookups of _memo in _derive_monomial
         self._lists: dict = {}  # monomial -> [N_0, N_1, ...] of the module docstring
-        self._values: dict = {}  # (num.c, den.c) -> this engine's one RatT of that value
+        # (a, b, c) -> this engine's one monomial key, (num.c, den.c) -> its one RatT
+        self._values: dict = {}
         self._empty = QmPoly(cfg)  # this engine's one zero memo entry and zero list row
 
     def _check_order(self, n: int):
@@ -177,10 +179,13 @@ class DerivationEngine:
         return self._derive_monomial(GENERATORS[gen], n).scale(self.cfg.rat_one)
 
     def _intern(self, x: QmPoly) -> QmPoly:
-        """x, a fresh element, with each coefficient this engine's one RatT of its value."""
+        """x, a fresh element, with each monomial key and each coefficient this
+        engine's one object of its value."""
         if not x.terms:
             return self._empty
-        x.terms = {k: self._values.setdefault((v.num.c, v.den.c), v) for k, v in x.terms.items()}
+        values = self._values
+        x.terms = {values.setdefault(k, k): values.setdefault((v.num.c, v.den.c), v)
+                   for k, v in x.terms.items()}
         return x
 
     def _derive_monomial(self, mono: tuple, n: int) -> QmPoly:
@@ -208,7 +213,7 @@ class DerivationEngine:
             # C(n, p^k) = digit, so D_n = digit^{-1} D_{p^k} o D_{n - p^k}
             prev = self._derive_monomial(mono, n - p**k)
             out = self.derive(prev, p**k).scale_int(pow(digit, p - 2, p))
-        self._memo[key] = out = self._intern(out)
+        self._memo[self._values.setdefault(mono, mono), n] = out = self._intern(out)
         return out
 
     def _transport(self, mono: tuple, n: int) -> QmPoly:

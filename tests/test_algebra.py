@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dqmf
+from dqmf import algebra
 from dqmf.algebra import (
     DEFAULT_MODULI,
     FieldConfig,
@@ -22,6 +23,8 @@ from dqmf.algebra import (
     _coprime_parts,
     _den_pair,
     _den_product,
+    _euclid,
+    _monic_gcd,
     binom_mod_p,
     bracket,
     common_denominator,
@@ -288,6 +291,29 @@ def test_poly_divmod_and_gcd():
     q, r = a.divmod(b)
     assert r.is_zero() and q == PolyT(cfg, [1, 1])
     assert a.gcd(b) == b.monic()
+
+
+@pytest.mark.parametrize("q", [4, 5, 9])
+def test_the_gcd_of_two_linears_is_read_off_their_coefficients(q, monkeypatch):
+    """Two linears have the monic one as gcd when they are proportional, and
+    1 otherwise: PolyT.gcd gives Euclid's answer on every pair of nonzero
+    linears with no division and no entry in the gcd LRU."""
+    cfg = FieldConfig.from_q(q)
+    lins = [PolyT(cfg, (a0, a1)) for a0 in range(q) for a1 in range(1, q)]
+    pairs = [(x, y) for x in lins for y in lins]
+    expected = [_euclid(cfg, x.c, y.c) for x, y in pairs]
+    divisions = [0]
+    divmod_lists = algebra._divmod_lists
+
+    def counting(*args):
+        divisions[0] += 1
+        return divmod_lists(*args)
+
+    monkeypatch.setattr(algebra, "_divmod_lists", counting)
+    before = _monic_gcd.cache_info()
+    assert [x.gcd(y) for x, y in pairs] == expected
+    assert divisions[0] == 0 and _monic_gcd.cache_info() == before
+    assert sum(g.is_one() for g in expected) == len(pairs) - q * (q - 1) ** 2
 
 
 def test_frobenius_pow_is_the_pth_power():

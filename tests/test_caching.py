@@ -133,16 +133,44 @@ def _poly_mul_calls(fn, *args):
 
 
 def test_a_miss_of_each_denominator_cache_multiplies_once():
-    """A sum's miss builds the lcm and a product's miss d1*d2, never both."""
+    """A product's miss builds d1*d2 with one product.  A sum's miss builds
+    the lcm with one product, or with none when one denominator divides the
+    other: then the two arguments themselves are the gcd and the lcm, and
+    the cofactor 1 is the field's own."""
     cfg = FieldConfig.from_q(5)
     d1, d2 = d_power(1, 1, cfg), d_power(2, 1, cfg)
     quad = PolyT(cfg, [2, 0, 1])
-    for pair in ((d1, d2), (d2, d1), (d1, quad)):  # with a common factor, and coprime
-        for cache in (_den_pair, _den_product):
+    shared = PolyT(cfg, [1, 1]) * PolyT(cfg, [2, 1]), PolyT(cfg, [2, 1]) * PolyT(cfg, [3, 1])
+    # d1 | d2 both ways round, coprime, and a common factor that divides neither
+    for pair, sum_products in (((d1, d2), 0), ((d2, d1), 0), ((d1, quad), 1), (shared, 1)):
+        for cache, products in ((_den_pair, sum_products), (_den_product, 1)):
             cache.cache_clear()
-            assert _poly_mul_calls(cache, *pair) == 1
+            assert _poly_mul_calls(cache, *pair) == products
             assert _poly_mul_calls(cache, *pair) == 0
             assert cache.cache_info()[:2] == (1, 1)
+    for x, y in ((d1, d2), (d2, d1)):
+        g, xr, yr, lcm = _den_pair(x, y)
+        one, cofactor = (xr, yr) if x is d1 else (yr, xr)
+        assert g is d1 and lcm is d2 and one is cfg.poly_one and cofactor * d1 == d2
+
+
+def test_the_pair_caches_keep_their_gcds_out_of_the_gcd_lru():
+    """A miss of _den_pair or _coprime_parts takes its gcd by an uncached
+    Euclid, so the gcd is held by that entry alone."""
+    cfg = FieldConfig.from_q(5)
+    d1, d2 = d_power(1, 1, cfg), d_power(2, 1, cfg)
+    quad = PolyT(cfg, [2, 0, 1])
+    n = PolyT(cfg, [1, 1]) * PolyT(cfg, [2, 1])
+    d = PolyT(cfg, [1, 1]) * PolyT(cfg, [3, 0, 1])
+    _den_pair.cache_clear()
+    _coprime_parts.cache_clear()
+    before = _monic_gcd.cache_info()
+    for x, y in ((d1, d2), (d2, d1), (d1, quad), (d1 * quad, d2 * quad)):
+        _den_pair(x, y)
+    for x, y in ((n, d), (d, n), (d1, quad), (n * quad, d2)):
+        _coprime_parts(x, y)
+    assert _den_pair.cache_info().misses == _coprime_parts.cache_info().misses == 4
+    assert _monic_gcd.cache_info() == before
 
 
 def test_den_pair_traffic_is_mostly_hits():

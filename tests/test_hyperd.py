@@ -780,6 +780,17 @@ def test_the_engine_stores_one_copy_of_each_coefficient_value(q, n_max):
     assert any(x.is_zero() for x in memo) and any(x.is_zero() for x in rows)
 
 
+@pytest.mark.parametrize("q, n_max", [(4, 31), (7, 32)], ids=["q4", "q7"])
+def test_the_engine_stores_one_copy_of_each_monomial_key(q, n_max):
+    """After a warm-up the monomials of the memo keys and the (a, b, c) keys
+    of the memo entries and E-free list rows are one object per value."""
+    engine = _warm_up(FieldConfig.from_q(q), n_max)
+    rows = [x for xs in engine._lists.values() for x in xs]
+    keys = [mono for mono, _ in engine._memo]
+    keys += [k for x in list(engine._memo.values()) + rows for k in x.terms]
+    assert len({id(k) for k in keys}) == len(set(keys)) < len(keys)
+
+
 def test_warm_up_term_pairs_are_the_e_free_series_products(monkeypatch):
     """A q = 5 warm-up, every monomial of weight <= 20 at every order
     1 <= n <= 32 (orders outermost), multiplies exactly 2,737 term pairs
