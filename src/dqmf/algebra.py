@@ -480,11 +480,15 @@ def _den_product(d1, d2):
 def _coprime_parts(n, d):
     """(n/g, d/g) for g = gcd(n, d) of two nonconstant PolyT: the
     cross-cancellation of a RatT product, keyed like ``_den_pair`` and, like
-    it, the one owner of its gcd."""
+    it, the one owner of its gcd.  A side of g's degree is g up to a unit, so
+    its cofactor is that unit (lead(n), or 1 for the monic d) with no division."""
     g = _gcd(n, d, _euclid)
     if g.is_one():
         return n, d
-    return n.exact_div(g), d.exact_div(g)
+    cfg = n.cfg
+    nr = PolyT(cfg, (n.lead(),)) if len(n.c) == len(g.c) else n.exact_div(g)
+    dr = cfg.poly_one if len(d.c) == len(g.c) else d.exact_div(g)
+    return nr, dr
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from .algebra import FieldConfig, PolyT, RatT
 from .hyperd import DerivationEngine
 from .qmring import GENERATORS, NotIsobaric, QmPoly, grading, qm_basis
 from .suite import run_suite
-from .tseries import TSeries, evaluate, hyper_derive
+from .tseries import evaluate, hyper_derive
 from .verify import IDEAL_TAGS, IdealId, check_hyperstable
 
-__all__ = ["main", "parse_qmpoly", "parse_ratt", "ParseError", "qmpoly_from_json", "tseries_from_json"]
+__all__ = ["main", "parse_qmpoly", "parse_ratt", "ParseError"]
 
 
 class ParseError(ValueError):
@@ -181,31 +181,6 @@ def parse_qmpoly(cfg, text: str) -> QmPoly:
 
 def parse_ratt(cfg, text: str) -> RatT:
     return _scalar(cfg, _Parser(cfg, _tokenize(text), True).parse())
-
-
-def parse_polyt(cfg, text: str) -> PolyT:
-    r = parse_ratt(cfg, text)
-    if not r.den.is_one():
-        raise ParseError("expected a polynomial, found a denominator")
-    return r.num
-
-
-def qmpoly_from_json(cfg, data) -> QmPoly:
-    out = QmPoly.zero(cfg)
-    for t in data:
-        num = parse_polyt(cfg, t["num"])
-        den = parse_polyt(cfg, t["den"])
-        out = out + QmPoly.monomial(cfg, t["alpha"], t["beta"], t["gamma"], RatT(cfg, num, den))
-    return out
-
-
-def tseries_from_json(cfg, data):
-    terms = {}
-    for t in data["terms"]:
-        num = parse_polyt(cfg, t["num"])
-        den = parse_polyt(cfg, t["den"])
-        terms[t["n"]] = RatT(cfg, num, den)
-    return TSeries(cfg, data["order"], terms)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import sys
 import threading
 
 import dqmf
+from dqmf import algebra
 from dqmf.algebra import (
     DEFAULT_MODULI,
     FieldConfig,
@@ -152,6 +153,45 @@ def test_a_miss_of_each_denominator_cache_multiplies_once():
         g, xr, yr, lcm = _den_pair(x, y)
         one, cofactor = (xr, yr) if x is d1 else (yr, xr)
         assert g is d1 and lcm is d2 and one is cfg.poly_one and cofactor * d1 == d2
+
+
+def _cofactor_divisions(n, d):
+    """The _divmod_lists calls of a _coprime_parts miss outside its Euclid."""
+    _coprime_parts.cache_clear()
+    division, euclid = algebra._divmod_lists.__code__, algebra._euclid.__code__
+    calls = depth = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls, depth
+        if frame.f_code is euclid and event in ("call", "return"):
+            depth += 1 if event == "call" else -1
+        elif event == "call" and frame.f_code is division and not depth:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        parts = _coprime_parts(n, d)
+    finally:
+        sys.setprofile(None)
+    assert _coprime_parts.cache_info().misses == 1
+    return calls, parts
+
+
+def test_a_coprime_parts_miss_divides_only_a_side_above_the_gcd():
+    """A side of the gcd's degree is the gcd up to a unit: n's cofactor is
+    the constant lead(n) and the monic d's is the field's 1, with no
+    division.  Only a side of higher degree is divided by the gcd."""
+    cfg = FieldConfig.from_q(5)
+    n = PolyT(cfg, [1, 0, 3])  # 3 (T^2 + 2), not monic
+    lin, quad = PolyT(cfg, [1, 1]), PolyT(cfg, [3, 0, 1])  # T + 1; T^2 + 2 and T^2 + 3 are irreducible
+    calls, (nr, dr) = _cofactor_divisions(n, n.monic() * lin)  # n | d
+    assert calls == 1 and nr == PolyT(cfg, (n.lead(),)) and dr == lin
+    calls, (nr, dr) = _cofactor_divisions(n * lin, n.monic())  # d | n
+    assert calls == 1 and nr == lin.scale(n.lead()) and dr is cfg.poly_one
+    calls, (nr, dr) = _cofactor_divisions(n, n.monic())  # n = 3 d
+    assert calls == 0 and nr == PolyT(cfg, (n.lead(),)) and dr is cfg.poly_one
+    calls, (nr, dr) = _cofactor_divisions(n * lin, n.monic() * quad)  # neither divides
+    assert calls == 2 and nr == lin.scale(n.lead()) and dr == quad
 
 
 def test_the_pair_caches_keep_their_gcds_out_of_the_gcd_lru():

@@ -128,17 +128,18 @@ def test_cmd_derive_matches_table(capsys):
 
 
 def test_cmd_derive_json_roundtrip(capsys):
-    rc = main(["derive", "--q", "5", "--json", "E g + h", "3"])
-    assert rc == 0
-    data = json.loads(capsys.readouterr().out)
-    from dqmf.cli import qmpoly_from_json
     from dqmf.hyperd import DerivationEngine
 
     cfg = FieldConfig.from_q(5)
-    back = qmpoly_from_json(cfg, data["result"])
     eng = DerivationEngine(cfg)
-    f = QmPoly.monomial(cfg, 1, 1, 0) + QmPoly.gen_h(cfg)
-    assert back == eng.derive(f, 3)
+    # E g + h = -D_1 g, so its D_3 = -4 D_4 g is 0 (4 is not 0 or 1 mod 5)
+    for expr, f in (("E g + h", QmPoly.monomial(cfg, 1, 1, 0) + QmPoly.gen_h(cfg)),
+                    ("E g", QmPoly.monomial(cfg, 1, 1, 0))):
+        rc = main(["derive", "--q", "5", "--json", expr, "3"])
+        assert rc == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["result"] == eng.derive(f, 3).to_json()
+    assert data["result"]
 
 
 def test_cmd_derive_rejects_excessive_order(capsys):
@@ -158,11 +159,10 @@ def test_cmd_expand_json(capsys):
     rc = main(["expand", "--q", "5", "--json", "g", "10"])
     data = json.loads(capsys.readouterr().out)
     assert rc == 0
-    from dqmf.cli import tseries_from_json
     from dqmf.tseries import expand_g
 
     cfg = FieldConfig.from_q(5)
-    assert tseries_from_json(cfg, data["series"]) == expand_g(cfg, 10)
+    assert data["series"] == expand_g(cfg, 10).to_json()
 
 
 def test_cmd_basis(capsys):
@@ -268,6 +268,31 @@ def test_cmd_verify_json_determinism(capsys):
     rc2 = main(argv)
     out2 = capsys.readouterr().out
     assert rc1 == rc2 == 0 and out1 == out2
+
+
+def test_every_subcommand_prints_one_json_object_naming_its_field(capsys):
+    """--json output is for other programs: one JSON object per run.  Its
+    field record (the whole object for `field`) rebuilds, through
+    FieldConfig(p, e, modulus), the very field the command ran on."""
+    own_modulus = FieldConfig(3, 2, (2, 2, 1))  # F_9 by x^2 + 2x + 2, not the default
+    runs = [
+        (["derive", "--q", "5", "E g + h", "3"], FieldConfig.from_q(5)),
+        (["expand", "--q", "4", "E g", "12", "--n", "2"], FieldConfig.from_q(4)),
+        (["basis", "--q", "7", "24", "0", "2"], FieldConfig.from_q(7)),
+        (["ideal", "--q", "8", "max", "--c", "T", "--n-max", "8"], FieldConfig.from_q(8)),
+        (["verify", "--p", "3", "--e", "2", "--modulus", "2 2 1", "--n-max", "8"], own_modulus),
+        (["field", "--p", "3", "--e", "2", "--modulus", "2 2 1"], own_modulus),
+    ]
+    assert sorted(argv[0] for argv, _ in runs) == ["basis", "derive", "expand", "field", "ideal", "verify"]
+    for argv, cfg in runs:
+        rc = main(argv + ["--json"])
+        out = capsys.readouterr().out
+        assert rc == 0 and out.count("\n") == 1 and out.endswith("\n"), argv
+        data = json.loads(out)
+        assert isinstance(data, dict), argv
+        record = data if argv[0] == "field" else data["field"]
+        assert FieldConfig(record["p"], record["e"], record["modulus"]) is cfg, argv
+        assert record["q"] == cfg.q, argv
 
 
 # ---------------------------------------------------------------------------

@@ -195,12 +195,17 @@ def test_d1_matches_the_engine(q):
 
 
 def test_qmpoly_str_and_json_roundtrip(cfg):
-    from dqmf.cli import qmpoly_from_json
+    """Each JSON record rebuilds its term: the exponents and parse_ratt of
+    num/den."""
+    from dqmf.cli import parse_ratt
 
     rng = random.Random(3)
     for _ in range(10):
         f = random_isobaric(cfg, rng, 12)
-        assert qmpoly_from_json(cfg, f.to_json()) == f
+        terms = {(t["alpha"], t["beta"], t["gamma"]):
+                 parse_ratt(cfg, t["num"]) * parse_ratt(cfg, t["den"]).inverse()
+                 for t in f.to_json()}
+        assert QmPoly(cfg, terms) == f
     assert str(QmPoly.zero(cfg)) == "0"
     assert str(QmPoly.one(cfg)) == "1"
 

@@ -15,9 +15,6 @@ SRC = Path(dqmf.__file__).resolve().parent
 
 # defs that no command enters, each kept for a reason of its own
 NEVER_ENTERED = {
-    "cli:qmpoly_from_json": "the inverse of `derive --json`, round-tripped by the tests",
-    "cli:tseries_from_json": "the inverse of `expand --json`, round-tripped by the tests",
-    "cli:parse_polyt": "reads the num/den strings of the two JSON readers above",
     "hyperd:depth_drop": "the paper's depth criterion, checked against the engine by the acceptance suite",
     "algebra:RatT.__hash__": "RatT is a value type: the frozen IdealId hashes its parameter",
 }
