@@ -10,8 +10,6 @@ the digits up and subtracts the top digit times m, and a*b = sum_i b_i
 Rational functions are kept in canonical form (coprime, monic denominator)
 at all times, which makes equality syntactic; ``RatT._raw``, which trusts
 its caller to pass that form, is called only in this module.
-``RatT.over`` reduces a numerator over a monic denominator with one
-division, for the coefficients that ``tseries`` series hand out on a read.
 
 Two denominators d1, d2 meet in LRUs of 2^12 entries keyed by the two PolyT
 values (and so by their field), each building only what its callers read:
@@ -22,7 +20,7 @@ the pairs recur; ``cache_info()`` reports the traffic.  A product first
 cross-cancels each numerator against the other factor's denominator through
 ``_coprime_parts``, a third such LRU.  Each cached value has one owner:
 those two pair LRUs take their gcd from ``_euclid`` uncached, and only
-``PolyT.gcd`` and ``RatT.over`` store theirs, in ``_monic_gcd`` (LRU 2^18).
+``PolyT.gcd`` stores gcds, in ``_monic_gcd`` (LRU 2^18).
 All share ``_gcd``'s shortcuts: a constant is a unit, equal inputs are their
 own gcd, and two linears read theirs off their coefficients.  The d_i have
 one cache, ``d_power``; ``d_rat`` gives d_i^k for any integer k as a RatT.
@@ -423,8 +421,8 @@ def _euclid(cfg, a, b):
 
 @functools.lru_cache(maxsize=1 << 18)
 def _monic_gcd(cfg, a, b):
-    """``_euclid`` behind ``PolyT.gcd`` and ``RatT.over``; the LRU bound keeps
-    a long-running process from holding every pair it has ever reduced."""
+    """``_euclid`` behind ``PolyT.gcd``, which alone stores gcds; the LRU bound
+    keeps a long-running process from holding every pair it has ever reduced."""
     return _euclid(cfg, a, b)
 
 
@@ -527,23 +525,6 @@ class RatT:
         self.num = num
         self.den = den
         return self
-
-    @classmethod
-    def over(cls, num: PolyT, den: PolyT):
-        """num/den in canonical form for a monic den, num itself when den is 1:
-        one division, whose quotient is the result when den | num; otherwise
-        gcd(num, den) = gcd(den, remainder), a unit for a constant one."""
-        if not den.c or den.c[-1] != 1:
-            raise ValueError("RatT.over needs a monic denominator")
-        cfg = num.cfg
-        if not num.c or den.is_one():
-            return cls._raw(cfg, num, cfg.poly_one)
-        quot, rem = _divmod_lists(list(num.c), den.c, cfg)
-        if not rem:
-            return cls._raw(cfg, PolyT(cfg, quot), cfg.poly_one)
-        if len(rem) > 1 and not (g := _monic_gcd(cfg, den.c, tuple(rem))).is_one():
-            num, den = num.exact_div(g), den.exact_div(g)
-        return cls._raw(cfg, num, den)
 
     @classmethod
     def from_int(cls, cfg, n: int):
@@ -713,10 +694,11 @@ def d_rat(i: int, k: int, cfg: FieldConfig) -> RatT:
 
 
 def common_denominator(cfg: FieldConfig, values) -> PolyT:
-    """The monic lcm of the ``den`` of some RatT or TSeries values (1 for none)."""
+    """The monic lcm of the ``den`` of some RatT or TSeries values (1 for none);
+    a ``den`` equal to the lcm so far forms no pair."""
     common = cfg.poly_one
     for x in values:
-        if x.den.is_one():
+        if x.den.is_one() or x.den.c == common.c:
             continue
         common = x.den if common.is_one() else _den_pair(common, x.den)[3]
     return common

@@ -10,10 +10,11 @@ the convolution formula with the alpha coefficients (sums of
 1/(d_{i_1}...d_{i_r}) over ways of writing the order as r q-powers), so
 derivative identities checked against the engine are genuinely two-route.
 A series is one monic den over F_q[T] numerators prime to it as a whole,
-and a canonical RatT coefficient is built (``RatT.over``) only when read.
-Products are convolved on raw F_q[T] code lists by ``_accumulate``, and
-``_canonical`` takes one running gcd with den: ``_sum_of_products`` (``+``,
-``*``, lattice sums), ``hyper_derive`` and ``evaluate`` end in it.  The caches are
+and a canonical RatT coefficient is built (the RatT constructor) only when
+read.  Every sum and product over F_q(T) is one ``_sum_of_products`` call
+(``+``, ``*``, lattice sums, ``hyper_derive``, ``evaluate``): products are
+convolved on raw F_q[T] code lists by ``_accumulate``, and ``_canonical``
+takes one running gcd with den.  The caches are
 ``_expansion``, ``alpha`` and ``_monomial``, which holds each E^a g^b h^c
 over F_q[T], built digit by digit in base p since the p-th power of such a
 series is its Frobenius; it never leaves this module, and ``expand_E/g/h``
@@ -56,7 +57,8 @@ class TSeries:
         terms = {n: v for n, v in (terms or {}).items() if n < order and v}
         # the lcm of canonical denominators is prime to the cleared numerators
         self.cfg, self.order, self.den = cfg, order, common_denominator(cfg, terms.values())
-        self.nums = _cleared(terms.items(), self.den)
+        self.nums = {n: v.num if v.den.c == self.den.c else v.num * self.den.exact_div(v.den)
+                     for n, v in terms.items()}
 
     @classmethod
     def one(cls, cfg, order):
@@ -65,12 +67,12 @@ class TSeries:
     def coeff(self, n: int) -> RatT:
         if n >= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return RatT.over(self.nums.get(n, self.cfg.poly_zero), self.den)
+        return RatT(self.cfg, self.nums.get(n, self.cfg.poly_zero), self.den)
 
     @property
     def terms(self) -> dict:
         """Exponent -> canonical RatT, built anew on every read."""
-        return {n: RatT.over(num, self.den) for n, num in self.nums.items()}
+        return {n: RatT(self.cfg, num, self.den) for n, num in self.nums.items()}
 
     def items(self):
         return sorted(self.terms.items())
@@ -112,7 +114,8 @@ class TSeries:
 
 
 def _series(cfg, order: int, den: PolyT, nums: dict) -> TSeries:
-    """The series nums/den; the caller guarantees the normal form."""
+    """The series nums/den; the caller guarantees the normal form, or only that
+    the series is exact when it is a kernel operand."""
     if order < 1:
         raise ValueError("truncation order must be >= 1")
     s = object.__new__(TSeries)
@@ -123,12 +126,6 @@ def _series(cfg, order: int, den: PolyT, nums: dict) -> TSeries:
 def _copy(s: TSeries) -> TSeries:
     """s with its own numerator dict, for handing out a cached series."""
     return _series(s.cfg, s.order, s.den, dict(s.nums))
-
-
-def _cleared(items, common: PolyT) -> dict:
-    """(key, RatT) items as key -> PolyT numerator over ``common``, which must
-    be a multiple of every denominator among them."""
-    return {k: v.num if v.den.c == common.c else v.num * common.exact_div(v.den) for k, v in items}
 
 
 def _accumulate(cfg, acc: dict, x: dict, y: dict, M: int):
@@ -378,28 +375,27 @@ def hyper_derive(s: TSeries, i: int) -> TSeries:
     sum_{r=1}^{n-1} (-1)^(i+r) C(n-1, r) alpha(r, i) a_{n-r}.
 
     The output keeps the input truncation order (the formula only consumes
-    coefficients below n).  D_1 specializes to t^m -> m t^(m+1).  s is read
-    over its own den and the alpha(r, i), zero for r > i, are cleared over one
-    other; per r the kernel adds the signed alpha numerator times
-    sum_m C(m+r-1, r) a_m t^(m+r), the binomials that vanish mod p left out,
-    and the sum is reduced once.
+    coefficients below n).  D_1 specializes to t^m -> m t^(m+1).  One kernel
+    call over a pair per nonzero alpha(r, i) (zero for r > i): the signed alpha
+    as a one-term series, and sum_m C(m+r-1, r) a_m t^(m+r) over s.den, the
+    binomials that vanish mod p left out.
     """
     if i < 0:
         raise ValueError("derivative order must be >= 0")
     if i == 0:
         return _copy(s)
     cfg, order, p = s.cfg, s.order, s.cfg.p
-    alphas = {r: al for r in range(1, min(i, order - 2) + 1)
-              if not (al := alpha(r, i, cfg)).is_zero()}
-    da = common_denominator(cfg, alphas.values())
-    acc = {}
-    for r, al in _cleared(alphas.items(), da).items():
+    pairs = []
+    for r in range(1, min(i, order - 2) + 1):
+        if (al := alpha(r, i, cfg)).is_zero():
+            continue
         shifted = {}
         for m, a in s.nums.items():
             if m + r < order and (b := binom_mod_p(m + r - 1, r, p)):
                 shifted[m + r] = a if b == 1 else a.scale(b)
-        _accumulate(cfg, acc, {0: al if (i + r) % 2 == 0 else -al}, shifted, order)
-    return _canonical(cfg, order, acc, da * s.den)
+        signed = _series(cfg, order, al.den, {0: al.num if (i + r) % 2 == 0 else -al.num})
+        pairs.append((signed, _series(cfg, order, s.den, shifted)))
+    return _sum_of_products(cfg, order, pairs)
 
 
 @functools.cache
@@ -425,12 +421,11 @@ def _monomial(cfg: FieldConfig, N: int, mono: tuple) -> dict:
 
 
 def evaluate(f: QmPoly, N: int) -> TSeries:
-    """The substitution homomorphism sending E, g, h to their expansions: f's
-    coefficients are cleared over one denominator, each numerator convolved
-    with its cached monomial series, and only the sum made canonical."""
+    """The substitution homomorphism sending E, g, h to their expansions: one
+    kernel call over the pairs (coefficient, cached monomial series).  E^a g^b h^c
+    has valuation a + c, since nu(E) = nu(h) = 1 and nu(g) = 0, so a monomial with
+    a + c >= N is left out before its coefficient's den can enter the lcm."""
     cfg = f.cfg
-    den = common_denominator(cfg, f.terms.values())
-    acc = {}
-    for mono, num in _cleared(f.terms.items(), den).items():
-        _accumulate(cfg, acc, {0: num}, _monomial(cfg, N, mono), N)
-    return _canonical(cfg, N, acc, den)
+    return _sum_of_products(cfg, N, [
+        (_series(cfg, N, v.den, {0: v.num}), _series(cfg, N, cfg.poly_one, _monomial(cfg, N, mono)))
+        for mono, v in f.terms.items() if mono[0] + mono[2] < N])

@@ -448,73 +448,6 @@ def test_ratt_mul_and_add_match_the_constructor_route(q):
     assert common_denominator(cfg, samples) == lcm
 
 
-def _over_cases(cfg, rng):
-    """(codes, den) pairs, each tagged with what RatT(num, den) cancels.
-
-    The denominators are d_i^k products and products u*w of random monic u,
-    w; the numerators are zero lists, den times a random factor (plus a
-    constant for a constant remainder), u times a random factor (a partial
-    gcd for den = u*w) and random lists, some with a zero tail.
-    """
-    q = cfg.q
-
-    def rand(lo, hi):
-        return PolyT(cfg, [rng.randrange(q) for _ in range(rng.randint(lo, hi))])
-
-    def monic(deg):
-        return PolyT(cfg, [rng.randrange(q) for _ in range(deg)] + [1])
-
-    d1, d2 = d_power(1, 1, cfg), d_power(2, 1, cfg)
-    dens = [(cfg.poly_one, None), (d1, d1), (d_power(1, 2, cfg), d1), (d2, d1), (d1 * d2, d2)]
-    for _ in range(4):
-        u = monic(rng.randint(1, 3))
-        dens.append((u * monic(rng.randint(1, 3)), u))
-    out = []
-    for den, factor in dens:
-        out += [([], den), ([0] * rng.randint(1, 5), den)]
-        for _ in range(3):
-            out.append((list((den * rand(1, 4)).c), den))
-            out.append((list((den * rand(1, 3) + rand(1, 1)).c), den))
-            out.append((list((factor * rand(1, 4)).c) if factor else list(rand(1, 4).c), den))
-            out.append((list(rand(1, 6).c) + [0] * rng.randint(0, 3), den))
-    return out
-
-
-def _over_kind(cfg, codes, den, ref):
-    num = PolyT(cfg, codes)
-    if num.is_zero():
-        return "zero"
-    if den.is_one():
-        return "den 1"
-    if ref.den.is_one():
-        return "den | num"
-    return "gcd 1" if ref.den == den else "partial gcd"
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_ratt_over_matches_the_constructor(q):
-    """RatT.over divides once and reuses the quotient or the remainder; the
-    constructor takes the gcd of the whole numerator, then divides."""
-    cfg = FieldConfig.from_q(q)
-    rng = random.Random(q + 53)
-    kinds = set()
-    for codes, den in _over_cases(cfg, rng):
-        got, ref = RatT.over(PolyT(cfg, codes), den), RatT(cfg, PolyT(cfg, codes), den)
-        assert got == ref and got.num.c == ref.num.c and got.den.c == ref.den.c, (codes, den)
-        assert got.num.cfg is cfg and got.den.cfg is cfg
-        kinds.add(_over_kind(cfg, codes, den, ref))
-    assert kinds == {"zero", "den 1", "den | num", "gcd 1", "partial gcd"}
-
-
-def test_ratt_over_needs_a_monic_denominator():
-    cfg = FieldConfig.from_q(5)
-    for den in (cfg.poly_zero, PolyT(cfg, [1, 2]), PolyT(cfg, [3]), bracket(1, cfg).scale(2)):
-        with pytest.raises(ValueError):
-            RatT.over(PolyT(cfg, [1, 1]), den)
-    with pytest.raises(ValueError):
-        RatT.over(cfg.poly_zero, cfg.poly_zero)
-
-
 def _trim_one_step_at_a_time(coeffs):
     """The trim PolyT used to make: one tuple slice per trailing zero."""
     c = tuple(coeffs)

@@ -532,8 +532,7 @@ def test_digit_step_matches_the_older_composition(q):
             assert engine.d_generator(gen, n) == _composed_generator(composer, gen, n, memo), (gen, n)
 
 
-# q = 7 (limit 342) is left out: its evaluations take about 40 s
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9], ids=lambda q: f"q{q}")
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
 def test_every_generator_order_matches_the_series(q):
     """D_n x for x in {E, g, h} at every order 1 <= n <= limit, t-expanded,
     equals the series D_n of x's lattice-sum expansion: the digit step's

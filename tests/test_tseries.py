@@ -589,6 +589,25 @@ def test_evaluate_matches_the_pairwise_route(q):
 
 
 @pytest.mark.parametrize("q", ALL_FIELDS, ids=lambda q: f"q{q}")
+def test_evaluate_leaves_out_only_the_monomials_that_vanish_below_N(q):
+    """E^a g^b h^c has valuation a + c: a term with a + c = N vanishes below N,
+    one with a + c = N - 1 does not, and neither does a power of g past N."""
+    cfg = FieldConfig.from_q(q)
+    rng = random.Random(q + 47)
+    N = q + 3
+    monos = [(2, 1, N - 2), (N, 0, 0), (1, 2, N - 2), (N - 1, 1, 0), (1, 2 * N, 0), (0, N + 1, 1)]
+    f = QmPoly.zero(cfg)
+    for mono in monos:
+        while (v := random_fraction(cfg, rng)).is_zero():
+            pass
+        f.terms[mono] = v
+    parts = [QmPoly(cfg, {mono: v}) for mono, v in f.terms.items()]
+    for g in parts + [f]:
+        assert evaluate(g, N) == _pairwise_evaluate(g, N), str(g)
+    assert [nu_infinity(evaluate(g, N)) for g in parts] == [None, None, N - 1, N - 1, 1, 1]
+
+
+@pytest.mark.parametrize("q", ALL_FIELDS, ids=lambda q: f"q{q}")
 def test_hyper_derive_matches_the_per_term_loop(q):
     cfg = FieldConfig.from_q(q)
     rng = random.Random(q + 43)
