@@ -15,10 +15,10 @@ read.  Every sum and product over F_q(T) is one ``_sum_of_products`` call
 (``+``, ``*``, lattice sums, ``hyper_derive``, ``evaluate``): products are
 convolved on raw F_q[T] code lists by ``_accumulate``, and ``_canonical``
 takes one running gcd with den.  The caches are
-``_expansion``, ``alpha`` and ``_monomial``, which holds each E^a g^b h^c
-over F_q[T], built digit by digit in base p since the p-th power of such a
-series is its Frobenius; it never leaves this module, and ``expand_E/g/h``
-and ``hyper_derive(s, 0)`` return copies of cached series.
+``alpha`` and ``_monomial``, which holds each E^a g^b h^c over F_q[T]: a
+generator from its one builder ``_generator_series``, a product digit by
+digit in base p since the p-th power of such a series is its Frobenius; it
+never leaves this module, and ``expand_E/g/h`` return copies of its entries.
 """
 
 from __future__ import annotations
@@ -121,11 +121,6 @@ def _series(cfg, order: int, den: PolyT, nums: dict) -> TSeries:
     s = object.__new__(TSeries)
     s.cfg, s.order, s.den, s.nums = cfg, order, den, nums
     return s
-
-
-def _copy(s: TSeries) -> TSeries:
-    """s with its own numerator dict, for handing out a cached series."""
-    return _series(s.cfg, s.order, s.den, dict(s.nums))
 
 
 def _accumulate(cfg, acc: dict, x: dict, y: dict, M: int):
@@ -291,22 +286,26 @@ def _lattice_sum(cfg: FieldConfig, N: int, k: int, weight) -> TSeries:
     return _sum_of_products(cfg, N, pairs)
 
 
-@functools.cache
-def _expansion(cfg: FieldConfig, N: int, gen: str) -> TSeries:
-    """The expansion of gen in "Egh" below N, cached and read by ``_monomial``;
-    the public builders below hand out copies of it."""
-    if gen == "E":
-        return _lattice_sum(cfg, N, 1, lambda a: RatT(cfg, a))
-    if gen == "g":
+def _generator_series(cfg: FieldConfig, N: int, mono: tuple) -> dict:
+    """The expansion of the generator mono in (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    below N over F_q[T], uncached: only a miss of ``_monomial``, its one cache,
+    builds it.  h reads g and E from ``_monomial``."""
+    if mono == (1, 0, 0):
+        s = _lattice_sum(cfg, N, 1, lambda a: RatT(cfg, a))
+    elif mono == (0, 1, 0):
         total = _lattice_sum(cfg, N, cfg.q - 1, lambda a: cfg.rat_one)
-        return TSeries.one(cfg, N) - total * d_rat(1, 1, cfg)
-    g, E = _expansion(cfg, N, "g"), _expansion(cfg, N, "E")
-    return -(hyper_derive(g, 1) + E * g)
+        s = TSeries.one(cfg, N) - total * d_rat(1, 1, cfg)
+    else:
+        g, E = (_series(cfg, N, cfg.poly_one, _monomial(cfg, N, m)) for m in ((0, 1, 0), (1, 0, 0)))
+        s = -(hyper_derive(g, 1) + E * g)
+    if not s.den.is_one():  # once per generator
+        raise AssertionError(f"the expansion {mono} has a coefficient outside F_q[T]")
+    return s.nums
 
 
 def expand_E(cfg: FieldConfig, N: int) -> TSeries:
     """E as the lattice sum over monic a of a * t_a, truncated below N."""
-    return _copy(_expansion(cfg, N, "E"))
+    return _series(cfg, N, cfg.poly_one, dict(_monomial(cfg, N, (1, 0, 0))))
 
 
 def expand_g(cfg: FieldConfig, N: int) -> TSeries:
@@ -315,12 +314,12 @@ def expand_g(cfg: FieldConfig, N: int) -> TSeries:
     The degree-zero lattice layer is normalized to the constant 1, which
     pins the leading coefficient; the monic layers are summed honestly.
     """
-    return _copy(_expansion(cfg, N, "g"))
+    return _series(cfg, N, cfg.poly_one, dict(_monomial(cfg, N, (0, 1, 0))))
 
 
 def expand_h(cfg: FieldConfig, N: int) -> TSeries:
     """h = -(D_1 g + E g): the one definitional equation on the series side."""
-    return _copy(_expansion(cfg, N, "h"))
+    return _series(cfg, N, cfg.poly_one, dict(_monomial(cfg, N, (0, 0, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +382,7 @@ def hyper_derive(s: TSeries, i: int) -> TSeries:
     if i < 0:
         raise ValueError("derivative order must be >= 0")
     if i == 0:
-        return _copy(s)
+        return _series(s.cfg, s.order, s.den, dict(s.nums))
     cfg, order, p = s.cfg, s.order, s.cfg.p
     pairs = []
     for r in range(1, min(i, order - 2) + 1):
@@ -404,12 +403,7 @@ def _monomial(cfg: FieldConfig, N: int, mono: tuple) -> dict:
     S(m mod p) * Frob(S(m div p)) with the base at the full N; the part below p
     is halved, so a miss recurses O(log p) deep per base-p digit."""
     if sum(mono) <= 1:
-        if not any(mono):
-            return {0: cfg.poly_one}
-        s = _expansion(cfg, N, "Egh"[mono.index(1)])
-        if not s.den.is_one():  # once per generator
-            raise AssertionError(f"the expansion {mono} has a coefficient outside F_q[T]")
-        return s.nums
+        return _generator_series(cfg, N, mono) if any(mono) else {0: cfg.poly_one}
     if max(mono) >= cfg.p:
         low = tuple(n % cfg.p for n in mono)
         lifted = _frobenius(cfg, _monomial(cfg, N, tuple(n // cfg.p for n in mono)), N, 1)

@@ -7,7 +7,6 @@ from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly
 
 MAIN_FIELDS = [4, 5, 7, 8, 9]
-SMALL_FIELDS = [2, 3]
 
 _engines = {}
 
@@ -71,15 +70,6 @@ def _inv_d(cfg, i, k):
 
 def _d(cfg, i):
     return RatT(cfg, d_power(i, 1, cfg))
-
-
-def _p_powers(cfg, bound):
-    """1, p, p^2, ... up to bound."""
-    out, v = [], 1
-    while v <= bound:
-        out.append(v)
-        v *= cfg.p
-    return out
 
 
 def expected_generator_value(cfg, gen, n):

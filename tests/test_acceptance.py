@@ -2,7 +2,8 @@
 
 All arithmetic is exact, so every comparison below is equality of canonical
 forms; there are no numeric tolerances anywhere.  Main suites run over the
-desk-scale fields q in {4, 5, 7, 8, 9}.  Each check prints one PASS/FAIL
+desk-scale fields q in {4, 5, 7, 8, 9}; criteria 3 and 5 (``every_field``)
+add q = 2 and 3.  Each check prints one PASS/FAIL
 line (visible with pytest -s, and in captured output on failure).
 
 Where a stated horizon exceeds the engine's computable range
@@ -17,7 +18,7 @@ from contextlib import contextmanager
 import pytest
 
 from dqmf.algebra import FieldConfig, RatT, binom_mod_p, power
-from dqmf.hyperd import depth_drop
+from dqmf.hyperd import DerivationEngine, depth_drop
 from dqmf.qmring import (
     QmPoly,
     associated_polynomial,
@@ -25,6 +26,7 @@ from dqmf.qmring import (
     monomial_signature,
     qm_basis,
 )
+from dqmf.suite import p_powers_upto
 from dqmf.tseries import (
     evaluate,
     expand_E,
@@ -43,7 +45,7 @@ from dqmf.verify import (
     random_ratt,
 )
 
-from conftest import _d, _inv_d, _p_powers, engine_for, expected_generator_value, pth_root
+from conftest import _d, _inv_d, engine_for, expected_generator_value, pth_root
 
 SEED = 20260808
 CASES_PER_FIELD = 200  # x 5 fields = 1000 randomized cases per property suite
@@ -63,6 +65,9 @@ def _rng(q, salt):
     return random.Random(SEED * 1000 + q * 10 + salt)
 
 
+every_field = pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+
+
 # ---------------------------------------------------------------------------
 # 1. Golden generator tables
 # ---------------------------------------------------------------------------
@@ -71,14 +76,12 @@ def _rng(q, salt):
 def test_criterion_1_generator_tables(q):
     with criterion(f"1 generator tables [q={q}]"):
         start = time.monotonic()
-        from dqmf.hyperd import DerivationEngine
-
         engine = DerivationEngine(FieldConfig.from_q(q))  # fresh: timing is honest
         cfg = engine.cfg
         for gen in ("E", "g", "h"):
             for n in range(q):
                 assert engine.d_generator(gen, n) == expected_generator_value(cfg, gen, n)
-            for n in _p_powers(cfg, q * q):
+            for n in p_powers_upto(cfg, q * q):
                 assert engine.d_generator(gen, n) == expected_generator_value(cfg, gen, n)
         if q == cfg.p and q in (5, 7):
             # prime-field systems, verbatim (both displayed layers)
@@ -124,7 +127,7 @@ def test_criterion_1_generator_tables(q):
 def _cross_check_orders(cfg):
     q = cfg.q
     ns = set(range(1, q + 1))
-    for pk in _p_powers(cfg, q * q):
+    for pk in p_powers_upto(cfg, q * q):
         ns.add(pk)
         if pk > 1:
             ns.add(pk - 1)
@@ -153,6 +156,7 @@ def test_criterion_2_series_cross_validation(q):
 # ---------------------------------------------------------------------------
 
 
+@every_field
 def test_criterion_3_expansion_leading_terms(q):
     with criterion(f"3 expansion leading terms [q={q}]"):
         cfg = FieldConfig.from_q(q)
@@ -368,6 +372,7 @@ def test_criterion_4_binomial_identity_sweep():
 # ---------------------------------------------------------------------------
 
 
+@every_field
 def test_criterion_5_ideal_classification(q):
     with criterion(f"5 ideal classification [q={q}]"):
         engine = engine_for(q)

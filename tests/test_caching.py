@@ -24,23 +24,23 @@ from dqmf.algebra import (
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly
 from dqmf.suite import run_suite
-from dqmf.tseries import _expansion, _monomial, alpha, expand_E
+from dqmf.tseries import _monomial, alpha, expand_E, expand_g, expand_h
 
 from conftest import _ratio_of_linears
 
 
 def test_repeated_calls_return_the_cached_object(cfg):
     q = cfg.q
-    # the expansion cache sits behind expand_E, which hands out copies
-    assert _expansion(cfg, q + 3, "E") is _expansion(cfg, q + 3, "E")
-    assert expand_E(cfg, q + 3) == _expansion(cfg, q + 3, "E")
-    assert expand_E(cfg, q + 3) is not _expansion(cfg, q + 3, "E")
+    # the monomial cache sits behind expand_E, which hands out copies
+    assert _monomial(cfg, q + 3, (1, 0, 0)) is _monomial(cfg, q + 3, (1, 0, 0))
+    assert expand_E(cfg, q + 3).nums == _monomial(cfg, q + 3, (1, 0, 0))
+    assert expand_E(cfg, q + 3).nums is not _monomial(cfg, q + 3, (1, 0, 0))
     assert d_power(2, 3, cfg) is d_power(2, 3, cfg)
     assert not alpha(1, q, cfg).is_zero()
     assert alpha(1, q, cfg) is alpha(1, q, cfg)
 
 
-def test_the_process_wide_caches_are_exactly_these_eight():
+def test_the_process_wide_caches_are_exactly_these_seven():
     """Each per-field value has one builder and at most one cache; the
     brackets, d_coeff and the monic lattices rebuild in well under a
     millisecond and are not cached."""
@@ -52,17 +52,16 @@ def test_the_process_wide_caches_are_exactly_these_eight():
     assert found == {
         "dqmf.algebra._monic_gcd", "dqmf.algebra._den_pair", "dqmf.algebra._den_product",
         "dqmf.algebra._coprime_parts", "dqmf.algebra.d_power",
-        "dqmf.tseries.alpha", "dqmf.tseries._expansion", "dqmf.tseries._monomial",
+        "dqmf.tseries.alpha", "dqmf.tseries._monomial",
     }
 
 
 def test_the_first_generator_power_is_the_cached_expansion(cfg):
-    # one copy of each generator series: gen^1 holds the expansion's own
-    # numerators, not a rebuilt 1 * gen
-    for mono, gen in (((1, 0, 0), "E"), ((0, 1, 0), "g"), ((0, 0, 1), "h")):
-        first, s = _monomial(cfg, cfg.q + 3, mono), _expansion(cfg, cfg.q + 3, gen)
-        assert first.keys() == s.terms.keys()
-        assert all(first[n] is v.num for n, v in s.terms.items())
+    # one cached copy of each generator series, x^1's entry of _monomial;
+    # expand_X hands out its numerators in a dict of their own
+    for mono, expand in (((1, 0, 0), expand_E), ((0, 1, 0), expand_g), ((0, 0, 1), expand_h)):
+        first, s = _monomial(cfg, cfg.q + 3, mono), expand(cfg, cfg.q + 3)
+        assert s.den.is_one() and s.nums == first and s.nums is not first
 
 
 def test_field_config_carries_no_cache():

@@ -42,7 +42,7 @@ sys.exit(main(["verify", "--q", "5", "--n-max", "8", "--suite", "generator_table
 
 
 def test_monomial_series_check_raises_under_O():
-    # a fresh process: the doctored expansion never reaches a cached series
+    # a fresh process: the doctored lattice sum never reaches a cached series
     code = """
 import sys
 import dqmf.tseries as ts
@@ -50,9 +50,9 @@ from dqmf.algebra import FieldConfig, RatT
 
 assert False, "asserts must be stripped"
 cfg = FieldConfig.from_q(5)
-ts._expansion = lambda cfg, N, gen: ts.TSeries(cfg, N, {1: RatT(cfg, cfg.poly_one, cfg.poly_T)})
+ts._lattice_sum = lambda cfg, N, k, weight: ts.TSeries(cfg, N, {1: RatT(cfg, cfg.poly_one, cfg.poly_T)})
 try:
-    ts._monomial(cfg, 8, (0, 1, 0))
+    ts._monomial(cfg, 8, (1, 0, 0))
 except AssertionError as exc:
     print("raised:", exc)
     sys.exit(0)
@@ -60,7 +60,7 @@ sys.exit(1)
 """
     proc = run_optimized("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert "raised: the expansion (0, 1, 0) has a coefficient outside F_q[T]" in proc.stdout
+    assert "raised: the expansion (1, 0, 0) has a coefficient outside F_q[T]" in proc.stdout
 
 
 def test_verify_passes_under_O():

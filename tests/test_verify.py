@@ -204,9 +204,7 @@ def test_h_power_quotient_negative(engine, q):
             assert acc.is_zero()
 
 
-@pytest.mark.parametrize(
-    "q", [pytest.param(3, marks=pytest.mark.experimental), 4, 5, 7, 9], ids=lambda q: f"q{q}"
-)
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 9], ids=lambda q: f"q{q}")
 def test_negative_h_powers_match_the_convolution_of_h_inverse(q):
     """The quotient row of h^-m, built as the m-fold Leibniz convolution
     D_r(xy)/xy = sum_i (D_i x/x)(D_(r-i) y/y) of h^-1's, equals the inverse
