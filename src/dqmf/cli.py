@@ -267,6 +267,9 @@ def _cmd_basis(args):
 
 def _parse_ideal(args, cfg):
     tag = args.ideal
+    for flag, owner in (("d", "Pd"), ("c", "max")):
+        if getattr(args, flag) is not None and tag != owner:
+            raise ValueError(f"--{flag} is a parameter of {owner} only, not of {tag}")
     param = None
     if tag == "Pd":
         if not args.d:

@@ -24,7 +24,7 @@ and the kernel (so ``*``) raise ValueError on elements of two fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import FieldConfig, PolyT, RatT, _den_product, binom_mod_p, power
 
@@ -48,13 +48,10 @@ class NotIsobaric(ValueError):
     """The element mixes weights or types."""
 
 
-@dataclass(frozen=True)
-class GradingSignature:
-    """Weight, type (a residue in {0..q-2}) and depth of an isobaric element."""
+class GradingSignature(namedtuple("GradingSignature", "w m l")):
+    """Weight w, type m (a residue in {0..q-2}) and depth l of an isobaric element."""
 
-    w: int
-    m: int
-    l: int
+    __slots__ = ()
 
 
 class QmPoly:

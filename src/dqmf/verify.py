@@ -14,7 +14,7 @@ row -1, so a row with n < 0 can fail only where the row of h fails.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .algebra import PolyT, RatT, binom_mod_p
 from .hyperd import DerivationEngine
@@ -39,25 +39,24 @@ IDEAL_TAGS = ("h", "P0", "Pinf", "Pd", "max", "E", "g")
 _KILLED = {"h": "h", "P0": "Eh", "Pinf": "gh", "E": "E", "g": "g"}
 
 
-@dataclass(frozen=True)
-class IdealId:
-    """One of the classified ideals of K[E,g,h].
+class IdealId(namedtuple("IdealId", "tag param")):
+    """One of the classified ideals of K[E,g,h], a (tag, param) value.
 
     tags: "h" (the principal ideal (h)), "P0" = (E,h), "Pinf" = (g,h),
     "Pd" = (h, E^{q-1} - d g) with d != 0, "max" = (E, g - c, h);
     the extra tags "E" and "g" name the ad-hoc principal negative controls.
     """
 
-    tag: str
-    param: RatT | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in IDEAL_TAGS:
-            raise ValueError(f"unknown ideal tag {self.tag!r}")
-        if self.tag == "Pd" and (self.param is None or self.param.is_zero()):
+    def __new__(cls, tag: str, param: RatT | None = None):
+        if tag not in IDEAL_TAGS:
+            raise ValueError(f"unknown ideal tag {tag!r}")
+        if (param is None) == (tag in ("Pd", "max")):
+            raise ValueError(f"the ideal {tag} takes {'a' if param is None else 'no'} parameter")
+        if tag == "Pd" and param.is_zero():
             raise ValueError("Pd requires a nonzero parameter d")
-        if self.tag == "max" and self.param is None:
-            raise ValueError("the maximal ideal requires a parameter c")
+        return super().__new__(cls, tag, param)
 
     def generators(self, cfg):
         if self.tag in _KILLED:
@@ -90,13 +89,13 @@ def member(ideal: IdealId, f: QmPoly):
     return res.is_zero(), res
 
 
-@dataclass
 class StabilityReport:
     """Outcome of check_hyperstable: per-generator first failure with witness."""
 
-    ideal: IdealId
-    n_max: int
-    entries: list = field(default_factory=list)  # (generator, fail_n | None, witness | None)
+    def __init__(self, ideal: IdealId, n_max: int):
+        self.ideal = ideal
+        self.n_max = n_max
+        self.entries = []  # (generator, fail_n | None, witness | None)
 
     @property
     def passed(self):

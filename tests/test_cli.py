@@ -360,6 +360,9 @@ def test_every_subcommand_prints_one_json_object_naming_its_field(capsys):
         # the D_1 chain of D_498, one frame per order down to 0, outgrows the
         # recursion limit that the test lowers for this case
         (["derive", "--p", "499", "E^497 g h", "498"], "maximum recursion depth exceeded"),
+        # a parameter on an ideal that takes none is not silently dropped
+        (["ideal", "--q", "4", "h", "--d", "T+1", "--n-max", "4"], "--d is a parameter of Pd only"),
+        (["ideal", "--q", "4", "P0", "--c", "T", "--n-max", "4"], "--c is a parameter of max only"),
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
          "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check",
@@ -372,7 +375,7 @@ def test_every_subcommand_prints_one_json_object_naming_its_field(capsys):
          "basis-negative-weight", "basis-negative-depth", "negative-exponent",
          "parenthesized-exponent", "empty-coordinate-tuple", "non-integer-coordinate",
          "non-integer-p-in-file", "non-integer-modulus-in-file", "non-integer-modulus",
-         "empty-modulus", "recursion-too-deep"],
+         "empty-modulus", "recursion-too-deep", "d-on-h", "c-on-P0"],
 )
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")

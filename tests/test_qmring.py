@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dqmf.algebra import FieldConfig, PolyT, RatT, bracket, d_power
 from dqmf.qmring import (
+    GradingSignature,
     NotIsobaric,
     QmPoly,
     associated_polynomial,
@@ -31,6 +32,17 @@ def test_grading_of_generators(cfg, q):
     assert (sg.w, sg.m, sg.l) == (q - 1, 0, 0)
     sh = grading(QmPoly.gen_h(cfg))
     assert (sh.w, sh.m, sh.l) == (q + 1, 1 % (q - 1), 0)
+
+
+def test_grading_signature_is_a_frozen_value(cfg):
+    sig = grading(QmPoly.gen_E(cfg))
+    assert sig == GradingSignature(2, 1, 1) and hash(sig) == hash(GradingSignature(w=2, m=1, l=1))
+    assert sig != GradingSignature(2, 1, 0)
+    assert repr(sig) == "GradingSignature(w=2, m=1, l=1)"
+    with pytest.raises(AttributeError):
+        sig.w = 3
+    with pytest.raises(AttributeError):
+        sig.extra = 0
 
 
 def test_grading_zero_and_not_isobaric(cfg, q):

@@ -1,5 +1,6 @@
-"""The public surface: every name a module exports serves the package, and
-every function of the package runs under some `dqmf` command."""
+"""The public surface: every name a module exports serves the package, the
+import loads no module the package does not need, and every function of the
+package runs under some `dqmf` command."""
 
 import ast
 import json
@@ -51,6 +52,19 @@ def test_every_exported_name_is_used_inside_the_package():
     orphans = sorted(f"{mod}:{name}" for name, mod in exported.items()
                      if name not in used and name not in allowed)
     assert not orphans, f"exported but used by no command or check: {orphans}"
+
+
+def test_the_import_loads_no_dataclasses_inspect_ast_or_dis():
+    """Importing the package and its commands adds none of the modules that
+    dataclasses brings (each costs milliseconds on every cold start).  A set
+    difference, so a module that interpreter start-up preloads does not count."""
+    code = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+            "import dqmf, dqmf.suite, dqmf.cli; print(' '.join(set(sys.modules) - before))")
+    run = subprocess.run([sys.executable, "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True)
+    added = set(run.stdout.split())
+    assert "dqmf.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis"}, sorted(added)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,23 @@ def test_ideal_id_validation(cfg):
         IdealId("Pd", cfg.rat_zero)
     with pytest.raises(ValueError):
         IdealId("max")
+    with pytest.raises(ValueError):  # only Pd and max take a parameter
+        IdealId("h", cfg.rat_one)
+
+
+def test_ideal_id_is_a_frozen_value(cfg):
+    # two equal parameters built apart, so equality and hashing go by value
+    d, d_again = (RatT(cfg, PolyT(cfg, [1, 1]), cfg.poly_one) for _ in range(2))
+    pd = IdealId("Pd", d)
+    assert d is not d_again and pd == IdealId("Pd", d_again)
+    assert hash(pd) == hash(IdealId("Pd", d_again))
+    assert pd != IdealId("max", d) and IdealId("h") == IdealId("h") != IdealId("P0")
+    assert repr(IdealId("h")) == "IdealId(tag='h', param=None)"
+    assert repr(pd) == f"IdealId(tag='Pd', param={d!r})"
+    with pytest.raises(AttributeError):
+        pd.param = d_again
+    with pytest.raises(AttributeError):
+        pd.extra = 0
 
 
 def test_member_basics(cfg):
@@ -228,6 +245,18 @@ def test_stability_report_json(engine):
     rep = check_hyperstable(engine, IdealId("h"), 4)
     data = rep.to_json()
     assert data["pass"] and data["ideal"] == "h" and data["failures"] == []
+    assert rep.passed and rep.entries == [(QmPoly.gen_h(engine.cfg), None, None)]
+
+
+def test_stability_report_of_a_failing_ideal(engine):
+    # (g) is not hyperdifferential: D_1 g = -(E g + h), whose residue mod g is -h
+    cfg = engine.cfg
+    rep = check_hyperstable(engine, IdealId("g"), 4)
+    (gen, fail_n, witness), = rep.entries
+    assert not rep.passed and (gen, fail_n, witness) == (QmPoly.gen_g(cfg), 1, -QmPoly.gen_h(cfg))
+    assert rep.ideal == IdealId("g") and rep.n_max == 4
+    assert rep.to_json() == {"ideal": "g", "n_max": 4, "pass": False,
+                             "failures": [{"generator": str(gen), "n": 1, "witness": str(witness)}]}
 
 
 def test_generator_tables_check_catches_a_wrong_composed_value():
