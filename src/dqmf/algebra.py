@@ -11,8 +11,9 @@ Rational functions are kept in canonical form (coprime, monic denominator)
 at all times, which makes equality syntactic; ``RatT._raw``, which trusts
 its caller to pass that form, is called only in this module.
 
-Two denominators d1, d2 meet in LRUs of 2^12 entries keyed by the two PolyT
-values (and so by their field), each building only what its callers read:
+Two denominators d1, d2 meet in LRUs of 2^12 entries keyed, as ``_monic_gcd``
+is, by the field and the two coefficient tuples (PolyT has no hash), each
+building its PolyT results on a miss only and only what its callers read:
 RatT sums and ``common_denominator`` take the gcd, cofactors and lcm from
 ``_den_pair``, RatT products and the ring kernel take d1*d2 from
 ``_den_product``.  Engine denominators are products of a few brackets, so
@@ -21,9 +22,12 @@ cross-cancels each numerator against the other factor's denominator through
 ``_coprime_parts``, a third such LRU.  Each cached value has one owner:
 those two pair LRUs take their gcd from ``_euclid`` uncached, and only
 ``PolyT.gcd`` stores gcds, in ``_monic_gcd`` (LRU 2^18).
-All share ``_gcd``'s shortcuts: a constant is a unit, equal inputs are their
-own gcd, and two linears read theirs off their coefficients.  The d_i have
-one cache, ``d_power``; ``d_rat`` gives d_i^k for any integer k as a RatT.
+``PolyT.gcd`` and ``_coprime_parts`` share ``_gcd``'s shortcuts: a constant
+is a unit, equal inputs are their own gcd, and two linears read theirs off
+their coefficients.  A ``_den_pair`` miss divides the longer denominator by
+the shorter once, so a nested pair takes its cofactor from that quotient.
+The d_i have one cache, ``d_power``; ``d_rat`` gives d_i^k for any integer
+k as a RatT.
 ``+`` and ``*`` raise ValueError on values of two fields.
 """
 
@@ -284,9 +288,6 @@ class PolyT:
     def __eq__(self, other):
         return isinstance(other, PolyT) and self.c == other.c and self.cfg is other.cfg
 
-    def __hash__(self):
-        return hash(self.c)
-
     def __add__(self, other):
         a, b = self.c, other.c
         if len(a) < len(b):
@@ -305,6 +306,13 @@ class PolyT:
         a, b = self.c, other.c
         if not a or not b:
             return self.cfg.poly_zero
+        if len(a) == 1 or len(b) == 1:
+            # one row of the product table scales the other side; a nonzero
+            # code keeps the top coefficient nonzero, so nothing needs a trim
+            x, rest = (a[0], b) if len(a) == 1 else (b[0], a)
+            out = object.__new__(PolyT)
+            out.cfg, out.c = self.cfg, tuple(map(self.cfg.mul[x].__getitem__, rest))
+            return out
         add, mul = self.cfg.add, self.cfg.mul
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -319,8 +327,7 @@ class PolyT:
     def scale(self, code: int):
         if code == 0:
             return self.cfg.poly_zero
-        row = self.cfg.mul[code]
-        return PolyT(self.cfg, tuple(row[x] for x in self.c))
+        return PolyT(self.cfg, tuple(map(self.cfg.mul[code].__getitem__, self.c)))
 
     def __pow__(self, n):
         if n < 0:
@@ -410,7 +417,7 @@ def _divmod_lists(rem, bc, cfg):
 
 
 def _euclid(cfg, a, b):
-    """Monic gcd of two nonconstant coefficient tuples, the longer one first:
+    """Monic gcd of two nonzero coefficient sequences, the longer one first:
     Euclid on raw lists."""
     a, b = list(a), list(b)
     while b:
@@ -449,43 +456,51 @@ def _gcd(x, y, euclid):
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def _den_pair(d1, d2):
-    """(gcd, d1/gcd, d2/gcd, lcm) of two monic nonconstant denominators.
+def _den_pair(cfg, a, b):
+    """(gcd, d1/gcd, d2/gcd, lcm) of the two monic nonconstant denominators
+    with coefficient tuples a and b, as PolyT built on a miss only.
 
-    The arguments are the PolyT values themselves, so the key carries the
-    field: PolyT equality compares ``cfg`` as well as the coefficients.  The
-    gcd is this entry's alone (``_euclid``, not the ``_monic_gcd`` LRU); when
-    one denominator divides the other, it and the other are the gcd and lcm.
+    Keyed like ``_monic_gcd``: the field and the two tuples.  The gcd is this
+    entry's alone.  A miss divides the longer denominator by the shorter once:
+    with no remainder, the shorter is the gcd and the quotient its cofactor;
+    otherwise ``_euclid`` goes on from the remainder.  Two distinct monic
+    linears are coprime.
     """
-    g = _gcd(d1, d2, _euclid)
-    if g.is_one():
+    d1, d2 = PolyT(cfg, a), PolyT(cfg, b)
+    if len(a) == 2 == len(b) and a != b:
+        return cfg.poly_one, d1, d2, d1 * d2
+    x, y = (a, b) if len(a) >= len(b) else (b, a)
+    quot, rem = _divmod_lists(list(x), y, cfg)
+    if not rem:  # y divides x: y is the gcd and x the lcm
+        r = PolyT(cfg, quot)
+        return (d2, r, cfg.poly_one, d1) if x is a else (d1, cfg.poly_one, r, d2)
+    g = _euclid(cfg, y, rem)
+    if g.c == (1,):
         return g, d1, d2, d1 * d2
-    if g.c == d1.c:
-        return d1, d1.cfg.poly_one, d2.exact_div(d1), d2
-    if g.c == d2.c:
-        return d2, d1.exact_div(d2), d2.cfg.poly_one, d1
     d1r, d2r = d1.exact_div(g), d2.exact_div(g)
     return g, d1r, d2r, d1r * d2
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def _den_product(d1, d2):
-    """d1*d2 of two denominators, for RatT products and the ring kernel."""
-    return d1 * d2
+def _den_product(cfg, a, b):
+    """d1*d2 of the two denominators with coefficient tuples a and b, for RatT
+    products and the ring kernel; keyed like ``_den_pair``."""
+    return PolyT(cfg, a) * PolyT(cfg, b)
 
 
 @functools.lru_cache(maxsize=1 << 12)
-def _coprime_parts(n, d):
-    """(n/g, d/g) for g = gcd(n, d) of two nonconstant PolyT: the
-    cross-cancellation of a RatT product, keyed like ``_den_pair`` and, like
-    it, the one owner of its gcd.  A side of g's degree is g up to a unit, so
-    its cofactor is that unit (lead(n), or 1 for the monic d) with no division."""
+def _coprime_parts(cfg, a, b):
+    """(n/g, d/g) for g = gcd(n, d) of the two nonconstant PolyT n, d with
+    coefficient tuples a and b: the cross-cancellation of a RatT product,
+    keyed like ``_den_pair`` and, like it, the one owner of its gcd.  A side
+    of g's degree is g up to a unit, so its cofactor is that unit (lead(n),
+    or 1 for the monic d) with no division."""
+    n, d = PolyT(cfg, a), PolyT(cfg, b)
     g = _gcd(n, d, _euclid)
-    if g.is_one():
+    if g.c == (1,):
         return n, d
-    cfg = n.cfg
-    nr = PolyT(cfg, (n.lead(),)) if len(n.c) == len(g.c) else n.exact_div(g)
-    dr = cfg.poly_one if len(d.c) == len(g.c) else d.exact_div(g)
+    nr = PolyT(cfg, (a[-1],)) if len(a) == len(g.c) else n.exact_div(g)
+    dr = cfg.poly_one if len(b) == len(g.c) else d.exact_div(g)
     return nr, dr
 
 
@@ -554,25 +569,25 @@ class RatT:
         cfg = self.cfg
         if other.cfg is not cfg:
             raise ValueError("rational functions over different fields")
-        if self.num.is_zero():
+        if not self.num.c:
             return other
-        if other.num.is_zero():
+        if not other.num.c:
             return self
         d1, d2 = self.den, other.den
         if d1.c == d2.c:
             return RatT(cfg, self.num + other.num, d1)
-        if d1.is_one():
+        if len(d1.c) == 1:  # a monic constant is 1
             return RatT._raw(cfg, self.num * d2 + other.num, d2)
-        if d2.is_one():
+        if len(d2.c) == 1:
             return RatT._raw(cfg, self.num + other.num * d1, d1)
-        g, d1r, d2r, lcm = _den_pair(d1, d2)
+        g, d1r, d2r, lcm = _den_pair(cfg, d1.c, d2.c)
         t = self.num * d2r + other.num * d1r
-        if g.is_one():
+        if len(g.c) == 1:
             return RatT._raw(cfg, t, lcm)
         # t is prime to d1r and d2r, so a gcd with g alone, not the whole lcm, reduces
         # it; t is not zero, since y = -x forces den(y) = den(x), the d1 == d2 branch
         g2 = t.gcd(g)
-        if g2.is_one():
+        if len(g2.c) == 1:
             return RatT._raw(cfg, t, lcm)
         return RatT._raw(cfg, t.exact_div(g2), lcm.exact_div(g2))
 
@@ -588,21 +603,21 @@ class RatT:
         cfg = self.cfg
         if other.cfg is not cfg:
             raise ValueError("rational functions over different fields")
-        if self.num.is_zero() or other.num.is_zero():
-            return cfg.rat_zero
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if not n1.c or not n2.c:
+            return cfg.rat_zero
         # cross-cancel: two gcds of small factors beat the constructor's gcd of the
         # product; skip when either side is a unit (constants cancel into nothing)
         if len(n1.c) > 1 and len(d2.c) > 1:
-            n1, d2 = _coprime_parts(n1, d2)
+            n1, d2 = _coprime_parts(cfg, n1.c, d2.c)
         if len(n2.c) > 1 and len(d1.c) > 1:
-            n2, d1 = _coprime_parts(n2, d1)
-        if d1.is_one():
+            n2, d1 = _coprime_parts(cfg, n2.c, d1.c)
+        if len(d1.c) == 1:  # a monic constant is 1
             den = d2
-        elif d2.is_one():
+        elif len(d2.c) == 1:
             den = d1
         else:
-            den = _den_product(d1, d2)
+            den = _den_product(cfg, d1.c, d2.c)
         return RatT._raw(cfg, n1 * n2, den)
 
     def scale_int(self, n: int):
@@ -700,7 +715,7 @@ def common_denominator(cfg: FieldConfig, values) -> PolyT:
     for x in values:
         if x.den.is_one() or x.den.c == common.c:
             continue
-        common = x.den if common.is_one() else _den_pair(common, x.den)[3]
+        common = x.den if common.is_one() else _den_pair(cfg, common.c, x.den.c)[3]
     return common
 
 

@@ -276,7 +276,7 @@ def _parse_ideal(args, cfg):
             raise ValueError("Pd requires --d")
         param = parse_ratt(cfg, args.d)
     elif tag == "max":
-        param = parse_ratt(cfg, args.c) if args.c else cfg.rat_zero
+        param = cfg.rat_zero if args.c is None else parse_ratt(cfg, args.c)
     return IdealId(tag, param)
 
 

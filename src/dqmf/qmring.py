@@ -153,13 +153,14 @@ class QmPoly:
         return sum_of_products(self.cfg, ((self, other),))
 
     def scale(self, coeff: RatT):
-        if coeff.is_zero():
-            return QmPoly(self.cfg)
         out = QmPoly(self.cfg)
-        if coeff.is_one():  # a copy: the terms hold no zero to filter
+        if not coeff.num.c:
+            return out
+        if coeff.num.c == coeff.den.c:  # canonical, so 1: a copy, no zero to filter
             out.terms = dict(self.terms)
         else:
-            out.terms = {k: coeff if v.is_one() else v * coeff for k, v in self.terms.items()}
+            out.terms = {k: coeff if v.num.c == v.den.c else v * coeff
+                         for k, v in self.terms.items()}
         return out
 
     def scale_int(self, n: int):
@@ -264,7 +265,7 @@ def sum_of_products(cfg: FieldConfig, pairs) -> QmPoly:
                 elif d2.is_one():
                     den = d1
                 else:
-                    den = _den_product(d1, d2)
+                    den = _den_product(cfg, d1.c, d2.c)
                 group = groups.get(den.c)
                 if group is None:
                     group = groups[den.c] = (den, {})

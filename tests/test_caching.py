@@ -14,6 +14,7 @@ from dqmf.algebra import (
     DEFAULT_MODULI,
     FieldConfig,
     PolyT,
+    RatT,
     _coprime_parts,
     _den_pair,
     _den_product,
@@ -97,32 +98,32 @@ def test_den_pair_cache_is_a_bounded_lru():
     assert _den_pair.cache_info().maxsize == 1 << 12
     cfg = FieldConfig.from_q(5)
     d1, d2 = d_power(1, 1, cfg), d_power(2, 1, cfg)
-    g, d1r, d2r, lcm = _den_pair(d1, d2)
-    assert _den_pair(d1, d2)[3] is lcm
+    g, d1r, d2r, lcm = _den_pair(cfg, d1.c, d2.c)
+    assert _den_pair(cfg, d1.c, d2.c)[3] is lcm
     assert g == d1 and d1r == cfg.poly_one and lcm == d2
     assert g * d2r == d2
     quad = PolyT(cfg, [2, 0, 1])  # irreducible over F_5, prime to [1]
-    assert _den_pair(d1, quad) == (cfg.poly_one, d1, quad, d1 * quad)
+    assert _den_pair(cfg, d1.c, quad.c) == (cfg.poly_one, d1, quad, d1 * quad)
 
 
 def test_den_product_cache_is_a_bounded_lru():
     assert _den_product.cache_info().maxsize == 1 << 12
     cfg = FieldConfig.from_q(5)
     d1, d2 = d_power(1, 1, cfg), d_power(2, 1, cfg)
-    prod = _den_product(d1, d2)
-    assert _den_product(d1, d2) is prod
+    prod = _den_product(cfg, d1.c, d2.c)
+    assert _den_product(cfg, d1.c, d2.c) is prod
     assert prod == d1 * d2 and prod.cfg is cfg
 
 
-def _poly_mul_calls(fn, *args):
-    """The number of PolyT.__mul__ calls that fn(*args) makes in this thread."""
-    code = PolyT.__mul__.__code__
-    calls = 0
+def _calls(functions, fn, *args):
+    """The calls of each of these functions, by name, that fn(*args) makes in
+    this thread."""
+    codes = {f.__code__: f.__name__ for f in functions}
+    calls = dict.fromkeys(codes.values(), 0)
 
     def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is code:
-            calls += 1
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
 
     sys.setprofile(profile)
     try:
@@ -135,23 +136,43 @@ def _poly_mul_calls(fn, *args):
 def test_a_miss_of_each_denominator_cache_multiplies_once():
     """A product's miss builds d1*d2 with one product.  A sum's miss builds
     the lcm with one product, or with none when one denominator divides the
-    other: then the two arguments themselves are the gcd and the lcm, and
-    the cofactor 1 is the field's own."""
+    other: then that one division leaves no remainder, the two denominators
+    are the gcd and the lcm, its quotient is the cofactor, and the other
+    cofactor is the field's own 1.  Otherwise Euclid goes on from that
+    division's remainder, so a miss divides as often as Euclid alone."""
     cfg = FieldConfig.from_q(5)
     d1, d2 = d_power(1, 1, cfg), d_power(2, 1, cfg)
     quad = PolyT(cfg, [2, 0, 1])
     shared = PolyT(cfg, [1, 1]) * PolyT(cfg, [2, 1]), PolyT(cfg, [2, 1]) * PolyT(cfg, [3, 1])
+    counted = (PolyT.__mul__, algebra._divmod_lists)
     # d1 | d2 both ways round, coprime, and a common factor that divides neither
-    for pair, sum_products in (((d1, d2), 0), ((d2, d1), 0), ((d1, quad), 1), (shared, 1)):
-        for cache, products in ((_den_pair, sum_products), (_den_product, 1)):
+    for (x, y), sum_products, sum_divisions in (
+        ((d1, d2), 0, 1), ((d2, d1), 0, 1), ((d1, quad), 1, 3), (shared, 1, 4),
+    ):
+        for cache, calls in ((_den_pair, (sum_products, sum_divisions)), (_den_product, (1, 0))):
             cache.cache_clear()
-            assert _poly_mul_calls(cache, *pair) == products
-            assert _poly_mul_calls(cache, *pair) == 0
+            assert tuple(_calls(counted, cache, cfg, x.c, y.c).values()) == calls
+            assert tuple(_calls(counted, cache, cfg, x.c, y.c).values()) == (0, 0)
             assert cache.cache_info()[:2] == (1, 1)
     for x, y in ((d1, d2), (d2, d1)):
-        g, xr, yr, lcm = _den_pair(x, y)
+        g, xr, yr, lcm = _den_pair(cfg, x.c, y.c)
         one, cofactor = (xr, yr) if x is d1 else (yr, xr)
-        assert g is d1 and lcm is d2 and one is cfg.poly_one and cofactor * d1 == d2
+        assert g == d1 and lcm == d2 and one is cfg.poly_one and cofactor * d1 == d2
+
+
+def test_a_warm_product_hashes_no_polyt():
+    """The pair LRUs key on the field and two coefficient tuples, and the
+    product tests for 0 and 1 on those tuples: a repeated derive of a
+    scaled monomial reaches no PolyT hash, comparison or unit test."""
+    assert PolyT.__hash__ is None  # so no cache key can hold a PolyT
+    cfg = FieldConfig.from_q(5)
+    engine = DerivationEngine(cfg)
+    v = RatT(cfg, PolyT(cfg, [1, 1]), PolyT(cfg, [2, 1]))
+    f = QmPoly.monomial(cfg, 1, 0, 0, v)
+    entry = engine.derive(f, 5)
+    assert max(len(c.den.c) for c in entry.terms.values()) == 6  # a denominator of degree 5
+    counted = (PolyT.__eq__, PolyT.is_zero, PolyT.is_one)
+    assert _calls(counted, engine.derive, f, 5) == dict.fromkeys(["__eq__", "is_zero", "is_one"], 0)
 
 
 def _cofactor_divisions(n, d):
@@ -169,7 +190,7 @@ def _cofactor_divisions(n, d):
 
     sys.setprofile(profile)
     try:
-        parts = _coprime_parts(n, d)
+        parts = _coprime_parts(n.cfg, n.c, d.c)
     finally:
         sys.setprofile(None)
     assert _coprime_parts.cache_info().misses == 1
@@ -205,9 +226,9 @@ def test_the_pair_caches_keep_their_gcds_out_of_the_gcd_lru():
     _coprime_parts.cache_clear()
     before = _monic_gcd.cache_info()
     for x, y in ((d1, d2), (d2, d1), (d1, quad), (d1 * quad, d2 * quad)):
-        _den_pair(x, y)
+        _den_pair(cfg, x.c, y.c)
     for x, y in ((n, d), (d, n), (d1, quad), (n * quad, d2)):
-        _coprime_parts(x, y)
+        _coprime_parts(cfg, x.c, y.c)
     assert _den_pair.cache_info().misses == _coprime_parts.cache_info().misses == 4
     assert _monic_gcd.cache_info() == before
 
@@ -259,8 +280,8 @@ def test_coprime_parts_cache_is_a_bounded_lru():
     cfg = FieldConfig.from_q(5)
     n = PolyT(cfg, [1, 1]) * PolyT(cfg, [2, 1])
     d = PolyT(cfg, [1, 1]) * PolyT(cfg, [3, 0, 1])
-    nr, dr = _coprime_parts(n, d)
-    assert _coprime_parts(n, d)[0] is nr
+    nr, dr = _coprime_parts(cfg, n.c, d.c)
+    assert _coprime_parts(cfg, n.c, d.c)[0] is nr
     assert nr == PolyT(cfg, [2, 1]) and dr == PolyT(cfg, [3, 0, 1])
 
 

@@ -363,6 +363,8 @@ def test_every_subcommand_prints_one_json_object_naming_its_field(capsys):
         # a parameter on an ideal that takes none is not silently dropped
         (["ideal", "--q", "4", "h", "--d", "T+1", "--n-max", "4"], "--d is a parameter of Pd only"),
         (["ideal", "--q", "4", "P0", "--c", "T", "--n-max", "4"], "--c is a parameter of max only"),
+        # an empty --c is an input error, as an empty --d is; an omitted --c means c = 0
+        (["ideal", "--q", "4", "max", "--c", "", "--n-max", "4"], "unexpected end of input"),
     ],
     ids=["zero-denominator", "not-prime-power", "Pd-zero", "no-field", "Pd-no-d",
          "missing-field-file", "field-file-without-p", "deep-nesting", "unknown-check",
@@ -375,7 +377,7 @@ def test_every_subcommand_prints_one_json_object_naming_its_field(capsys):
          "basis-negative-weight", "basis-negative-depth", "negative-exponent",
          "parenthesized-exponent", "empty-coordinate-tuple", "non-integer-coordinate",
          "non-integer-p-in-file", "non-integer-modulus-in-file", "non-integer-modulus",
-         "empty-modulus", "recursion-too-deep", "d-on-h", "c-on-P0"],
+         "empty-modulus", "recursion-too-deep", "d-on-h", "c-on-P0", "empty-c-on-max"],
 )
 def test_malformed_input_is_an_error_line(capsys, tmp_path, argv, message):
     (tmp_path / "no-p.cfg").write_text("e = 2\nmodulus = 1 0 1\n")

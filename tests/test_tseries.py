@@ -827,7 +827,7 @@ def test_series_of_different_fields_never_mix():
 def test_tseries_borrows_nothing_from_the_engine():
     """The series oracle may import the arithmetic and the ring's element
     type, never the engine, its kernel or the checks built on it."""
-    tree = ast.parse(open(tseries.__file__, encoding="utf-8").read())
+    tree = ast.parse(Path(tseries.__file__).read_text(encoding="utf-8"))
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
