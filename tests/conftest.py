@@ -5,6 +5,7 @@ import pytest
 from dqmf.algebra import FieldConfig, PolyT, RatT, d_power
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly
+from dqmf.tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive
 
 MAIN_FIELDS = [4, 5, 7, 8, 9]
 
@@ -18,6 +19,30 @@ def engine_for(q: int) -> DerivationEngine:
         eng = DerivationEngine(FieldConfig.from_q(q))
         _engines[q] = eng
     return eng
+
+
+_series_matched = set()
+
+
+def check_every_generator_order_against_the_series(q: int) -> None:
+    """D_n x for x in {E, g, h} at every order 1 <= n <= limit, t-expanded,
+    equals the series D_n of x's lattice-sum expansion at N = q^2 + q + 2,
+    on a fresh engine; then the filled memo is isobaric.  Acceptance
+    criterion 2 and the engine suite both report this comparison, which
+    runs once per field per session: a field is recorded only once it
+    passes, so a failure fails every test that asks again."""
+    if q in _series_matched:
+        return
+    cfg = FieldConfig.from_q(q)
+    engine = DerivationEngine(cfg)
+    N = q * q + q + 2
+    for gen, expand in (("E", expand_E), ("g", expand_g), ("h", expand_h)):
+        series = expand(cfg, N)
+        for n in range(1, engine.limit + 1):
+            assert evaluate(engine.d_generator(gen, n), N) == hyper_derive(series, n), (gen, n)
+    assert len(engine._memo) > 3 * engine.limit
+    assert engine.check_memo_isobaric() == []
+    _series_matched.add(q)
 
 
 @pytest.fixture(params=MAIN_FIELDS, ids=lambda q: f"q{q}")

@@ -2,8 +2,8 @@
 
 All arithmetic is exact, so every comparison below is equality of canonical
 forms; there are no numeric tolerances anywhere.  Main suites run over the
-desk-scale fields q in {4, 5, 7, 8, 9}; criteria 3 and 5 (``every_field``)
-add q = 2 and 3.  Each check prints one PASS/FAIL
+desk-scale fields q in {4, 5, 7, 8, 9}; criteria 2, 3 and 5
+(``every_field``) add q = 2 and 3.  Each check prints one PASS/FAIL
 line (visible with pytest -s, and in captured output on failure).
 
 Where a stated horizon exceeds the engine's computable range
@@ -45,7 +45,10 @@ from dqmf.verify import (
     random_ratt,
 )
 
-from conftest import _d, _inv_d, engine_for, expected_generator_value, pth_root
+from conftest import (
+    _d, _inv_d, check_every_generator_order_against_the_series, engine_for,
+    expected_generator_value, pth_root,
+)
 
 SEED = 20260808
 CASES_PER_FIELD = 200  # x 5 fields = 1000 randomized cases per property suite
@@ -124,31 +127,14 @@ def test_criterion_1_generator_tables(q):
 # ---------------------------------------------------------------------------
 
 
-def _cross_check_orders(cfg):
-    q = cfg.q
-    ns = set(range(1, q + 1))
-    for pk in p_powers_upto(cfg, q * q):
-        ns.add(pk)
-        if pk > 1:
-            ns.add(pk - 1)
-        if pk >= q:
-            ns.add(pk - q)
-    ns.discard(0)
-    return sorted(ns)
-
-
+@every_field
 def test_criterion_2_series_cross_validation(q):
+    """D_n x for x in {E, g, h} at every order 1 <= n <= limit, t-expanded,
+    equals the series D_n of x's lattice-sum expansion: the tables and the
+    digit step's orders above them meet an independent route.  A fresh
+    engine per field, so every generator order is filled here."""
     with criterion(f"2 series cross-validation [q={q}]"):
-        engine = engine_for(q)
-        cfg = engine.cfg
-        N = q * q + q + 2
-        gens = {"E": QmPoly.gen_E(cfg), "g": QmPoly.gen_g(cfg), "h": QmPoly.gen_h(cfg)}
-        series = {"E": expand_E(cfg, N), "g": expand_g(cfg, N), "h": expand_h(cfg, N)}
-        for name in ("E", "g", "h"):
-            for n in _cross_check_orders(cfg):
-                assert evaluate(engine.derive(gens[name], n), N) == hyper_derive(
-                    series[name], n
-                ), (name, n)
+        check_every_generator_order_against_the_series(q)
 
 
 # ---------------------------------------------------------------------------

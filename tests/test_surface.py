@@ -1,6 +1,7 @@
 """The public surface: every name a module exports serves the package, the
-import loads no module the package does not need, and every function of the
-package runs under some `dqmf` command."""
+import loads no module the package does not need, every function of the
+package runs under some `dqmf` command, and every per-layer metric of the
+benchmark has a probe target in the package."""
 
 import ast
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import dqmf
 
 SRC = Path(dqmf.__file__).resolve().parent
+REPO = Path(__file__).resolve().parents[1]
 
 # defs that no command enters, each kept for a reason of its own
 NEVER_ENTERED = {
@@ -65,6 +67,24 @@ def test_the_import_loads_no_dataclasses_inspect_ast_or_dis():
     added = set(run.stdout.split())
     assert "dqmf.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis"}, sorted(added)
+
+
+def test_every_per_layer_metric_has_a_probe_target():
+    """perfbench/tracing.py reports a metric only while one of its probe
+    targets (a public callable, or a `suite.CHECKS` key) exists, so removing
+    or renaming such a target drops a per-layer metric of BENCHMARK.json from
+    every traced run.  The two metrics that perfbench/run.py computes itself
+    need no probe."""
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import tracing; "
+            "tracer = tracing.Tracer(); tracer.install(); "
+            "print(json.dumps(sorted(tracer.layer_metrics())))")
+    run = subprocess.run([sys.executable, "-c", code, str(REPO / "perfbench"), str(SRC.parent)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    reported = set(json.loads(run.stdout)) | {"serve.repeat_share", "trace.overhead_ratio"}
+    declared = {m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]}
+    assert sorted(declared - reported) == [], "per-layer metrics without a probe target"
+    assert sorted(reported - declared) == [], "reported but not declared in BENCHMARK.json"
 
 
 # ---------------------------------------------------------------------------
