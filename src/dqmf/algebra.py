@@ -514,8 +514,9 @@ class RatT:
     __slots__ = ("cfg", "num", "den")
 
     def __init__(self, cfg: FieldConfig, num: PolyT, den: PolyT | None = None):
-        if den is None:
-            den = cfg.poly_one
+        if den is None:  # num over 1 is canonical as it stands
+            self.cfg, self.num, self.den = cfg, num if num.c else cfg.poly_zero, cfg.poly_one
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():

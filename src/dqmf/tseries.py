@@ -13,8 +13,11 @@ A series is one monic den over F_q[T] numerators prime to it as a whole,
 and a canonical RatT coefficient is built (the RatT constructor) only when
 read.  Every sum and product over F_q(T) is one ``_sum_of_products`` call
 (``+``, ``*``, lattice sums, ``hyper_derive``, ``evaluate``): products are
-convolved on raw F_q[T] code lists by ``_accumulate``, and ``_canonical``
-takes one running gcd with den.  The caches are
+convolved on raw F_q[T] code lists by ``_accumulate``, its right operand
+listed once per call (``_listed``, once per inversion in ``_invert_unit``),
+and ``_canonical`` takes one running gcd with den that keeps its quotients,
+so a content divides again only the numerators read before the gcd last
+shrank.  The caches are
 ``alpha`` and ``_monomial``, which holds each E^a g^b h^c over F_q[T]: a
 generator from its one builder ``_generator_series``, a product digit by
 digit in base p since the p-th power of such a series is its Frobenius; it
@@ -123,11 +126,16 @@ def _series(cfg, order: int, den: PolyT, nums: dict) -> TSeries:
     return s
 
 
-def _accumulate(cfg, acc: dict, x: dict, y: dict, M: int):
-    """Add x * y below M into acc (t-exponent -> raw F_q[T] code list), x and
-    y mapping t-exponents to nonzero PolyT coefficients."""
+def _listed(y: dict) -> list:
+    """y (t-exponent -> nonzero PolyT) as ``_accumulate`` reads its right operand:
+    (t-exponent, length, nonzero (index, code) terms), by rising t-exponent."""
+    return [(n, len(v.c), [(j, w) for j, w in enumerate(v.c) if w]) for n, v in sorted(y.items())]
+
+
+def _accumulate(cfg, acc: dict, x: dict, ys: list, M: int):
+    """Add x * y below M into acc (t-exponent -> raw F_q[T] code list), x
+    mapping t-exponents to nonzero PolyT coefficients and ys = ``_listed(y)``."""
     add, mul = cfg.add, cfg.mul
-    ys = [(n, len(v.c), [(j, w) for j, w in enumerate(v.c) if w]) for n, v in sorted(y.items())]
     for n1, v in x.items():
         deg1 = len(v.c) - 1
         t1 = [(i, u) for i, u in enumerate(v.c) if u]
@@ -149,7 +157,7 @@ def _accumulate(cfg, acc: dict, x: dict, y: dict, M: int):
 def _product(cfg, x: dict, y: dict, M: int) -> dict:
     """x * y below M for x, y over F_q[T], t-exponent -> nonzero PolyT."""
     acc = {}
-    _accumulate(cfg, acc, x, y, M)
+    _accumulate(cfg, acc, x, _listed(y), M)
     return {n: v for n, v in ((n, PolyT(cfg, raw)) for n, raw in acc.items()) if v}
 
 
@@ -162,17 +170,24 @@ def _frobenius(cfg, s: dict, M: int, k: int) -> dict:
 
 def _canonical(cfg, order: int, acc: dict, den: PolyT) -> TSeries:
     """acc's raw F_q[T] code lists over a nonzero den in normal form: a running
-    gcd g of den with the numerators, which stops at 1, then one exact division
-    of den and of each numerator by g times den's leading unit, unless that is 1."""
+    gcd g of den with the numerators, which stops at 1, keeping the quotients
+    by g until a remainder shrinks it.  A content g != 1 then divides den and
+    each numerator without a kept quotient; den's lead then scales."""
     nums = {n: v for n, v in ((n, PolyT(cfg, raw)) for n, raw in acc.items()) if v}
-    g = den.monic()
-    for v in nums.values():
+    g, quots = den.monic(), {}
+    for n, v in nums.items():
         if len(g.c) == 1:
             break
-        g = g.gcd(v.divmod(g)[1])  # gcd(g, v) = gcd(g, v mod g), keyed on short tuples
-    if len(g.c) > 1 or den.c[-1] != 1:
-        g = g.scale(den.c[-1])  # so den / g is monic
-        den, nums = den.exact_div(g), {n: v.exact_div(g) for n, v in nums.items()}
+        quot, rem = v.divmod(g)
+        if rem:  # gcd(g, v) = gcd(g, rem), keyed on short tuples
+            g, quots = g.gcd(rem), {}
+        else:
+            quots[n] = quot
+    if len(g.c) > 1:
+        den, nums = den.exact_div(g), {n: quots.get(n) or v.exact_div(g) for n, v in nums.items()}
+    if den.c[-1] != 1:
+        unit = cfg.inv[den.c[-1]]
+        den, nums = den.scale(unit), {n: v.scale(unit) for n, v in nums.items()}
     return _series(cfg, order, den, nums)
 
 
@@ -195,7 +210,7 @@ def _sum_of_products(cfg: FieldConfig, order: int, pairs) -> TSeries:
     dy = common_denominator(cfg, (y for _, y in pairs))
     acc = {}
     for x, y in pairs:
-        _accumulate(cfg, acc, _over(x, dx), _over(y, dy), order)
+        _accumulate(cfg, acc, _over(x, dx), _listed(_over(y, dy)), order)
     return _canonical(cfg, order, acc, dx * dy)
 
 
@@ -232,12 +247,12 @@ def _invert_unit(cfg, unit: dict, M: int, k: int) -> dict:
     the q-th power of a series is its Frobenius (exponents times q).
     """
     if k == 1:
-        out, acc = {0: cfg.poly_one}, {}
-        _accumulate(cfg, acc, out, unit, M)
+        out, acc, units = {0: cfg.poly_one}, {}, _listed(unit)
+        _accumulate(cfg, acc, out, units, M)
         for n in range(1, M):
             if n in acc and (v := PolyT(cfg, [cfg.neg[x] for x in acc.pop(n)])):
                 out[n] = v
-                _accumulate(cfg, acc, {n: v}, unit, M)
+                _accumulate(cfg, acc, {n: v}, units, M)
         return out
     q, m = cfg.q, -(-k // cfg.q)
     out = _frobenius(cfg, _invert_unit(cfg, unit, -(-M // q), m), M, cfg.e)

@@ -260,3 +260,37 @@ def test_deep_digit_evaluation_matches_the_pinned_digest():
             f = _deep_digit_element(cfg, rng)
             h.update(f"{q} {N} f{k} {evaluate(f, N)}\n".encode())
     assert h.hexdigest() == DIGIT_GOLDEN
+
+
+ORACLE_POINTS = ((4, 200), (5, 250))
+ORACLE_GOLDEN = "c4f5fedbf2564918f40d1fc39866443c01c2115010693401df421fc80d2681c1"
+
+
+def test_the_two_series_routes_at_the_oracle_truncations_match_the_pinned_digest():
+    """``evaluate(engine.derive(f, n), N)`` and ``hyper_derive(evaluate(f, N), n)``
+    at the benchmark's truncations, for f in E, g, h and two seeded elements of
+    the slice of E g h (weight 2q + 2, depth <= 1), at every order of
+    ``series_check_orders``.  Here a series result can have a content: its den
+    and every numerator share a factor that its normal form divides out.
+    Computed while that normal form divided each numerator by the content
+    after the running gcd had divided it once."""
+    h = hashlib.sha256()
+    for q, N in ORACLE_POINTS:
+        cfg = FieldConfig.from_q(q)
+        engine = DerivationEngine(cfg)
+        sig = monomial_signature(cfg, 1, 1, 1)
+        rng = random.Random(q + 200)
+        elems = [QmPoly.gen_E(cfg), QmPoly.gen_g(cfg), QmPoly.gen_h(cfg)]
+        for _ in range(2):
+            terms = {}
+            for mono in qm_basis(sig.w, sig.m, 1, cfg):
+                while (v := random_fraction(cfg, rng)).is_zero():
+                    pass
+                terms[mono] = v
+            elems.append(QmPoly(cfg, terms))
+        for k, f in enumerate(elems):
+            base = evaluate(f, N)
+            for n in series_check_orders(cfg):
+                h.update(f"{q} {N} f{k} {n} {evaluate(engine.derive(f, n), N)}\n".encode())
+                h.update(f"{q} {N} f{k} {n} {hyper_derive(base, n)}\n".encode())
+    assert h.hexdigest() == ORACLE_GOLDEN

@@ -716,21 +716,23 @@ print(calls)
 
 def test_a_cross_check_divides_once_per_series_coefficient():
     """Each series result is brought to its normal form by one running gcd of
-    its denominator with the numerators (each step on the remainder), and the
-    numerators are divided only when that content is not 1; no coefficient
-    is made canonical unless it is read.  Reducing every coefficient by one
-    division made 747 _divmod_lists calls here, dividing twice when the
-    denominator divides the numerator 778.  The insertion order of the
-    engine's output terms moves where the running gcd reaches 1: with the
-    engine's derives taken outside the count it is 444 here, and 442 for the
-    same outputs in the term order of the older Leibniz rules."""
+    its denominator with the numerators, which keeps each quotient by the
+    gcd so far, so a content that is not 1 divides again only the numerators
+    read before the gcd last shrank: mostly one division per numerator.  No
+    coefficient is made canonical unless it is read.  Reducing every
+    coefficient by one division made 747 _divmod_lists calls here, dividing
+    twice when the denominator divides the numerator 778.  Dividing every
+    numerator again by the content, after the running gcd, made 435, and
+    keeping the quotients through a shrink (multiplied by g/g') 338.  The
+    insertion order of the engine's output terms moves where the running gcd
+    reaches 1, and with it this count."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", _CROSS_CHECK], capture_output=True, text=True,
                          env=env, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert int(run.stdout) <= 477
+    assert int(run.stdout) <= 323
 
 
 @pytest.mark.parametrize("q", [4, 5, 9], ids=lambda q: f"q{q}")
