@@ -27,10 +27,13 @@ The engine keeps one coefficient list per monomial, extended in place one
 order at a time.  A generator reads its own memo entries D_k x with E
 killed.  A p-th power y^p is the Frobenius image of N(y): X -> X^p, and
 each nonzero coefficient raised to the p-th power once.  Any other monomial
-is the Cauchy product of its digits below p and the rest, the part below p
-halved, as ``tseries._monomial`` splits it: one ``qmring.sum_of_products``
-call per X-order.  D_k E = E^{k+1} for k < q, so N(E) starts at X^q and
-only the terms with q (a - i) <= n - r contribute.
+is the Cauchy product of its digits below p and the rest; a mixed part below
+p is the product of its generator blocks, g^b first, then E^a against h^c,
+and a pure power is halved, as ``tseries._monomial`` splits it: one
+``qmring.sum_of_products`` call per X-order.  N(g) is lacunary (D_k g = 0
+unless k = 0, 1 mod q), so a pure g block multiplies few term pairs.
+D_k E = E^{k+1} for k < q, so N(E) starts at X^q and only the terms with
+q (a - i) <= n - r contribute.
 
 The recursion ends.  The D_1 step reads the same monomial one order lower.
 The transport at order n reads generator entries of order <= n only, and a
@@ -254,8 +257,10 @@ class DerivationEngine:
                 out.append(self._intern(x.frobenius_pow(1)) if x.terms else self._empty)
         elif len(out) <= n:
             low = tuple(e % p for e in mono)
-            if low == mono:  # halves; E g, E h, g h and E g h split off their first generator
-                low = tuple(e // 2 for e in mono) if max(mono) > 1 else (mono[0], 1 - mono[0], 0)
+            if low == mono:  # generator blocks, g^b first, then E^a against h^c; pure powers halve
+                a, b, c = mono
+                halves = tuple(e // 2 for e in mono)
+                low = (0, b, 0) if b and a + c else (a, 0, 0) if a and c else halves
             left = self._series(low, n)
             right = self._series(tuple(e - k for e, k in zip(mono, low)), n)
             while len(out) <= n:

@@ -15,13 +15,14 @@ read.  Every sum and product over F_q(T) is one ``_sum_of_products`` call
 (``+``, ``*``, lattice sums, ``hyper_derive``, ``evaluate``): products are
 convolved on raw F_q[T] code lists by ``_accumulate``, its right operand
 listed once per call (``_listed``, once per inversion in ``_invert_unit``),
-and ``_canonical`` takes one running gcd with den that keeps its quotients,
-so a content divides again only the numerators read before the gcd last
-shrank.  The caches are
+and ``_canonical`` takes one running gcd with the monic den that keeps its
+quotients, so a content divides again only the numerators read before the
+gcd last shrank.  The caches are
 ``alpha`` and ``_monomial``, which holds each E^a g^b h^c over F_q[T]: a
 generator from its one builder ``_generator_series``, a product digit by
-digit in base p since the p-th power of such a series is its Frobenius; it
-never leaves this module, and ``expand_E/g/h`` return copies of its entries.
+digit in base p since the p-th power of such a series is its Frobenius, and
+the part below p by generator blocks, g's lacunary block first; it never
+leaves this module, and ``expand_E/g/h`` return copies of its entries.
 """
 
 from __future__ import annotations
@@ -169,12 +170,12 @@ def _frobenius(cfg, s: dict, M: int, k: int) -> dict:
 
 
 def _canonical(cfg, order: int, acc: dict, den: PolyT) -> TSeries:
-    """acc's raw F_q[T] code lists over a nonzero den in normal form: a running
+    """acc's raw F_q[T] code lists over a monic den in normal form: a running
     gcd g of den with the numerators, which stops at 1, keeping the quotients
     by g until a remainder shrinks it.  A content g != 1 then divides den and
-    each numerator without a kept quotient; den's lead then scales."""
+    each numerator without a kept quotient."""
     nums = {n: v for n, v in ((n, PolyT(cfg, raw)) for n, raw in acc.items()) if v}
-    g, quots = den.monic(), {}
+    g, quots = den, {}
     for n, v in nums.items():
         if len(g.c) == 1:
             break
@@ -185,9 +186,6 @@ def _canonical(cfg, order: int, acc: dict, den: PolyT) -> TSeries:
             quots[n] = quot
     if len(g.c) > 1:
         den, nums = den.exact_div(g), {n: quots.get(n) or v.exact_div(g) for n, v in nums.items()}
-    if den.c[-1] != 1:
-        unit = cfg.inv[den.c[-1]]
-        den, nums = den.scale(unit), {n: v.scale(unit) for n, v in nums.items()}
     return _series(cfg, order, den, nums)
 
 
@@ -415,16 +413,18 @@ def hyper_derive(s: TSeries, i: int) -> TSeries:
 @functools.cache
 def _monomial(cfg: FieldConfig, N: int, mono: tuple) -> dict:
     """E^a g^b h^c below N for mono = (a, b, c), t-exponent -> nonzero PolyT, as
-    S(m mod p) * Frob(S(m div p)) with the base at the full N; the part below p
-    is halved, so a miss recurses O(log p) deep per base-p digit."""
+    S(m mod p) * Frob(S(m div p)) with the base at the full N.  A mixed part
+    below p is g^b times E^a h^c, and E^a h^c is E^a times h^c: g's series is
+    lacunary, so a pure g block multiplies few coefficient pairs.  Only a pure
+    power is halved, so a miss recurses O(log p) deep per base-p digit."""
     if sum(mono) <= 1:
         return _generator_series(cfg, N, mono) if any(mono) else {0: cfg.poly_one}
     if max(mono) >= cfg.p:
         low = tuple(n % cfg.p for n in mono)
         lifted = _frobenius(cfg, _monomial(cfg, N, tuple(n // cfg.p for n in mono)), N, 1)
         return _product(cfg, _monomial(cfg, N, low), lifted, N) if any(low) else lifted
-    # halves; E g, E h, g h and E g h split off their first generator
-    part = tuple(n // 2 for n in mono) if max(mono) > 1 else (mono[0], 1 - mono[0], 0)
+    a, b, c = mono
+    part = (0, b, 0) if b and a + c else (a, 0, 0) if a and c else tuple(n // 2 for n in mono)
     rest = tuple(n - k for n, k in zip(mono, part))
     return _product(cfg, _monomial(cfg, N, part), _monomial(cfg, N, rest), N)
 

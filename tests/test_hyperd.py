@@ -793,14 +793,16 @@ def test_the_engine_stores_one_copy_of_each_monomial_key(q, n_max):
 
 def test_warm_up_term_pairs_are_the_e_free_series_products(monkeypatch):
     """A q = 5 warm-up, every monomial of weight <= 20 at every order
-    1 <= n <= 32 (orders outermost), multiplies exactly 2,737 term pairs
+    1 <= n <= 32 (orders outermost), multiplies exactly 1,730 term pairs
     in the engine's kernel calls, all in the Cauchy products that build the
     E-free series: at orders prime to p every monomial takes the D_1 step,
     which makes no kernel call, and the transport reads the series'
-    coefficients without a product."""
+    coefficients without a product.  A mixed monomial below p is the product
+    of its generator blocks, g^b first, whose series is nonzero only at orders
+    0 and 1 mod q; halving every exponent made 2,737."""
     counted = _count_term_pairs(monkeypatch)
     _warm_up(FieldConfig.from_q(5), 32)
-    assert sum(counted) == 2_737
+    assert sum(counted) == 1_730
 
 
 def test_warm_up_frobenius_images_are_taken_once_per_series_coefficient(monkeypatch):

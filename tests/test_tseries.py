@@ -451,8 +451,11 @@ def _raw_series(cfg, rng, order):
 
 
 def _canonical_of(cfg, order, den, nums):
-    """The kernel's reduction of nums/den, fed code lists with zero tails."""
-    return tseries._canonical(cfg, order, {n: list(v.c) + [0] * (n % 3) for n, v in nums.items()}, den)
+    """The kernel's reduction of nums/den, fed code lists with zero tails over
+    den made monic, as the kernel's dens are."""
+    unit = cfg.inv[den.lead()]
+    raw = {n: list(v.scale(unit).c) + [0] * (n % 3) for n, v in nums.items()}
+    return tseries._canonical(cfg, order, raw, den.scale(unit))
 
 
 def _reference_str(ref, order):
@@ -634,6 +637,24 @@ def test_power_cache_separates_fields_and_orders():
                 assert _monomial(cfg, N, mono) == {k: v.num for k, v in got.terms.items()}
 
 
+@pytest.mark.parametrize("q", ALL_FIELDS, ids=lambda q: f"q{q}")
+def test_mixed_monomials_match_repeated_products(q):
+    """_monomial splits a mixed monomial below p into generator blocks (g^b,
+    then E^a against h^c) and one at or above p into base-p digits; either
+    way it is the product of its generators taken one at a time."""
+    cfg = FieldConfig.from_q(q)
+    p, N = cfg.p, q * q + q + 2
+    gens = (expand_E(cfg, N), expand_g(cfg, N), expand_h(cfg, N))
+    monos = {(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (p - 1, 1, p - 1), (1, p - 1, 2),
+             (p + 1, 1, 1), (2, p + 2, p - 1), (p, 2 * p + 1, 1), (0, p + 1, 1)}
+    for mono in sorted(monos):
+        ref = TSeries.one(cfg, N)
+        for gen, e in zip(gens, mono):
+            for _ in range(e):
+                ref = ref * gen
+        assert ref.den.is_one() and _monomial(cfg, N, mono) == ref.nums, mono
+
+
 def test_mutating_a_result_does_not_reach_the_caches(cfg):
     # ``terms`` is built anew on every read, so the stored numerators are
     # what a caller could reach into
@@ -671,13 +692,15 @@ def test_huge_generator_powers_do_not_recurse(q):
 
 
 # An oracle-shaped cross-check in a fresh interpreter, so no cache of an
-# earlier test is warm: the expansions of E, g and h at q = 4, N = 60 are
+# earlier test is warm: the expansions of E, g and h at q = argv[1], N = 60 are
 # built first, then E, g, h and one seeded element of the slice of E g h are
-# compared through both routes at every order of series_check_orders, with
-# every _divmod_lists call counted.
+# compared through both routes at every order of series_check_orders.  It
+# prints the count that argv[2] names: the _divmod_lists calls, or the nonzero
+# coefficient pairs that tseries._product multiplies.
 _CROSS_CHECK = """
 import random
-from dqmf import algebra
+import sys
+from dqmf import algebra, tseries
 from dqmf.algebra import FieldConfig
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly, qm_basis
@@ -685,7 +708,7 @@ from dqmf.suite import series_check_orders
 from dqmf.tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive
 from dqmf.verify import random_ratt
 
-cfg, N = FieldConfig.from_q(4), 60
+cfg, N = FieldConfig.from_q(int(sys.argv[1])), 60
 engine = DerivationEngine(cfg)
 for expand in (expand_E, expand_g, expand_h):
     expand(cfg, N)
@@ -696,22 +719,41 @@ for t in qm_basis(2 * cfg.q + 2, 2, 1, cfg):
         pass
     terms[t] = v
 elems = [QmPoly.gen_E(cfg), QmPoly.gen_g(cfg), QmPoly.gen_h(cfg), QmPoly(cfg, terms)]
-calls = 0
-divmod_lists = algebra._divmod_lists
+count = 0
+divmod_lists, product = algebra._divmod_lists, tseries._product
 
-def counted(*args):
-    global calls
-    calls += 1
+def counted_divmod(*args):
+    global count
+    count += 1
     return divmod_lists(*args)
 
-algebra._divmod_lists = counted
+def counted_product(cfg, x, y, M):
+    global count
+    ys = [(n, sum(map(bool, w.c))) for n, w in y.items()]
+    count += sum(sum(map(bool, v.c)) * k for n1, v in x.items() for n2, k in ys if n1 + n2 < M)
+    return product(cfg, x, y, M)
+
+if sys.argv[2] == "divmod":
+    algebra._divmod_lists = counted_divmod
+else:
+    tseries._product = counted_product
 for f in elems:
     base = evaluate(f, N)
     for n in series_check_orders(cfg):
         if evaluate(engine.derive(f, n), N) != hyper_derive(base, n):
             raise SystemExit(f"routes disagree at n = {n}")
-print(calls)
+print(count)
 """
+
+
+def _cross_check_count(q, counter):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _CROSS_CHECK, str(q), counter], capture_output=True,
+                         text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return int(run.stdout)
 
 
 def test_a_cross_check_divides_once_per_series_coefficient():
@@ -720,19 +762,22 @@ def test_a_cross_check_divides_once_per_series_coefficient():
     gcd so far, so a content that is not 1 divides again only the numerators
     read before the gcd last shrank: mostly one division per numerator.  No
     coefficient is made canonical unless it is read.  Reducing every
-    coefficient by one division made 747 _divmod_lists calls here, dividing
-    twice when the denominator divides the numerator 778.  Dividing every
-    numerator again by the content, after the running gcd, made 435, and
-    keeping the quotients through a shrink (multiplied by g/g') 338.  The
+    coefficient by one division made 747 _divmod_lists calls here (q = 4),
+    dividing twice when the denominator divides the numerator 778.  Dividing
+    every numerator again by the content, after the running gcd, made 435,
+    and keeping the quotients through a shrink (multiplied by g/g') 338.  The
     insertion order of the engine's output terms moves where the running gcd
     reaches 1, and with it this count."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", _CROSS_CHECK], capture_output=True, text=True,
-                         env=env, timeout=300)
-    assert run.returncode == 0, run.stderr
-    assert int(run.stdout) <= 323
+    assert _cross_check_count(4, "divmod") <= 323
+
+
+def test_a_cross_check_multiplies_mixed_monomials_by_generator_blocks():
+    """At q = 5 the cross-check's monomial series multiply at most 2,521
+    nonzero coefficient pairs in tseries._product: a mixed monomial below p is
+    the product of its generator blocks, g's lacunary series first, then E^a
+    against h^c.  Halving every exponent, so that both halves carry part of g,
+    made 5,081."""
+    assert _cross_check_count(5, "pairs") <= 2_521
 
 
 @pytest.mark.parametrize("q", [4, 5, 9], ids=lambda q: f"q{q}")
@@ -788,9 +833,13 @@ def test_a_huge_power_takes_few_monomial_entries():
 
 def test_the_part_below_p_recurses_shallowly():
     """At q = 499 every exponent of E^498 g^498 h^498 is one base-p digit; it
-    is built by halving, not one generator at a time (about 1,500 frames)."""
+    is g^498 times E^498 h^498, that is E^498 times h^498, and each pure power
+    is halved, not built one generator at a time (about 1,500 frames; peeling
+    one g at a time went 508 entries deep).  evaluate leaves the monomial out
+    (its valuation 996 is above N), so its entry is built directly."""
     cfg = FieldConfig.from_q(499)
     assert str(evaluate(QmPoly.monomial(cfg, 498, 498, 498), 3)) == "O(t^3)"
+    assert _monomial(cfg, 3, (498, 498, 498)) == {}
 
 
 def test_series_of_different_fields_never_mix():
