@@ -277,9 +277,13 @@ class DerivationEngine:
         cfg = self.cfg
         if len(f.terms) == 1:  # nothing to group: the memo entry, scaled
             (mono, v), = f.terms.items()
+            if v.cfg is not cfg:
+                raise ValueError("coefficient from a different field")
             return self._derive_monomial(mono, n).scale(v)
         groups = {}  # (output monomial, memo denominator) -> [(v, memo coefficient)]
         for mono, v in f.terms.items():
+            if v.cfg is not cfg:
+                raise ValueError("coefficient from a different field")
             v = None if v.is_one() else v  # a unit v multiplies nothing
             for k, c in self._derive_monomial(mono, n).terms.items():
                 groups.setdefault((k, c.den.c), []).append((v, c))

@@ -2,17 +2,20 @@
 
 Expansions of E, g, h are built from Carlitz-module lattice sums; the only
 identity imported from the polynomial side is the definitional equation
-h = -(D_1 g + E g).  ``carlitz(a)`` gives the coefficients of rho_a by one
-Horner recurrence in T, and ``t_sub(a, N, k)`` gives t_a^k for the E
-(k = 1) and g (k = q - 1) lattice sums from one inversion of a unit over
-F_q[T], lifted by Frobenius.  The series-level divided derivative follows
+h = -(D_1 g + E g).  ``carlitz(a)`` gives the coefficients of rho_a as
+sum a_i rho_{T^i}, since a -> rho_a is F_q-linear, over a basis built by one
+Horner step per degree, and ``t_sub(a, N, k)`` gives t_a^k from one
+inversion of a unit over F_q[T], lifted by Frobenius.  The lattice sums of
+a^j t_a^k (j = k = 1 for E; j = 0, k = q - 1 for g) run over the orbits of
+the coefficient Frobenius, which fixes rho_T: one inversion per orbit, its
+term traced over the orbit.  The series-level divided derivative follows
 the convolution formula with the alpha coefficients (sums of
 1/(d_{i_1}...d_{i_r}) over ways of writing the order as r q-powers), so
 derivative identities checked against the engine are genuinely two-route.
 A series is one monic den over F_q[T] numerators prime to it as a whole,
 and a canonical RatT coefficient is built (the RatT constructor) only when
 read.  Every sum and product over F_q(T) is one ``_sum_of_products`` call
-(``+``, ``*``, lattice sums, ``hyper_derive``, ``evaluate``): products are
+(``+``, ``*``, ``hyper_derive``, ``evaluate``): products are
 convolved on raw F_q[T] code lists by ``_accumulate``, its right operand
 listed once per call (``_listed``, once per inversion in ``_invert_unit``),
 and ``_canonical`` takes one running gcd with the monic den that keeps its
@@ -56,9 +59,12 @@ class TSeries:
     def __init__(self, cfg: FieldConfig, order: int, terms=None):
         if order < 1:
             raise ValueError("truncation order must be >= 1")
+        terms = terms or {}
         if terms and min(terms) < 0:
             raise ValueError(f"negative t-exponent {min(terms)}")
-        terms = {n: v for n, v in (terms or {}).items() if n < order and v}
+        if any(v.cfg is not cfg for v in terms.values()):
+            raise ValueError("coefficient from a different field")
+        terms = {n: v for n, v in terms.items() if n < order and v}
         # the lcm of canonical denominators is prime to the cleared numerators
         self.cfg, self.order, self.den = cfg, order, common_denominator(cfg, terms.values())
         self.nums = {n: v.num if v.den.c == self.den.c else v.num * self.den.exact_div(v.den)
@@ -221,19 +227,25 @@ def nu_infinity(s: TSeries):
 # Carlitz module.
 
 
-def carlitz(a: PolyT) -> tuple:
-    """The coefficients (c_0, ..., c_d) in F_q[T] of rho_a(X) = sum_j c_j X^(q^j).
+def _rho(a: PolyT, basis: list) -> tuple:
+    """rho_a = sum_i a_i rho_{T^i}, as a -> rho_a is F_q-linear; basis[i] = rho_{T^i}."""
+    rho = [a.cfg.poly_zero] * len(a.c)
+    for code, rho_Ti in zip(a.c, basis):
+        for j, c in enumerate(rho_Ti):
+            rho[j] = rho[j] + c.scale(code)
+    return tuple(rho)
 
-    a -> rho_a is a ring homomorphism with rho_T(X) = T X + X^q, so Horner in
-    T from the top coefficient of a gives rho_{Tb+c} = T rho_b + rho_b^q + c X,
-    that is c_j <- T c_j + c_{j-1}^q with c_{-1} = c.
-    """
-    cfg = a.cfg
-    rho = ()
-    for code in reversed(a.c):
-        low = (PolyT(cfg, (code,)),) + tuple(c.frobenius_pow(cfg.e) for c in rho)
-        rho = tuple(x + PolyT(cfg, (0,) + y.c) for x, y in zip(low, rho + (cfg.poly_zero,)))
-    return rho
+
+def carlitz(a: PolyT) -> tuple:
+    """The coefficients (c_0, ..., c_d) in F_q[T] of rho_a(X) = sum_j c_j X^(q^j),
+    over the basis rho_{T^i}, i <= d, of one Horner step per degree: rho_T(X) =
+    T X + X^q gives rho_{Tb} = T rho_b + rho_b^q, that is c_j <- T c_j + c_{j-1}^q."""
+    cfg, basis = a.cfg, [(a.cfg.poly_one,)]
+    while len(basis) < len(a.c):
+        low = (cfg.poly_zero,) + tuple(c.frobenius_pow(cfg.e) for c in basis[-1])
+        shifted = (PolyT(cfg, (0,) + y.c) for y in basis[-1] + (cfg.poly_zero,))
+        basis.append(tuple(x + y for x, y in zip(low, shifted)))
+    return _rho(a, basis)
 
 
 def _invert_unit(cfg, unit: dict, M: int, k: int) -> dict:
@@ -259,6 +271,16 @@ def _invert_unit(cfg, unit: dict, M: int, k: int) -> dict:
     return out
 
 
+def _t_power(cfg, rho: tuple, N: int, k: int) -> dict:
+    """t_a^k below N, t-exponent -> nonzero PolyT, for rho = carlitz(a), a monic
+    of degree d = len(rho) - 1, k >= 1 and k q^d < N: t^(k q^d) times the (-k)-th
+    power of the unit 1 + sum_{j<d} c_j t^(q^d - q^j)."""
+    d = len(rho) - 1
+    base = k * cfg.q**d
+    unit = {cfg.q**d - cfg.q**j: c for j, c in enumerate(rho[:-1]) if c}
+    return {base + n: v for n, v in _invert_unit(cfg, unit, N - base, k).items()}
+
+
 def t_sub(a: PolyT, N: int, k: int = 1) -> TSeries:
     """t_a^k, with t_a = t(az) = 1/rho_a(1/t), as a series exact below order N.
 
@@ -271,32 +293,47 @@ def t_sub(a: PolyT, N: int, k: int = 1) -> TSeries:
         raise ValueError(f"t_sub needs k >= 0, got k = {k}")
     if a.is_zero() or a.lead() != 1:
         raise ValueError("t_sub needs a monic polynomial")
-    cfg, d = a.cfg, a.degree
-    base = k * cfg.q**d
-    if base >= N:
+    cfg = a.cfg
+    if k * cfg.q**a.degree >= N:
         return TSeries(cfg, N)
     if k == 0:
         return TSeries.one(cfg, N)
-    rho = carlitz(a)
-    unit = {cfg.q**d - cfg.q**j: c for j, c in enumerate(rho[:-1]) if c}
-    inv = _invert_unit(cfg, unit, N - base, k)
-    return _series(cfg, N, cfg.poly_one, {base + n: v for n, v in inv.items()})
+    return _series(cfg, N, cfg.poly_one, _t_power(cfg, carlitz(a), N, k))
 
 
-def _monic_polys(cfg, d: int):
-    """All monic elements of F_q[T] of degree exactly d."""
-    return tuple(PolyT(cfg, tail + (1,)) for tail in product(range(cfg.q), repeat=d))
+def _orbit_representatives(cfg, d: int):
+    """(s, a) per orbit of the monic a of degree d under sigma, the coefficient
+    Frobenius: a has the orbit's least coefficient tuple, s is the orbit's size."""
+    for tail in product(range(cfg.q), repeat=d):
+        s, x = 1, tuple(cfg.frob[c] for c in tail)
+        while x > tail:
+            s, x = s + 1, tuple(cfg.frob[c] for c in x)
+        if x == tail:
+            yield s, PolyT(cfg, tail + (1,))
 
 
-def _lattice_sum(cfg: FieldConfig, N: int, k: int, weight) -> TSeries:
-    """Sum over monic a of weight(a) * t_a^k below N, every pair in one kernel
-    call (t_a^k is O(t^N) once k q^deg(a) >= N)."""
-    pairs = []
-    d = 0
-    while k * cfg.q**d < N:
-        pairs += [(t_sub(a, N, k), TSeries(cfg, N, {0: weight(a)})) for a in _monic_polys(cfg, d)]
-        d += 1
-    return _sum_of_products(cfg, N, pairs)
+def _lattice_sum(cfg: FieldConfig, N: int, j: int, k: int) -> TSeries:
+    """Sum over monic a of a^j t_a^k below N, k >= 1 (t_a^k is O(t^N) once
+    k q^deg(a) >= N).  sigma fixes rho_T = T X + X^q, so the term of sigma(a) is
+    sigma of a's term: an orbit of size s adds the trace sum_{i<s} sigma^i of its
+    representative's term, taken once on the sum over the orbits of that size."""
+    by_size, basis = {}, []  # basis[d] = rho_{T^d}
+    while k * cfg.q**len(basis) < N:
+        basis.append(carlitz(PolyT(cfg, (0,) * len(basis) + (1,))))
+        for s, a in _orbit_representatives(cfg, len(basis) - 1):
+            _accumulate(cfg, by_size.setdefault(s, {}), _t_power(cfg, _rho(a, basis), N, k),
+                        _listed({0: a**j}), N)
+    total, add = by_size.pop(1, {}), cfg.add
+    for s, acc in by_size.items():
+        trace = list(range(cfg.q))  # Tr_s = 1 + sigma Tr_{s-1} on F_q codes
+        for _ in range(s - 1):
+            trace = [add[c][cfg.frob[t]] for c, t in enumerate(trace)]
+        for n, raw in acc.items():
+            out = total.setdefault(n, [])
+            out.extend([0] * (len(raw) - len(out)))
+            for i, c in enumerate(raw):
+                out[i] = add[out[i]][trace[c]]
+    return _canonical(cfg, N, total, cfg.poly_one)
 
 
 def _generator_series(cfg: FieldConfig, N: int, mono: tuple) -> dict:
@@ -304,10 +341,9 @@ def _generator_series(cfg: FieldConfig, N: int, mono: tuple) -> dict:
     below N over F_q[T], uncached: only a miss of ``_monomial``, its one cache,
     builds it.  h reads g and E from ``_monomial``."""
     if mono == (1, 0, 0):
-        s = _lattice_sum(cfg, N, 1, lambda a: RatT(cfg, a))
+        s = _lattice_sum(cfg, N, 1, 1)
     elif mono == (0, 1, 0):
-        total = _lattice_sum(cfg, N, cfg.q - 1, lambda a: cfg.rat_one)
-        s = TSeries.one(cfg, N) - total * d_rat(1, 1, cfg)
+        s = TSeries.one(cfg, N) - _lattice_sum(cfg, N, 0, cfg.q - 1) * d_rat(1, 1, cfg)
     else:
         g, E = (_series(cfg, N, cfg.poly_one, _monomial(cfg, N, m)) for m in ((0, 1, 0), (1, 0, 0)))
         s = -(hyper_derive(g, 1) + E * g)
@@ -434,7 +470,11 @@ def evaluate(f: QmPoly, N: int) -> TSeries:
     kernel call over the pairs (coefficient, cached monomial series).  E^a g^b h^c
     has valuation a + c, since nu(E) = nu(h) = 1 and nu(g) = 0, so a monomial with
     a + c >= N is left out before its coefficient's den can enter the lcm."""
-    cfg = f.cfg
-    return _sum_of_products(cfg, N, [
-        (_series(cfg, N, v.den, {0: v.num}), _series(cfg, N, cfg.poly_one, _monomial(cfg, N, mono)))
-        for mono, v in f.terms.items() if mono[0] + mono[2] < N])
+    cfg, pairs = f.cfg, []
+    for mono, v in f.terms.items():
+        if v.cfg is not cfg:
+            raise ValueError("coefficient from a different field")
+        if mono[0] + mono[2] < N:
+            pairs.append((_series(cfg, N, v.den, {0: v.num}),
+                          _series(cfg, N, cfg.poly_one, _monomial(cfg, N, mono))))
+    return _sum_of_products(cfg, N, pairs)

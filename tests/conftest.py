@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 
@@ -69,6 +70,11 @@ def random_fraction(cfg, rng):
     if den.is_zero():
         den = cfg.poly_one
     return RatT(cfg, num, den)
+
+
+def monic_polys(cfg, d: int):
+    """All monic elements of F_q[T] of degree exactly d."""
+    return tuple(PolyT(cfg, tail + (1,)) for tail in product(range(cfg.q), repeat=d))
 
 
 def pth_root(f):

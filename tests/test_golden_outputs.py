@@ -34,10 +34,10 @@ from dqmf.algebra import FieldConfig, linear_solve
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly, monomial_signature, qm_basis
 from dqmf.suite import series_check_orders
-from dqmf.tseries import _monic_polys, evaluate, expand_E, expand_g, expand_h, hyper_derive, t_sub
+from dqmf.tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive, t_sub
 from dqmf.verify import h_power_quotients
 
-from conftest import random_fraction
+from conftest import monic_polys, random_fraction
 
 # q -> (weight bound W, order bound N, sha256)
 GOLDEN = {
@@ -177,7 +177,7 @@ def test_t_sub_matches_the_pinned_digest():
         d_max = 2 if q < 7 else 1
         N = 2 * q ** (d_max + 1) + 1
         for d in range(d_max + 1):
-            for a in _monic_polys(cfg, d):
+            for a in monic_polys(cfg, d):
                 for k in sorted({0, 1, 2, q - 1, q, q + 1, 2 * q - 1}):
                     h.update(f"{q} {N} {a} {k} {t_sub(a, N, k)}\n".encode())
     assert h.hexdigest() == T_SUB_GOLDEN

@@ -15,7 +15,7 @@ import pytest
 
 from dqmf import hyperd, verify
 from dqmf.algebra import (
-    FieldConfig, RatT, _coprime_parts, _den_pair, _den_product, binom_mod_p,
+    FieldConfig, PolyT, RatT, _coprime_parts, _den_pair, _den_product, binom_mod_p,
 )
 from dqmf.hyperd import DerivationEngine, OrderOutOfRange, depth_drop, generator_table
 from dqmf.qmring import (
@@ -273,6 +273,18 @@ def test_derive_rejects_an_element_of_another_field():
                 engine.derive(f, n)
             with pytest.raises(ValueError, match="different fields"):
                 engine.transform_depth_poly(f, n)
+
+
+def test_derive_rejects_a_coefficient_of_another_field():
+    # an element of F_4 holding F_5 coefficients, which QmPoly's constructor
+    # leaves unchecked: the one-term path scaled the memo entry by the F_5
+    # value, and the grouped path kept it wherever the memo coefficient is 1
+    engine, cfg5 = engine_for(4), FieldConfig.from_q(5)
+    x = RatT(cfg5, cfg5.poly_T, PolyT(cfg5, (1, 1)))
+    one = engine.cfg.rat_one
+    for terms in ({(0, 0, 1): x}, {(1, 0, 0): x, (0, 0, 1): x}, {(1, 0, 0): one, (0, 1, 0): x}):
+        with pytest.raises(ValueError, match="coefficient from a different field"):
+            engine.derive(QmPoly(engine.cfg, terms), 1)
 
 
 def test_E_power_rule(engine, q):

@@ -20,6 +20,8 @@ REPO = Path(__file__).resolve().parents[1]
 NEVER_ENTERED = {
     "hyperd:depth_drop": "the paper's depth criterion, checked against the engine by the acceptance suite",
     "algebra:RatT.__hash__": "RatT is a value type: the frozen IdealId hashes its parameter",
+    "tseries:t_sub": "t_a^k for one monic a, the per-a reference that the orbit-folded lattice "
+                     "sums are tested against and a golden digest pins; the sums share its _t_power",
 }
 # kept for people reading a failure, not for any command
 FOR_READERS = {"__repr__", "__str__"}

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -27,10 +28,10 @@ from dqmf.tseries import (
     nu_infinity,
     t_sub,
 )
-from dqmf.tseries import _monic_polys, _monomial, _sum_of_products
+from dqmf.tseries import _monomial, _sum_of_products
 from dqmf.verify import random_ratt
 
-from conftest import _inv_d, random_fraction
+from conftest import _inv_d, monic_polys, random_fraction
 
 
 def _pow(s, n):
@@ -64,6 +65,29 @@ def test_carlitz_multiplicativity(cfg):
         assert tuple(comp) == rho_ab
 
 
+def _carlitz_reference(a):
+    """rho_a by Horner in T from the top coefficient of a, one recurrence per a:
+    rho_{Tb+c} = T rho_b + rho_b^q + c X, that is c_j <- T c_j + c_{j-1}^q with
+    c_{-1} = c."""
+    cfg = a.cfg
+    rho = ()
+    for code in reversed(a.c):
+        low = (PolyT(cfg, (code,)),) + tuple(c.frobenius_pow(cfg.e) for c in rho)
+        rho = tuple(x + PolyT(cfg, (0,) + y.c) for x, y in zip(low, rho + (cfg.poly_zero,)))
+    return rho
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_carlitz_is_the_per_polynomial_horner_recurrence(q):
+    """carlitz(a) sums a_i rho_{T^i} over a basis built by one Horner step per
+    degree; every a of degree <= 3 (<= 2 for q >= 7), monic or not, and a = 0
+    give the per-a recurrence's coefficients."""
+    cfg = FieldConfig.from_q(q)
+    for coeffs in product(range(q), repeat=4 if q <= 5 else 3):
+        a = PolyT(cfg, coeffs)
+        assert carlitz(a) == _carlitz_reference(a), str(a)
+
+
 def test_t_sub_identity_and_leading(cfg, q):
     N = 40
     assert t_sub(cfg.poly_one, N).terms == {1: cfg.rat_one}
@@ -92,7 +116,7 @@ def test_t_sub_pow_is_the_power_of_t_sub(q):
     d_max = 2 if q < 7 else 1
     for N in ((q + 1) * q**d_max, (q + 1) * q**d_max + q - 1):
         for d in range(d_max + 1):
-            for a in _monic_polys(cfg, d):
+            for a in monic_polys(cfg, d):
                 ta = t_sub(a, N)
                 for k in sorted({1, 2, q - 1, q, q + 1, q * q - 1}):
                     assert t_sub(a, N, k) == _pow(ta, k), (N, str(a), k)
@@ -106,7 +130,7 @@ def test_t_sub_times_the_unit_is_the_leading_power(q):
     degrees = (1, 2, 3) if q <= 3 else (1, 2) if q < 7 else (1,)
     for d in degrees:
         N = 3 * q**d + 7
-        for a in _monic_polys(cfg, d):
+        for a in monic_polys(cfg, d):
             rho = carlitz(a)
             terms = {q**d - q**j: RatT(cfg, c) for j, c in enumerate(rho)}
             assert t_sub(a, N) * TSeries(cfg, N, terms) == TSeries(cfg, N, {q**d: cfg.rat_one}), str(a)
@@ -128,6 +152,42 @@ def test_t_sub_requires_monic(cfg):
         nonmonic = PolyT(cfg, (1, 2))  # leading coefficient code 2, not 1
         with pytest.raises(ValueError):
             t_sub(nonmonic, 10)
+
+
+LATTICE_FIELDS = [FieldConfig.from_q(q) for q in (2, 3, 4, 5, 7, 8, 9)] + [
+    FieldConfig(2, 3, (1, 0, 1, 1)), FieldConfig(3, 2, (2, 1, 1))]
+
+
+@pytest.mark.parametrize("cfg", LATTICE_FIELDS, ids=lambda c: f"q{c.q}-" + "".join(map(str, c.modulus)))
+def test_the_orbit_folded_lattice_sum_is_the_sum_over_every_monic(cfg):
+    """_lattice_sum(cfg, N, j, k) traces one term per Frobenius orbit of the
+    monic a; the reference adds a^j t_a^k for every monic a in public TSeries
+    arithmetic.  Two non-shipped moduli move the Frobenius table; (q, 1) is
+    the weight of h's A-expansion."""
+    q = cfg.q
+    N = q * q + q + 2
+    for j, k in ((1, 1), (0, q - 1), (q, 1)):
+        reference, d = TSeries(cfg, N), 0
+        while k * q**d < N:
+            for a in monic_polys(cfg, d):
+                reference = reference + TSeries(cfg, N, {0: RatT(cfg, a**j)}) * t_sub(a, N, k)
+            d += 1
+        assert tseries._lattice_sum(cfg, N, j, k) == reference, (j, k)
+
+
+def test_a_lattice_sum_inverts_one_unit_per_frobenius_orbit(monkeypatch):
+    """E's sum at q = 4, N = 200 reads the 85 monic a of degree <= 3 in their
+    50 orbits under Frobenius: one unit inversion per orbit, each rho_a a
+    combination of rho_1, rho_T, rho_{T^2}, rho_{T^3}, one carlitz call per
+    degree.  Every a ran its own inversion and its own recurrence before."""
+    calls = {"_t_power": 0, "carlitz": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(tseries, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(tseries, name, counted)
+    tseries._lattice_sum(FieldConfig.from_q(4), 200, 1, 1)
+    assert calls == {"_t_power": 50, "carlitz": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +929,20 @@ def test_series_of_different_fields_never_mix():
             QmPoly.from_scalar(cfg, x)
     assert str(expand_E(F5, 10) * x) == "(3 + 4*T) * t + O(t^10)"
     assert QmPoly.from_scalar(F5, x) == QmPoly.monomial(F5, 0, 0, 0, x)
+
+
+def test_a_coefficient_of_another_field_is_rejected():
+    """TSeries and evaluate read every coefficient, so they check its field:
+    an F_5 value was kept under F_4 and squared in F_5 arithmetic.  QmPoly's
+    constructor stays unchecked (the kernel builds every product with it), so
+    evaluate sees the value."""
+    F4, F5 = FieldConfig.from_q(4), FieldConfig.from_q(5)
+    x = RatT(F5, F5.poly_T, PolyT(F5, (1, 1)))
+    with pytest.raises(ValueError, match="coefficient from a different field"):
+        TSeries(F4, 5, {0: x, 1: F4.rat_one})
+    for terms in ({(0, 0, 1): x}, {(0, 0, 0): F4.rat_one, (0, 0, 1): x}, {(0, 0, 9): x}):
+        with pytest.raises(ValueError, match="coefficient from a different field"):
+            evaluate(QmPoly(F4, terms), 5)
 
 
 # ---------------------------------------------------------------------------
