@@ -10,7 +10,7 @@ from .algebra import (
     d_coeff,
     linear_solve,
 )
-from .hyperd import DerivationEngine, OrderOutOfRange, depth_drop
+from .hyperd import DerivationEngine, OrderOutOfRange
 from .qmring import (
     GradingSignature,
     NotIsobaric,

@@ -17,9 +17,12 @@ iterativity, D_i o D_j = C(i+j, i) D_{i+j}, the derivation D_1
 
   the binomials mod p, N_k(x) the E-free part of D_k x (D_k x at E = 0).
 
-This is the identity of ``transform_depth_poly``, read at E = 0: E^a u has
-the depth polynomial sum_i C(a, i) E^{a-i} u Y^i, and a depth polynomial's
-Y^j coefficient at E = 0 is the E^j coefficient of the element itself.
+``_depth_sum`` codes this double sum once, and has two readers:
+``transform_depth_poly`` on whole depth polynomials, ``_transport`` at
+E = 0, since E^a u has the depth polynomial sum_i C(a, i) E^{a-i} u Y^i,
+and a depth polynomial's Y^j coefficient at E = 0 is the E^j coefficient
+of the element itself.  The paper's depth-drop criterion, C(w-l+n-1, n) = 0
+mod p, is a test reference (``tests/conftest.py``), read by no command.
 
 Setting E = 0 is a ring map, so by the Leibniz rule the series
 N(x) = sum_k N_k(x) X^k in K[g,h][[X]] is multiplicative: N(xy) = N(x) N(y).
@@ -74,22 +77,11 @@ from .qmring import (
     monomial_signature, sum_of_products,
 )
 
-__all__ = ["DerivationEngine", "OrderOutOfRange", "depth_drop", "generator_table"]
+__all__ = ["DerivationEngine", "OrderOutOfRange", "generator_table"]
 
 
 class OrderOutOfRange(ValueError):
     """The requested derivative order exceeds the computable range."""
-
-
-def depth_drop(w: int, l: int, n: int, p: int) -> bool:
-    """True iff order-n differentiation drops the depth below l + n.
-
-    The criterion is the vanishing of C(w - l + n - 1, n) mod p; it governs
-    generic elements of weight w and depth l.
-    """
-    if n < 1:
-        raise ValueError("depth_drop needs n >= 1")
-    return binom_mod_p(w - l + n - 1, n, p) == 0
 
 
 def _lowest_digit(n: int, p: int):
@@ -219,27 +211,34 @@ class DerivationEngine:
         self._memo[self._values.setdefault(mono, mono), n] = out = self._intern(out)
         return out
 
-    def _transport(self, mono: tuple, n: int) -> QmPoly:
-        """D_n(E^a u), p | n, as the module docstring's sum over (i, r), one
-        RatT add wherever two (i, r) reach one output monomial."""
-        cfg, p, q = self.cfg, self.cfg.p, self.cfg.q
-        a, b, c = mono
-        w = monomial_signature(cfg, a, b, c).w
+    def _depth_sum(self, rows, n: int, w: int) -> dict:
+        """The depth transport's double sum, its one coding: j -> {monomial:
+        coefficient} of sum_{i+r=j} c_i C(n+w-i-1, r) D[n-r], the Y^j
+        coefficient of D_n f, f of weight w, over rows (i, c_i, D) with
+        c_i D[k] = D_k of f's Y^i coefficient, k <= n.  Each D[n-r] is looked
+        at first, and its binomial computed only when D[n-r] != 0."""
+        p = self.cfg.p
         out = {}
-        for i in range(max(0, a - n // q), a + 1):
-            ci = binom_mod_p(a, i, p)
-            if not ci:
-                continue
-            series = self._series((a - i, b, c), n)
-            for r in range(n - q * (a - i) + 1):
-                x = series[n - r]
+        for i, ci, D in rows:
+            for r, x in enumerate(D[n::-1]):
                 s = ci * binom_mod_p(n + w - i - 1, r, p) % p if x.terms else 0
                 if s:
-                    for (_, b2, c2), v in x.terms.items():
+                    acc = out.setdefault(i + r, {})
+                    for m, v in x.terms.items():
                         t = v if s == 1 else v.scale_int(s)
-                        k = (r + i, b2, c2)
-                        out[k] = out[k] + t if k in out else t
-        return QmPoly(cfg, out)
+                        acc[m] = acc[m] + t if m in acc else t
+        return out
+
+    def _transport(self, mono: tuple, n: int) -> QmPoly:
+        """D_n(E^a u), p | n, as the module docstring's sum over (i, r): the
+        depth sum over the rows N(E^{a-i} u), c_i = C(a, i), each Y^j on E^j."""
+        cfg, p, q = self.cfg, self.cfg.p, self.cfg.q
+        a, b, c = mono
+        rows = ((i, ci, self._series((a - i, b, c), n))
+                for i in range(max(0, a - n // q), a + 1) if (ci := binom_mod_p(a, i, p)))
+        sums = self._depth_sum(rows, n, monomial_signature(cfg, a, b, c).w)
+        return QmPoly(cfg, {(j, b2, c2): v for j, acc in sums.items()
+                            for (_, b2, c2), v in acc.items()})
 
     def _series(self, mono: tuple, n: int) -> list:
         """The coefficients N_0, N_1, ... of N(E^a g^b h^c) through X^n at
@@ -308,23 +307,17 @@ class DerivationEngine:
         """The tuple associated_polynomial(derive(f, n)), transported from
         P = associated_polynomial(f): the coefficient of Y^j is
         sum_r C(n + w + r - j - 1, r) D_{n-r} P_{j-r}, w the weight of f.
-        This is the one identity behind the engine's transport, which reads
-        it at E = 0 (module docstring).  Raises NotIsobaric when f mixes
-        gradings.
-        """
+        ``_depth_sum`` sums it over the rows derive(P_i, k), k <= n; its other
+        reader is ``_transport``, at E = 0.  Raises NotIsobaric when f mixes
+        gradings."""
         self._check_field(f)
         self._check_order(n)
         if f.is_zero():
             return ()
-        w, P, p = grading(f).w, associated_polynomial(f), self.cfg.p
-        out = []
-        for j in range(n + len(P)):
-            acc = QmPoly.zero(self.cfg)
-            for r in range(max(0, j - len(P) + 1), min(n, j) + 1):
-                bm = binom_mod_p(n + w + r - j - 1, r, p)
-                if bm:
-                    acc = acc + self.derive(P[j - r], n - r).scale_int(bm)
-            out.append(acc)
+        w, P = grading(f).w, associated_polynomial(f)
+        rows = ((i, 1, [self.derive(x, k) for k in range(n + 1)]) for i, x in enumerate(P))
+        sums = self._depth_sum(rows, n, w)
+        out = [QmPoly(self.cfg, sums.get(j)) for j in range(n + len(P))]
         while out and out[-1].is_zero():
             out.pop()
         return tuple(out)

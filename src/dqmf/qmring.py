@@ -19,7 +19,8 @@ canonical all the same: a sum of numerators over one unreduced denominator
 is exact, the constructor reduces it to the unique coprime form with a
 monic denominator, and the groups of one monomial are then merged by
 canonical RatT addition; the QmPoly constructor drops the zeros.  ``+``
-and the kernel (so ``*``) raise ValueError on elements of two fields.
+and the kernel (so ``*``) raise ValueError on elements of two fields, and
+the kernel on a coefficient from another field, where it reads the codes.
 """
 
 from __future__ import annotations
@@ -255,8 +256,12 @@ def sum_of_products(cfg: FieldConfig, pairs) -> QmPoly:
             raise ValueError("elements of K[E,g,h] over different fields")
         right = {}  # y's terms by denominator: one _den_product lookup per group
         for k, v in y.terms.items():
+            if v.cfg is not cfg:
+                raise ValueError("coefficient from a different field")
             right.setdefault(v.den.c, (v.den, []))[1].append((k, v.num.c, len(v.num.c)))
         for (a1, b1, c1), v1 in x.terms.items():
+            if v1.cfg is not cfg:
+                raise ValueError("coefficient from a different field")
             n1, d1 = v1.num.c, v1.den
             l1, unit = len(n1) - 1, d1.is_one()
             for d2, terms in right.values():

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from dqmf.algebra import FieldConfig, PolyT, RatT, d_power
+from dqmf.algebra import FieldConfig, PolyT, RatT, binom_mod_p, d_power
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly
 from dqmf.tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive
@@ -150,6 +150,16 @@ def expected_generator_value(cfg, gen, n):
         - mono(cfg, 0, 2 * q + 1, 2, inv_d2)
         - mono(cfg, 0, q, q + 1, d1 * inv_d2 + _inv_d(cfg, 1, q))
     )
+
+
+def depth_drop(w: int, l: int, n: int, p: int) -> bool:
+    """True iff order-n differentiation drops the depth of a generic element
+    of weight w and depth l below l + n: the paper's criterion, the vanishing
+    of C(w - l + n - 1, n) mod p.  No command reads it; acceptance criterion
+    4 checks it against the engine."""
+    if n < 1:
+        raise ValueError("depth_drop needs n >= 1")
+    return binom_mod_p(w - l + n - 1, n, p) == 0
 
 
 # RatT products and sums take denominators from the _den_product and

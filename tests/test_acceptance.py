@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import pytest
 
 from dqmf.algebra import FieldConfig, RatT, binom_mod_p, power
-from dqmf.hyperd import DerivationEngine, depth_drop
+from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import (
     QmPoly,
     associated_polynomial,
@@ -46,7 +46,7 @@ from dqmf.verify import (
 )
 
 from conftest import (
-    _d, _inv_d, check_every_generator_order_against_the_series, engine_for,
+    _d, _inv_d, check_every_generator_order_against_the_series, depth_drop, engine_for,
     expected_generator_value, pth_root,
 )
 

@@ -17,7 +17,7 @@ from dqmf import hyperd, verify
 from dqmf.algebra import (
     FieldConfig, PolyT, RatT, _coprime_parts, _den_pair, _den_product, binom_mod_p,
 )
-from dqmf.hyperd import DerivationEngine, OrderOutOfRange, depth_drop, generator_table
+from dqmf.hyperd import DerivationEngine, OrderOutOfRange, generator_table
 from dqmf.qmring import (
     GENERATORS,
     NotIsobaric,
@@ -31,7 +31,7 @@ from dqmf.verify import random_isobaric
 
 from conftest import (
     _inv_d, _ratio_of_linears, _reference_add, _reference_mul,
-    check_every_generator_order_against_the_series, engine_for, pth_root,
+    check_every_generator_order_against_the_series, depth_drop, engine_for, pth_root,
 )
 
 
@@ -360,6 +360,8 @@ def test_kernel_generators_killed(engine, q):
 
 
 def test_depth_drop_trivial_and_digit_cases(engine, q):
+    """The test-owned criterion of conftest, which criterion 4 checks against
+    the engine, on the cases the binomial decides by hand."""
     p = engine.cfg.p
     # constants: w - l = 0, C(n-1, n) = 0, always drops
     for n in range(1, 20):
@@ -403,10 +405,15 @@ def test_transform_depth_poly_h_row(engine, q):
 
 
 def test_transform_depth_poly_E_p_power(engine, q):
+    """E reads the tables at a p-power; E g h, E^2 h and E^p g are derived by
+    the transport there, so both readers of ``_depth_sum`` meet on them."""
     cfg = engine.cfg
-    E = QmPoly.gen_E(cfg)
+    mono = QmPoly.monomial
+    fs = (QmPoly.gen_E(cfg), mono(cfg, 1, 1, 1), mono(cfg, 2, 0, 1), mono(cfg, cfg.p, 1, 0))
     for n in p_powers_upto(cfg, q * q):
-        assert engine.transform_depth_poly(E, n) == associated_polynomial(engine.derive(E, n))
+        for f in fs:
+            lhs = engine.transform_depth_poly(f, n)
+            assert lhs == associated_polynomial(engine.derive(f, n)), (str(f), n)
 
 
 # ---------------------------------------------------------------------------

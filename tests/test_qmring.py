@@ -258,6 +258,20 @@ def test_equality_compares_the_field():
     assert sum_of_products(f4, [(z4, e4), (e4, e4), (e4, z4)]) == e4 * e4
 
 
+def test_a_product_rejects_a_coefficient_from_another_field():
+    """The QmPoly constructor does not check its coefficients, so the kernel
+    does where it reads them: an F_5 coefficient in an F_4 element used to
+    multiply as F_4 codes, (3 + T) h * E printing ([1,1] + T) E h."""
+    f4, f5 = FieldConfig.from_q(4), FieldConfig.from_q(5)
+    stray = QmPoly(f4, {(0, 0, 1): RatT(f5, PolyT(f5, [3, 1]))})
+    e4 = QmPoly.gen_E(f4)
+    for a, b in ((stray, e4), (e4, stray), (stray, stray)):
+        with pytest.raises(ValueError, match="coefficient from a different field"):
+            a * b
+    with pytest.raises(ValueError, match="coefficient from a different field"):
+        sum_of_products(f4, [(e4, e4), (e4, stray)])
+
+
 # sum_of_products against a pairwise reference that canonicalises every
 # term product and every partial sum through RatT * and +
 

@@ -18,7 +18,6 @@ REPO = Path(__file__).resolve().parents[1]
 
 # defs that no command enters, each kept for a reason of its own
 NEVER_ENTERED = {
-    "hyperd:depth_drop": "the paper's depth criterion, checked against the engine by the acceptance suite",
     "algebra:RatT.__hash__": "RatT is a value type: the frozen IdealId hashes its parameter",
     "tseries:t_sub": "t_a^k for one monic a, the per-a reference that the orbit-folded lattice "
                      "sums are tested against and a golden digest pins; the sums share its _t_power",
