@@ -2,7 +2,9 @@
 
 One recursion derives every monomial, by the class of the order n.  By
 iterativity, D_i o D_j = C(i+j, i) D_{i+j}, the derivation D_1
-(``qmring.d1``: E -> E^2, g -> -(Eg+h), h -> Eh) commutes with every D_n.
+(``qmring.d1``: E -> E^2, g -> -(Eg+h), h -> Eh) commutes with every D_n,
+and the p-power rows decide every order (``p_powers_upto``): ideal
+stability, the modular kernels and weight divisibility derive those only.
 
 - p not dividing n, n = 1 too: every monomial takes the D_1 step
   D_n(m) = c^{-1} D_1(D_{n-1} m), c = n mod p, with c^{-1} folded into d1's
@@ -77,7 +79,7 @@ from .qmring import (
     monomial_signature, sum_of_products,
 )
 
-__all__ = ["DerivationEngine", "OrderOutOfRange", "generator_table"]
+__all__ = ["DerivationEngine", "OrderOutOfRange", "generator_table", "p_powers_upto"]
 
 
 class OrderOutOfRange(ValueError):
@@ -93,11 +95,20 @@ def _lowest_digit(n: int, p: int):
     return n % p, k
 
 
+def p_powers_upto(cfg: FieldConfig, bound: int) -> list:
+    """1, p, p^2, ... <= bound.  D_n = prod_j D_{p^j}^{n_j}/n_j! over the base-p
+    digits n_j of n, so stability under, or the kernel of, these rows covers
+    every n <= bound.  And a generator first leaves an ideal I at a p-power:
+    if every generator G stays in I below n, no p-power, then by Leibniz
+    D_n G = c^{-1} D_{p^k}(D_{n-p^k} G) is in I, (c, k) as ``_lowest_digit``."""
+    return [cfg.p**j for j in range(bound.bit_length()) if cfg.p**j <= bound]
+
+
 def generator_table(cfg: FieldConfig, gen: str, n: int) -> QmPoly:
     """The paper's explicit D_n of a generator, for n < q and p-powers n <= q^2."""
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
-    p, q = cfg.p, cfg.q
+    q = cfg.q
     mono = QmPoly.monomial
     if 0 <= n < q:
         if gen == "E":
@@ -109,7 +120,7 @@ def generator_table(cfg: FieldConfig, gen: str, n: int) -> QmPoly:
                 return -(mono(cfg, 1, 1, 0) + mono(cfg, 0, 0, 1))
             return QmPoly.zero(cfg)
         return mono(cfg, n, 0, 1)
-    if p ** _lowest_digit(n, p)[1] != n or n > q * q:
+    if n not in p_powers_upto(cfg, q * q):
         raise ValueError("table covers n < q and p-powers up to q^2 only")
     if n < q * q:
         s = n // q
@@ -325,19 +336,16 @@ class DerivationEngine:
     # -- kernels on modular forms ----------------------------------------------
 
     def kernel_on_modular(self, w: int, m: int, k: int):
-        """Basis of the modular forms of grading (w, m) killed by D_1 .. D_{p^k}.
-
-        Solves for the joint kernel of D_{p^j}, j = 0..k, on the span of
-        modular_basis(w, m); by digit composition this kills every D_n with
-        1 <= n < p^{k+1}.
-        """
+        """Basis of the modular forms of grading (w, m) killed by every D_n,
+        1 <= n < p^{k+1}: the joint kernel of the rows D_{p^j}, j <= k
+        (``p_powers_upto``), on the span of modular_basis(w, m)."""
         cfg = self.cfg
         self._check_order(cfg.p**k)
         basis = modular_basis(w, m, cfg)
         if not basis:
             return []
-        images = [[self._derive_monomial((0, b, c), cfg.p**j) for b, c in basis]
-                  for j in range(k + 1)]
+        images = [[self._derive_monomial((0, b, c), pj) for b, c in basis]
+                  for pj in p_powers_upto(cfg, cfg.p**k)]
         keys = sorted({(j, mono) for j, imgs in enumerate(images) for img in imgs
                        for mono in img.terms})
         # no image term at all: one zero row, so every basis element is free

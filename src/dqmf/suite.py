@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .algebra import d_rat
-from .hyperd import DerivationEngine, generator_table
+from .hyperd import DerivationEngine, generator_table, p_powers_upto
 from .qmring import GENERATORS, QmPoly, associated_polynomial
 from .tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive, nu_infinity
 from .verify import (
@@ -28,15 +28,6 @@ from .verify import (
 )
 
 __all__ = ["run_suite", "CHECKS"]
-
-
-def p_powers_upto(cfg, bound):
-    out = []
-    v = 1
-    while v <= bound:
-        out.append(v)
-        v *= cfg.p
-    return out
 
 
 def series_check_orders(cfg):
@@ -174,8 +165,7 @@ def _check_weight_divisibility(cfg, engine, rng, n_max, order):
         QmPoly.monomial(cfg, 1, 1, 0) + QmPoly.gen_h(cfg),
         random_isobaric(cfg, rng, 12),
     ]
-    bad = [k for k in (0, 1) if cfg.p**k <= engine.limit
-           and not weight_divisibility_check(engine, k, samples)]
+    bad = [k for k in (0, 1) if not weight_divisibility_check(engine, k, samples)]
     return _result("weight_divisibility", f"q={cfg.q}", bad)
 
 
@@ -183,8 +173,6 @@ def _check_kernels(cfg, engine, rng, n_max, order):
     bad = []
     for k in (0, 1):
         pk1 = cfg.p ** (k + 1)
-        if cfg.p**k > engine.limit:
-            continue
         for w in range(1, 6 * (cfg.q - 1) + 1):
             for m in (0, 1):
                 kernel = engine.kernel_on_modular(w, m, k)

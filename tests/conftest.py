@@ -7,6 +7,7 @@ from dqmf.algebra import FieldConfig, PolyT, RatT, binom_mod_p, d_power
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly
 from dqmf.tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive
+from dqmf.verify import StabilityReport, member
 
 MAIN_FIELDS = [4, 5, 7, 8, 9]
 
@@ -160,6 +161,23 @@ def depth_drop(w: int, l: int, n: int, p: int) -> bool:
     if n < 1:
         raise ValueError("depth_drop needs n >= 1")
     return binom_mod_p(w - l + n - 1, n, p) == 0
+
+
+def check_hyperstable_every_order(engine, ideal, n_max):
+    """The every-order reference of ``verify.check_hyperstable``: D_n G tested
+    for every generator G at every order 1 <= n <= n_max, each generator to
+    its own first failure.  No command reads it; the p-power check is tested
+    against it."""
+    report = StabilityReport(ideal, n_max)
+    for gen in ideal.generators(engine.cfg):
+        fail_n, witness = None, None
+        for n in range(1, n_max + 1):
+            ok, res = member(ideal, engine.derive(gen, n))
+            if not ok:
+                fail_n, witness = n, res
+                break
+        report.entries.append((gen, fail_n, witness))
+    return report
 
 
 # RatT products and sums take denominators from the _den_product and

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import pytest
 
 from dqmf.algebra import FieldConfig, RatT, binom_mod_p, power
-from dqmf.hyperd import DerivationEngine
+from dqmf.hyperd import DerivationEngine, p_powers_upto
 from dqmf.qmring import (
     QmPoly,
     associated_polynomial,
@@ -26,7 +26,6 @@ from dqmf.qmring import (
     monomial_signature,
     qm_basis,
 )
-from dqmf.suite import p_powers_upto
 from dqmf.tseries import (
     evaluate,
     expand_E,

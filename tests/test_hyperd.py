@@ -17,7 +17,7 @@ from dqmf import hyperd, verify
 from dqmf.algebra import (
     FieldConfig, PolyT, RatT, _coprime_parts, _den_pair, _den_product, binom_mod_p,
 )
-from dqmf.hyperd import DerivationEngine, OrderOutOfRange, generator_table
+from dqmf.hyperd import DerivationEngine, OrderOutOfRange, generator_table, p_powers_upto
 from dqmf.qmring import (
     GENERATORS,
     NotIsobaric,
@@ -26,7 +26,7 @@ from dqmf.qmring import (
     d1,
     sum_of_products,
 )
-from dqmf.suite import CHECKS, p_powers_upto, run_suite
+from dqmf.suite import CHECKS, run_suite
 from dqmf.verify import random_isobaric
 
 from conftest import (

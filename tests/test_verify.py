@@ -8,9 +8,9 @@ import random
 import pytest
 
 from dqmf.algebra import FieldConfig, PolyT, RatT
-from dqmf.hyperd import DerivationEngine
+from dqmf.hyperd import DerivationEngine, p_powers_upto
 from dqmf.qmring import QmPoly, sum_of_products
-from dqmf.suite import CHECKS
+from dqmf.suite import CHECKS, run_suite
 from dqmf.verify import (
     IdealId,
     check_hyperstable,
@@ -21,7 +21,7 @@ from dqmf.verify import (
     weight_divisibility_check,
 )
 
-from conftest import engine_for
+from conftest import check_hyperstable_every_order, engine_for
 
 
 def _rand_d(cfg, rng):
@@ -257,6 +257,69 @@ def test_stability_report_of_a_failing_ideal(engine):
     assert rep.ideal == IdealId("g") and rep.n_max == 4
     assert rep.to_json() == {"ideal": "g", "n_max": 4, "pass": False,
                              "failures": [{"generator": str(gen), "n": 1, "witness": str(witness)}]}
+
+
+def _stability_ideals(cfg, rng):
+    """(h), P0, Pinf, two seeded Pd and one seeded max, then the negative
+    controls (E) and (g)."""
+    seeded = [IdealId("Pd", _rand_d(cfg, rng)), IdealId("Pd", _rand_d(cfg, rng)),
+              IdealId("max", random_ratt(cfg, rng))]
+    return [IdealId("h"), IdealId("P0"), IdealId("Pinf"), *seeded, IdealId("E"), IdealId("g")]
+
+
+every_field = pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+
+
+@every_field
+def test_p_power_stability_equals_the_every_order_reference(q):
+    engine = engine_for(q)
+    n_max = min(engine.limit, 64)
+    for ideal in _stability_ideals(engine.cfg, random.Random(q)):
+        got = check_hyperstable(engine, ideal, n_max).to_json()
+        assert got == check_hyperstable_every_order(engine, ideal, n_max).to_json(), got
+
+
+@every_field
+def test_stability_derives_only_the_p_power_rows(q, monkeypatch):
+    # on a warm engine every derive is a memo hit, so the recorded calls are
+    # the check's own: each generator at the p-powers <= n_max, or up to its
+    # first failure
+    cfg = FieldConfig.from_q(q)
+    engine = DerivationEngine(cfg)
+    n_max = min(engine.limit, 64)
+    ideals = _stability_ideals(cfg, random.Random(q))
+    for ideal in ideals:
+        check_hyperstable(engine, ideal, n_max)
+    orders = []
+    derive = engine.derive
+    monkeypatch.setattr(engine, "derive", lambda f, n: orders.append(n) or derive(f, n))
+    for ideal in ideals:
+        orders.clear()
+        rep = check_hyperstable(engine, ideal, n_max)
+        assert orders == [n for _, fail_n, _ in rep.entries
+                          for n in p_powers_upto(cfg, fail_n or n_max)], ideal
+        if rep.passed:
+            assert orders == p_powers_upto(cfg, n_max) * len(rep.entries)
+
+
+def test_a_mutant_between_the_p_power_rows_is_killed_by_the_battery(monkeypatch):
+    # D_3 h + g^3 at q = 5: 3 is no p-power, so the p-power stability check
+    # passes, while the every-order reference fails at 3 and the battery's
+    # series and h-quotient checks still fail
+    cfg = FieldConfig.from_q(5)
+    g3 = QmPoly.monomial(cfg, 0, 3, 0)
+    derive_monomial = DerivationEngine._derive_monomial
+
+    def mutant(self, mono, n):
+        out = derive_monomial(self, mono, n)
+        return out + g3 if (mono, n) == ((0, 0, 1), 3) else out
+
+    monkeypatch.setattr(DerivationEngine, "_derive_monomial", mutant)
+    assert check_hyperstable(DerivationEngine(cfg), IdealId("h"), 48).passed
+    (_, fail_n, _), = check_hyperstable_every_order(DerivationEngine(cfg), IdealId("h"), 48).entries
+    assert fail_n == 3
+    failed = {r["check"] for r in run_suite(cfg, 48) if not r["pass"]}
+    assert {"series_commutation", "h_power_quotients"} <= failed, failed
 
 
 def test_generator_tables_check_catches_a_wrong_composed_value():
