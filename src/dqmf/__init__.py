@@ -15,7 +15,6 @@ from .qmring import (
     GradingSignature,
     NotIsobaric,
     QmPoly,
-    associated_polynomial,
     d1,
     grading,
     modular_basis,

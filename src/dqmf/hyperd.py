@@ -19,12 +19,16 @@ stability, the modular kernels and weight divisibility derive those only.
 
   the binomials mod p, N_k(x) the E-free part of D_k x (D_k x at E = 0).
 
-``_depth_sum`` codes this double sum once, and has two readers:
-``transform_depth_poly`` on whole depth polynomials, ``_transport`` at
-E = 0, since E^a u has the depth polynomial sum_i C(a, i) E^{a-i} u Y^i,
-and a depth polynomial's Y^j coefficient at E = 0 is the E^j coefficient
-of the element itself.  The paper's depth-drop criterion, C(w-l+n-1, n) = 0
-mod p, is a test reference (``tests/conftest.py``), read by no command.
+This is the depth transport, D_n acting on the depth polynomial of f
+(E -> E + Y), read at E = 0: E^a u has the depth polynomial
+sum_i C(a, i) E^{a-i} u Y^i, and a depth polynomial's Y^j coefficient at
+E = 0 is the E^j coefficient of the element itself.  ``_transport`` is its
+one coding.  The identity holds at every order: the engine reads it at
+p | n, and the battery's ``depth_poly_dual_route`` compares it with
+``derive`` at every order, a second route wherever derive takes the D_1
+step or a generator's tables or digit step.  The paper's depth-drop criterion,
+C(w-l+n-1, n) = 0 mod p, and the transport of whole depth polynomials are
+test references (``tests/conftest.py``), read by no command.
 
 Setting E = 0 is a ring map, so by the Leibniz rule the series
 N(x) = sum_k N_k(x) X^k in K[g,h][[X]] is multiplicative: N(xy) = N(x) N(y).
@@ -75,8 +79,8 @@ from __future__ import annotations
 
 from .algebra import FieldConfig, RatT, binom_mod_p, d_rat, linear_solve
 from .qmring import (
-    GENERATORS, NotIsobaric, QmPoly, associated_polynomial, d1, grading, modular_basis,
-    monomial_signature, sum_of_products,
+    GENERATORS, NotIsobaric, QmPoly, d1, grading, modular_basis, monomial_signature,
+    sum_of_products,
 )
 
 __all__ = ["DerivationEngine", "OrderOutOfRange", "generator_table", "p_powers_upto"]
@@ -222,34 +226,29 @@ class DerivationEngine:
         self._memo[self._values.setdefault(mono, mono), n] = out = self._intern(out)
         return out
 
-    def _depth_sum(self, rows, n: int, w: int) -> dict:
-        """The depth transport's double sum, its one coding: j -> {monomial:
-        coefficient} of sum_{i+r=j} c_i C(n+w-i-1, r) D[n-r], the Y^j
-        coefficient of D_n f, f of weight w, over rows (i, c_i, D) with
-        c_i D[k] = D_k of f's Y^i coefficient, k <= n.  Each D[n-r] is looked
-        at first, and its binomial computed only when D[n-r] != 0."""
-        p = self.cfg.p
-        out = {}
-        for i, ci, D in rows:
-            for r, x in enumerate(D[n::-1]):
-                s = ci * binom_mod_p(n + w - i - 1, r, p) % p if x.terms else 0
-                if s:
-                    acc = out.setdefault(i + r, {})
-                    for m, v in x.terms.items():
-                        t = v if s == 1 else v.scale_int(s)
-                        acc[m] = acc[m] + t if m in acc else t
-        return out
-
     def _transport(self, mono: tuple, n: int) -> QmPoly:
-        """D_n(E^a u), p | n, as the module docstring's sum over (i, r): the
-        depth sum over the rows N(E^{a-i} u), c_i = C(a, i), each Y^j on E^j."""
+        """D_n(E^a u) as the module docstring's sum over (i, r), one RatT add
+        wherever two (i, r) reach one output monomial.  Row i stops at
+        r = n - q(a - i), where N(E^{a-i} u) starts, and a binomial is
+        computed only where its series entry is nonzero."""
         cfg, p, q = self.cfg, self.cfg.p, self.cfg.q
         a, b, c = mono
-        rows = ((i, ci, self._series((a - i, b, c), n))
-                for i in range(max(0, a - n // q), a + 1) if (ci := binom_mod_p(a, i, p)))
-        sums = self._depth_sum(rows, n, monomial_signature(cfg, a, b, c).w)
-        return QmPoly(cfg, {(j, b2, c2): v for j, acc in sums.items()
-                            for (_, b2, c2), v in acc.items()})
+        w = monomial_signature(cfg, a, b, c).w
+        out = {}
+        for i in range(max(0, a - n // q), a + 1):
+            ci = binom_mod_p(a, i, p)
+            if not ci:
+                continue
+            series = self._series((a - i, b, c), n)
+            for r in range(n - q * (a - i) + 1):
+                x = series[n - r]
+                s = ci * binom_mod_p(n + w - i - 1, r, p) % p if x.terms else 0
+                if s:
+                    for (_, b2, c2), v in x.terms.items():
+                        t = v if s == 1 else v.scale_int(s)
+                        k = (r + i, b2, c2)
+                        out[k] = out[k] + t if k in out else t
+        return QmPoly(cfg, out)
 
     def _series(self, mono: tuple, n: int) -> list:
         """The coefficients N_0, N_1, ... of N(E^a g^b h^c) through X^n at
@@ -311,27 +310,6 @@ class DerivationEngine:
                     s = RatT(cfg, c.den).inverse() * s
             out[k] = out[k] + s if k in out else s
         return QmPoly(cfg, out)
-
-    # -- depth polynomial transport -------------------------------------------
-
-    def transform_depth_poly(self, f: QmPoly, n: int) -> tuple:
-        """The tuple associated_polynomial(derive(f, n)), transported from
-        P = associated_polynomial(f): the coefficient of Y^j is
-        sum_r C(n + w + r - j - 1, r) D_{n-r} P_{j-r}, w the weight of f.
-        ``_depth_sum`` sums it over the rows derive(P_i, k), k <= n; its other
-        reader is ``_transport``, at E = 0.  Raises NotIsobaric when f mixes
-        gradings."""
-        self._check_field(f)
-        self._check_order(n)
-        if f.is_zero():
-            return ()
-        w, P = grading(f).w, associated_polynomial(f)
-        rows = ((i, 1, [self.derive(x, k) for k in range(n + 1)]) for i, x in enumerate(P))
-        sums = self._depth_sum(rows, n, w)
-        out = [QmPoly(self.cfg, sums.get(j)) for j in range(n + len(P))]
-        while out and out[-1].is_zero():
-            out.pop()
-        return tuple(out)
 
     # -- kernels on modular forms ----------------------------------------------
 

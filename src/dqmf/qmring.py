@@ -2,9 +2,9 @@
 
 Monomials E^a g^b h^c carry weight 2a + (q-1)b + (q+1)c, type a+c mod q-1
 and depth a.  The module provides the grading bookkeeping, monomial bases
-of the modular and depth-filtered slices, depth polynomials (the ring
-substitution E -> E + Y, a plain tuple of the QmPoly coefficients of
-Y^0, Y^1, ...) and the first-order derivation.
+of the modular and depth-filtered slices and the first-order derivation.
+Depth polynomials (the substitution E -> E + Y) are a test reference
+(``tests/conftest.py``): the engine reads their transport at E = 0 only.
 
 Every sum of products in the ring goes through one kernel,
 ``sum_of_products``: ``QmPoly * QmPoly`` is the kernel on one pair, and
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import FieldConfig, PolyT, RatT, _den_product, binom_mod_p, power
+from .algebra import FieldConfig, PolyT, RatT, _den_product, power
 
 __all__ = [
     "GENERATORS",
@@ -37,7 +37,6 @@ __all__ = [
     "grading",
     "modular_basis",
     "qm_basis",
-    "associated_polynomial",
     "d1",
     "sum_of_products",
 ]
@@ -349,30 +348,6 @@ def qm_basis(w: int, m: int, l: int, cfg: FieldConfig):
             out.append((a, b, c))
     out.sort()
     return out
-
-
-# ---------------------------------------------------------------------------
-# Depth polynomials.
-
-
-def associated_polynomial(f: QmPoly) -> tuple:
-    """The depth polynomial of f: f under E -> E + Y, g -> g, h -> h, as the
-    tuple of its Y^0, Y^1, ... coefficients in K[E,g,h], () for f = 0.
-
-    Y carries weight 2, type 1 and depth 1; the Y^0 coefficient is f itself,
-    and the last one, Y^l for l the depth of f, is nonzero.
-    """
-    cfg = f.cfg
-    p = cfg.p
-    l = max((k[0] for k in f.terms), default=-1)
-    coeffs = [QmPoly.zero(cfg) for _ in range(l + 1)]
-    # distinct terms of f land on distinct monomials (a - j, b, c) of each Y^j
-    for (a, b, c), v in f.terms.items():
-        for j in range(a + 1):
-            bm = binom_mod_p(a, j, p)
-            if bm:
-                coeffs[j].terms[(a - j, b, c)] = v.scale_int(bm)
-    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ every memo entry the selected checks filled, with its memo counts.  The
 CLI exits nonzero if any fails.  The pytest acceptance suite runs the same
 material at full scale; this battery is sized to finish in seconds per
 field.
+
+depth_poly_dual_route compares ``derive`` with the engine's depth transport
+(``_transport``) term by term: a second route at orders prime to p (the D_1
+step) and on generator terms (the tables and the digit step).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import random
 
 from .algebra import d_rat
 from .hyperd import DerivationEngine, generator_table, p_powers_upto
-from .qmring import GENERATORS, QmPoly, associated_polynomial
+from .qmring import GENERATORS, QmPoly
 from .tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive, nu_infinity
 from .verify import (
     IdealId,
@@ -153,7 +157,10 @@ def _check_dual_route(cfg, engine, rng, n_max, order):
     for _ in range(10):
         f = random_isobaric(cfg, rng, w_max=14)
         n = rng.randint(1, min(12, engine.limit))
-        if engine.transform_depth_poly(f, n) != associated_polynomial(engine.derive(f, n)):
+        derived, transported = engine.derive(f, n), QmPoly.zero(cfg)
+        for mono, v in f.terms.items():
+            transported = transported + engine._transport(mono, n).scale(v)
+        if derived != transported:
             bad.append((str(f), n))
     return _result("depth_poly_dual_route", f"q={cfg.q}", bad)
 

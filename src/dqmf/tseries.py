@@ -339,7 +339,8 @@ def _lattice_sum(cfg: FieldConfig, N: int, j: int, k: int) -> TSeries:
 def _generator_series(cfg: FieldConfig, N: int, mono: tuple) -> dict:
     """The expansion of the generator mono in (1, 0, 0), (0, 1, 0), (0, 0, 1)
     below N over F_q[T], uncached: only a miss of ``_monomial``, its one cache,
-    builds it.  h reads g and E from ``_monomial``."""
+    builds it.  h reads g and E from ``_monomial``.  The lattice sums are fixed
+    by the coefficient Frobenius, so every coefficient lies in F_p[T]."""
     if mono == (1, 0, 0):
         s = _lattice_sum(cfg, N, 1, 1)
     elif mono == (0, 1, 0):
@@ -349,6 +350,8 @@ def _generator_series(cfg: FieldConfig, N: int, mono: tuple) -> dict:
         s = -(hyper_derive(g, 1) + E * g)
     if not s.den.is_one():  # once per generator
         raise AssertionError(f"the expansion {mono} has a coefficient outside F_q[T]")
+    if any(c >= cfg.p for x in s.nums.values() for c in x.c):
+        raise AssertionError(f"the expansion {mono} has a coefficient outside F_p[T]")
     return s.nums
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from dqmf.algebra import FieldConfig, PolyT, RatT, binom_mod_p, d_power
 from dqmf.hyperd import DerivationEngine
-from dqmf.qmring import QmPoly
+from dqmf.qmring import GENERATORS, QmPoly, grading
 from dqmf.tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive
 from dqmf.verify import StabilityReport, member
 
@@ -26,13 +26,25 @@ def engine_for(q: int) -> DerivationEngine:
 _series_matched = set()
 
 
+def generator_transport_mismatches(engine, gen: str) -> list:
+    """The orders 1 <= n <= limit at which D_n of the generator gen is not the
+    depth transport of its own E-free parts N_k, k <= n (``_transport`` on
+    gen's monomial): an algebraic check with no series.  The engine reads no
+    transport for a generator, so a wrong E-free part at one order shows at
+    the orders whose E-terms the transport builds from it."""
+    mono = GENERATORS[gen]
+    return [n for n in range(1, engine.limit + 1)
+            if engine._transport(mono, n) != engine.d_generator(gen, n)]
+
+
 def check_every_generator_order_against_the_series(q: int) -> None:
     """D_n x for x in {E, g, h} at every order 1 <= n <= limit, t-expanded,
     equals the series D_n of x's lattice-sum expansion at N = q^2 + q + 2,
-    on a fresh engine; then the filled memo is isobaric.  Acceptance
-    criterion 2 and the engine suite both report this comparison, which
-    runs once per field per session: a field is recorded only once it
-    passes, so a failure fails every test that asks again."""
+    and the transport of its own E-free parts, on a fresh engine; then the
+    filled memo is isobaric.  Acceptance criterion 2 and the engine suite
+    both report this comparison, which runs once per field per session: a
+    field is recorded only once it passes, so a failure fails every test
+    that asks again."""
     if q in _series_matched:
         return
     cfg = FieldConfig.from_q(q)
@@ -42,6 +54,7 @@ def check_every_generator_order_against_the_series(q: int) -> None:
         series = expand(cfg, N)
         for n in range(1, engine.limit + 1):
             assert evaluate(engine.d_generator(gen, n), N) == hyper_derive(series, n), (gen, n)
+        assert generator_transport_mismatches(engine, gen) == [], gen
     assert len(engine._memo) > 3 * engine.limit
     assert engine.check_memo_isobaric() == []
     _series_matched.add(q)
@@ -161,6 +174,48 @@ def depth_drop(w: int, l: int, n: int, p: int) -> bool:
     if n < 1:
         raise ValueError("depth_drop needs n >= 1")
     return binom_mod_p(w - l + n - 1, n, p) == 0
+
+
+def associated_polynomial(f):
+    """The depth polynomial of f: f under E -> E + Y, g -> g, h -> h, as the
+    tuple of its Y^0, Y^1, ... coefficients in K[E,g,h], () for f = 0.  Y
+    carries weight 2, type 1 and depth 1; the Y^0 coefficient is f itself,
+    and the last one, Y^l for l the depth of f, is nonzero.  No command reads
+    it; the engine reads the transport of depth polynomials at E = 0 only."""
+    cfg, p = f.cfg, f.cfg.p
+    l = max((k[0] for k in f.terms), default=-1)
+    coeffs = [QmPoly.zero(cfg) for _ in range(l + 1)]
+    # distinct terms of f land on distinct monomials (a - j, b, c) of each Y^j
+    for (a, b, c), v in f.terms.items():
+        for j in range(a + 1):
+            bm = binom_mod_p(a, j, p)
+            if bm:
+                coeffs[j].terms[(a - j, b, c)] = v.scale_int(bm)
+    return tuple(coeffs)
+
+
+def transform_depth_poly(engine, f, n):
+    """associated_polynomial(engine.derive(f, n)) by the depth transport, from
+    P = associated_polynomial(f): the coefficient of Y^j is
+    sum_r C(n + w + r - j - 1, r) D_{n-r} P_{j-r}, w the weight of f, each
+    binomial taken first and one derive made per nonzero binomial.  It reads
+    no ``_transport``, the engine's coding of the same identity at E = 0, so
+    criterion 4's dual route compares two codings.  Raises NotIsobaric when f
+    mixes gradings."""
+    if f.is_zero():
+        return ()
+    w, P, p = grading(f).w, associated_polynomial(f), engine.cfg.p
+    out = []
+    for j in range(n + len(P)):
+        acc = QmPoly.zero(engine.cfg)
+        for r in range(max(0, j - len(P) + 1), min(n, j) + 1):
+            bm = binom_mod_p(n + w + r - j - 1, r, p)
+            if bm:
+                acc = acc + engine.derive(P[j - r], n - r).scale_int(bm)
+        out.append(acc)
+    while out and out[-1].is_zero():
+        out.pop()
+    return tuple(out)
 
 
 def check_hyperstable_every_order(engine, ideal, n_max):

@@ -21,7 +21,6 @@ from dqmf.algebra import FieldConfig, RatT, binom_mod_p, power
 from dqmf.hyperd import DerivationEngine, p_powers_upto
 from dqmf.qmring import (
     QmPoly,
-    associated_polynomial,
     grading,
     monomial_signature,
     qm_basis,
@@ -45,8 +44,8 @@ from dqmf.verify import (
 )
 
 from conftest import (
-    _d, _inv_d, check_every_generator_order_against_the_series, depth_drop, engine_for,
-    expected_generator_value, pth_root,
+    _d, _inv_d, associated_polynomial, check_every_generator_order_against_the_series,
+    depth_drop, engine_for, expected_generator_value, pth_root, transform_depth_poly,
 )
 
 SEED = 20260808
@@ -293,7 +292,7 @@ def test_criterion_4_depth_poly_dual_route(q):
         for _ in range(CASES_PER_FIELD):
             f = random_isobaric(engine.cfg, rng, 16)
             n = _order_sample(rng, min(20, engine.limit))
-            lhs = engine.transform_depth_poly(f, n)
+            lhs = transform_depth_poly(engine, f, n)
             assert lhs == associated_polynomial(engine.derive(f, n)), (str(f), n)
 
 

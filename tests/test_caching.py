@@ -234,16 +234,16 @@ def test_the_pair_caches_keep_their_gcds_out_of_the_gcd_lru():
 
 
 def test_den_pair_traffic_is_mostly_hits():
-    """A battery forms few distinct denominator pairs.  The ring kernel's
-    products reuse theirs more than ten times each; the sums' traffic is
-    pinned exactly (q = 5, n_max 16)."""
+    """A battery forms few distinct denominator pairs: the ring kernel's
+    products reuse theirs more than seven times each, and the traffic of
+    both caches is pinned exactly (q = 5, n_max 16).  The dual route's every-
+    order derives of depth-polynomial coefficients made (166, 15) products."""
     _den_pair.cache_clear()
     _den_product.cache_clear()
     results = run_suite(FieldConfig.from_q(5), n_max=16)
     assert all(r["pass"] for r in results)
-    info = _den_product.cache_info()
-    assert info.misses and info.hits >= 10 * info.misses
-    assert _den_pair.cache_info()[:2] == (31, 20)
+    assert _den_product.cache_info()[:2] == (104, 14)
+    assert _den_pair.cache_info()[:2] == (32, 20)
 
 
 def test_derive_forms_few_denominator_pairs():

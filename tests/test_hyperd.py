@@ -22,16 +22,17 @@ from dqmf.qmring import (
     GENERATORS,
     NotIsobaric,
     QmPoly,
-    associated_polynomial,
     d1,
     sum_of_products,
 )
 from dqmf.suite import CHECKS, run_suite
+from dqmf.tseries import evaluate, expand_g, hyper_derive
 from dqmf.verify import random_isobaric
 
 from conftest import (
-    _inv_d, _ratio_of_linears, _reference_add, _reference_mul,
-    check_every_generator_order_against_the_series, depth_drop, engine_for, pth_root,
+    _inv_d, _ratio_of_linears, _reference_add, _reference_mul, associated_polynomial,
+    check_every_generator_order_against_the_series, depth_drop, engine_for,
+    generator_transport_mismatches, pth_root, transform_depth_poly,
 )
 
 
@@ -271,8 +272,6 @@ def test_derive_rejects_an_element_of_another_field():
         for n in (0, 1, 5):
             with pytest.raises(ValueError, match="different fields"):
                 engine.derive(f, n)
-            with pytest.raises(ValueError, match="different fields"):
-                engine.transform_depth_poly(f, n)
 
 
 def test_derive_rejects_a_coefficient_of_another_field():
@@ -379,7 +378,7 @@ def test_depth_drop_trivial_and_digit_cases(engine, q):
 def test_transform_depth_poly_identity_at_zero(engine):
     rng = random.Random(3)
     f = random_isobaric(engine.cfg, rng, 10)
-    assert engine.transform_depth_poly(f, 0) == associated_polynomial(f)
+    assert transform_depth_poly(engine, f, 0) == associated_polynomial(f)
 
 
 def test_transform_depth_poly_reads_the_weight_of_f(engine):
@@ -387,9 +386,9 @@ def test_transform_depth_poly_reads_the_weight_of_f(engine):
     # weights, so it has no one weight w to transport with
     cfg = engine.cfg
     for n in (0, 1):
-        assert engine.transform_depth_poly(QmPoly.zero(cfg), n) == ()
+        assert transform_depth_poly(engine, QmPoly.zero(cfg), n) == ()
         with pytest.raises(NotIsobaric):
-            engine.transform_depth_poly(QmPoly.gen_E(cfg) + QmPoly.gen_g(cfg), n)
+            transform_depth_poly(engine, QmPoly.gen_E(cfg) + QmPoly.gen_g(cfg), n)
 
 
 def test_transform_depth_poly_h_row(engine, q):
@@ -397,7 +396,7 @@ def test_transform_depth_poly_h_row(engine, q):
     cfg = engine.cfg
     h = QmPoly.gen_h(cfg)
     n = min(q + 2, engine.limit)
-    P = engine.transform_depth_poly(h, n)
+    P = transform_depth_poly(engine, h, n)
     zero = QmPoly.zero(cfg)
     for j in range(n + 1):
         expected = engine.derive(h, n - j).scale_int(binom_mod_p(n + q, j, cfg.p))
@@ -406,13 +405,13 @@ def test_transform_depth_poly_h_row(engine, q):
 
 def test_transform_depth_poly_E_p_power(engine, q):
     """E reads the tables at a p-power; E g h, E^2 h and E^p g are derived by
-    the transport there, so both readers of ``_depth_sum`` meet on them."""
+    the engine's transport there, which the test reference codes apart."""
     cfg = engine.cfg
     mono = QmPoly.monomial
     fs = (QmPoly.gen_E(cfg), mono(cfg, 1, 1, 1), mono(cfg, 2, 0, 1), mono(cfg, cfg.p, 1, 0))
     for n in p_powers_upto(cfg, q * q):
         for f in fs:
-            lhs = engine.transform_depth_poly(f, n)
+            lhs = transform_depth_poly(engine, f, n)
             assert lhs == associated_polynomial(engine.derive(f, n)), (str(f), n)
 
 
@@ -558,6 +557,35 @@ def test_every_generator_order_matches_the_series(q):
     to the limit meets the series route, and the filled memo is isobaric.
     The comparison itself runs once per field, in conftest."""
     check_every_generator_order_against_the_series(q)
+
+
+def test_the_transport_check_and_the_series_together_kill_the_g_mutant(monkeypatch):
+    """The g mutant at q = 5 adds the E-free part of D_n g once more at the
+    digit-step orders above 100 (105, 110, 115, 120) and so changes D_n g at
+    8 orders.  The transport check fails at 110, 111, 115, 116, 120 and 121,
+    where the E-terms are transported from a wrong E-free part; the series
+    at N = 32 fails at 105, 106 and 110; together they fail every changed
+    order."""
+    cfg = FieldConfig.from_q(5)
+    clean = DerivationEngine(cfg)
+    orders = range(1, clean.limit + 1)
+    expected = [clean.d_generator("g", n) for n in orders]
+    derive_monomial = DerivationEngine._derive_monomial
+
+    def mutant(self, mono, n):
+        out = derive_monomial(self, mono, n)
+        return out + out.kill("E") if mono == (0, 1, 0) and n in (105, 110, 115, 120) else out
+
+    monkeypatch.setattr(DerivationEngine, "_derive_monomial", mutant)
+    engine = DerivationEngine(cfg)
+    changed = [n for n, x in zip(orders, expected) if engine.d_generator("g", n) != x]
+    assert changed == [105, 106, 110, 111, 115, 116, 120, 121]
+    transport = generator_transport_mismatches(engine, "g")
+    assert transport == [110, 111, 115, 116, 120, 121]
+    series = expand_g(cfg, 32)
+    seen = [n for n in changed if evaluate(engine.d_generator("g", n), 32) != hyper_derive(series, n)]
+    assert seen == [105, 106, 110]
+    assert sorted(set(transport) | set(seen)) == changed
 
 
 def test_memo_check_covers_product_monomials():

@@ -12,7 +12,6 @@ from dqmf.qmring import (
     GradingSignature,
     NotIsobaric,
     QmPoly,
-    associated_polynomial,
     d1,
     grading,
     modular_basis,
@@ -22,7 +21,7 @@ from dqmf.qmring import (
 from dqmf.tseries import evaluate, hyper_derive
 from dqmf.verify import random_isobaric
 
-from conftest import engine_for
+from conftest import associated_polynomial, engine_for
 
 
 def test_grading_of_generators(cfg, q):

@@ -190,6 +190,22 @@ def test_a_lattice_sum_inverts_one_unit_per_frobenius_orbit(monkeypatch):
     assert calls == {"_t_power": 50, "carlitz": 4}
 
 
+def test_a_generator_expansion_with_a_code_outside_f_p_raises(monkeypatch):
+    """E, g and h have coefficients in F_p[T]: ``_generator_series`` checks
+    every code against p beside its den check, by a raise that survives
+    python -O.  Counting each Frobenius orbit once, not over its size, puts
+    codes outside F_2 into E at q = 4."""
+    orbits = tseries._orbit_representatives
+    monkeypatch.setattr(tseries, "_orbit_representatives",
+                        lambda cfg, d: ((1, a) for _, a in orbits(cfg, d)))
+    _monomial.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="outside F_p"):
+            expand_E(FieldConfig.from_q(4), 40)
+    finally:
+        _monomial.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # alpha coefficients
 
