@@ -6,12 +6,17 @@ integers and coordinate tuples [c0,...], with integer exponents via ^,
 products by juxtaposition or *, division by a nonzero constant with /, and
 sums with + and -, e.g. "E^6 + (1/(T^5 - T)) h^2".  Every element that
 ``dqmf derive`` prints parses back to itself.
+
+``main`` alone resolves the field, builds the JSON envelope (for ``dqmf field``,
+the bare field record) and prints: each ``_cmd_*`` handler takes (cfg, args)
+and returns its exit code and its text or JSON payload.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import FieldConfig, PolyT, RatT
@@ -218,51 +223,33 @@ def _field_from_args(args) -> FieldConfig:
 # Subcommands.
 
 
-def _cmd_derive(args):
-    cfg = _field_from_args(args)
+def _cmd_derive(cfg, args):
     out = DerivationEngine(cfg).derive(parse_qmpoly(cfg, args.expr), args.n)
     if args.json:
-        print(json.dumps({"field": _field_json(cfg), "n": args.n, "result": out.to_json()}))
-    else:
-        print(out)
-        try:
-            s = grading(out)
-        except NotIsobaric:
-            print("grading: mixed (not isobaric)")
-        else:
-            if s is None:
-                print("grading: zero (every grading)")
-            else:
-                print(f"grading: weight {s.w}, type {s.m} mod {cfg.q - 1}, depth {s.l}")
-    return 0
+        return 0, {"n": args.n, "result": out.to_json()}
+    try:
+        s = grading(out)
+    except NotIsobaric:
+        return 0, f"{out}\ngrading: mixed (not isobaric)"
+    if s is None:
+        return 0, f"{out}\ngrading: zero (every grading)"
+    return 0, f"{out}\ngrading: weight {s.w}, type {s.m} mod {cfg.q - 1}, depth {s.l}"
 
 
-def _cmd_expand(args):
-    cfg = _field_from_args(args)
+def _cmd_expand(cfg, args):
     s = evaluate(parse_qmpoly(cfg, args.gen), args.order)
     if args.n:
         s = hyper_derive(s, args.n)
-    if args.json:
-        print(json.dumps({"field": _field_json(cfg), "series": s.to_json()}))
-    else:
-        print(s)
-    return 0
+    return 0, {"series": s.to_json()} if args.json else str(s)
 
 
-def _cmd_basis(args):
-    cfg = _field_from_args(args)
+def _cmd_basis(cfg, args):
     if args.w < 0 or args.l < 0:
         raise ValueError("weight and depth must be >= 0")
     basis = qm_basis(args.w, args.m, args.l, cfg)
     if args.json:
-        print(json.dumps({"field": _field_json(cfg),
-                          "basis": [{"alpha": a, "beta": b, "gamma": c} for a, b, c in basis]}))
-    else:
-        if not basis:
-            print("(empty)")
-        for a, b, c in basis:
-            print(QmPoly.monomial(cfg, a, b, c))
-    return 0
+        return 0, {"basis": [{"alpha": a, "beta": b, "gamma": c} for a, b, c in basis]}
+    return 0, "\n".join(str(QmPoly.monomial(cfg, *mono)) for mono in basis) or "(empty)"
 
 
 def _parse_ideal(args, cfg):
@@ -280,51 +267,34 @@ def _parse_ideal(args, cfg):
     return IdealId(tag, param)
 
 
-def _cmd_ideal(args):
-    cfg = _field_from_args(args)
+def _cmd_ideal(cfg, args):
     engine = DerivationEngine(cfg)
-    n_max = min(args.n_max, engine.limit)
-    ideal = _parse_ideal(args, cfg)
-    report = check_hyperstable(engine, ideal, n_max)
+    report = check_hyperstable(engine, _parse_ideal(args, cfg), min(args.n_max, engine.limit))
+    code = 0 if report.passed else 1
     if args.json:
-        print(json.dumps({"field": _field_json(cfg), "report": report.to_json()}))
-    else:
-        status = "hyperdifferential" if report.passed else "NOT stable"
-        print(f"ideal {ideal.describe()}: {status} (checked to n_max = {n_max})")
-        for gen, fail_n, witness in report.entries:
-            if fail_n is not None:
-                print(f"  generator {gen}: fails at n = {fail_n}, residue {witness}")
-    return 0 if report.passed else 1
+        return code, {"report": report.to_json()}
+    status = "hyperdifferential" if report.passed else "NOT stable"
+    lines = [f"ideal {report.ideal.describe()}: {status} (checked to n_max = {report.n_max})"]
+    lines += [f"  generator {gen}: fails at n = {fail_n}, residue {witness}"
+              for gen, fail_n, witness in report.entries if fail_n is not None]
+    return code, "\n".join(lines)
 
 
-def _cmd_verify(args):
-    cfg = _field_from_args(args)
+def _cmd_verify(cfg, args):
     # --n-max and --seed are set only when given, so run_suite's defaults apply
     given = {key: getattr(args, key) for key in ("n_max", "seed") if key in args}
     results = run_suite(cfg, order=args.order, names=args.suite, **given)
-    ok = all(r["pass"] for r in results)
+    code = 0 if all(r["pass"] for r in results) else 1
     if args.json:
-        print(json.dumps({"field": _field_json(cfg), "checks": results}))
-    else:
-        for r in results:
-            mark = "PASS" if r["pass"] else "FAIL"
-            print(f"[{mark}] {r['check']} {r.get('params', '')}")
-            if not r["pass"] and "witness" in r:
-                print(f"       witness: {r['witness']}")
-    return 0 if ok else 1
+        return code, {"checks": results}
+    return code, "\n".join(
+        f"[{'PASS' if r['pass'] else 'FAIL'}] {r['check']} {r.get('params', '')}"
+        + (f"\n       witness: {r['witness']}" if not r["pass"] and "witness" in r else "")
+        for r in results)
 
 
-def _cmd_field(args):
-    cfg = _field_from_args(args)
-    if args.json:
-        print(json.dumps(_field_json(cfg)))
-    else:
-        print(cfg.to_text())
-    return 0
-
-
-def _field_json(cfg):
-    return {"p": cfg.p, "e": cfg.e, "q": cfg.q, "modulus": list(cfg.modulus)}
+def _cmd_field(cfg, args):
+    return 0, {} if args.json else cfg.to_text()
 
 
 def main(argv=None):
@@ -367,8 +337,7 @@ def main(argv=None):
     p_verify.add_argument("--n-max", type=int, default=argparse.SUPPRESS)
     p_verify.add_argument("--order", type=int, default=None, help="series truncation order")
     p_verify.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p_verify.add_argument("--suite", nargs="*", default=None,
-                          help="restrict to named checks")
+    p_verify.add_argument("--suite", nargs="*", default=None, help="restrict to named checks")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_field = sub.add_parser("field", help="print the resolved field configuration")
@@ -381,7 +350,18 @@ def main(argv=None):
     # zero denominator, an unreadable field file and a derivation deeper than
     # the interpreter's recursion limit become an error line, never a traceback
     try:
-        return args.func(args)
+        cfg = _field_from_args(args)
+        code, payload = args.func(cfg, args)
+        if args.json:
+            field = {"p": cfg.p, "e": cfg.e, "q": cfg.q, "modulus": list(cfg.modulus)}
+            payload = json.dumps(field if args.command == "field" else {"field": field, **payload})
+        print(payload, flush=True)
+        return code
+    except BrokenPipeError:
+        # the reader left early (`dqmf ... | head`): no error line, and stdout
+        # goes to devnull so that the interpreter's flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -68,8 +68,10 @@ tuples, RatT and PolyT are never mutated and results leave the engine as
 copies.  ``stats()`` counts the memo's entries
 and the hits and misses of its lookups, a list's reads of generator entries
 among them, and ``check_memo_isobaric()`` lists every entry D_n(m) whose
-weight, type or depth is not the one n shifts m's to; ``dqmf verify``
-reports both after its checks.  One engine per thread is safe, since
+weight, type or depth is not the one n shifts m's to, or which has a
+coefficient code outside F_p.  Every D_n(m) lies over F_p(T) (checked at
+q = 2..9): the memo keys are monomials, and every table entry, binomial and
+Frobenius row lies over F_p.  ``dqmf verify`` reports both after its checks.  One engine per thread is safe, since
 engines share only the per-field functools caches of ``algebra`` (the d_i
 powers, gcds and the ``_den_pair``, ``_den_product`` and ``_coprime_parts``
 LRUs), which are thread-safe and hold immutable values.
@@ -339,8 +341,9 @@ class DerivationEngine:
 
     def check_memo_isobaric(self):
         """The (monomial, order, what) of every memo entry D_n(mono) that is not
-        isobaric with the grading n shifts mono's to; empty when all pass."""
-        q = self.cfg.q
+        isobaric with the grading n shifts mono's to, or has a coefficient code
+        outside F_p; empty when all pass."""
+        p, q = self.cfg.p, self.cfg.q
         bad = []
         for (mono, n), val in self._memo.items():
             if val.is_zero():
@@ -357,4 +360,6 @@ class DerivationEngine:
                 bad.append((mono, n, f"type {s.m}"))
             elif s.l > base.l + n:
                 bad.append((mono, n, f"depth {s.l}"))
+            elif any(code >= p for v in val.terms.values() for code in v.num.c + v.den.c):
+                bad.append((mono, n, "code outside F_p"))
         return bad

@@ -220,6 +220,17 @@ def test_python_dash_m_dqmf_runs_the_cli(capsys):
     assert (proc.returncode, proc.stdout) == (0, capsys.readouterr().out)
 
 
+def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_error_line():
+    """`dqmf basis --q 3 2000 0 1000 | head -1`: the 2 MB output overfills the
+    pipe, and the reader's early close is not malformed input (exit 2)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dqmf.__file__).resolve().parent.parent))
+    argv = [sys.executable, "-m", "dqmf", "basis", "--q", "3", "2000", "0", "1000"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"h^500\n"
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", 1)
+
+
 def test_cmd_verify_small_field(capsys):
     rc = main(["verify", "--q", "4", "--n-max", "8",
                "--suite", "generator_tables", "munu_congruence"])
@@ -249,6 +260,31 @@ def test_cmd_verify_reports_a_wrong_memo_entry(capsys, monkeypatch):
     assert lines[1].startswith("[FAIL] memo_isobaric q=5 entries=")
     assert lines[2:] == ["       witness: [((0, 5, 0), 3, 'weight 2')]"]
     assert "Traceback" not in err
+
+
+def test_cmd_verify_reports_a_memo_code_outside_the_prime_field(capsys, monkeypatch):
+    """Every memo entry D_n(m) lies over F_p(T).  At q = 4, D_3(g^3) scaled by
+    a generator of F_4 over F_2 keeps its grading but not its prime field:
+    the engine's memo check and `verify` both name it."""
+    from dqmf import suite
+
+    class Planted(suite.DerivationEngine):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            val = self.derive(QmPoly.monomial(cfg, 0, 3, 0), 3)
+            assert not val.is_zero()
+            self._memo[((0, 3, 0), 3)] = val.scale(RatT(cfg, PolyT(cfg, (2,))))
+
+    witness = [((0, 3, 0), 3, "code outside F_p")]
+    assert Planted(FieldConfig.from_q(4)).check_memo_isobaric() == witness
+    monkeypatch.setattr(suite, "DerivationEngine", Planted)
+    rc = main(["verify", "--q", "4", "--n-max", "8", "--suite", "generator_tables"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and not err
+    lines = out.splitlines()
+    assert lines[0] == "[PASS] generator_tables q=4"
+    assert lines[1].startswith("[FAIL] memo_isobaric q=4 entries=")
+    assert lines[2:] == [f"       witness: {witness}"]
 
 
 def test_prime_field_without_a_shipped_modulus(capsys):

@@ -23,6 +23,12 @@ mul, neg, inv and frob tables of F_q, and ``str`` of the lattice-sum
 expansions of E, g and h.  Both were computed while F_q's tables were
 filled through a separate F_p[x] arithmetic and the Carlitz coefficients
 through a table of rho_{T^i}.
+
+A last digest pins the command line's bytes: stdout, stderr and the exit
+code of ``dqmf.cli.main`` on every subcommand in text and JSON form, the
+negative control and two malformed inputs.  It was computed while each
+subcommand resolved its field, built its JSON envelope and printed by
+itself.
 """
 
 import hashlib
@@ -31,6 +37,7 @@ import random
 import pytest
 
 from dqmf.algebra import FieldConfig, linear_solve
+from dqmf.cli import main
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly, monomial_signature, qm_basis
 from dqmf.suite import series_check_orders
@@ -294,3 +301,38 @@ def test_the_two_series_routes_at_the_oracle_truncations_match_the_pinned_digest
                 h.update(f"{q} {N} f{k} {n} {evaluate(engine.derive(f, n), N)}\n".encode())
                 h.update(f"{q} {N} f{k} {n} {hyper_derive(base, n)}\n".encode())
     assert h.hexdigest() == ORACLE_GOLDEN
+
+
+CLI_RUNS = [
+    ["derive", "--q", "5", "E g + h", "3"],
+    ["derive", "--q", "5", "E g + h", "3", "--json"],
+    ["derive", "--q", "5", "E + g", "1"],  # mixed gradings
+    ["derive", "--q", "5", "E - E", "1"],  # zero
+    ["expand", "--q", "4", "h", "20"],
+    ["expand", "--q", "5", "E g", "30", "--n", "5", "--json"],
+    ["basis", "--q", "5", "24", "0", "2"],
+    ["basis", "--q", "5", "24", "0", "2", "--json"],
+    ["basis", "--q", "5", "1", "0", "0"],  # empty
+    ["ideal", "--q", "5", "Pd", "--d", "T+1", "--n-max", "8"],
+    ["ideal", "--q", "4", "max", "--c", "T", "--n-max", "8", "--json"],
+    ["ideal", "--q", "4", "E", "--n-max", "8"],  # the negative control, exit 1
+    ["ideal", "--q", "4", "E", "--n-max", "8", "--json"],
+    ["verify", "--q", "3", "--n-max", "8"],
+    ["verify", "--q", "4", "--n-max", "8", "--json"],
+    ["field", "--q", "9"],
+    ["field", "--p", "3", "--e", "2", "--modulus", "2 2 1", "--json"],
+    ["derive", "--q", "4", "E +", "1"],  # malformed, exit 2
+    ["field", "--q", "6", "--json"],  # malformed, exit 2
+]
+CLI_GOLDEN = "1d1ca62ffbbf29d6ffcb84fa0d72ca39f5c6923e8e3ace5068a69f4398e0014a"
+
+
+def test_the_command_line_output_matches_the_pinned_digest(capsys):
+    h = hashlib.sha256()
+    codes = []
+    for argv in CLI_RUNS:
+        codes.append(main(argv))
+        out, err = capsys.readouterr()
+        h.update(f"{argv} {codes[-1]}\n{out}\n{err}\n".encode())
+    assert codes == [0] * 11 + [1, 1] + [0] * 4 + [2, 2]
+    assert h.hexdigest() == CLI_GOLDEN
