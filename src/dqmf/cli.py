@@ -365,7 +365,3 @@ def main(argv=None):
     except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

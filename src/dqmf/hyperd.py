@@ -65,16 +65,16 @@ the E-free lists keyed by monomial.  Both store through the engine's table,
 (a, b, c) -> monomial key and (num, den) -> RatT, and its one empty QmPoly,
 so each monomial key, coefficient value and zero exists once: safe, since
 tuples, RatT and PolyT are never mutated and results leave the engine as
-copies.  ``stats()`` counts the memo's entries
-and the hits and misses of its lookups, a list's reads of generator entries
-among them, and ``check_memo_isobaric()`` lists every entry D_n(m) whose
-weight, type or depth is not the one n shifts m's to, or which has a
-coefficient code outside F_p.  Every D_n(m) lies over F_p(T) (checked at
-q = 2..9): the memo keys are monomials, and every table entry, binomial and
-Frobenius row lies over F_p.  ``dqmf verify`` reports both after its checks.  One engine per thread is safe, since
-engines share only the per-field functools caches of ``algebra`` (the d_i
-powers, gcds and the ``_den_pair``, ``_den_product`` and ``_coprime_parts``
-LRUs), which are thread-safe and hold immutable values.
+copies.  ``stats()`` counts the memo's entries and the hits and misses of
+its lookups, a list's reads of generator entries among them, and
+``check_memo_isobaric()`` lists every entry D_n(m) whose weight, type or
+depth is not the one n shifts m's to, or which has a coefficient code
+outside F_p.  Every D_n(m) lies over F_p(T) (checked at q = 2..9): the memo
+keys are monomials, and every table entry, binomial and Frobenius row lies
+over F_p.  ``dqmf verify`` reports both after its checks.  One engine per
+thread is safe, since engines share only the per-field functools caches of
+``algebra`` (the d_i powers, gcds and the ``_den_pair``, ``_den_product``
+and ``_coprime_parts`` LRUs), which are thread-safe and hold immutable values.
 """
 
 from __future__ import annotations
@@ -286,10 +286,8 @@ class DerivationEngine:
         self._check_field(f)
         self._check_order(n)
         cfg = self.cfg
-        if len(f.terms) == 1:  # nothing to group: the memo entry, scaled
+        if len(f.terms) == 1:  # nothing to group: the memo entry, scaled (scale checks v's field)
             (mono, v), = f.terms.items()
-            if v.cfg is not cfg:
-                raise ValueError("coefficient from a different field")
             return self._derive_monomial(mono, n).scale(v)
         groups = {}  # (output monomial, memo denominator) -> [(v, memo coefficient)]
         for mono, v in f.terms.items():

@@ -153,6 +153,8 @@ class QmPoly:
         return sum_of_products(self.cfg, ((self, other),))
 
     def scale(self, coeff: RatT):
+        if coeff.cfg is not self.cfg:
+            raise ValueError("coefficient from a different field")
         out = QmPoly(self.cfg)
         if not coeff.num.c:
             return out

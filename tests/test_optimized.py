@@ -64,6 +64,6 @@ sys.exit(1)
 
 
 def test_verify_passes_under_O():
-    proc = run_optimized("-m", "dqmf.cli", "verify", "--q", "4", "--n-max", "8")
+    proc = run_optimized("-m", "dqmf", "verify", "--q", "4", "--n-max", "8")
     assert proc.returncode == 0, proc.stderr
     assert "[PASS]" in proc.stdout and "[FAIL]" not in proc.stdout

@@ -271,6 +271,18 @@ def test_a_product_rejects_a_coefficient_from_another_field():
         sum_of_products(f4, [(e4, e4), (e4, stray)])
 
 
+def test_scale_rejects_a_coefficient_from_another_field():
+    """A term whose coefficient is 1 takes scale's factor without a RatT
+    product, so scale checks the factor's field itself: E over F_4 scaled by
+    T over F_5 used to return T E over F_4 holding an F_5 coefficient."""
+    f4, f5 = FieldConfig.from_q(4), FieldConfig.from_q(5)
+    e4 = QmPoly.gen_E(f4)
+    for f in (e4, e4 + QmPoly.gen_g(f4), QmPoly.zero(f4)):
+        for x in (RatT(f5, f5.poly_T), f5.rat_one, f5.rat_zero):
+            with pytest.raises(ValueError, match="coefficient from a different field"):
+                f.scale(x)
+
+
 # sum_of_products against a pairwise reference that canonicalises every
 # term product and every partial sum through RatT * and +
 

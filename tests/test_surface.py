@@ -1,11 +1,13 @@
-"""The public surface: every name a module exports serves the package, the
-import loads no module the package does not need, every function of the
-package runs under some `dqmf` command, and every per-layer metric of the
-benchmark has a probe target in the package."""
+"""The public surface: every name a module exports serves the package, every
+name the top level binds has a reader outside it, the import loads no module
+the package does not need, every function of the package runs under some
+`dqmf` command, and every per-layer metric of the benchmark has a probe
+target in the package."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -55,6 +57,32 @@ def test_every_exported_name_is_used_inside_the_package():
     orphans = sorted(f"{mod}:{name}" for name, mod in exported.items()
                      if name not in used and name not in allowed)
     assert not orphans, f"exported but used by no command or check: {orphans}"
+
+
+# where the package is read from outside: the benchmark, the tests, README, CI
+READERS = ("perfbench/*.py", "tests/*.py", "README.md", ".github/workflows/tests.yml")
+
+
+def test_the_top_level_binds_exactly_what_its_readers_read():
+    """Every name dqmf/__init__ binds is read as dqmf.<name> by some reader,
+    else it is a second import path with no use; and every such read, a
+    submodule or a dunder aside, resolves."""
+    bound = set()
+    for node in ast.parse((SRC / "__init__.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    read = set()
+    for pattern in READERS:
+        for path in REPO.glob(pattern):
+            read.update(re.findall(r"\bdqmf\.(\w+)", path.read_text(encoding="utf-8")))
+    unread = sorted(bound - read)
+    assert not unread, f"bound by dqmf/__init__ but read as dqmf.<name> nowhere: {unread}"
+    submodules = {path.stem for path in SRC.glob("*.py")}
+    dangling = sorted(name for name in read - submodules
+                      if not name.startswith("__") and not hasattr(dqmf, name))
+    assert not dangling, f"read as dqmf.<name> but not bound: {dangling}"
 
 
 def test_the_import_loads_no_dataclasses_inspect_ast_or_dis():
