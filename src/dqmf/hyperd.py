@@ -340,9 +340,19 @@ class DerivationEngine:
     def check_memo_isobaric(self):
         """The (monomial, order, what) of every memo entry D_n(mono) that is not
         isobaric with the grading n shifts mono's to, or has a coefficient code
-        outside F_p; empty when all pass."""
+        outside F_p; empty when all pass.  The codes of each distinct
+        coefficient object are read once (by id, so a value planted without
+        interning is read too): the memo shares them between entries."""
         p, q = self.cfg.p, self.cfg.q
         bad = []
+        in_f_p = {}  # id of a coefficient -> whether every code of it lies in F_p
+
+        def off_f_p(v):
+            ok = in_f_p.get(id(v))
+            if ok is None:
+                ok = in_f_p[id(v)] = all(code < p for code in v.num.c + v.den.c)
+            return not ok
+
         for (mono, n), val in self._memo.items():
             if val.is_zero():
                 continue
@@ -358,6 +368,6 @@ class DerivationEngine:
                 bad.append((mono, n, f"type {s.m}"))
             elif s.l > base.l + n:
                 bad.append((mono, n, f"depth {s.l}"))
-            elif any(code >= p for v in val.terms.values() for code in v.num.c + v.den.c):
+            elif any(map(off_f_p, val.terms.values())):
                 bad.append((mono, n, "code outside F_p"))
         return bad

@@ -4,8 +4,8 @@ Expansions of E, g, h are built from Carlitz-module lattice sums; the only
 identity imported from the polynomial side is the definitional equation
 h = -(D_1 g + E g).  ``carlitz(a)`` gives the coefficients of rho_a as
 sum a_i rho_{T^i}, since a -> rho_a is F_q-linear, over a basis built by one
-Horner step per degree, and ``t_sub(a, N, k)`` gives t_a^k from one
-inversion of a unit over F_q[T], lifted by Frobenius.  The lattice sums of
+Horner step per degree, and ``_t_power`` gives t_a^k from one inversion
+of a unit over F_q[T], lifted by Frobenius.  The lattice sums of
 a^j t_a^k (j = k = 1 for E; j = 0, k = q - 1 for g) run over the orbits of
 the coefficient Frobenius, which fixes rho_T: one inversion per orbit, its
 term traced over the orbit.  The series-level divided derivative follows
@@ -39,7 +39,6 @@ from .qmring import QmPoly
 __all__ = [
     "TSeries",
     "carlitz",
-    "t_sub",
     "expand_E",
     "expand_g",
     "expand_h",
@@ -279,26 +278,6 @@ def _t_power(cfg, rho: tuple, N: int, k: int) -> dict:
     base = k * cfg.q**d
     unit = {cfg.q**d - cfg.q**j: c for j, c in enumerate(rho[:-1]) if c}
     return {base + n: v for n, v in _invert_unit(cfg, unit, N - base, k).items()}
-
-
-def t_sub(a: PolyT, N: int, k: int = 1) -> TSeries:
-    """t_a^k, with t_a = t(az) = 1/rho_a(1/t), as a series exact below order N.
-
-    For monic a of degree d, t_a is t^(q^d) over the unit
-    1 + sum_{j<d} c_j t^(q^d - q^j), so nu_infinity(t_a) = q^d.  The unit's
-    (-k)-th power below N - k q^d is one inversion over F_q[T], Frobenius-
-    lifted for k >= 2.  E sums t_a (k = 1), g sums t_a^(q-1); k = 0 gives 1.
-    """
-    if k < 0:
-        raise ValueError(f"t_sub needs k >= 0, got k = {k}")
-    if a.is_zero() or a.lead() != 1:
-        raise ValueError("t_sub needs a monic polynomial")
-    cfg = a.cfg
-    if k * cfg.q**a.degree >= N:
-        return TSeries(cfg, N)
-    if k == 0:
-        return TSeries.one(cfg, N)
-    return _series(cfg, N, cfg.poly_one, _t_power(cfg, carlitz(a), N, k))
 
 
 def _orbit_representatives(cfg, d: int):

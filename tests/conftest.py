@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from dqmf import tseries
 from dqmf.algebra import FieldConfig, PolyT, RatT, binom_mod_p, d_power
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import GENERATORS, QmPoly, grading, monomial_signature
@@ -82,6 +83,54 @@ def check_every_generator_order_against_the_series(q: int) -> None:
     _series_matched.add(q)
 
 
+def sigma(x):
+    """The coefficient Frobenius sigma on a QmPoly or a TSeries: every code of
+    every num and den through cfg.frob, T fixed."""
+    cfg, frob = x.cfg, x.cfg.frob
+
+    def rat(v):
+        return RatT(cfg, PolyT(cfg, [frob[c] for c in v.num.c]),
+                    PolyT(cfg, [frob[c] for c in v.den.c]))
+
+    if isinstance(x, QmPoly):
+        return QmPoly(cfg, {k: rat(v) for k, v in x.terms.items()})
+    return TSeries(cfg, x.order, {n: rat(v) for n, v in x.terms.items()})
+
+
+def sigma_mismatches(engine, elements):
+    """(element index, order) wherever derive(sigma f, n) != sigma(derive(f, n)),
+    every order 1 <= n <= min(limit, 48), and (index, "evaluate") wherever
+    evaluate(sigma f, N) != sigma(evaluate(f, N)), N = q^2 + q + 2.  Since D_n
+    is F_q(T)-linear, both commute with sigma when every memo entry and every
+    generator expansion lies over F_p(T), which sigma fixes."""
+    q = engine.cfg.q
+    bad = []
+    for i, f in enumerate(elements):
+        sf = sigma(f)
+        if evaluate(sf, q * q + q + 2) != sigma(evaluate(f, q * q + q + 2)):
+            bad.append((i, "evaluate"))
+        bad += [(i, n) for n in range(1, min(engine.limit, 48) + 1)
+                if engine.derive(sf, n) != sigma(engine.derive(f, n))]
+    return bad
+
+
+def fill_generators(engine, n_max=None):
+    """The engine, once it has derived E, g and h at every order n <=
+    min(limit, n_max), n_max None for the limit."""
+    for gen in "Egh":
+        for n in range(min(engine.limit, n_max or engine.limit) + 1):
+            engine.d_generator(gen, n)
+    return engine
+
+
+def generator_codes(cfg):
+    """The codes of every memo entry of a new engine after D_n of E, g and h
+    at every order to the limit: (monomial, order) -> {monomial: (num codes,
+    den codes)}."""
+    return {key: {k: (v.num.c, v.den.c) for k, v in val.terms.items()}
+            for key, val in fill_generators(DerivationEngine(cfg))._memo.items()}
+
+
 @pytest.fixture(params=MAIN_FIELDS, ids=lambda q: f"q{q}")
 def q(request):
     return request.param
@@ -111,6 +160,28 @@ def random_fraction(cfg, rng):
 def monic_polys(cfg, d: int):
     """All monic elements of F_q[T] of degree exactly d."""
     return tuple(PolyT(cfg, tail + (1,)) for tail in product(range(cfg.q), repeat=d))
+
+
+def t_sub(a: PolyT, N: int, k: int = 1) -> TSeries:
+    """t_a^k, with t_a = t(az) = 1/rho_a(1/t), as a series exact below order N.
+
+    For monic a of degree d, t_a is t^(q^d) over the unit
+    1 + sum_{j<d} c_j t^(q^d - q^j), so nu_infinity(t_a) = q^d.  The unit's
+    (-k)-th power below N - k q^d is one inversion over F_q[T], Frobenius-
+    lifted for k >= 2.  E sums t_a (k = 1), g sums t_a^(q-1); k = 0 gives 1.
+    No command reads it: it is the per-a reference that the orbit-folded
+    lattice sums, which share its ``_t_power``, are tested against.
+    """
+    if k < 0:
+        raise ValueError(f"t_sub needs k >= 0, got k = {k}")
+    if a.is_zero() or a.lead() != 1:
+        raise ValueError("t_sub needs a monic polynomial")
+    cfg = a.cfg
+    if k * cfg.q**a.degree >= N:
+        return TSeries(cfg, N)
+    if k == 0:
+        return TSeries.one(cfg, N)
+    return tseries._series(cfg, N, cfg.poly_one, tseries._t_power(cfg, tseries.carlitz(a), N, k))
 
 
 def pth_root(f):

@@ -18,6 +18,8 @@ from dqmf.cli import ParseError, main, parse_qmpoly, parse_ratt
 from dqmf.qmring import QmPoly
 from dqmf.verify import random_isobaric
 
+from mutants import planted
+
 
 @pytest.fixture
 def cfg5():
@@ -241,18 +243,11 @@ def test_cmd_verify_small_field(capsys):
     assert out.splitlines()[-1].startswith("[PASS] memo_isobaric q=4 entries=")
 
 
-def test_cmd_verify_reports_a_wrong_memo_entry(capsys, monkeypatch):
+def test_cmd_verify_reports_a_wrong_memo_entry(capsys):
     """A memo entry of the wrong weight fails the memo self-check of `verify`
     with a witness: exit 1, no traceback."""
-    from dqmf import suite
-
-    class Planted(suite.DerivationEngine):
-        def __init__(self, cfg):
-            super().__init__(cfg)
-            self._memo[((0, 5, 0), 3)] = QmPoly.gen_E(cfg)
-
-    monkeypatch.setattr(suite, "DerivationEngine", Planted)
-    rc = main(["verify", "--q", "5", "--n-max", "8", "--suite", "generator_tables"])
+    with planted("wrong_weight_memo_entry"):
+        rc = main(["verify", "--q", "5", "--n-max", "8", "--suite", "generator_tables"])
     out, err = capsys.readouterr()
     assert rc == 1
     lines = out.splitlines()
@@ -262,29 +257,18 @@ def test_cmd_verify_reports_a_wrong_memo_entry(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_cmd_verify_reports_a_memo_code_outside_the_prime_field(capsys, monkeypatch):
+def test_cmd_verify_reports_a_memo_code_outside_the_prime_field(capsys):
     """Every memo entry D_n(m) lies over F_p(T).  At q = 4, D_3(g^3) scaled by
     a generator of F_4 over F_2 keeps its grading but not its prime field:
-    the engine's memo check and `verify` both name it."""
-    from dqmf import suite
-
-    class Planted(suite.DerivationEngine):
-        def __init__(self, cfg):
-            super().__init__(cfg)
-            val = self.derive(QmPoly.monomial(cfg, 0, 3, 0), 3)
-            assert not val.is_zero()
-            self._memo[((0, 3, 0), 3)] = val.scale(RatT(cfg, PolyT(cfg, (2,))))
-
-    witness = [((0, 3, 0), 3, "code outside F_p")]
-    assert Planted(FieldConfig.from_q(4)).check_memo_isobaric() == witness
-    monkeypatch.setattr(suite, "DerivationEngine", Planted)
-    rc = main(["verify", "--q", "4", "--n-max", "8", "--suite", "generator_tables"])
+    `verify` names it (the register pins the engine's memo check too)."""
+    with planted("x_scaled_d3_g3"):
+        rc = main(["verify", "--q", "4", "--n-max", "8", "--suite", "generator_tables"])
     out, err = capsys.readouterr()
     assert rc == 1 and not err
     lines = out.splitlines()
     assert lines[0] == "[PASS] generator_tables q=4"
     assert lines[1].startswith("[FAIL] memo_isobaric q=4 entries=")
-    assert lines[2:] == [f"       witness: {witness}"]
+    assert lines[2:] == ["       witness: [((0, 3, 0), 3, 'code outside F_p')]"]
 
 
 def test_prime_field_without_a_shipped_modulus(capsys):

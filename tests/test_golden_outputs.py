@@ -41,10 +41,10 @@ from dqmf.cli import main
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly, monomial_signature, qm_basis
 from dqmf.suite import series_check_orders
-from dqmf.tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive, t_sub
+from dqmf.tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive
 from dqmf.verify import h_power_quotients
 
-from conftest import monic_polys, random_fraction
+from conftest import monic_polys, random_fraction, t_sub
 
 # q -> (weight bound W, order bound N, sha256)
 GOLDEN = {

@@ -26,14 +26,15 @@ from dqmf.qmring import (
     sum_of_products,
 )
 from dqmf.suite import CHECKS, run_suite
-from dqmf.tseries import TSeries, evaluate, expand_E, expand_g, expand_h
+from dqmf.tseries import expand_E, expand_g, expand_h
 from dqmf.verify import random_isobaric
 
 from conftest import (
     _inv_d, _ratio_of_linears, _reference_add, _reference_mul, associated_polynomial,
     check_every_generator_order_against_the_series, depth_drop, engine_for,
-    generator_transport_mismatches, pth_root, series_mismatches, transform_depth_poly,
+    generator_codes, pth_root, sigma_mismatches, transform_depth_poly,
 )
+from mutants import REGISTER, planted
 
 
 def test_engine_limit(engine, q):
@@ -559,50 +560,43 @@ def test_every_generator_order_matches_the_series(q):
     check_every_generator_order_against_the_series(q)
 
 
-def _plant_an_e_free_double(monkeypatch, gen, at):
-    """A q = 5 engine whose D_n gen adds its E-free part once more at each
-    order of `at`, and the orders 1 <= n <= limit at which D_n gen changed,
-    the series at N_n (valence_order) fails and the transport check fails."""
+def _changed_orders(name, gen):
+    """The orders 1 <= n <= limit at which the register's mutant `name`
+    changes D_n of the generator gen at q = 5."""
     cfg = FieldConfig.from_q(5)
     clean = DerivationEngine(cfg)
-    orders = range(1, clean.limit + 1)
-    expected = [clean.d_generator(gen, n) for n in orders]
-    derive_monomial, mono = DerivationEngine._derive_monomial, GENERATORS[gen]
-
-    def mutant(self, m, n):
-        out = derive_monomial(self, m, n)
-        return out + out.kill("E") if m == mono and n in at else out
-
-    monkeypatch.setattr(DerivationEngine, "_derive_monomial", mutant)
-    engine = DerivationEngine(cfg)
-    changed = [n for n, x in zip(orders, expected) if engine.d_generator(gen, n) != x]
-    transport = generator_transport_mismatches(engine, gen)
-    return changed, series_mismatches(engine, gen, changed), transport
+    expected = [clean.d_generator(gen, n) for n in range(1, clean.limit + 1)]
+    with planted(name):
+        engine = DerivationEngine(cfg)
+        return [n for n, x in enumerate(expected, 1) if engine.d_generator(gen, n) != x]
 
 
-def test_the_transport_check_and_the_series_together_kill_the_g_mutant(monkeypatch):
+def _killed_orders(name):
+    """The orders at which the register's kills of `name`, the series at N_n
+    and the transport check, fail together."""
+    return sorted(set().union(*(orders for _, orders in REGISTER[name].kills)))
+
+
+def test_the_transport_check_and_the_series_together_kill_the_g_mutant():
     """The g mutant at q = 5 adds the E-free part of D_n g once more at the
     digit-step orders above 100 (105, 110, 115, 120) and so changes D_n g at
     8 orders.  The transport check fails at 110, 111, 115, 116, 120 and 121,
     where the E-terms are transported from a wrong E-free part; the series
     at N_n fails at 105, 106, 110, 111, 115 and 120 (at the fixed N = 32 it
-    failed only 105, 106 and 110); together they fail every changed order."""
-    changed, series, transport = _plant_an_e_free_double(monkeypatch, "g", (105, 110, 115, 120))
+    failed only 105, 106 and 110); together they fail every changed order
+    (the register pins each)."""
+    changed = _changed_orders("g_e_free_double", "g")
     assert changed == [105, 106, 110, 111, 115, 116, 120, 121]
-    assert series == [105, 106, 110, 111, 115, 120]
-    assert transport == [110, 111, 115, 116, 120, 121]
-    assert sorted(set(transport) | set(series)) == changed
+    assert _killed_orders("g_e_free_double") == changed
 
 
-def test_the_transport_check_and_the_series_together_kill_the_h_mutant(monkeypatch):
+def test_the_transport_check_and_the_series_together_kill_the_h_mutant():
     """Doubling the E-free part of D_105 h at q = 5 changes every order from
     105 to the limit 124.  The series at N_n fails 105...123 (14 orders at
     N = 32), the transport check 110...124; together, every changed order."""
-    changed, series, transport = _plant_an_e_free_double(monkeypatch, "h", (105,))
+    changed = _changed_orders("h_e_free_double", "h")
     assert changed == list(range(105, 125))
-    assert series == list(range(105, 124))
-    assert transport == list(range(110, 125))
-    assert sorted(set(transport) | set(series)) == changed
+    assert _killed_orders("h_e_free_double") == changed
 
 
 def test_memo_check_covers_product_monomials():
@@ -638,37 +632,6 @@ def test_memo_check_names_what_is_wrong():
 # lies over F_p(T)
 
 
-def _sigma(x):
-    """The coefficient Frobenius sigma on a QmPoly or a TSeries: every code of
-    every num and den through cfg.frob, T fixed."""
-    cfg, frob = x.cfg, x.cfg.frob
-
-    def rat(v):
-        return RatT(cfg, PolyT(cfg, [frob[c] for c in v.num.c]),
-                    PolyT(cfg, [frob[c] for c in v.den.c]))
-
-    if isinstance(x, QmPoly):
-        return QmPoly(cfg, {k: rat(v) for k, v in x.terms.items()})
-    return TSeries(cfg, x.order, {n: rat(v) for n, v in x.terms.items()})
-
-
-def _sigma_mismatches(engine, elements):
-    """(element index, order) wherever derive(sigma f, n) != sigma(derive(f, n)),
-    every order 1 <= n <= min(limit, 48), and (index, "evaluate") wherever
-    evaluate(sigma f, N) != sigma(evaluate(f, N)), N = q^2 + q + 2.  Since D_n
-    is F_q(T)-linear, both commute with sigma when every memo entry and every
-    generator expansion lies over F_p(T), which sigma fixes."""
-    q = engine.cfg.q
-    bad = []
-    for i, f in enumerate(elements):
-        sf = _sigma(f)
-        if evaluate(sf, q * q + q + 2) != _sigma(evaluate(f, q * q + q + 2)):
-            bad.append((i, "evaluate"))
-        bad += [(i, n) for n in range(1, min(engine.limit, 48) + 1)
-                if engine.derive(sf, n) != _sigma(engine.derive(f, n))]
-    return bad
-
-
 @pytest.mark.parametrize("cfg", [
     FieldConfig.from_q(4), FieldConfig.from_q(8), FieldConfig.from_q(9),
     FieldConfig(2, 3, (1, 0, 1, 1)), FieldConfig(3, 2, (2, 1, 1)),
@@ -679,32 +642,7 @@ def test_derive_and_evaluate_commute_with_the_coefficient_frobenius(cfg):
     # most inputs carry a code outside F_p, which sigma moves
     assert sum(any(c >= cfg.p for v in f.terms.values() for c in v.num.c + v.den.c)
                for f in elements) > 20
-    assert _sigma_mismatches(DerivationEngine(cfg), elements) == []
-
-
-def test_a_memo_entry_off_the_prime_field_breaks_the_frobenius_commutation():
-    # D_3(g^3) at q = 4 scaled by x, a generator of F_4 over F_2: sigma(x) = x^2
-    cfg = FieldConfig.from_q(4)
-    f = QmPoly.monomial(cfg, 0, 3, 0)
-    engine, x = DerivationEngine(cfg), RatT(cfg, PolyT(cfg, (2,)))
-    engine._memo[((0, 3, 0), 3)] = DerivationEngine(cfg).derive(f, 3).scale(x)
-    assert _sigma_mismatches(engine, [f]) == [(0, 3)]
-
-
-def _generator_codes(cfg, plant=None):
-    """The codes of every memo entry after D_n of E, g and h at every order
-    to the limit: (monomial, order) -> {monomial: (num codes, den codes)}.
-    With `plant`, that entry is first scaled by x^2, x the class of the
-    modulus' variable (code p)."""
-    engine = DerivationEngine(cfg)
-    for gen in "Egh":
-        for n in range(engine.limit + 1):
-            engine.d_generator(gen, n)
-    if plant:
-        x2 = RatT(cfg, PolyT(cfg, (cfg.mul[cfg.p][cfg.p],)))
-        engine._memo[plant] = engine._memo[plant].scale(x2)
-    return {key: {k: (v.num.c, v.den.c) for k, v in val.terms.items()}
-            for key, val in engine._memo.items()}
+    assert sigma_mismatches(DerivationEngine(cfg), elements) == []
 
 
 _TWO_MODULI = [(3, 2, (1, 0, 1), (2, 1, 1)), (2, 3, (1, 1, 0, 1), (1, 0, 1, 1)),
@@ -717,22 +655,13 @@ def test_two_moduli_give_the_same_codes(p, e, one, other):
     generator memos, and at q = 8 and 9 the expansions, are equal code for
     code over two moduli of one q."""
     cfg, cfg2 = FieldConfig(p, e, one), FieldConfig(p, e, other)
-    assert _generator_codes(cfg) == _generator_codes(cfg2)
+    assert generator_codes(cfg) == generator_codes(cfg2)
     if cfg.q < 16:
         N = cfg.q**2 + cfg.q + 2
         for expand in (expand_E, expand_g, expand_h):
             a, b = expand(cfg, N), expand(cfg2, N)
             assert a.den.c == b.den.c
             assert {n: v.c for n, v in a.nums.items()} == {n: v.c for n, v in b.nums.items()}
-
-
-def test_an_entry_scaled_off_the_prime_field_differs_over_two_moduli():
-    # x^2 has code 2 over x^2 + 1 and code 7 = 1 + 2*3 over x^2 + x + 2
-    key = ((0, 1, 0), 9)
-    one, other = FieldConfig(3, 2, (1, 0, 1)), FieldConfig(3, 2, (2, 1, 1))
-    assert (one.mul[3][3], other.mul[3][3]) == (2, 7)
-    a, b = _generator_codes(one, key), _generator_codes(other, key)
-    assert [k for k in a if a[k] != b[k]] == [key]
 
 
 def _leibniz_reference(engine, mono, n, first="gEh"):

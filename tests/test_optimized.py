@@ -17,27 +17,29 @@ def run_optimized(*args):
     )
 
 
+# the register's entries that a battery record or the memo self-check kills
+_BATTERY_KILLED = ("d3_h_plus_g3", "shifted_transport_binomial", "x_scaled_d3_g3",
+                   "wrong_weight_memo_entry")
+
+
 def test_planted_memo_entry_fails_verify_under_O():
-    code = """
+    code = f"""
 import sys
-from dqmf import suite
+sys.path.insert(0, {str(ROOT / "tests")!r})
+from mutants import planted, unkilled
 from dqmf.cli import main
-from dqmf.qmring import QmPoly
 
 assert False, "asserts must be stripped"
-
-class Planted(suite.DerivationEngine):
-    def __init__(self, cfg):
-        super().__init__(cfg)
-        self._memo[((1, 1, 0), 3)] = QmPoly.gen_E(cfg)
-
-suite.DerivationEngine = Planted
-sys.exit(main(["verify", "--q", "5", "--n-max", "8", "--suite", "generator_tables"]))
+for name in {_BATTERY_KILLED!r}:
+    print(name, unkilled(name))
+with planted("wrong_weight_memo_entry"):
+    sys.exit(main(["verify", "--q", "5", "--n-max", "8", "--suite", "generator_tables"]))
 """
     proc = run_optimized("-c", code)
     assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[:len(_BATTERY_KILLED)] == [f"{name} []" for name in _BATTERY_KILLED]
     assert "[FAIL] memo_isobaric q=5" in proc.stdout
-    assert "witness: [((1, 1, 0), 3, 'weight 2')]" in proc.stdout
+    assert "witness: [((0, 5, 0), 3, 'weight 2')]" in proc.stdout
     assert "Traceback" not in proc.stderr
 
 

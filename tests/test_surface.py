@@ -21,8 +21,6 @@ REPO = Path(__file__).resolve().parents[1]
 # defs that no command enters, each kept for a reason of its own
 NEVER_ENTERED = {
     "algebra:RatT.__hash__": "RatT is a value type: the frozen IdealId hashes its parameter",
-    "tseries:t_sub": "t_a^k for one monic a, the per-a reference that the orbit-folded lattice "
-                     "sums are tested against and a golden digest pins; the sums share its _t_power",
 }
 # kept for people reading a failure, not for any command
 FOR_READERS = {"__repr__", "__str__"}

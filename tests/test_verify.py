@@ -7,11 +7,10 @@ import random
 
 import pytest
 
-from dqmf import hyperd
 from dqmf.algebra import FieldConfig, PolyT, RatT
 from dqmf.hyperd import DerivationEngine, p_powers_upto
 from dqmf.qmring import QmPoly, sum_of_products
-from dqmf.suite import CHECKS, run_suite
+from dqmf.suite import CHECKS
 from dqmf.verify import (
     IdealId,
     check_hyperstable,
@@ -301,57 +300,6 @@ def test_stability_derives_only_the_p_power_rows(q, monkeypatch):
                           for n in p_powers_upto(cfg, fail_n or n_max)], ideal
         if rep.passed:
             assert orders == p_powers_upto(cfg, n_max) * len(rep.entries)
-
-
-def test_a_mutant_between_the_p_power_rows_is_killed_by_the_battery(monkeypatch):
-    # D_3 h + g^3 at q = 5: 3 is no p-power, so the p-power stability check
-    # passes, while the every-order reference fails at 3 and the battery's
-    # series and h-quotient checks still fail
-    cfg = FieldConfig.from_q(5)
-    g3 = QmPoly.monomial(cfg, 0, 3, 0)
-    derive_monomial = DerivationEngine._derive_monomial
-
-    def mutant(self, mono, n):
-        out = derive_monomial(self, mono, n)
-        return out + g3 if (mono, n) == ((0, 0, 1), 3) else out
-
-    monkeypatch.setattr(DerivationEngine, "_derive_monomial", mutant)
-    assert check_hyperstable(DerivationEngine(cfg), IdealId("h"), 48).passed
-    (_, fail_n, _), = check_hyperstable_every_order(DerivationEngine(cfg), IdealId("h"), 48).entries
-    assert fail_n == 3
-    failed = {r["check"] for r in run_suite(cfg, 48) if not r["pass"]}
-    assert {"series_commutation", "h_power_quotients"} <= failed, failed
-
-
-def test_the_dual_route_kills_a_wrong_transport_binomial_and_a_wrong_generator(monkeypatch):
-    # two mutants planted with no source edit.  _transport reading
-    # C(n + w - i, r) for C(n + w - i - 1, r): its one read of the weight w
-    # is shifted (the memo self-check reads the same function and fails
-    # too); derive reads the transport at p | n, so the record sees it at the
-    # orders prime to p and on the generator terms.  Then D_3 h + g^3 at
-    # q = 5, which the transport of a product with h reads through N(h).
-    signature = hyperd.monomial_signature
-
-    def shifted(cfg, a, b, c):
-        s = signature(cfg, a, b, c)
-        return s._replace(w=s.w + 1)
-
-    with monkeypatch.context() as m:
-        m.setattr(hyperd, "monomial_signature", shifted)
-        for q in (4, 5, 7, 8, 9):
-            failed = {r["check"] for r in run_suite(FieldConfig.from_q(q), 48) if not r["pass"]}
-            assert "depth_poly_dual_route" in failed, q
-    cfg = FieldConfig.from_q(5)
-    g3 = QmPoly.monomial(cfg, 0, 3, 0)
-    derive_monomial = DerivationEngine._derive_monomial
-
-    def mutant(self, mono, n):
-        out = derive_monomial(self, mono, n)
-        return out + g3 if (mono, n) == ((0, 0, 1), 3) else out
-
-    monkeypatch.setattr(DerivationEngine, "_derive_monomial", mutant)
-    failed = {r["check"] for r in run_suite(cfg, 48) if not r["pass"]}
-    assert "depth_poly_dual_route" in failed, failed
 
 
 def test_generator_tables_check_catches_a_wrong_composed_value():
