@@ -8,8 +8,10 @@ Depth polynomials (the substitution E -> E + Y) are a test reference
 
 Every sum of products in the ring goes through one kernel,
 ``sum_of_products``: ``QmPoly * QmPoly`` is the kernel on one pair, and
-the engine's Leibniz convolutions and the quotient sequences of ``verify``
-pass it all their pairs at once; ``scale``, ``scale_int`` and ``d1``
+the engine's Leibniz convolutions pass it all their pairs at once (the
+quotient rows of ``verify``, n < 0 too, are engine rows: Q^P = 1 mod X^P
+for h's quotient series Q and the p-power P > max(r_max, k), so the row
+of h^-m is that of h^(P-m)); ``scale``, ``scale_int`` and ``d1``
 multiply no pair, they scale each term.  The kernel convolves
 the F_q[T] numerators of every term pair into one raw code list per
 (output monomial, denominator d1*d2, from ``algebra._den_product``) and

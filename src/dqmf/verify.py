@@ -7,9 +7,10 @@ is the kernel of an evaluation map), stability is certified on generators
 checks are the computable directions of the classification results: the
 mod-h congruence for monomials in E and g, kernel weight divisibility, and
 membership of every derivative quotient of powers of h in the ring.
-For n < 0 the quotients of h^n are built in the ring from one inverse of
-the quotient sequence of h, row -m as the convolution of row -(m-1) with
-row -1, so a row with n < 0 can fail only where the row of h fails.
+For n < 0 the quotient rows are engine rows too: h's quotient series Q
+has Q^P = 1 mod X^P at every p-power P (D_r(h^P) = 0 for 0 < r < P), so
+with P the least p-power above max(r_max, k) the row of h^-m is the
+engine's row of h^(P-m).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import namedtuple
 
 from .algebra import PolyT, RatT, binom_mod_p
 from .hyperd import DerivationEngine, p_powers_upto
-from .qmring import GENERATORS, QmPoly, grading, monomial_signature, qm_basis, sum_of_products
+from .qmring import GENERATORS, QmPoly, grading, monomial_signature, qm_basis
 
 __all__ = [
     "IDEAL_TAGS",
@@ -202,36 +203,29 @@ def h_power_quotients(engine: DerivationEngine, k: int, r_max: int):
     """{n: [D_r(h^n) / h^n for r = 0..r_max]} for |n| <= k, as ring elements
     (None where outside).
 
-    Rows n >= 0 come from the engine.  The rows n < 0 stay in the ring: by
-    Leibniz, quotient sequences multiply like power series,
-    D_r(xy)/xy = sum_i (D_i x/x)(D_{r-i} y/y), and (h) is hyperdifferential,
-    so row 1's quotients Q_j are ring elements.  Row -1 is their inverse
-    sequence, u_0 = 1 and u_r = -sum_{j=1..r} Q_j u_{r-j}, and row -m is the
-    convolution of row -(m-1) with row -1.  Both sums leave out the pairs
-    with a zero factor.  A row n < 0 is None from the first r at which
-    row 1 is, so it re-reports no failure of the rows of h^2, h^3, ...
+    Every row is the engine's.  Quotient sequences multiply like power
+    series (Leibniz: D_r(xy)/xy = sum_i (D_i x/x)(D_{r-i} y/y)), so row n
+    is Q^n for h's quotient series Q = sum_r (D_r h/h) X^r.  At a p-power
+    P, D_r(h^P) is (D_{r/P} h)^P where P divides r and 0 elsewhere (the
+    Frobenius lemma), so Q^P = 1 mod X^P and Q^-m = Q^(P-m) below X^P:
+    with P the least p-power above max(r_max, k), row -m is the engine's
+    row of h^(P-m).  An entry is None exactly where the engine's D_r(h^m),
+    m = n or P + n, leaves (h^m), so a row n < 0 can fail where row 1
+    passes.
     """
     cfg = engine.cfg
+    big = cfg.p * p_powers_upto(cfg, max(r_max, k, 1))[-1]  # P
     rows = {}
-    for n in range(k + 1):
+    for n in range(-k, k + 1):
+        m = n if n >= 0 else big + n
+        h_m = QmPoly.monomial(cfg, 0, 0, m)
         rows[n] = []
         for r in range(r_max + 1):
-            d = engine.derive(QmPoly.monomial(cfg, 0, 0, n), r)
-            if any(c < n for _, _, c in d.terms):
+            d = engine.derive(h_m, r)
+            if any(c < m for _, _, c in d.terms):
                 rows[n].append(None)
             else:
-                rows[n].append(QmPoly(cfg, {(a, b, c - n): v for (a, b, c), v in d.terms.items()}))
-    for m in range(1, k + 1):
-        row = rows[-m] = [QmPoly.one(cfg)]
-        # row -1 from row 1 and itself (j >= 1), row -m from row -(m-1) and row -1
-        left, right, lo = (rows[1], row, 1) if m == 1 else (rows[1 - m], rows[-1], 0)
-        for r in range(1, r_max + 1):
-            if rows[1][r] is None:
-                row += [None] * (r_max + 1 - r)
-                break
-            s = sum_of_products(cfg, ((left[i], right[r - i]) for i in range(lo, r + 1)
-                                      if left[i].terms and right[r - i].terms))
-            row.append(-s if m == 1 else s)
+                rows[n].append(QmPoly(cfg, {(a, b, c - m): v for (a, b, c), v in d.terms.items()}))
     return rows
 
 

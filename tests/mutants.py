@@ -4,10 +4,13 @@ that must kill it.
 An entry names a mutant and gives its fields, one planting and its kills.
 The planting patches the package with `monkeypatch` (no source edit) in
 engines or series over the entry's fields only, and leaves no per-field
-cache behind.  A kill is a check (a function of no arguments that returns
-a falsy value when it passes) with the value it gives under the mutant.
-An entry's misses are checks that the mutant passes too: the blind spots
-another check covers.  ``tests/test_mutants.py`` asserts, per entry, that
+cache behind.  It adds no frame to the engine's recursion, which runs near
+the default recursion limit at q = 499: a wrong derivative is a memo entry
+replaced when an engine is built, not a wrapper of ``_derive_monomial``.
+A kill is a check (a function of no arguments that returns a falsy value
+when it passes) with the value it gives under the mutant.  An entry's
+misses are checks that the mutant passes too: the blind spots another
+check covers.  ``tests/test_mutants.py`` asserts, per entry, that
 each check passes without the mutant, that each kill gives its pinned value
 with it and that each miss still passes; ``tests/test_optimized.py`` repeats
 that under ``python -O`` for the entries a battery record or the memo
@@ -105,39 +108,33 @@ def codes_over_two_moduli_of_f9():
 # plantings
 
 
-def _edit_derive_monomial(edit):
-    """D_n(mono), as engines over the fields compute and read it, becomes
-    edit(cfg, mono, n, D_n(mono))."""
-    def plant(m, fields):
-        derive_monomial = DerivationEngine._derive_monomial
-
-        def mutant(self, mono, n):
-            out = derive_monomial(self, mono, n)
-            return edit(self.cfg, mono, n, out) if self.cfg in fields else out
-
-        m.setattr(DerivationEngine, "_derive_monomial", mutant)
-    return plant
-
-
-def _e_free_double(mono, at):
-    """D_n(mono) adds its E-free part once more at each order of `at`."""
-    return _edit_derive_monomial(
-        lambda cfg, m, n, out: out + out.kill("E") if m == mono and n in at else out)
-
-
-def _memo_entry(key, wrong):
-    """Every engine over the fields, once built, holds wrong(engine) as its
-    memo entry `key`, not interned."""
+def _memo_entries(mono, orders, wrong):
+    """Every engine over the fields, once built, holds wrong(engine, n) as
+    its memo entry D_n(mono), not interned, set for each n of `orders` in
+    turn, so a later n reads the earlier ones."""
     def plant(m, fields):
         init = DerivationEngine.__init__
 
         def planted_init(self, cfg):
             init(self, cfg)
             if cfg in fields:
-                self._memo[key] = wrong(self)
+                for n in orders:
+                    self._memo[mono, n] = wrong(self, n)
 
         m.setattr(DerivationEngine, "__init__", planted_init)
     return plant
+
+
+def _edited_memo_entries(mono, orders, edit):
+    """D_n(mono), derived when an engine over the fields is built, becomes
+    edit(cfg, D_n(mono)) at each order of `orders`, in turn."""
+    return _memo_entries(mono, orders,
+                         lambda engine, n: edit(engine.cfg, engine._derive_monomial(mono, n)))
+
+
+def _e_free_double(mono, at):
+    """D_n(mono) adds its E-free part once more at each order of `at`."""
+    return _edited_memo_entries(mono, at, lambda cfg, out: out + out.kill("E"))
 
 
 def _scaled_memo_entry(key, code, after_a_full_fill=False):
@@ -145,13 +142,20 @@ def _scaled_memo_entry(key, code, after_a_full_fill=False):
     element code(cfg), not interned, once built.  The engine derives `key`
     first, and with after_a_full_fill E, g and h at every order before it, so
     no entry it filled reads the product."""
-    def wrong(engine):
+    def wrong(engine, n):
         cfg = engine.cfg
         if after_a_full_fill:
             fill_generators(engine)
-        engine.derive(QmPoly.monomial(cfg, *key[0]), key[1])
-        return engine._memo[key].scale(RatT(cfg, PolyT(cfg, (code(cfg),))))
-    return _memo_entry(key, wrong)
+        return engine._derive_monomial(key[0], n).scale(RatT(cfg, PolyT(cfg, (code(cfg),))))
+    return _memo_entries(key[0], (key[1],), wrong)
+
+
+def _frobenius_skipped(m, fields):
+    # the identity on elements over the fields: the engine's E-free series of
+    # a p-th power y^p keeps N(y)'s coefficients and exponents at X^(p m)
+    frobenius_pow = QmPoly.frobenius_pow
+    m.setattr(QmPoly, "frobenius_pow", lambda self, k: (
+        QmPoly(self.cfg, self.terms) if self.cfg in fields else frobenius_pow(self, k)))
 
 
 def _shifted_transport_binomial(m, fields):
@@ -177,8 +181,8 @@ REGISTER = {
     # D_3 h + g^3: 3 is no p-power, so the p-power stability check passes
     # it; the transport of a product with h reads it through N(h)
     "d3_h_plus_g3": Mutant(
-        (F5,), _edit_derive_monomial(lambda cfg, mono, n, out: (
-            out + QmPoly.monomial(cfg, 0, 3, 0) if (mono, n) == ((0, 0, 1), 3) else out)),
+        (F5,), _edited_memo_entries((0, 0, 1), (3,),
+                                    lambda cfg, out: out + QmPoly.monomial(cfg, 0, 3, 0)),
         kills=((partial(stability_of_h, check_hyperstable_every_order, F5), [3]),
                (partial(battery, F5), ["generator_tables", "series_commutation",
                                        "h_power_quotients", "depth_poly_dual_route"])),
@@ -238,9 +242,21 @@ REGISTER = {
     ),
     # D_3(g^5) := E, of weight 2
     "wrong_weight_memo_entry": Mutant(
-        (F5,), _memo_entry(((0, 5, 0), 3), lambda engine: QmPoly.gen_E(engine.cfg)),
+        (F5,), _memo_entries((0, 5, 0), (3,), lambda engine, n: QmPoly.gen_E(engine.cfg)),
         kills=((partial(memo_self_check, F5), [((0, 5, 0), 3, "weight 2")]),
                (partial(battery, F5), ["memo_isobaric"])),
+    ),
+    # a p-th power's E-free series taken without its Frobenius: the p^k-th
+    # power of an element over F_7 is the element itself.  weight_divisibility
+    # takes p-th powers itself; the engine's p-th-power series are first read
+    # by h_power_quotients, in the rows of h^48, h^47 and h^46 (P = 49) that
+    # give its rows n < 0, whose wrong weights the memo self-check sees too.
+    # Inverting h's quotient row in the ring for those rows, the battery
+    # failed weight_divisibility only
+    "frobenius_skipped": Mutant(
+        (F7,), _frobenius_skipped,
+        kills=((partial(battery, F7), ["h_power_quotients", "weight_divisibility",
+                                       "memo_isobaric"]),),
     ),
 }
 

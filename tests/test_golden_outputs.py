@@ -324,7 +324,7 @@ CLI_RUNS = [
     ["derive", "--q", "4", "E +", "1"],  # malformed, exit 2
     ["field", "--q", "6", "--json"],  # malformed, exit 2
 ]
-CLI_GOLDEN = "1d1ca62ffbbf29d6ffcb84fa0d72ca39f5c6923e8e3ace5068a69f4398e0014a"
+CLI_GOLDEN = "64faef529916a698a4a2c906786ce517883f74be4b11ef8a2a457ce9768ec378"
 
 
 def test_the_command_line_output_matches_the_pinned_digest(capsys):

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from dqmf import hyperd, verify
+from dqmf import hyperd
 from dqmf.algebra import (
     FieldConfig, PolyT, RatT, _coprime_parts, _den_pair, _den_product, binom_mod_p,
 )
@@ -921,17 +921,19 @@ def test_warm_up_frobenius_images_are_taken_once_per_series_coefficient(monkeypa
     assert calls[0] == len(images) == 91
 
 
-def test_h_quotient_check_term_pairs_stay_at_one_inverse(monkeypatch):
+def test_h_quotient_check_term_pairs_are_the_engine_rows(monkeypatch):
     """The battery's h_power_quotients check at q = 5, n_max 48, multiplies
-    at most 12,737 term pairs in the kernel calls of the engine and of
-    verify: the rows n < 0 invert h's quotient row once and convolve with
-    it, leaving out the pairs with a zero factor.  Inverting the row of
-    each h^{|n|} on its own, with every pair passed, made 26,504."""
+    exactly 1,346 term pairs in the ring kernel, all in the engine's series
+    products: every row, n < 0 too, is the engine's row of a power of h
+    (h^(125+n) for n < 0, since Q^125 = 1 mod X^125).  Inverting h's
+    quotient row in the ring and convolving it for the rows n < 0 made
+    6,356; inverting the row of each h^|n| on its own, every pair passed,
+    26,504."""
     cfg = FieldConfig.from_q(5)
-    counted = _count_term_pairs(monkeypatch, (hyperd, verify))
+    counted = _count_term_pairs(monkeypatch)
     check = CHECKS["h_power_quotients"]
     assert check(cfg, DerivationEngine(cfg), random.Random(0), 48, None)["pass"]
-    assert sum(counted) <= 12_737
+    assert sum(counted) == 1_346
 
 
 def _count_rat_products(monkeypatch):

@@ -4,6 +4,7 @@ classified ideals, their inclusions and the mod-h congruence are criteria 5
 and 6 of the acceptance gate."""
 
 import random
+from itertools import count
 
 import pytest
 
@@ -221,15 +222,15 @@ def test_h_power_quotient_negative(engine, q):
             assert acc.is_zero()
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 9], ids=lambda q: f"q{q}")
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
 def test_negative_h_powers_match_the_convolution_of_h_inverse(q):
-    """The quotient row of h^-m, built as the m-fold Leibniz convolution
-    D_r(xy)/xy = sum_i (D_i x/x)(D_(r-i) y/y) of h^-1's, equals the inverse
-    of h^m's own quotient row, u_0 = 1 and u_r = -sum_(j=1..r) Q_j u_(r-j),
-    with every pair passed."""
+    """The quotient row of h^-m, which the engine gives as the row of
+    h^(P-m), equals the inverse of h^m's own quotient row, built here in the
+    ring as u_0 = 1 and u_r = -sum_(j=1..r) Q_j u_(r-j), with every pair
+    passed: the reference for the engine route."""
     engine = engine_for(q)
     cfg = engine.cfg
-    r_max = min(24, engine.limit)
+    r_max = min(48, engine.limit)
     k = 5 if q in (4, 5) else 3
     rows = h_power_quotients(engine, k, r_max)
     for m in range(1, k + 1):
@@ -239,6 +240,23 @@ def test_negative_h_powers_match_the_convolution_of_h_inverse(q):
             pairs = ((quo[j], inverse[r - j]) for j in range(1, r + 1))
             inverse.append(-sum_of_products(cfg, pairs))
         assert rows[-m] == inverse, m
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9], ids=lambda q: f"q{q}")
+def test_h_to_each_picked_p_power_has_no_derivative_below_it(q):
+    """D_r(h^P) = 0 for 0 < r < P (the Frobenius lemma), so h's quotient
+    series Q has Q^P = 1 mod X^P and h_power_quotients reads the row of h^-m
+    as that of h^(P-m).  Checked at every p-power P the check picks, the
+    least above max(r_max, 3) for some r_max <= limit, through order
+    min(P - 1, limit)."""
+    engine = engine_for(q)
+    cfg = engine.cfg
+    picked = {next(cfg.p**j for j in count() if cfg.p**j > max(r_max, 3))
+              for r_max in range(engine.limit + 1)}
+    for big in sorted(picked):
+        h_big = QmPoly.monomial(cfg, 0, 0, big)
+        orders = range(1, min(big - 1, engine.limit) + 1)
+        assert [r for r in orders if engine.derive(h_big, r).terms] == [], big
 
 
 def test_stability_report_json(engine):
@@ -320,8 +338,9 @@ def test_generator_tables_check_catches_a_wrong_composed_value():
 
 def test_h_power_quotients_check_catches_a_wrong_generator_value():
     # with D_5 h replaced by g^2, h no longer divides D_5 h, so n = 1 fails
-    # from r = 5, and so does every other n whose quotients read D_5 h: the
-    # powers h^2, h^3 and, through the inverse of h's quotient row, n < 0
+    # from r = 5, and so do h^2 and h^3, whose quotients read D_5 h; at
+    # r_max = 8 the rows n < 0 are those of h^24, h^23 and h^22 (P = 25),
+    # which read it through the engine's own products of h's series
     cfg = FieldConfig.from_q(5)
     check = CHECKS["h_power_quotients"]
     assert check(cfg, DerivationEngine(cfg), random.Random(0), 8, None)["pass"]
@@ -330,15 +349,14 @@ def test_h_power_quotients_check_catches_a_wrong_generator_value():
     out = check(cfg, engine, random.Random(0), 8, None)
     assert out["pass"] is False
     assert out["witness"] == (
-        "[(-3, 5), (-3, 6), (-3, 7), (-3, 8), (-2, 5), (-2, 6), (-2, 7), (-2, 8), "
-        "(-1, 5), (-1, 6), (-1, 7), (-1, 8), (1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (3, 5)]")
-    # a wrong D_5(h^2) with h's row intact fails h^2 (and h^3, which reads
-    # it), but no n < 0: those rows are built from h's row alone
+        "[(-3, 5), (-3, 6), (-2, 5), (-1, 5), (-1, 6), (-1, 7), (-1, 8), "
+        "(1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (3, 5)]")
+    # a wrong D_5(h^2) with h's row intact fails h^2 alone: h^3 and the
+    # powers of the rows n < 0 do not read that entry
     engine = DerivationEngine(cfg)
     engine._memo[((0, 0, 2), 5)] = QmPoly.monomial(cfg, 0, 2, 0)
     out = check(cfg, engine, random.Random(0), 8, None)
-    assert out["pass"] is False
-    assert "(2, 5)" in out["witness"] and "(-" not in out["witness"]
+    assert out["pass"] is False and out["witness"] == "[(2, 5), (2, 6), (2, 7)]"
 
 
 @pytest.mark.parametrize("t_num, t_den, b, at, passes", [
