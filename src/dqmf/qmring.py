@@ -8,21 +8,19 @@ Depth polynomials (the substitution E -> E + Y) are a test reference
 
 Every sum of products in the ring goes through one kernel,
 ``sum_of_products``: ``QmPoly * QmPoly`` is the kernel on one pair, and
-the engine's Leibniz convolutions pass it all their pairs at once (the
-quotient rows of ``verify``, n < 0 too, are engine rows: Q^P = 1 mod X^P
-for h's quotient series Q and the p-power P > max(r_max, k), so the row
-of h^-m is that of h^(P-m)); ``scale``, ``scale_int`` and ``d1``
-multiply no pair, they scale each term.  The kernel convolves
-the F_q[T] numerators of every term pair into one raw code list per
-(output monomial, denominator d1*d2, from ``algebra._den_product``) and
-canonicalises each list once, through the RatT constructor, instead of
-canonicalising every product and every partial sum.  The output is
-canonical all the same: a sum of numerators over one unreduced denominator
-is exact, the constructor reduces it to the unique coprime form with a
-monic denominator, and the groups of one monomial are then merged by
-canonical RatT addition; the QmPoly constructor drops the zeros.  ``+``
-and the kernel (so ``*``) raise ValueError on elements of two fields, and
-the kernel on a coefficient from another field, where it reads the codes.
+the engine's Leibniz convolutions pass it all their pairs at once;
+``scale``, ``scale_int`` and ``d1`` multiply no pair, they scale each
+term.  The kernel convolves the F_q[T] numerators of every term pair
+into one raw code list per (output monomial, denominator d1*d2, from
+``algebra._den_product``) and canonicalises each list once, through the
+RatT constructor, instead of canonicalising every product and every
+partial sum.  The output is canonical all the same: a sum of numerators
+over one unreduced denominator is exact, the constructor reduces it to
+the unique coprime form with a monic denominator, and the groups of one
+monomial are then merged by canonical RatT addition; the QmPoly
+constructor drops the zeros.  ``+`` and the kernel (so ``*``) raise
+ValueError on elements of two fields, and the kernel on a coefficient
+from another field, where it reads the codes.
 """
 
 from __future__ import annotations

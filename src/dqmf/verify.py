@@ -5,12 +5,9 @@ is the kernel of an evaluation map), stability is certified on generators
 (Leibniz closes the argument for arbitrary multiples) at the p-power rows
 (which compose every order, ``hyperd.p_powers_upto``), and the remaining
 checks are the computable directions of the classification results: the
-mod-h congruence for monomials in E and g, kernel weight divisibility, and
-membership of every derivative quotient of powers of h in the ring.
-For n < 0 the quotient rows are engine rows too: h's quotient series Q
-has Q^P = 1 mod X^P at every p-power P (D_r(h^P) = 0 for 0 < r < P), so
-with P the least p-power above max(r_max, k) the row of h^-m is the
-engine's row of h^(P-m).
+mod-h congruence for monomials in E and g, the Frobenius lemma (D_{p^j}
+kills every p^(k+1)-th power for j <= k), and membership of every
+derivative quotient of powers of h, negative powers too, in the ring.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from collections import namedtuple
 
 from .algebra import PolyT, RatT, binom_mod_p
 from .hyperd import DerivationEngine, p_powers_upto
-from .qmring import GENERATORS, QmPoly, grading, monomial_signature, qm_basis
+from .qmring import GENERATORS, QmPoly, monomial_signature, qm_basis
 
 __all__ = [
     "IDEAL_TAGS",
@@ -30,7 +27,6 @@ __all__ = [
     "check_hyperstable",
     "munu_congruence",
     "weight_divisibility_check",
-    "diagram_inclusions",
     "h_power_quotients",
 ]
 
@@ -148,50 +144,11 @@ def munu_congruence(engine: DerivationEngine, mu: int, nu: int, n: int) -> bool:
 
 
 def weight_divisibility_check(engine: DerivationEngine, k: int, samples) -> bool:
-    """f^(p^(k+1)) is killed by D_{p^j}, j <= k, and its w - l is divisible by p^(k+1)."""
+    """The Frobenius lemma: D_{p^j}(f^(p^(k+1))) = 0 for every j <= k."""
     cfg = engine.cfg
-    pk1 = cfg.p ** (k + 1)
-    for f in samples:
-        s = grading(f)
-        if s is None:
-            continue
-        F = f.frobenius_pow(k + 1)
-        if any(engine.derive(F, pj).terms for pj in p_powers_upto(cfg, cfg.p**k)):
-            return False
-        sF = grading(F)
-        if (sF.w - sF.l) % pk1 != 0:
-            return False
-    return True
-
-
-def diagram_inclusions(engine: DerivationEngine, d_values, c_values):
-    """Generator-membership form of the classified-ideal inclusion diagram.
-
-    (h) lies in every P_d, in P_0 and in P_inf; P_0, P_inf and every P_d lie
-    in (E, g, h); P_0 lies in (E, g - c, h) for every c.
-    """
-    cfg = engine.cfg
-    p0 = IdealId("P0")
-    pinf = IdealId("Pinf")
-    maximal0 = IdealId("max", cfg.rat_zero)
-    checks = []
-
-    def add(name, small: IdealId, big: IdealId):
-        ok = all(member(big, G)[0] for G in small.generators(cfg))
-        checks.append((name, ok))
-
-    princ_h = IdealId("h")
-    add("(h) in P0", princ_h, p0)
-    add("(h) in Pinf", princ_h, pinf)
-    add("P0 in (E,g,h)", p0, maximal0)
-    add("Pinf in (E,g,h)", pinf, maximal0)
-    for d in d_values:
-        pd = IdealId("Pd", d)
-        add(f"(h) in Pd(d={d})", princ_h, pd)
-        add(f"Pd(d={d}) in (E,g,h)", pd, maximal0)
-    for c in c_values:
-        add(f"P0 in (E,g-({c}),h)", p0, IdealId("max", c))
-    return checks
+    orders = p_powers_upto(cfg, cfg.p**k)
+    return not any(engine.derive(f.frobenius_pow(k + 1), pj).terms
+                   for f in samples for pj in orders)
 
 
 # ---------------------------------------------------------------------------

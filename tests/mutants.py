@@ -177,6 +177,26 @@ def _orbit_counted_once(m, fields):
     m.setattr(tseries, "_monomial", cache(tseries._monomial.__wrapped__))
 
 
+def _kernel_of_d1_only(m, fields):
+    kernel = DerivationEngine.kernel_on_modular
+    m.setattr(DerivationEngine, "kernel_on_modular", lambda self, w, typ, k: (
+        kernel(self, w, typ, 0 if self.cfg in fields else k)))
+
+
+def _g_without_its_factor(m, fields):
+    # g = 1 - sum over monic a of t_a^(q-1), the factor [1] = T^q - T dropped;
+    # a fresh _monomial cache while planted, as in _orbit_counted_once
+    series = tseries._generator_series
+
+    def planted_series(cfg, N, mono):
+        if cfg in fields and mono == (0, 1, 0):
+            return (tseries.TSeries.one(cfg, N) - tseries._lattice_sum(cfg, N, 0, cfg.q - 1)).nums
+        return series(cfg, N, mono)
+
+    m.setattr(tseries, "_generator_series", planted_series)
+    m.setattr(tseries, "_monomial", cache(tseries._monomial.__wrapped__))
+
+
 REGISTER = {
     # D_3 h + g^3: 3 is no p-power, so the p-power stability check passes
     # it; the transport of a product with h reads it through N(h)
@@ -257,6 +277,28 @@ REGISTER = {
         (F7,), _frobenius_skipped,
         kills=((partial(battery, F7), ["h_power_quotients", "weight_divisibility",
                                        "memo_isobaric"]),),
+    ),
+    # D_5 h + E^2 g^3: an h-free term of D_5 h's grading (weight 16, type 2),
+    # so the memo self-check passes it; 5 is a p-power, so D_5 h leaves (h)
+    # and every P_d at the order the stability check reads
+    "d5_h_plus_e2g3": Mutant(
+        (F5,), _edited_memo_entries((0, 0, 1), (5,),
+                                    lambda cfg, out: out + QmPoly.monomial(cfg, 2, 3, 0)),
+        kills=((partial(battery, F5), ["series_commutation", "ideal_stability",
+                                       "h_power_quotients"]),),
+    ),
+    # the joint kernel of D_1 alone for every k: at k = 1 it keeps the p-th
+    # powers that are no p^2-th powers, g^5 at weight 20.  No other check
+    # reads the kernel
+    "kernel_of_d1_only": Mutant(
+        (F5,), _kernel_of_d1_only,
+        kills=((partial(battery, F5), ["kernel_suite"]),),
+    ),
+    # g's series without its factor [1]: its t^(q-1) coefficient is -1, not
+    # -[1], and h = -(D_1 g + E g) reads it; the engine is unchanged
+    "g_without_its_factor": Mutant(
+        (F5,), _g_without_its_factor,
+        kills=((partial(battery, F5), ["series_commutation", "series_leading_terms"]),),
     ),
 }
 

@@ -36,8 +36,8 @@ from dqmf.tseries import (
 from dqmf.verify import (
     IdealId,
     check_hyperstable,
-    diagram_inclusions,
     h_power_quotients,
+    member,
     munu_congruence,
     random_isobaric,
     random_ratt,
@@ -389,9 +389,19 @@ def test_criterion_5_ideal_classification(q):
         gen_E, fail_E, wit_E = rep_E.entries[0]
         assert fail_E == q and wit_E is not None and not wit_E.is_zero()
 
-        # diagram of inclusions
-        checks = diagram_inclusions(engine, ds, cs)
-        assert checks and all(ok for _, ok in checks), [n for n, ok in checks if not ok]
+        # diagram of inclusions, on generators: (h) lies in P_0, P_inf and
+        # every P_d; these lie in (E, g, h), and P_0 in every (E, g - c, h)
+        def inside(small, big):
+            return all(member(big, G)[0] for G in small.generators(cfg))
+
+        princ_h, p0, pinf = ideals[:3]
+        pds = [IdealId("Pd", d) for d in ds]
+        maximal0 = IdealId("max", cfg.rat_zero)
+        inclusions = ([(princ_h, big) for big in [p0, pinf] + pds]
+                      + [(small, maximal0) for small in [p0, pinf] + pds]
+                      + [(p0, IdealId("max", c)) for c in cs])
+        assert [pair for pair in inclusions if not inside(*pair)] == []
+        assert not inside(p0, pinf) and not inside(pinf, p0)
 
 
 # ---------------------------------------------------------------------------

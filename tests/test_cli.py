@@ -16,6 +16,7 @@ import dqmf
 from dqmf.algebra import FieldConfig, PolyT, RatT, bracket
 from dqmf.cli import ParseError, main, parse_qmpoly, parse_ratt
 from dqmf.qmring import QmPoly
+from dqmf.suite import run_suite
 from dqmf.verify import random_isobaric
 
 from mutants import planted
@@ -436,3 +437,11 @@ def test_readme_command_examples_run(capsys):
         expected = 1 if line.startswith("dqmf ideal --q 5 g --n-max 4") else 0
         assert main(shlex.split(line, comments=True)[1:]) == expected, line
         assert capsys.readouterr().out, line
+
+
+def test_readme_quotes_the_memo_counts_of_verify(cfg5):
+    """The memo counts README quotes are those `dqmf verify --q 5 --n-max 48`
+    prints, so a change of the battery's memo traffic updates the quote."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    quoted = readme.split("(`memo_isobaric ", 1)[1].split("` at n_max 48)", 1)[0]
+    assert quoted == run_suite(cfg5, n_max=48)[-1]["params"]

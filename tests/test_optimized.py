@@ -19,7 +19,8 @@ def run_optimized(*args):
 
 # the register's entries that a battery record or the memo self-check kills
 _BATTERY_KILLED = ("d3_h_plus_g3", "shifted_transport_binomial", "x_scaled_d3_g3",
-                   "wrong_weight_memo_entry", "frobenius_skipped")
+                   "wrong_weight_memo_entry", "frobenius_skipped", "d5_h_plus_e2g3",
+                   "kernel_of_d1_only", "g_without_its_factor")
 
 
 def test_planted_memo_entry_fails_verify_under_O():

@@ -10,7 +10,7 @@ import pytest
 
 from dqmf.algebra import FieldConfig, PolyT, RatT
 from dqmf.hyperd import DerivationEngine, p_powers_upto
-from dqmf.qmring import QmPoly, sum_of_products
+from dqmf.qmring import QmPoly, grading, sum_of_products
 from dqmf.suite import CHECKS
 from dqmf.verify import (
     IdealId,
@@ -190,6 +190,10 @@ def test_weight_divisibility(engine, q):
     for k in (0, 1):
         if cfg.p ** (k + 1) <= engine.limit:
             assert weight_divisibility_check(engine, k, samples)
+        # a p^(k+1)-th power has p^(k+1) | w - l
+        for f in samples:
+            s = grading(f.frobenius_pow(k + 1))
+            assert (s.w - s.l) % cfg.p ** (k + 1) == 0, (str(f), k)
 
 
 def test_h_power_quotient_nonnegative(engine, q):
