@@ -304,8 +304,6 @@ class PolyT:
 
     def __mul__(self, other):
         a, b = self.c, other.c
-        if not a or not b:
-            return self.cfg.poly_zero
         if len(a) == 1 or len(b) == 1:
             # one row of the product table scales the other side; a nonzero
             # code keeps the top coefficient nonzero, so nothing needs a trim
@@ -357,8 +355,6 @@ class PolyT:
 
     def frobenius_pow(self, k: int):
         """Raise to the p^k-th power: coefficient Frobenius, exponents times p^k."""
-        if not self.c:
-            return self
         cfg = self.cfg
         pk = cfg.p**k
         frob = cfg.frob
@@ -440,10 +436,6 @@ def _gcd(x, y, euclid):
     as gcd when they are proportional and 1 otherwise."""
     cfg = x.cfg
     a, b = x.c, y.c
-    if not a:
-        return y.monic()
-    if not b:
-        return x.monic()
     if len(a) == 1 or len(b) == 1:
         return cfg.poly_one
     if a == b:
@@ -593,8 +585,6 @@ class RatT:
         return RatT._raw(cfg, t.exact_div(g2), lcm.exact_div(g2))
 
     def __neg__(self):
-        if self.num.is_zero():
-            return self
         return RatT._raw(self.cfg, -self.num, self.den)
 
     def __sub__(self, other):

@@ -187,7 +187,7 @@ class QmPoly:
         }
         return out
 
-    # -- substitutions used by the ideal machinery ---------------------------
+    # -- the substitution used by the ideal machinery ------------------------
 
     def kill(self, gens: str):
         """Substitute 0 for the generators named in gens, e.g. "Eh"."""
@@ -199,12 +199,6 @@ class QmPoly:
             if not ((kill_E and a) or (kill_g and b) or (kill_h and c))
         }
         return out
-
-    def subs_g(self, repl: "QmPoly"):
-        """Substitute g -> repl, leaving E and h alone."""
-        return sum_of_products(self.cfg, (
-            (QmPoly.monomial(self.cfg, a, 0, c, v), repl**b) for (a, b, c), v in self.terms.items()
-        ))
 
     # -- printing ------------------------------------------------------------
 
@@ -342,8 +336,6 @@ def modular_basis(w: int, m: int, cfg: FieldConfig):
 
 def qm_basis(w: int, m: int, l: int, cfg: FieldConfig):
     """Monomials E^a g^b h^c of weight w, type m and depth a <= l."""
-    if w < 0 or l < 0:
-        return []
     out = []
     for a in range(0, min(l, w // 2) + 1):
         for (b, c) in modular_basis(w - 2 * a, m - a, cfg):

@@ -16,7 +16,7 @@ so a PASS is a proof there; "sample" means it is not).
 - ideal_stability: (h), P_0, P_inf, P_d, (E, g - c, h) are hyperdifferential,
   (E) and (g) are not; ``member`` on the engine's D_n of each generator;
   exhaustive to n_max per ideal (Leibniz on generators, the p-power rows
-  compose every order), a sample of two d and one c.
+  compose every order), a sample of two distinct d and one c.
 - munu_congruence: D_n(E^mu g^nu) = C(mu + nu(q-1) + n - 1, n) E^(mu+n)
   g^nu mod h; the binomial; exhaustive for mu, nu <= 3 and n <= 16 only.
 - h_power_quotients: (h) is hyperdifferential, so D_r(h^n)/h^n lies in the
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import d_rat
+from .algebra import RatT, d_rat
 from .hyperd import DerivationEngine, generator_table, p_powers_upto
 from .qmring import GENERATORS, QmPoly
 from .tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive, nu_infinity
@@ -143,6 +143,8 @@ def _check_ideals(cfg, engine, rng, n_max, order):
         d = cfg.rat_zero
         while d.is_zero():
             d = random_ratt(cfg, rng)
+        if ideals[-1] == IdealId("Pd", d):  # drawn twice: d T is another P_d, with no draw
+            d = d * RatT(cfg, cfg.poly_T)
         ideals.append(IdealId("Pd", d))
     ideals.append(IdealId("max", random_ratt(cfg, rng)))
     failures = []

@@ -365,8 +365,6 @@ def alpha(r: int, i: int, cfg: FieldConfig) -> RatT:
     gives sum over solutions of multinomial(r; a_0, a_1, ...) / prod d_j^{a_j},
     the multinomials reduced mod p by Lucas.  alpha(0, 0) = 1.
     """
-    if r == 0:
-        return cfg.rat_one if i == 0 else cfg.rat_zero
     if i < r or (i - r) % (cfg.q - 1) != 0:
         return cfg.rat_zero
     q, p = cfg.q, cfg.p

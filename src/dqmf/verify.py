@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .algebra import PolyT, RatT, binom_mod_p
+from .algebra import PolyT, RatT, binom_mod_p, power
 from .hyperd import DerivationEngine, p_powers_upto
 from .qmring import GENERATORS, QmPoly, monomial_signature, qm_basis
 
@@ -79,11 +79,14 @@ def member(ideal: IdealId, f: QmPoly):
     cfg = f.cfg
     if ideal.tag in _KILLED:
         res = f.kill(_KILLED[ideal.tag])
-    elif ideal.tag == "max":  # E, h -> 0, then g -> c
-        res = f.kill("Eh").subs_g(QmPoly.from_scalar(cfg, ideal.param))
-    else:  # Pd: reduce mod h, then g -> E^{q-1}/d
-        repl = QmPoly.monomial(cfg, cfg.q - 1, 0, 0, ideal.param.inverse())
-        res = f.kill("h").subs_g(repl)
+    else:  # g -> s E^k takes v E^a g^b h^c to v s^b E^(a+kb) h^c
+        pd = ideal.tag == "Pd"  # h -> 0, then g -> E^{q-1}/d; max: E, h -> 0, then g -> c
+        k, s = (cfg.q - 1, ideal.param.inverse()) if pd else (0, ideal.param)
+        terms = {}
+        for (a, b, c), v in f.kill("h" if pd else "Eh").terms.items():
+            key, v = (a + k * b, 0, c), v * power(s, b, cfg.rat_one)
+            terms[key] = terms[key] + v if key in terms else v
+        res = QmPoly(cfg, terms)
     return res.is_zero(), res
 
 

@@ -34,6 +34,7 @@ from dqmf.algebra import (
     linear_solve,
     power,
 )
+from dqmf.tseries import alpha
 
 from conftest import _reference_add, _reference_mul
 
@@ -320,6 +321,27 @@ def test_frobenius_pow_is_the_pth_power():
     cfg = FieldConfig.from_q(9)
     f = PolyT(cfg, [1, 2, 1])
     assert f.frobenius_pow(1) == f * f * f
+
+
+@pytest.mark.parametrize("q", [2, 5, 9], ids=lambda q: f"q{q}")
+def test_zero_inputs_take_the_general_path(q):
+    """Products, gcds and Frobenius powers of the zero polynomial, the
+    negative of zero and alpha(0, i) take no branch of their own; the general
+    path gives the rule's value (qm_basis of a negative weight or depth is in
+    test_qm_basis_examples)."""
+    cfg = FieldConfig.from_q(q)
+    zero = cfg.poly_zero
+    xs = [zero, cfg.poly_one, PolyT(cfg, (q - 1,)), PolyT(cfg, (1, 1)), PolyT(cfg, (1, 0, q - 1))]
+    for x in xs:
+        assert (zero * x).c == (x * zero).c == ()
+        assert zero.gcd(x) == x.gcd(zero) == x.monic()
+    assert zero.gcd(zero).c == ()
+    assert all(zero.frobenius_pow(k).c == () for k in range(3))
+    for den in (cfg.poly_one, PolyT(cfg, (1, 1))):
+        neg = -RatT(cfg, zero, den)
+        assert (neg.num.c, neg.den.c) == ((), (1,))
+    for i in range(-1, q * q + 2):
+        assert alpha(0, i, cfg) == (cfg.rat_one if i == 0 else cfg.rat_zero), i
 
 
 # ---------------------------------------------------------------------------

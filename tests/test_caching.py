@@ -236,9 +236,7 @@ def test_the_pair_caches_keep_their_gcds_out_of_the_gcd_lru():
 def test_den_pair_traffic_is_mostly_hits():
     """A battery forms few distinct denominator pairs: the ring kernel's
     products reuse theirs more than four times each, and the traffic of
-    both caches is pinned exactly (q = 5, n_max 16).  The dual route's every-
-    order derives of depth-polynomial coefficients made (166, 15) products,
-    and inverting h's quotient row in the ring for the rows n < 0 (104, 14)."""
+    both caches is pinned exactly (q = 5, n_max 16), as README quotes it."""
     _den_pair.cache_clear()
     _den_product.cache_clear()
     results = run_suite(FieldConfig.from_q(5), n_max=16)

@@ -24,6 +24,12 @@ expansions of E, g and h.  Both were computed while F_q's tables were
 filled through a separate F_p[x] arithmetic and the Carlitz coefficients
 through a table of rho_{T^i}.
 
+A battery digest pins ``json.dumps(run_suite(cfg, n_max=48))`` for
+q = 2..9: every check's record, its witness and the memo counts of
+memo_isobaric, the bytes ``dqmf verify --json --n-max 48`` prints.  It was
+computed while ``verify.member`` substituted g through a whole-element ring
+power and ``_check_ideals`` could draw the same P_d twice.
+
 A last digest pins the command line's bytes: stdout, stderr and the exit
 code of ``dqmf.cli.main`` on every subcommand in text and JSON form, the
 negative control and two malformed inputs.  It was computed while each
@@ -32,6 +38,7 @@ itself.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -40,7 +47,7 @@ from dqmf.algebra import FieldConfig, linear_solve
 from dqmf.cli import main
 from dqmf.hyperd import DerivationEngine
 from dqmf.qmring import QmPoly, monomial_signature, qm_basis
-from dqmf.suite import series_check_orders
+from dqmf.suite import run_suite, series_check_orders
 from dqmf.tseries import evaluate, expand_E, expand_g, expand_h, hyper_derive
 from dqmf.verify import h_power_quotients
 
@@ -301,6 +308,17 @@ def test_the_two_series_routes_at_the_oracle_truncations_match_the_pinned_digest
                 h.update(f"{q} {N} f{k} {n} {evaluate(engine.derive(f, n), N)}\n".encode())
                 h.update(f"{q} {N} f{k} {n} {hyper_derive(base, n)}\n".encode())
     assert h.hexdigest() == ORACLE_GOLDEN
+
+
+BATTERY_FIELDS = (2, 3, 4, 5, 7, 8, 9)
+BATTERY_GOLDEN = "6cdac6e96302bf26bff4b5e0888162536970ce5ce3627d48e764f0393b35fc3f"
+
+
+def test_the_verify_battery_matches_the_pinned_digest():
+    h = hashlib.sha256()
+    for q in BATTERY_FIELDS:
+        h.update(f"{q} {json.dumps(run_suite(FieldConfig.from_q(q), n_max=48))}\n".encode())
+    assert h.hexdigest() == BATTERY_GOLDEN
 
 
 CLI_RUNS = [

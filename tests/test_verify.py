@@ -8,6 +8,7 @@ from itertools import count
 
 import pytest
 
+from dqmf import suite
 from dqmf.algebra import FieldConfig, PolyT, RatT
 from dqmf.hyperd import DerivationEngine, p_powers_upto
 from dqmf.qmring import QmPoly, grading, sum_of_products
@@ -322,6 +323,22 @@ def test_stability_derives_only_the_p_power_rows(q, monkeypatch):
                           for n in p_powers_upto(cfg, fail_n or n_max)], ideal
         if rep.passed:
             assert orders == p_powers_upto(cfg, n_max) * len(rep.entries)
+
+
+@pytest.mark.parametrize("q", [2, 5], ids=lambda q: f"q{q}")
+def test_the_battery_checks_two_distinct_pd(q, monkeypatch):
+    # at the default seed the two P_d draws coincide at q = 2 and 5; the
+    # battery then checks d and d T, with no further draw
+    seen = []
+
+    def recording(engine, ideal, n_max):
+        seen.append(ideal)
+        return check_hyperstable(engine, ideal, n_max)
+
+    monkeypatch.setattr(suite, "check_hyperstable", recording)
+    assert all(r["pass"] for r in suite.run_suite(FieldConfig.from_q(q), n_max=8))
+    pds = [ideal for ideal in seen if ideal.tag == "Pd"]
+    assert len(pds) == len(set(pds)) == 2, pds
 
 
 def test_generator_tables_check_catches_a_wrong_composed_value():
